@@ -9,11 +9,7 @@
 //     probes (out(X, Z) :- e(X, Y), t(Y, Z)) fired once per storage
 //     mode through FireRuleFacts;
 //   * semi-naive transitive closure on a dense random graph (the E15
-//     headline workload, >= 2000 edges over 250 nodes), end to end;
-//   * the same closure with chunked parallel rounds at 1/2/4/8
-//     threads, columnar on, each checked against the sequential row
-//     oracle — contiguous partition chunks feed each worker a dense
-//     column range.
+//     headline workload, >= 2000 edges over 250 nodes), end to end.
 //
 // Writes the measurements to a JSON file (default BENCH_columnar.json
 // in the current directory; override with argv[1]) so the claimed
@@ -49,11 +45,10 @@ struct Row {
   double Speedup() const { return columnar_ms > 0 ? row_ms / columnar_ms : 0; }
 };
 
-datalog::EvalOptions Opts(bool use_columnar, size_t threads = 1) {
+datalog::EvalOptions Opts(bool use_columnar) {
   datalog::EvalOptions o;
   o.limits = EvalLimits::Large();
   o.use_columnar = use_columnar;
-  o.num_threads = threads;
   return o;
 }
 
@@ -123,15 +118,14 @@ Row MicroProbe(int n_left, int n_right) {
   return row;
 }
 
-Row EndToEndTc(const std::string& name, const datalog::Database& edb,
-               size_t threads) {
+Row EndToEndTc(const std::string& name, const datalog::Database& edb) {
   Row row;
   row.name = name;
   row.facts_in = edb.Extent("edge").size();
 
   datalog::Program tc = TcProgram();
-  auto row_model = datalog::EvalMinimalModel(tc, edb, Opts(false, threads));
-  auto col_model = datalog::EvalMinimalModel(tc, edb, Opts(true, threads));
+  auto row_model = datalog::EvalMinimalModel(tc, edb, Opts(false));
+  auto col_model = datalog::EvalMinimalModel(tc, edb, Opts(true));
   if (!row_model.ok() || !col_model.ok()) {
     std::fprintf(stderr, "%s failed: row=%s columnar=%s\n", name.c_str(),
                  row_model.status().ToString().c_str(),
@@ -141,10 +135,10 @@ Row EndToEndTc(const std::string& name, const datalog::Database& edb,
   row.models_equal = *row_model == *col_model;
   row.facts_out = col_model->TotalFacts();
   row.row_ms = BestMillis(3, [&] {
-    (void)datalog::EvalMinimalModel(tc, edb, Opts(false, threads));
+    (void)datalog::EvalMinimalModel(tc, edb, Opts(false));
   });
   row.columnar_ms = BestMillis(3, [&] {
-    (void)datalog::EvalMinimalModel(tc, edb, Opts(true, threads));
+    (void)datalog::EvalMinimalModel(tc, edb, Opts(true));
   });
   return row;
 }
@@ -160,14 +154,7 @@ int main(int argc, char** argv) {
   // The E15 headline workload, end to end: >= 2000 distinct edges over
   // 250 nodes (2200 samples, minus duplicates), semi-naive closure.
   datalog::Database dense = RandomEdges(250, 2200, /*seed=*/42);
-  rows.push_back(EndToEndTc("tc_seminaive_random_2000", dense, 1));
-
-  // Chunked parallel scaling: contiguous partition chunks give each
-  // worker a dense column range of the delta extent.
-  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    rows.push_back(EndToEndTc(
-        "tc_parallel_t" + std::to_string(threads), dense, threads));
-  }
+  rows.push_back(EndToEndTc("tc_seminaive_random_2000", dense));
 
   std::printf("E20: columnar batch execution vs row-at-a-time\n");
   std::printf("%-28s %9s %9s %11s %13s %8s %7s\n", "workload", "facts_in",

@@ -130,7 +130,7 @@ void DispatchMicro(int n_left, int n_right, double out[3], size_t* facts) {
             ++vm_count;
             return Status::OK();
           },
-          /*allow_build=*/true, /*known=*/nullptr, flavors[f]);
+          /*known=*/nullptr, flavors[f]);
       if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
       if (vm_count != count) std::fprintf(stderr, "fact count mismatch\n");
     });

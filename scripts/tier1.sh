@@ -1,19 +1,18 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite — run six times: on the
+# Tier-1 verification: full build + test suite — run five times: on the
 # default hash-indexed join path, with AWR_FORCE_SCAN_JOINS=1 so the
-# scan oracle stays green, with AWR_EVAL_THREADS=4 so every engine
-# exercises the work-partitioned parallel rounds, with
-# AWR_NO_VALUE_INTERN=1 so the legacy per-instance value/term
-# representation (the hash-consing differential oracle) stays green,
+# scan oracle stays green, with AWR_NO_VALUE_INTERN=1 so the legacy
+# per-instance value/term representation (the hash-consing
+# differential oracle) stays green,
 # with AWR_NO_COLUMNAR=1 so the row-at-a-time storage/join oracle
 # (the columnar differential baseline) stays green, and with
 # AWR_NO_BYTECODE=1 so the tree-walking interpreter (the bytecode VM's
 # parity baseline, DESIGN.md §14) stays green.
 # Then the interruption tests again under AddressSanitizer/UBSan
 # (injected-fault unwinding is checked for leaks and UB) and the
-# parallel + property suites under ThreadSanitizer at 4 threads (data
-# races across the round barrier, the sharded interners and the
-# pre-built indexes).
+# concurrency suite under ThreadSanitizer (concurrent evaluations
+# sharing the sharded interners and the compiled-plan cache, the way
+# awrd sessions do).
 #
 # The snapshot-format suite (corruption fuzz: truncation, bit flips,
 # checksum-patched mutations) and the crash-point recovery sweep also
@@ -53,7 +52,6 @@ cmake -B build -S .
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
 (cd build && AWR_FORCE_SCAN_JOINS=1 ctest --output-on-failure -j"$(nproc)")
-(cd build && AWR_EVAL_THREADS=4 ctest --output-on-failure -j"$(nproc)")
 (cd build && AWR_NO_VALUE_INTERN=1 ctest --output-on-failure -j"$(nproc)")
 # Row-storage oracle: AWR_NO_COLUMNAR=1 disables the columnar layout and
 # batch executor entirely, so the row-at-a-time path stays green.
@@ -109,25 +107,18 @@ scripts/service_smoke.sh build-asan/src/awr/service/awrd asan
 
 cmake -B build-tsan -S . -DAWR_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" \
-  --target awr_parallel_test --target awr_property_test \
-  --target awr_service_test --target awr_service_chaos_test \
-  --target awr_vm_test --target awrd
-(cd build-tsan && AWR_EVAL_THREADS=4 ctest --output-on-failure -R 'Parallel')
-# Columnar batch execution under TSan: the driver-side column/index
-# pre-build vs worker-side const reads is exactly the discipline TSan
-# can falsify (the differential runs each engine at 1 and 4 threads).
-(cd build-tsan && ctest --output-on-failure -R 'Columnar')
+  --target awr_concurrency_test --target awr_service_test \
+  --target awr_service_chaos_test --target awrd
+# Concurrent evaluations under TSan: four threads run every fixpoint
+# engine at once on private contexts and databases, sharing the atom
+# and value interners and the global compiled-plan cache (lookup + LRU
+# mutation under its mutex, shared immutable programs executed
+# concurrently).
+(cd build-tsan && ctest --output-on-failure -R 'Concurrent')
 # Service + thinned chaos under TSan: concurrent sessions, the
 # in-flight dedup table, drain-vs-execute and deadline-vs-cancel races.
 (cd build-tsan && AWR_CHAOS_TRACES=12 \
   ctest --output-on-failure -R 'Service|SocketServer')
-# Bytecode VM under TSan: the global compiled-plan cache is shared by
-# parallel workers (lookup + LRU mutation under its mutex, shared
-# immutable programs executed concurrently) and the bytecode-vs-
-# interpreter differential runs each engine at 1 and 4 threads via
-# awr_property_test.
-(cd build-tsan && AWR_EVAL_THREADS=4 \
-  ctest --output-on-failure -R 'Vm|Bytecode')
 scripts/service_smoke.sh build-tsan/src/awr/service/awrd tsan
 
 # The service benchmark emits BENCH_service.json (QPS, p50/p99, shed

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -167,13 +166,10 @@ class FaultInjector {
 /// Result<T> return, so an interrupted evaluation can never leave a
 /// half-written Database or ValueSet in the caller's hands.
 ///
-/// Not thread-safe except where noted: one context governs one
-/// evaluation on one thread; only CancelToken is designed for
-/// cross-thread signalling.  Inside a parallel fixpoint round the
-/// workers never touch the context directly — they poll through a
-/// ParallelGovernor (below), and the round driver performs all
-/// ChargeRound/ChargeFacts/ChargeMemory calls at the barriers, where no
-/// worker is running.
+/// Not thread-safe: one context governs one evaluation, and every
+/// charge comes from the thread running it.  Concurrent evaluations
+/// (awrd sessions) each own their context; CancelToken is the only
+/// cross-thread signal.
 class ExecutionContext {
  public:
   using Clock = std::chrono::steady_clock;
@@ -265,16 +261,9 @@ class ExecutionContext {
   /// it the right coordinate for checkpoint/resume charge-parity
   /// accounting: a snapshot records the barrier's charge index, and an
   /// uninterrupted run's total equals barrier index + resumed charges.
-  /// Note: ParallelGovernor's lock-free cancellation fast path (taken
-  /// only when no injector and no deadline are set) bypasses this
-  /// counter, so under plain parallel cancellation it undercounts; every
-  /// configuration the parity oracle measures routes through here.
   size_t total_charges() const { return total_charges_; }
   size_t high_water_bytes() const { return high_water_bytes_; }
   const EvalLimits& limits() const { return budget_.limits(); }
-  bool has_deadline() const { return has_deadline_; }
-  const CancelToken& cancel_token() const { return cancel_; }
-  FaultInjector* fault_injector() const { return fault_; }
 
  private:
   /// Clock polls are amortized: non-round charges look at the wall clock
@@ -295,75 +284,6 @@ class ExecutionContext {
   size_t high_water_bytes_ = 0;
   size_t total_charges_ = 0;
   uint32_t clock_phase_ = 0;
-};
-
-/// The thread-safe shim between an ExecutionContext and the workers of
-/// one parallel region.  ExecutionContext is single-threaded by
-/// contract; workers instead poll a ParallelGovernor, which serializes
-/// the stateful parts of governance (fault-injector charge counting,
-/// amortized deadline clock phase) behind one mutex and answers the
-/// stateless parts (the atomic cancellation token) lock-free.
-///
-/// The charge-point discipline that keeps parallel execution
-/// status-compatible with the sequential oracle:
-///
-///  * workers call CheckInterrupt once per body match, exactly where
-///    the sequential enumerator polls — so the *total* number of
-///    governance charges in a fixpoint is identical for every thread
-///    count (partitioning splits the match set, it never changes it);
-///  * the round driver calls ChargeRound/ChargeFacts/ChargeMemory on
-///    the parent context at the barriers, with the same values the
-///    sequential loop charges (merged-state bytes; worker-local
-///    accumulators are transient scratch, exactly like the sequential
-///    loop's under-construction delta);
-///  * an injected fault trips once, on whichever worker performs the
-///    nth charge; the round barrier surfaces the first non-OK task
-///    status in task order, so the *code* (kInternal / kCancelled /
-///    kDeadlineExceeded) matches the sequential run even though the
-///    tripping match may differ.
-class ParallelGovernor {
- public:
-  /// `parent` is borrowed and must outlive the governor; it may be null
-  /// (every check then passes, like a null BodyContext::context).
-  explicit ParallelGovernor(ExecutionContext* parent) : parent_(parent) {}
-
-  ParallelGovernor(const ParallelGovernor&) = delete;
-  ParallelGovernor& operator=(const ParallelGovernor&) = delete;
-
-  /// Thread-safe equivalent of ExecutionContext::CheckInterrupt.
-  Status CheckInterrupt(std::string_view what) {
-    if (parent_ == nullptr) return Status::OK();
-    if (parent_->fault_injector() == nullptr && !parent_->has_deadline()) {
-      // Stateless fast path: only the cancellation token can fire, and
-      // it is an atomic read.  The message matches the context's own
-      // format; the coordinates are best-effort reads of counters the
-      // driver thread owns (fast-path polls themselves are uncounted).
-      if (parent_->cancel_token().cancelled()) {
-        return Status::Cancelled(
-            std::string(what) + ": cancelled by caller (round " +
-            std::to_string(parent_->rounds()) + ", charge " +
-            std::to_string(parent_->total_charges()) + ")");
-      }
-      return Status::OK();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    return parent_->CheckInterrupt(what);
-  }
-
-  /// Thread-safe forward of ExecutionContext::ChargeMemory; the round
-  /// drivers use it at the barrier so every governance touch of the
-  /// parent inside a parallel evaluation goes through the shim.
-  Status ChargeMemory(size_t bytes_in_use, std::string_view what) {
-    if (parent_ == nullptr) return Status::OK();
-    std::lock_guard<std::mutex> lock(mu_);
-    return parent_->ChargeMemory(bytes_in_use, what);
-  }
-
-  ExecutionContext* parent() const { return parent_; }
-
- private:
-  ExecutionContext* parent_;  // borrowed
-  std::mutex mu_;
 };
 
 }  // namespace awr

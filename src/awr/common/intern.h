@@ -14,10 +14,9 @@ namespace awr {
 /// are interned so that values and terms can compare identifiers by
 /// integer id.  Thread-safe; ids are stable for the process lifetime.
 ///
-/// The table is sharded 16 ways by string hash so that parallel
-/// fixpoint workers constructing atom values concurrently do not
-/// serialize on a single mutex (bench_intern_contention measures the
-/// effect).  An id encodes its shard in the low bits and the shard-
+/// The table is sharded 16 ways by string hash so that concurrent
+/// awrd sessions constructing atom values do not serialize on a single
+/// mutex.  An id encodes its shard in the low bits and the shard-
 /// local index above them, so Intern stays idempotent and Lookup stays
 /// O(1) without any cross-shard coordination.  Note that identifier
 /// *values* therefore depend on shard layout, not global arrival order;

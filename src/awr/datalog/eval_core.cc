@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "awr/common/thread_pool.h"
 #include "awr/datalog/vm/cache.h"
 #include "awr/datalog/vm/vm.h"
 
@@ -80,9 +79,7 @@ class BodyEnumerator {
  private:
   Status EvalFrom(size_t k, Env& env) {
     if (k == plan_.size()) {
-      if (ctx_.governor != nullptr) {
-        AWR_RETURN_IF_ERROR(ctx_.governor->CheckInterrupt("body-match"));
-      } else if (ctx_.context != nullptr) {
+      if (ctx_.context != nullptr) {
         AWR_RETURN_IF_ERROR(ctx_.context->CheckInterrupt("body-match"));
       }
       return on_match_(env);
@@ -296,11 +293,10 @@ enum class ColumnarPlanResult {
 /// finding matches, and any construct the batch path does not cover
 /// (negation, comparisons, function applications, non-flat extents,
 /// arity mismatches, non-inline constants) defers to the row path,
-/// which owns the error messages.  With `allow_build` (evaluating /
-/// driver thread) missing column stores and indexes are materialized;
-/// without it (pool workers) only pre-built state is used.
+/// which owns the error messages.  Missing column stores and indexes
+/// are materialized on first use.
 ColumnarPlanResult PlanColumnarFire(const PlannedRule& pr,
-                                    const BodyContext& ctx, bool allow_build,
+                                    const BodyContext& ctx,
                                     ColumnarFirePlan* out) {
   if (!ctx.use_columnar || !ctx.use_join_index) {
     return ColumnarPlanResult::kIneligible;
@@ -354,19 +350,10 @@ ColumnarPlanResult PlanColumnarFire(const PlannedRule& pr,
         return ColumnarPlanResult::kIneligible;  // function application
       }
     }
-    if (allow_build) {
-      cs.store = extent.columns();
-      if (cs.store == nullptr) return ColumnarPlanResult::kIneligible;
-      if (!cs.keys.empty()) {
-        cs.index = extent.ColumnIndex(step.bound_positions);
-      }
-    } else {
-      if (!extent.columnar_built()) return ColumnarPlanResult::kIneligible;
-      cs.store = extent.columns();
-      if (!cs.keys.empty()) {
-        cs.index = extent.FindColumnIndex(step.bound_positions);
-        if (cs.index == nullptr) return ColumnarPlanResult::kIneligible;
-      }
+    cs.store = extent.columns();
+    if (cs.store == nullptr) return ColumnarPlanResult::kIneligible;
+    if (!cs.keys.empty()) {
+      cs.index = extent.ColumnIndex(step.bound_positions);
     }
     out->steps.push_back(std::move(cs));
   }
@@ -486,18 +473,14 @@ bool RunColumnarJoin(const ColumnarFirePlan& cp,
 }  // namespace
 
 const ValueSet::ColumnStore::Index* KnownFactsIndex(
-    const ValueSet* known, size_t arity, bool allow_build,
+    const ValueSet* known, size_t arity,
     const ValueSet::ColumnStore** store_out) {
   if (known == nullptr || arity == 0 || arity > 8) return nullptr;
-  const ValueSet::ColumnStore* store =
-      allow_build ? known->columns()
-                  : (known->columnar_built() ? known->columns() : nullptr);
+  const ValueSet::ColumnStore* store = known->columns();
   if (store == nullptr || store->arity != arity) return nullptr;
   std::vector<size_t> all_positions(arity);
   for (size_t i = 0; i < arity; ++i) all_positions[i] = i;
-  const ValueSet::ColumnStore::Index* index =
-      allow_build ? known->ColumnIndex(all_positions)
-                  : known->FindColumnIndex(all_positions);
+  const ValueSet::ColumnStore::Index* index = known->ColumnIndex(all_positions);
   if (index == nullptr) return nullptr;
   *store_out = store;
   return index;
@@ -506,11 +489,6 @@ const ValueSet::ColumnStore::Index* KnownFactsIndex(
 Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
                      const std::function<Status(Value)>& on_fact,
                      const ValueSet* known) {
-  // Workers must not build columnar state (the same contract as the
-  // lazy row indexes); the parallel driver pre-builds via
-  // PrepareColumnarFire, so a worker either finds everything ready or
-  // falls back to the row path over pre-built row indexes.
-  const bool allow_build = !ThreadPool::OnWorkerThread();
   // Resolve the compiled program first (a cache hit after round 1):
   // its static analysis tells us whether the batch columnar executor
   // can ever serve this rule, so statically ineligible rules skip the
@@ -526,9 +504,9 @@ Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
   ColumnarFirePlan cp;
   if (compiled != nullptr && !compiled->may_batch) {
     StatCounters().row_rules.fetch_add(1, std::memory_order_relaxed);
-    return vm::ExecuteCompiledRule(*compiled, ctx, on_fact, allow_build, known);
+    return vm::ExecuteCompiledRule(*compiled, ctx, on_fact, known);
   }
-  switch (PlanColumnarFire(planned, ctx, allow_build, &cp)) {
+  switch (PlanColumnarFire(planned, ctx, &cp)) {
 
     case ColumnarPlanResult::kEmpty:
       // Some body extent is empty: the row path would enumerate zero
@@ -586,16 +564,13 @@ Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
         }
         const ValueSet::ColumnStore* known_store = nullptr;
         const ValueSet::ColumnStore::Index* known_index =
-            head_words_ok
-                ? KnownFactsIndex(known, head_arity, allow_build, &known_store)
-                : nullptr;
+            head_words_ok ? KnownFactsIndex(known, head_arity, &known_store)
+                          : nullptr;
         uint64_t emitted = 0;
         std::vector<uintptr_t> kw(key_slots.size());
         std::vector<Value> components(head_arity);
         for (size_t i = 0; i < batch; ++i) {
-          if (ctx.governor != nullptr) {
-            AWR_RETURN_IF_ERROR(ctx.governor->CheckInterrupt("body-match"));
-          } else if (ctx.context != nullptr) {
+          if (ctx.context != nullptr) {
             AWR_RETURN_IF_ERROR(ctx.context->CheckInterrupt("body-match"));
           }
           for (size_t j = 0; j < key_slots.size(); ++j) {
@@ -661,7 +636,7 @@ Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
     // Batch-ineligible on the current extents (or batch overflow,
     // before anything was observed): the compiled program replaces the
     // tree-walking enumerator below, with identical observables.
-    return vm::ExecuteCompiledRule(*compiled, ctx, on_fact, allow_build, known);
+    return vm::ExecuteCompiledRule(*compiled, ctx, on_fact, known);
   }
   return ForEachBodyMatch(
       planned.rule, planned.plan, ctx, [&](const Env& env) -> Status {
@@ -669,18 +644,6 @@ Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
                              EvalHead(planned.rule, env, *ctx.fns));
         return on_fact(std::move(fact));
       });
-}
-
-bool PrepareColumnarFire(const PlannedRule& planned, const BodyContext& ctx,
-                         const ValueSet* known) {
-  ColumnarFirePlan cp;
-  if (PlanColumnarFire(planned, ctx, /*allow_build=*/true, &cp) !=
-      ColumnarPlanResult::kReady) {
-    return false;
-  }
-  const ValueSet::ColumnStore* store = nullptr;
-  KnownFactsIndex(known, cp.head.size(), /*allow_build=*/true, &store);
-  return true;
 }
 
 ColumnarExecStats GetColumnarExecStats() {

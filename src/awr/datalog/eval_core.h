@@ -73,12 +73,6 @@ struct BodyContext {
   /// scan path (false) computes the same matches and is kept alive as
   /// the differential-test oracle; see EvalOptions::use_join_index.
   bool use_join_index = true;
-  /// Thread-safe governance for parallel rounds (borrowed).  When set it
-  /// takes precedence over `context`: the enumerator polls the governor
-  /// at exactly the per-match site where the sequential path polls the
-  /// context, so the total number of interrupt polls per round is
-  /// identical for every thread count (see ParallelGovernor).
-  ParallelGovernor* governor = nullptr;
   /// When true (and use_join_index), FireRuleFacts runs the batch
   /// columnar executor for rules whose bodies are all positive atoms
   /// over flat columnar extents (DESIGN.md §12); the row-at-a-time
@@ -138,7 +132,7 @@ Result<std::vector<PlannedRule>> PlanProgram(const Program& program);
 /// tuples are only materialized per distinct final match.  Fallbacks
 /// (nested values, negation, comparisons, function applications, arity
 /// mismatches, oversized batches) run the row path.  Both paths
-/// deliver the same fact set and poll the governor/context interrupt
+/// deliver the same fact set and poll the context's interrupt
 /// hook once per match, so models, charge counts, and fault/deadline/
 /// cancel statuses are identical.
 ///
@@ -155,26 +149,18 @@ Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
                      const std::function<Status(Value)>& on_fact,
                      const ValueSet* known = nullptr);
 
-/// Driver-side pre-build for parallel rounds: materializes every column
-/// store and column index the batch executor would read when firing
-/// `planned` under `ctx` — including the full-arity dedup index on
-/// `known` when given — so workers only perform const reads (the
-/// columnar analogue of ValueSet::BuildIndex pre-building).  Returns
-/// true when the rule is batch-eligible against the current extents.
-bool PrepareColumnarFire(const PlannedRule& planned, const BodyContext& ctx,
-                         const ValueSet* known = nullptr);
-
 /// Resolves the word-level duplicate filter over `known` for a head of
 /// `arity` all-inline components: the extent's full-arity column index,
-/// or nullptr when unavailable (non-flat extent, arity mismatch, worker
-/// thread without a pre-built index, >8 positions).  Shared by the
+/// or nullptr when unavailable (non-flat extent, arity mismatch, >8
+/// positions).  Shared by the
 /// batch columnar executor and the bytecode VM's emit path.
 const ValueSet::ColumnStore::Index* KnownFactsIndex(
-    const ValueSet* known, size_t arity, bool allow_build,
+    const ValueSet* known, size_t arity,
     const ValueSet::ColumnStore** store_out);
 
 /// Process-wide counters of the batch executor, for the REPL's :stats
-/// and the benchmarks.  Updated atomically (workers fire rules too).
+/// and the benchmarks.  Updated atomically (concurrent awrd sessions
+/// fire rules too).
 struct ColumnarExecStats {
   uint64_t batch_rules_fired = 0;  ///< firings served by the batch path
   uint64_t row_rules_fired = 0;    ///< firings that took the row path

@@ -1,11 +1,5 @@
 #include "awr/datalog/inflationary.h"
 
-#include <deque>
-#include <optional>
-
-#include "awr/common/thread_pool.h"
-#include "awr/datalog/parallel_eval.h"
-
 namespace awr::datalog {
 
 namespace {
@@ -16,17 +10,6 @@ Result<Interpretation> EvalInflationaryImpl(
   AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> rules, PlanProgram(program));
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
-
-  // Parallel rounds reuse one pool across the whole fixpoint; the
-  // governor is the workers' thread-safe window onto `ctx`.
-  std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = opts.pool;
-  if (pool == nullptr && opts.num_threads > 1) {
-    local_pool.emplace(opts.num_threads);
-    pool = &*local_pool;
-  }
-  std::optional<ParallelGovernor> governor;
-  if (pool != nullptr) governor.emplace(ctx);
 
   snapshot::CheckpointDriver driver(opts.checkpoint);
   uint64_t program_fp = 0;
@@ -73,7 +56,7 @@ Result<Interpretation> EvalInflationaryImpl(
     // All rules fire simultaneously against the frozen pre-round state:
     // both positive and negative literals read the facts derived so
     // far.  The copy is also the barrier state for interrupt capture —
-    // the sequential loop inserts into `interp` mid-round.
+    // the loop below inserts into `interp` mid-round.
     const Interpretation frozen = interp;
     BodyContext body_ctx{
         &opts.functions,
@@ -83,44 +66,26 @@ Result<Interpretation> EvalInflationaryImpl(
         [&frozen](const std::string& pred, const Value& fact) {
           return !frozen.Holds(pred, fact);
         },
-        pool != nullptr ? nullptr : ctx, opts.use_join_index};
+        ctx, opts.use_join_index};
     body_ctx.use_columnar = opts.use_columnar;
     body_ctx.use_bytecode = opts.use_bytecode;
     size_t added = 0;
-    if (pool != nullptr) {
-      // Because rules read the frozen snapshot and insertions are
-      // deferred to the barrier merge, the parallel round computes the
-      // same added set (and count: both count facts new to `interp`,
-      // which equals `frozen` until the merge) as the loop below.
-      std::deque<ValueSet> chunks;
-      std::vector<FireTask> tasks =
-          MakeScanSplitTasks(rules, body_ctx, pool->size(), &chunks);
-      auto merged = RunFireTasks(tasks, body_ctx, frozen, &interp, pool,
-                                 &*governor);
-      if (!merged.ok()) {
+    for (const PlannedRule& pr : rules) {
+      // The dedup filter must stay frozen while the rule fires, so it
+      // is the pre-round snapshot — facts added to `interp` this
+      // round pass through and AddFactTuple dedups them.
+      Status fired = FireRuleFacts(
+          pr, body_ctx,
+          [&](Value fact) -> Status {
+            if (interp.AddFactTuple(pr.rule.head.predicate, std::move(fact))) {
+              ++added;
+            }
+            return Status::OK();
+          },
+          /*known=*/&frozen.Extent(pr.rule.head.predicate));
+      if (!fired.ok()) {
         driver.OnInterrupt([&] { return build(frozen, rounds); });
-        return merged.status();
-      }
-      added = *merged;
-    } else {
-      for (const PlannedRule& pr : rules) {
-        // The dedup filter must stay frozen while the rule fires, so it
-        // is the pre-round snapshot — facts added to `interp` this
-        // round pass through and AddFactTuple dedups them.
-        Status fired = FireRuleFacts(
-            pr, body_ctx,
-            [&](Value fact) -> Status {
-              if (interp.AddFactTuple(pr.rule.head.predicate,
-                                      std::move(fact))) {
-                ++added;
-              }
-              return Status::OK();
-            },
-            /*known=*/&frozen.Extent(pr.rule.head.predicate));
-        if (!fired.ok()) {
-          driver.OnInterrupt([&] { return build(frozen, rounds); });
-          return fired;
-        }
+        return fired;
       }
     }
     if (added == 0) break;

@@ -4,11 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <optional>
-
-#include "awr/common/thread_pool.h"
-#include "awr/datalog/parallel_eval.h"
 
 namespace awr::datalog {
 
@@ -22,18 +18,6 @@ bool JoinIndexEnabledByDefault() {
 }
 
 bool ColumnarEnabledByDefault() { return ColumnarStorageEnabled(); }
-
-size_t DefaultEvalThreads() {
-  static const size_t threads = [] {
-    const char* env = std::getenv("AWR_EVAL_THREADS");
-    if (env == nullptr || *env == '\0') return size_t{1};
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || parsed < 1) return size_t{1};
-    return std::min<size_t>(static_cast<size_t>(parsed), 64);
-  }();
-  return threads;
-}
 
 namespace {
 
@@ -58,7 +42,7 @@ Result<size_t> FireRule(const PlannedRule& pr, const BodyContext& ctx,
   return added;
 }
 
-// Checkpoint plumbing shared by the sequential and parallel loops: the
+// Checkpoint plumbing shared by the naive and semi-naive loops: the
 // frame view aliases the loop's live state, `interrupted` reports the
 // last completed barrier to the owner just before a non-OK return, and
 // `arrived` advances the barrier bookkeeping after a completed round.
@@ -95,135 +79,12 @@ struct BarrierTracker {
   }
 };
 
-// The parallel twin of the sequential loops below: the same round
-// structure with the same charge skeleton (ChargeRound / ChargeFacts /
-// ChargeMemory at the same points with the same values), but each
-// round's rule firings fanned out over `pool` as
-// (rule × extent-partition) tasks with a deterministic merge at the
-// barrier (see parallel_eval.h).  Computes a model bit-identical to the
-// sequential path for every pool size.
-Result<Interpretation> LeastModelParallel(
-    const std::vector<PlannedRule>& rules, const Interpretation& base,
-    const Interpretation& neg_context, const EvalOptions& opts,
-    ExecutionContext* ctx, ThreadPool* pool,
-    const LeastModelControl& control) {
-  Interpretation interp = base;
-  ParallelGovernor governor(ctx);
-  const size_t max_parts = pool->size();
-  BarrierTracker bar(control.hooks, opts.seminaive, ctx);
-
-  auto neg_holds = [&neg_context](const std::string& pred, const Value& fact) {
-    return !neg_context.Holds(pred, fact);
-  };
-  BodyContext body_ctx{
-      &opts.functions,
-      [&interp](const std::string& pred, size_t) -> const ValueSet& {
-        return interp.Extent(pred);
-      },
-      neg_holds, /*context=*/nullptr, opts.use_join_index};
-  body_ctx.use_columnar = opts.use_columnar;
-  body_ctx.use_bytecode = opts.use_bytecode;
-
-  if (!opts.seminaive) {
-    if (control.resume != nullptr) {
-      interp = control.resume->interp;
-      bar.view.rounds_done = control.resume->rounds_done;
-    }
-    // The naive loop charges memory after merging the round's delta, so
-    // at that charge point the live interpretation is one round ahead of
-    // the last barrier; keep a barrier copy for interrupt capture.
-    Interpretation barrier_interp;
-    if (bar.capture_on_interrupt) barrier_interp = interp;
-    bar.view.interp = bar.capture_on_interrupt ? &barrier_interp : &interp;
-    for (;;) {
-      Status st = ctx->ChargeRound("least-model(naive)");
-      if (!st.ok()) return bar.Interrupted(std::move(st));
-      Interpretation delta;
-      std::deque<ValueSet> chunks;
-      std::vector<FireTask> tasks =
-          MakeScanSplitTasks(rules, body_ctx, max_parts, &chunks);
-      auto added = RunFireTasks(tasks, body_ctx, interp, &delta, pool,
-                                &governor);
-      if (!added.ok()) return bar.Interrupted(added.status());
-      if (*added == 0) break;
-      st = ctx->ChargeFacts(*added, "least-model(naive)");
-      if (!st.ok()) return bar.Interrupted(std::move(st));
-      interp.InsertAll(delta);
-      st = ctx->ChargeMemory(interp.ApproxBytes(), "least-model(naive)");
-      if (!st.ok()) return bar.Interrupted(std::move(st));
-      if (bar.capture_on_interrupt) barrier_interp = interp;
-      bar.Arrived(ctx);
-    }
-    return interp;
-  }
-
-  bar.view.interp = &interp;
-  Interpretation delta;
-  bool run_round0 = true;
-  if (control.resume != nullptr) {
-    interp = control.resume->interp;
-    bar.view.rounds_done = control.resume->rounds_done;
-    if (control.resume->rounds_done > 0) {
-      delta = control.resume->delta;
-      run_round0 = false;
-      bar.view.delta = &delta;
-    }
-  }
-  if (run_round0) {
-    // view.delta stays null through round 0: the delta under
-    // construction is not part of the 0-round barrier state.
-    Status st = ctx->ChargeRound("least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    std::deque<ValueSet> chunks;
-    std::vector<FireTask> tasks =
-        MakeScanSplitTasks(rules, body_ctx, max_parts, &chunks);
-    auto added = RunFireTasks(tasks, body_ctx, interp, &delta, pool,
-                              &governor);
-    if (!added.ok()) return bar.Interrupted(added.status());
-    st = ctx->ChargeFacts(*added, "least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    interp.InsertAll(delta);
-    bar.view.delta = &delta;
-    bar.Arrived(ctx);
-  }
-
-  while (delta.TotalFacts() > 0) {
-    Status st = ctx->ChargeRound("least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    st = ctx->ChargeMemory(interp.ApproxBytes() + delta.ApproxBytes(),
-                           "least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    Interpretation next_delta;
-    std::deque<ValueSet> chunks;
-    std::vector<FireTask> tasks =
-        MakeDeltaTasks(rules, delta, max_parts, &chunks);
-    auto added = RunFireTasks(tasks, body_ctx, interp, &next_delta, pool,
-                              &governor);
-    if (!added.ok()) return bar.Interrupted(added.status());
-    st = ctx->ChargeFacts(*added, "least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    interp.InsertAll(next_delta);
-    delta = std::move(next_delta);
-    bar.Arrived(ctx);
-  }
-  return interp;
-}
-
 }  // namespace
 
 Result<Interpretation> LeastModelWithFrozenNegation(
     const std::vector<PlannedRule>& rules, const Interpretation& base,
     const Interpretation& neg_context, const EvalOptions& opts,
     ExecutionContext* ctx, const LeastModelControl& control) {
-  if (opts.pool != nullptr) {
-    return LeastModelParallel(rules, base, neg_context, opts, ctx, opts.pool,
-                              control);
-  }
-  if (opts.num_threads > 1) {
-    ThreadPool pool(opts.num_threads);
-    return LeastModelParallel(rules, base, neg_context, opts, ctx, &pool,
-                              control);
-  }
   Interpretation interp = base;
   BarrierTracker bar(control.hooks, opts.seminaive, ctx);
 

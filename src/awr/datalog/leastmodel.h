@@ -11,10 +11,6 @@
 #include "awr/datalog/functions.h"
 #include "awr/snapshot/state.h"
 
-namespace awr {
-class ThreadPool;
-}
-
 namespace awr::datalog {
 
 /// True unless the environment variable AWR_FORCE_SCAN_JOINS is set to
@@ -22,12 +18,6 @@ namespace awr::datalog {
 /// EvalOptions::use_join_index; scripts/tier1.sh runs the test suite
 /// both ways.
 bool JoinIndexEnabledByDefault();
-
-/// The default for EvalOptions::num_threads: the value of the
-/// environment variable AWR_EVAL_THREADS clamped to [1, 64], or 1 (the
-/// sequential path) when unset or unparsable.  scripts/tier1.sh runs
-/// the test suite with AWR_EVAL_THREADS=4 as one of its passes.
-size_t DefaultEvalThreads();
 
 /// True unless the environment variable AWR_NO_COLUMNAR is set to a
 /// non-empty value other than "0" (the value-layer switch,
@@ -71,19 +61,6 @@ struct EvalOptions {
   /// own budget.  When null, the evaluator builds a private context
   /// from `limits`.
   ExecutionContext* context = nullptr;
-  /// Worker threads for the parallel fixpoint path.  1 (the default)
-  /// keeps today's sequential evaluation, which doubles as the
-  /// differential-test oracle; >1 fans each round out as one task per
-  /// (rule × extent-partition) with a deterministic merge at the round
-  /// barrier, so the computed model is identical for every value.
-  /// Env-overridable via AWR_EVAL_THREADS (see DefaultEvalThreads).
-  size_t num_threads = DefaultEvalThreads();
-  /// Optional pre-built worker pool (borrowed).  When set it is used
-  /// regardless of num_threads — engines that call the least-model
-  /// fixpoint repeatedly (well-founded alternation, stratified strata)
-  /// hoist one pool across all calls.  When null and num_threads > 1,
-  /// each evaluation builds its own.
-  ThreadPool* pool = nullptr;
   /// Checkpointing policy (DESIGN.md §9): with a sink attached, the
   /// top-level engines (EvalMinimalModel / EvalInflationary /
   /// EvalStratified / EvalWellFounded) capture resumable round-barrier

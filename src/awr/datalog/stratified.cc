@@ -1,10 +1,8 @@
 #include "awr/datalog/stratified.h"
 
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "awr/common/thread_pool.h"
 #include "awr/datalog/depgraph.h"
 
 namespace awr::datalog {
@@ -24,15 +22,6 @@ Result<Interpretation> EvalStratifiedImpl(
 
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
-
-  // Hoist one worker pool across all strata instead of paying thread
-  // startup once per stratum.
-  EvalOptions eff_opts = opts;
-  std::optional<ThreadPool> local_pool;
-  if (eff_opts.pool == nullptr && eff_opts.num_threads > 1) {
-    local_pool.emplace(eff_opts.num_threads);
-    eff_opts.pool = &*local_pool;
-  }
 
   snapshot::CheckpointDriver driver(opts.checkpoint);
   uint64_t program_fp = 0;
@@ -96,7 +85,7 @@ Result<Interpretation> EvalStratifiedImpl(
       };
       control.hooks = &hooks;
     }
-    EvalOptions stratum_opts = eff_opts;
+    EvalOptions stratum_opts = opts;
     if (resuming_here) stratum_opts.seminaive = resume->inner.seminaive;
     AWR_ASSIGN_OR_RETURN(
         interp, LeastModelWithFrozenNegation(stratum_rules, interp, before,

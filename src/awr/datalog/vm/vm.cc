@@ -60,7 +60,6 @@ struct ExecState {
   const CompiledRule& cr;
   const BodyContext& ctx;
   const std::function<Status(Value)>& on_fact;
-  const bool allow_build;
   std::vector<Value> regs = {};
   std::vector<Cursor> cursors = {};
   uint64_t ops = 0;
@@ -198,8 +197,7 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
     }
     if (inline_keys) {
       const ValueSet::ColumnStore::Index* index =
-          s.allow_build ? extent.ColumnIndex(si.bound_positions)
-                        : extent.FindColumnIndex(si.bound_positions);
+          extent.ColumnIndex(si.bound_positions);
       if (index != nullptr) {
         cur.kind = Cursor::Kind::kWordChain;
         cur.store = extent.columns();
@@ -213,9 +211,7 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
       }
     }
   } else if (want_word) {
-    const ValueSet::ColumnStore* store =
-        s.allow_build ? extent.columns()
-                      : (extent.columnar_built() ? extent.columns() : nullptr);
+    const ValueSet::ColumnStore* store = extent.columns();
     if (store != nullptr) {
       cur.kind = Cursor::Kind::kWordScan;
       cur.store = store;
@@ -384,13 +380,7 @@ size_t HandleBind(ExecState& s, const Instr& in, size_t pc, Status* st) {
 }
 
 size_t HandleCharge(ExecState& s, size_t pc, Status* st) {
-  if (s.ctx.governor != nullptr) {
-    Status poll = s.ctx.governor->CheckInterrupt("body-match");
-    if (!poll.ok()) {
-      *st = std::move(poll);
-      return kPcError;
-    }
-  } else if (s.ctx.context != nullptr) {
+  if (s.ctx.context != nullptr) {
     Status poll = s.ctx.context->CheckInterrupt("body-match");
     if (!poll.ok()) {
       *st = std::move(poll);
@@ -631,9 +621,8 @@ bool UseComputedGoto(Dispatch dispatch) {
 
 Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
                            const std::function<Status(Value)>& on_fact,
-                           bool allow_build, const ValueSet* known,
-                           Dispatch dispatch) {
-  ExecState s{cr, ctx, on_fact, allow_build};
+                           const ValueSet* known, Dispatch dispatch) {
+  ExecState s{cr, ctx, on_fact};
   s.regs.resize(cr.num_regs);
   s.cursors.resize(cr.num_loops);
   const size_t head_arity = cr.head.size();
@@ -643,8 +632,7 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
     s.head_buf.resize(head_arity);
     s.dd_table.assign(16, -1);
     s.dd_mask = 15;
-    s.known_index =
-        KnownFactsIndex(known, head_arity, allow_build, &s.known_store);
+    s.known_index = KnownFactsIndex(known, head_arity, &s.known_store);
   }
   Status st;
 #if AWR_VM_HAVE_COMPUTED_GOTO
@@ -660,33 +648,6 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
   counters.row_opens.fetch_add(s.row_opens, std::memory_order_relaxed);
   counters.facts.fetch_add(s.facts, std::memory_order_relaxed);
   return st;
-}
-
-std::shared_ptr<const CompiledRule> PrepareVmFire(const PlannedRule& planned,
-                                                  const BodyContext& ctx) {
-  if (!ctx.use_bytecode) return nullptr;
-  std::shared_ptr<const CompiledRule> cr =
-      CompiledPlanCache::Global().Get(planned, ctx.use_join_index);
-  if (cr == nullptr) return nullptr;
-  if (ctx.use_columnar) {
-    // Materialize the columnar state word-capable steps will read, so
-    // workers' opens are const lookups (FindColumnIndex /
-    // columnar_built); an extent that declines (ineligible) leaves the
-    // step on its row fallback, which reads the row indexes that
-    // PrebuildTaskIndexes builds.
-    for (const CompiledRule::StepInfo& si : cr->steps) {
-      if (!si.word_capable) continue;
-      const Literal& lit = cr->rule.body[si.literal];
-      const ValueSet& extent =
-          ctx.positive_extent(lit.atom.predicate, si.literal);
-      if (si.probe) {
-        extent.ColumnIndex(si.bound_positions);
-      } else {
-        extent.BuildColumns();
-      }
-    }
-  }
-  return cr;
 }
 
 VmExecStats GetVmExecStats() {

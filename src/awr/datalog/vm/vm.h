@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "awr/datalog/eval_core.h"
 #include "awr/datalog/vm/bytecode.h"
@@ -26,9 +25,7 @@ enum class Dispatch {
 /// enumerator's observable behavior (see the parity contract in
 /// bytecode.h); word-level cursors may reorder deliveries for
 /// infallible rules only, mirroring the batch columnar executor's
-/// license.  `allow_build` gates lazy columnar builds exactly like
-/// FireRuleFacts (false on pool workers, which only read pre-built
-/// state and otherwise fall back to row-level cursors).
+/// license.
 ///
 /// `known` is the optional word-level duplicate filter with
 /// FireRuleFacts' contract: an extent whose facts the caller treats as
@@ -44,22 +41,12 @@ enum class Dispatch {
 /// bounds checks of its own.
 Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
                            const std::function<Status(Value)>& on_fact,
-                           bool allow_build,
                            const ValueSet* known = nullptr,
                            Dispatch dispatch = Dispatch::kAuto);
 
-/// Driver-side pre-build for parallel rounds, the VM analogue of
-/// PrepareColumnarFire: resolves (lowering on first use) the compiled
-/// program for `planned` from the global cache and materializes the
-/// column stores/indexes its word-capable steps would read, so workers
-/// execute with const reads only.  Returns the program, or nullptr when
-/// the rule is not lowerable.
-std::shared_ptr<const CompiledRule> PrepareVmFire(const PlannedRule& planned,
-                                                  const BodyContext& ctx);
-
 /// Process-wide VM counters for the REPL's :stats, awrd stats and the
-/// benchmarks.  Execution counters are updated atomically (workers run
-/// compiled programs too); cache counters are snapshots of the global
+/// benchmarks.  Execution counters are updated atomically (concurrent
+/// awrd sessions run compiled programs too); cache counters are snapshots of the global
 /// CompiledPlanCache.
 struct VmExecStats {
   uint64_t vm_rules_fired = 0;   ///< firings served by compiled programs

@@ -1,9 +1,5 @@
 #include "awr/datalog/wellfounded.h"
 
-#include <optional>
-
-#include "awr/common/thread_pool.h"
-
 namespace awr::datalog {
 
 namespace {
@@ -14,15 +10,6 @@ Result<ThreeValuedInterp> EvalWellFoundedImpl(
   AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> rules, PlanProgram(program));
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
-
-  // Hoist one worker pool across all alternation steps instead of
-  // paying thread startup once per inner least-model fixpoint.
-  EvalOptions eff_opts = opts;
-  std::optional<ThreadPool> local_pool;
-  if (eff_opts.pool == nullptr && eff_opts.num_threads > 1) {
-    local_pool.emplace(eff_opts.num_threads);
-    eff_opts.pool = &*local_pool;
-  }
 
   snapshot::CheckpointDriver driver(opts.checkpoint);
   uint64_t program_fp = 0;
@@ -92,10 +79,10 @@ Result<ThreeValuedInterp> EvalWellFoundedImpl(
   }
 
   // Only the resumed first step may need a different seminaive mode
-  // (the snapshot's frame dictates it); all later steps use eff_opts.
+  // (the snapshot's frame dictates it); all later steps use opts.
   EvalOptions resumed_step_opts;
   if (pending_inner) {
-    resumed_step_opts = eff_opts;
+    resumed_step_opts = opts;
     resumed_step_opts.seminaive = resume->inner.seminaive;
   }
 
@@ -108,8 +95,7 @@ Result<ThreeValuedInterp> EvalWellFoundedImpl(
       }
     }
     control.resume = pending_inner ? &resume->inner : nullptr;
-    const EvalOptions& step_opts =
-        pending_inner ? resumed_step_opts : eff_opts;
+    const EvalOptions& step_opts = pending_inner ? resumed_step_opts : opts;
     auto next_result =
         LeastModelWithFrozenNegation(rules, edb, prev, step_opts, ctx,
                                      control);

@@ -154,15 +154,8 @@ ResultRecord ExecuteRequest(const SubmitRequest& req, const RequestStore* store,
         opts.chaos_fault_p,
         ChaosSeedFor(opts.chaos_seed, req.id, opts.chaos_attempt),
         Status::Unavailable("injected chaos fault"));
+    ctx.set_fault_injector(&chaos);
   }
-  // Attached even when disarmed: ParallelGovernor's lock-free fast path
-  // (taken only with no injector and no deadline) bypasses the shared
-  // charge counter, so a fault-free parallel run would REPORT fewer
-  // charges than the same evaluation sequentially.  An attached
-  // injector forces the serialized path, making the reported total
-  // identical at every thread count — the coordinate idempotent replay
-  // and the charge-parity oracle both compare.
-  ctx.set_fault_injector(&chaos);
 
   // ---- Resume decision: a stored snapshot is used only when it decodes
   // cleanly AND matches this request's engine, program and database.

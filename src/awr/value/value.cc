@@ -107,8 +107,8 @@ bool RepStructurallyEqual(const Value::Rep& a, const Value::Rep& b) {
 // --- The global composite interner ---------------------------------
 //
 // 16-way sharded by structural hash, mirroring the atom Interner
-// (common/intern.h): parallel fixpoint workers interning tuples
-// concurrently stripe across shards instead of serializing on one
+// (common/intern.h): concurrent awrd sessions interning tuples
+// stripe across shards instead of serializing on one
 // mutex.  Canonical reps are immortal — values flow into snapshots,
 // thread-local scratch, and static test fixtures, so reclaiming a
 // canonical rep would need global coordination for a workload that

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "awr/common/hash.h"
-#include "awr/common/thread_pool.h"
 
 namespace awr {
 
@@ -43,12 +42,6 @@ const ValueSet::PositionIndex& ValueSet::EnsureIndex(
   for (const PositionIndex& candidate : indexes_) {
     if (candidate.positions == positions) return candidate;
   }
-  // Building mutates the derived cache, which is only safe while no
-  // other thread reads this extent: parallel rounds must pre-build
-  // every planned index (RunFireTasks does) before fanning out.
-  assert(!ThreadPool::OnWorkerThread() &&
-         "ValueSet index built inside a parallel region; pre-build planned "
-         "indexes with BuildIndex before fan-out");
   indexes_.push_back(PositionIndex{positions, {}});
   PositionIndex& index = indexes_.back();
   for (const Value& fact : items_) IndexInsert(index, fact);
@@ -137,9 +130,6 @@ bool ValueSet::columnar_eligible() const {
 const ValueSet::ColumnStore* ValueSet::columns() const {
   if (columns_ != nullptr) return columns_.get();
   if (!columnar_eligible()) return nullptr;
-  assert(!ThreadPool::OnWorkerThread() &&
-         "ValueSet columns built inside a parallel region; pre-build with "
-         "BuildColumns/ColumnIndex before fan-out");
   auto store = std::make_unique<ColumnStore>();
   store->arity = tuple_arity_counts_.begin()->first;
   store->cols.resize(store->arity);
@@ -197,9 +187,6 @@ const ValueSet::ColumnStore::Index* ValueSet::ColumnIndex(
   for (const ColumnStore::Index& index : columns_->indexes) {
     if (index.positions == positions) return &index;
   }
-  assert(!ThreadPool::OnWorkerThread() &&
-         "ValueSet column index built inside a parallel region; pre-build "
-         "with ColumnIndex before fan-out");
   assert(positions.size() <= 8);
   ColumnStore& store = *columns_;
   const size_t n = store.row_count();

@@ -172,25 +172,10 @@ class ValueSet {
   /// probe and maintained incrementally afterwards.  Elements that are
   /// not tuples or are too short for `positions` are never indexed —
   /// they cannot equal `key` at those positions.  Returns an empty
-  /// bucket on a miss.
-  ///
-  /// Concurrency contract: once the index for `positions` exists,
-  /// Probe is a pure read and is safe to call from any number of
-  /// threads concurrently (alongside other const reads).  The lazy
-  /// build is NOT thread-safe; parallel evaluation therefore pre-builds
-  /// every planned index with BuildIndex before fanning out, and a
-  /// debug assert fires if a build is observed on a worker thread.
+  /// bucket on a miss.  The lazy build mutates a derived cache, so even
+  /// const reads of one ValueSet must not run concurrently.
   const std::vector<Value>& Probe(const std::vector<size_t>& positions,
                                   const Value& key) const;
-
-  /// Force-builds the hash index for `positions` so that subsequent
-  /// Probe calls on that position subset are pure, race-free reads.
-  /// Idempotent; called by the parallel round driver (single-threaded)
-  /// before submitting tasks.  Like the lazy build, the index is then
-  /// maintained incrementally by Insert/Erase.
-  void BuildIndex(const std::vector<size_t>& positions) const {
-    (void)EnsureIndex(positions);
-  }
 
   /// Number of distinct position-subset indexes currently built
   /// (introspection for tests and benchmarks).
@@ -239,10 +224,7 @@ class ValueSet {
   bool columnar_eligible() const;
 
   /// The columnar view, built on first demand; nullptr when the extent
-  /// is ineligible.  Same concurrency contract as EnsureIndex: once
-  /// built (or when returning nullptr) this is a pure read, but the
-  /// lazy build asserts it is not on a pool worker — parallel rounds
-  /// pre-build via BuildColumns/ColumnIndex before fanning out.
+  /// is ineligible.  Same thread contract as Probe.
   const ColumnStore* columns() const;
 
   /// The column index over `positions`, built on demand (building the
@@ -250,18 +232,7 @@ class ValueSet {
   const ColumnStore::Index* ColumnIndex(
       const std::vector<size_t>& positions) const;
 
-  /// The column index over `positions` if it is already built, else
-  /// nullptr.  Never builds — a pure read, safe on worker threads.
-  const ColumnStore::Index* FindColumnIndex(
-      const std::vector<size_t>& positions) const {
-    if (columns_ == nullptr) return nullptr;
-    for (const ColumnStore::Index& index : columns_->indexes) {
-      if (index.positions == positions) return &index;
-    }
-    return nullptr;
-  }
-
-  /// Force-builds the columnar view (driver-side pre-build, tests).
+  /// Force-builds the columnar view (REPL :stats, tests).
   /// Returns false when the extent is ineligible.
   bool BuildColumns() const { return columns() != nullptr; }
 
@@ -312,8 +283,7 @@ class ValueSet {
   /// the extent flat, otherwise drop the store (demotion).
   void ColumnsOnInsert(const Value& v);
 
-  /// Returns the index for `positions`, building it if absent (asserts,
-  /// in debug builds, that builds never happen on a pool worker).
+  /// Returns the index for `positions`, building it if absent.
   const PositionIndex& EnsureIndex(const std::vector<size_t>& positions) const;
 
   std::unordered_set<Value> items_;
@@ -322,14 +292,12 @@ class ValueSet {
   size_t non_tuple_count_ = 0;
   size_t flat_tuple_count_ = 0;
   std::unordered_map<size_t, size_t> tuple_arity_counts_;
-  // Built lazily in the const Probe (or eagerly via BuildIndex);
-  // mutation of this derived cache happens only on the evaluating
-  // thread — parallel regions pre-build and then only read.
+  // Built lazily in the const Probe.
   mutable std::vector<PositionIndex> indexes_;
   // Columnar view; invariant: columns_ != nullptr implies the extent
   // is eligible and the store mirrors items_ exactly (appends keep it
-  // in sync, any other mutation resets it).  Lazy build / pre-build
-  // follow the same thread contract as indexes_.
+  // in sync, any other mutation resets it).  Built lazily, like
+  // indexes_.
   mutable std::unique_ptr<ColumnStore> columns_;
 };
 

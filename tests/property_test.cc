@@ -30,8 +30,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "awr/algebra/valid_eval.h"
@@ -198,6 +200,12 @@ datalog::EvalOptions IndexOpts(bool use_index) {
 
 void ExpectSameResult(const datalog::Interpretation& a,
                       const datalog::Interpretation& b,
+                      const std::string& what) {
+  EXPECT_EQ(a, b) << what;
+}
+
+// Rendered models must match byte for byte.
+void ExpectSameResult(const std::string& a, const std::string& b,
                       const std::string& what) {
   EXPECT_EQ(a, b) << what;
 }
@@ -635,30 +643,44 @@ TEST(ScanVsIndexGovernance, PreCancelledAndExpiredDeadlineParity) {
 }
 
 // ----------------------------------------------------------------------
-// Parallel-vs-sequential differential oracle.  EvalOptions::num_threads
-// = 1 is the sequential path (today's evaluator, the oracle); the
-// parallel path must produce the identical model for every thread
-// count, program and semantics — the round-barrier design guarantees
-// bit-identical results, and this suite enforces it over 100 random
-// programs per semantics family.
+// Concurrent-sessions differential oracle.  Every engine runs one
+// sequential round loop; the concurrency that exists is awrd evaluating
+// independent requests on concurrent sessions, which share the
+// process-wide atom and value interners and the compiled-plan cache.
+// Here kSessions threads each evaluate the same program on their own
+// copy of it and of the database, under their own options and context,
+// and every result must equal the single-threaded run — over 100
+// random programs per semantics family.
 
-datalog::EvalOptions ThreadOpts(size_t threads) {
-  datalog::EvalOptions o;
-  o.num_threads = threads;  // pinned: overrides AWR_EVAL_THREADS
-  return o;
+constexpr size_t kSessions = 4;
+
+// Runs `body(session)` on kSessions threads at once and joins them.
+template <typename Fn>
+void RunSessions(const Fn& body) {
+  std::vector<std::thread> threads;
+  for (size_t s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&body, s] { body(s); });
+  }
+  for (std::thread& t : threads) t.join();
 }
 
+// `eval(g)` evaluates one generated program; the oracle runs it alone,
+// then each session runs it on a private copy of `g`.
 template <typename Fn>
-void EvalAcrossThreadCounts(const Fn& eval, const std::string& what) {
-  auto oracle = eval(ThreadOpts(1));
-  for (size_t threads : {2, 4, 8}) {
-    auto parallel = eval(ThreadOpts(threads));
-    EXPECT_EQ(oracle.status().code(), parallel.status().code())
-        << what << "\nsequential: " << oracle.status() << "\nthreads="
-        << threads << ": " << parallel.status();
-    if (oracle.ok() && parallel.ok()) {
-      ExpectSameResult(*parallel, *oracle,
-                       what + "\n(threads=" + std::to_string(threads) + ")");
+void EvalAcrossSessions(const Fn& eval, const Generated& g,
+                        const std::string& what) {
+  auto oracle = eval(g);
+  const std::vector<Generated> copies(kSessions, g);
+  std::vector<std::optional<decltype(oracle)>> results(kSessions);
+  RunSessions([&](size_t s) { results[s].emplace(eval(copies[s])); });
+  for (size_t s = 0; s < kSessions; ++s) {
+    const auto& got = *results[s];
+    EXPECT_EQ(oracle.status().code(), got.status().code())
+        << what << "\nalone: " << oracle.status() << "\nsession " << s
+        << ": " << got.status();
+    if (oracle.ok() && got.ok()) {
+      ExpectSameResult(*got, *oracle,
+                       what + "\n(session " + std::to_string(s) + ")");
     }
   }
 }
@@ -671,159 +693,182 @@ TEST_P(ParallelVsSequentialDifferential, PositiveProgramSemantics) {
   opts.allow_negation = false;
   Generated g = GenerateProgram(GetParam() * 15485863 + 11, opts);
   const std::string what = g.program.ToString();
-  EvalAcrossThreadCounts(
-      [&](datalog::EvalOptions o) {
+  EvalAcrossSessions(
+      [](const Generated& own) {
+        datalog::EvalOptions o;
         o.seminaive = false;
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
+        return datalog::EvalMinimalModel(own.program, own.edb, o);
       },
-      what);
-  EvalAcrossThreadCounts(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
+      g, what);
+  EvalAcrossSessions(
+      [](const Generated& own) {
+        return datalog::EvalMinimalModel(own.program, own.edb);
       },
-      what);
+      g, what);
 }
 
 TEST_P(ParallelVsSequentialDifferential, GeneralProgramSemantics) {
   Generated g = GenerateProgram(GetParam() * 32452843 + 7, GenOptions{});
   const std::string what = g.program.ToString();
-  EvalAcrossThreadCounts(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalInflationary(g.program, g.edb, o);
+  EvalAcrossSessions(
+      [](const Generated& own) {
+        return datalog::EvalInflationary(own.program, own.edb);
       },
-      what);
-  EvalAcrossThreadCounts(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalWellFounded(g.program, g.edb, o);
+      g, what);
+  EvalAcrossSessions(
+      [](const Generated& own) {
+        return datalog::EvalWellFounded(own.program, own.edb);
       },
-      what);
-  // Possibly unstratifiable; the paths must then fail identically.
-  EvalAcrossThreadCounts(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStratified(g.program, g.edb, o);
+      g, what);
+  // Possibly unstratifiable; every session must then fail identically.
+  EvalAcrossSessions(
+      [](const Generated& own) {
+        return datalog::EvalStratified(own.program, own.edb);
       },
-      what);
-  EvalAcrossThreadCounts(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStableModels(g.program, g.edb, o);
+      g, what);
+  EvalAcrossSessions(
+      [](const Generated& own) {
+        return datalog::EvalStableModels(own.program, own.edb);
       },
-      what);
+      g, what);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelVsSequentialDifferential,
                          ::testing::Range<uint64_t>(1, 101));
 
-// A workload big enough to force real partitioning (the delta extents
-// exceed kMinPartitionGrain × 8) where the rendered models must be
-// byte-identical, not merely set-equal.
+// A larger workload whose rendered models must be byte-identical, not
+// merely set-equal, whether evaluated alone or by concurrent sessions.
 TEST(ParallelVsSequentialDifferential, TransitiveClosureByteIdentity) {
-  auto tc = *datalog::ParseProgram(R"(
+  Generated g;
+  g.program = *datalog::ParseProgram(R"(
     tc(X, Y) :- edge(X, Y).
     tc(X, Z) :- edge(X, Y), tc(Y, Z).
   )");
-  Database chain;
   for (int i = 0; i < 60; ++i) {
-    chain.AddFact("edge", {Value::Int(i), Value::Int(i + 1)});
+    g.edb.AddFact("edge", {Value::Int(i), Value::Int(i + 1)});
   }
-  datalog::EvalOptions seq = ThreadOpts(1);
-  seq.limits = EvalLimits::Large();
-  auto oracle = datalog::EvalMinimalModel(tc, chain, seq);
-  ASSERT_TRUE(oracle.ok()) << oracle.status();
-  for (size_t threads : {2, 4, 8}) {
-    for (bool seminaive : {true, false}) {
-      datalog::EvalOptions o = ThreadOpts(threads);
+  for (bool seminaive : {true, false}) {
+    auto render = [seminaive](const Generated& own) -> Result<std::string> {
+      datalog::EvalOptions o;
       o.limits = EvalLimits::Large();
       o.seminaive = seminaive;
-      auto parallel = datalog::EvalMinimalModel(tc, chain, o);
-      ASSERT_TRUE(parallel.ok()) << parallel.status();
-      EXPECT_EQ(parallel->ToString(), oracle->ToString())
-          << "threads=" << threads << " seminaive=" << seminaive;
-    }
+      AWR_ASSIGN_OR_RETURN(auto m,
+                           datalog::EvalMinimalModel(own.program, own.edb, o));
+      return m.ToString();
+    };
+    EvalAcrossSessions(render, g,
+                       "seminaive=" + std::to_string(seminaive));
   }
 }
 
 // ----------------------------------------------------------------------
-// Parallel governance parity: the round-barrier charge discipline makes
-// the total number of governance charges identical for every thread
-// count, so deadline / cancellation / injected-fault interruptions
-// surface the same status codes as the sequential oracle.
+// Governance across concurrent sessions: a session's context counts
+// only its own charges and sees only its own cancel token, deadline and
+// injected fault, so statuses and charge counts do not depend on how
+// many sessions run at once.
+
+std::vector<std::vector<GovernedEngine>> SessionEngines() {
+  std::vector<std::vector<GovernedEngine>> out;
+  for (size_t s = 0; s < kSessions; ++s) out.push_back(GovernedEngines());
+  return out;
+}
 
 TEST(ParallelGovernance, PreCancelledAndExpiredDeadlineParity) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    CancelSource source;
-    source.RequestCancel();
-    ExecutionContext cancelled;
-    cancelled.set_cancel_token(source.token());
-    EXPECT_TRUE(engine.run_with(&cancelled, ThreadOpts(4)).IsCancelled())
-        << engine.name;
+  const auto engines = SessionEngines();
+  RunSessions([&](size_t s) {
+    for (const GovernedEngine& engine : engines[s]) {
+      CancelSource source;
+      source.RequestCancel();
+      ExecutionContext cancelled;
+      cancelled.set_cancel_token(source.token());
+      EXPECT_TRUE(
+          engine.run_with(&cancelled, datalog::EvalOptions()).IsCancelled())
+          << engine.name << " session " << s;
 
-    ExecutionContext expired;
-    expired.set_deadline(ExecutionContext::Clock::now() -
-                         std::chrono::milliseconds(1));
-    EXPECT_TRUE(engine.run_with(&expired, ThreadOpts(4)).IsDeadlineExceeded())
-        << engine.name;
+      ExecutionContext expired;
+      expired.set_deadline(ExecutionContext::Clock::now() -
+                           std::chrono::milliseconds(1));
+      EXPECT_TRUE(engine.run_with(&expired, datalog::EvalOptions())
+                      .IsDeadlineExceeded())
+          << engine.name << " session " << s;
+    }
+  });
+}
+
+// Total charges of each engine's uninterrupted run: alone, then in each
+// of kSessions concurrent sessions.
+TEST(ParallelGovernance, ChargeCountsIdenticalAcrossThreadCounts) {
+  std::vector<size_t> alone;
+  for (const GovernedEngine& engine : GovernedEngines()) {
+    ExecutionContext ctx(EvalLimits::Default());
+    Status st = engine.run_with(&ctx, datalog::EvalOptions());
+    ASSERT_TRUE(st.ok()) << engine.name << ": " << st;
+    alone.push_back(ctx.total_charges());
+  }
+  const auto engines = SessionEngines();
+  std::vector<std::vector<size_t>> counts(kSessions);
+  RunSessions([&](size_t s) {
+    for (const GovernedEngine& engine : engines[s]) {
+      ExecutionContext ctx(EvalLimits::Default());
+      Status st = engine.run_with(&ctx, datalog::EvalOptions());
+      EXPECT_TRUE(st.ok()) << engine.name << " session " << s << ": " << st;
+      counts[s].push_back(ctx.total_charges());
+    }
+  });
+  for (size_t s = 0; s < kSessions; ++s) {
+    EXPECT_EQ(counts[s], alone) << "session " << s;
   }
 }
 
-TEST(ParallelGovernance, ChargeCountsIdenticalAcrossThreadCounts) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    size_t n_by_threads[2];
-    size_t slot = 0;
-    for (size_t threads : {1, 4}) {
-      FaultInjector injector;
-      injector.Disarm();
-      ExecutionContext ctx(EvalLimits::Default());
-      ctx.set_fault_injector(&injector);
-      Status st = engine.run_with(&ctx, ThreadOpts(threads));
-      ASSERT_TRUE(st.ok()) << engine.name << " disarmed threads=" << threads
-                           << ": " << st;
-      n_by_threads[slot++] = injector.charges_seen();
-    }
-    if (engine.counts_must_match) {
-      EXPECT_EQ(n_by_threads[0], n_by_threads[1])
-          << engine.name << ": sequential and 4-thread evaluation disagree "
-          << "on the number of governance charge points";
-    }
+// The statuses of `engine` with a fault injected at each trip point.
+std::vector<Status> FaultSweep(const GovernedEngine& engine,
+                               const std::vector<size_t>& trip_points) {
+  std::vector<Status> out;
+  for (size_t i : trip_points) {
+    FaultInjector injector;
+    injector.TripAt(i, Status::Internal("injected fault"));
+    ExecutionContext ctx(EvalLimits::Default());
+    ctx.set_fault_injector(&injector);
+    out.push_back(engine.run_with(&ctx, datalog::EvalOptions()));
   }
+  return out;
 }
 
 TEST(ParallelGovernance, FaultSweepStatusesIdenticalAcrossThreadCounts) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    // Learn the shared charge-point count from disarmed runs.
-    size_t n = static_cast<size_t>(-1);
-    for (size_t threads : {1, 4}) {
-      FaultInjector injector;
-      injector.Disarm();
-      ExecutionContext ctx(EvalLimits::Default());
-      ctx.set_fault_injector(&injector);
-      ASSERT_TRUE(engine.run_with(&ctx, ThreadOpts(threads)).ok())
-          << engine.name;
-      n = std::min(n, injector.charges_seen());
-    }
+  const std::vector<GovernedEngine> oracle_engines = GovernedEngines();
+  std::vector<std::vector<size_t>> trips;
+  std::vector<std::vector<Status>> alone;
+  for (const GovernedEngine& engine : oracle_engines) {
+    ExecutionContext ctx(EvalLimits::Default());
+    ASSERT_TRUE(engine.run_with(&ctx, datalog::EvalOptions()).ok())
+        << engine.name;
+    const size_t n = ctx.total_charges();
     ASSERT_GT(n, 0u) << engine.name;
-
-    std::set<size_t> trip_points;
-    for (size_t i = 1; i <= std::min<size_t>(n, 12); ++i) trip_points.insert(i);
+    std::set<size_t> points;
+    for (size_t i = 1; i <= std::min<size_t>(n, 12); ++i) points.insert(i);
     for (size_t i = 13; i < n; i += std::max<size_t>(1, n / 16)) {
-      trip_points.insert(i);
+      points.insert(i);
     }
-    trip_points.insert(n);
-    for (size_t i : trip_points) {
-      Status statuses[2];
-      size_t slot = 0;
-      for (size_t threads : {1, 4}) {
-        FaultInjector injector;
-        injector.TripAt(i, Status::Internal("injected fault"));
-        ExecutionContext ctx(EvalLimits::Default());
-        ctx.set_fault_injector(&injector);
-        statuses[slot++] = engine.run_with(&ctx, ThreadOpts(threads));
-      }
-      EXPECT_EQ(statuses[0].code(), statuses[1].code())
-          << engine.name << " trip point " << i << "/" << n
-          << "\nsequential: " << statuses[0] << "\n4-thread:   " << statuses[1];
-      for (const Status& st : statuses) {
-        EXPECT_EQ(st.code(), StatusCode::kInternal)
-            << engine.name << " trip point " << i << ": " << st;
+    points.insert(n);
+    trips.emplace_back(points.begin(), points.end());
+    alone.push_back(FaultSweep(engine, trips.back()));
+    for (const Status& st : alone.back()) {
+      EXPECT_EQ(st.code(), StatusCode::kInternal) << engine.name << ": " << st;
+    }
+  }
+  const auto engines = SessionEngines();
+  std::vector<std::vector<std::vector<Status>>> swept(kSessions);
+  RunSessions([&](size_t s) {
+    for (size_t e = 0; e < engines[s].size(); ++e) {
+      swept[s].push_back(FaultSweep(engines[s][e], trips[e]));
+    }
+  });
+  for (size_t s = 0; s < kSessions; ++s) {
+    for (size_t e = 0; e < oracle_engines.size(); ++e) {
+      for (size_t t = 0; t < trips[e].size(); ++t) {
+        EXPECT_EQ(swept[s][e][t].ToString(), alone[e][t].ToString())
+            << oracle_engines[e].name << " session " << s << " trip point "
+            << trips[e][t];
       }
     }
   }
@@ -883,9 +928,9 @@ TEST(ScanVsIndexGovernance, FaultSweepStatusesIdenticalAcrossPaths) {
 }
 
 // ----------------------------------------------------------------------
-// Crash-point recovery oracle (DESIGN.md §9).  For each engine: a
-// disarmed fault injector learns the total number of governance charges
-// N an uninterrupted run performs, then the sweep kills the evaluation
+// Crash-point recovery oracle (DESIGN.md §9).  For each engine: an
+// uninterrupted run learns the total number of governance charges N
+// (ExecutionContext::total_charges), then the sweep kills the evaluation
 // at charge k for every k in [1, N] (strided via AWR_CRASH_SWEEP_STRIDE
 // to bound sanitizer-build time; endpoints and the first rounds always
 // included), captures the on-interrupt snapshot, round-trips it through
@@ -1028,19 +1073,66 @@ size_t CrashSweepStride() {
   return static_cast<size_t>(n);
 }
 
-void RunCrashPointSweep(size_t threads) {
+// Crashes `engine` at each charge in `trip_points`, round-trips the
+// on-interrupt snapshot through the byte format, resumes under a fresh
+// context, and checks the model and charge parity against the
+// uninterrupted run (`oracle`, `n` charges).
+void CrashAndResume(const CpEngine& engine, const std::string& oracle,
+                    size_t n, const std::set<size_t>& trip_points) {
+  for (size_t k : trip_points) {
+    SCOPED_TRACE(engine.name + " crash at charge " + std::to_string(k) + "/" +
+                 std::to_string(n));
+    // Crash at charge k with on-interrupt capture armed.
+    FaultInjector injector;
+    injector.TripAt(k, Status::Internal("injected fault"));
+    ExecutionContext ctx(EvalLimits::Default());
+    ctx.set_fault_injector(&injector);
+    snapshot::CheckpointSink sink;
+    datalog::EvalOptions opts;
+    opts.checkpoint.sink = &sink;
+    opts.checkpoint.on_interrupt = true;
+    opts.checkpoint.every_n_rounds = 0;
+    auto crashed = engine.run(&ctx, opts);
+    ASSERT_FALSE(crashed.ok());
+    EXPECT_EQ(crashed.status().code(), StatusCode::kInternal)
+        << crashed.status();
+    ASSERT_TRUE(sink.latest.has_value());
+
+    // The snapshot must survive the byte format round trip.
+    auto bytes = snapshot::Serialize(*sink.latest);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    auto loaded = snapshot::Deserialize(*bytes);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+    // Resume under a fresh context, which counts the resumed charges.
+    ExecutionContext resumed_ctx(EvalLimits::Default());
+    datalog::EvalOptions resume_opts;
+    resume_opts.context = &resumed_ctx;
+    auto resumed = engine.resume(*loaded, resume_opts);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    EXPECT_EQ(*resumed, oracle);
+    EXPECT_EQ(loaded->charges_at_barrier + resumed_ctx.total_charges(), n)
+        << "charge parity: barrier=" << loaded->charges_at_barrier
+        << " resumed=" << resumed_ctx.total_charges();
+  }
+}
+
+// Runs the sweep on the calling thread or, when `concurrent`, with its
+// trip points dealt round-robin over kSessions threads, each crashing
+// and resuming its own copy of the engines — the way concurrent awrd
+// sessions checkpoint and resume side by side.
+void RunCrashPointSweep(bool concurrent) {
   const size_t stride = CrashSweepStride();
-  for (const CpEngine& engine : CrashPointEngines()) {
-    // Uninterrupted oracle: learn N and the reference rendering.  The
-    // injector stays armed-but-disarmed so both paths count charges the
-    // same way (the lock-free cancel fast path skips the counter).
-    FaultInjector oracle_injector;
-    oracle_injector.Disarm();
+  const std::vector<CpEngine> engines = CrashPointEngines();
+  std::vector<std::vector<CpEngine>> copies(concurrent ? kSessions : 0);
+  for (auto& c : copies) c = CrashPointEngines();
+  for (size_t e = 0; e < engines.size(); ++e) {
+    const CpEngine& engine = engines[e];
+    // Uninterrupted oracle: learn N and the reference rendering.
     ExecutionContext oracle_ctx(EvalLimits::Default());
-    oracle_ctx.set_fault_injector(&oracle_injector);
-    auto oracle = engine.run(&oracle_ctx, ThreadOpts(threads));
+    auto oracle = engine.run(&oracle_ctx, datalog::EvalOptions());
     ASSERT_TRUE(oracle.ok()) << engine.name << ": " << oracle.status();
-    const size_t n = oracle_injector.charges_seen();
+    const size_t n = oracle_ctx.total_charges();
     ASSERT_GT(n, 0u) << engine.name;
 
     std::set<size_t> trip_points;
@@ -1050,54 +1142,22 @@ void RunCrashPointSweep(size_t threads) {
     trip_points.insert(n > 1 ? n - 1 : 1);
     trip_points.insert(n);
 
-    for (size_t k : trip_points) {
-      SCOPED_TRACE(engine.name + " threads=" + std::to_string(threads) +
-                   " crash at charge " + std::to_string(k) + "/" +
-                   std::to_string(n));
-      // Crash at charge k with on-interrupt capture armed.
-      FaultInjector injector;
-      injector.TripAt(k, Status::Internal("injected fault"));
-      ExecutionContext ctx(EvalLimits::Default());
-      ctx.set_fault_injector(&injector);
-      snapshot::CheckpointSink sink;
-      datalog::EvalOptions opts = ThreadOpts(threads);
-      opts.checkpoint.sink = &sink;
-      opts.checkpoint.on_interrupt = true;
-      opts.checkpoint.every_n_rounds = 0;
-      auto crashed = engine.run(&ctx, opts);
-      ASSERT_FALSE(crashed.ok());
-      EXPECT_EQ(crashed.status().code(), StatusCode::kInternal)
-          << crashed.status();
-      ASSERT_TRUE(sink.latest.has_value());
-
-      // The snapshot must survive the byte format round trip.
-      auto bytes = snapshot::Serialize(*sink.latest);
-      ASSERT_TRUE(bytes.ok()) << bytes.status();
-      auto loaded = snapshot::Deserialize(*bytes);
-      ASSERT_TRUE(loaded.ok()) << loaded.status();
-
-      // Resume under a fresh context; a disarmed injector counts the
-      // resumed charges.
-      FaultInjector resumed_injector;
-      resumed_injector.Disarm();
-      ExecutionContext resumed_ctx(EvalLimits::Default());
-      resumed_ctx.set_fault_injector(&resumed_injector);
-      datalog::EvalOptions resume_opts = ThreadOpts(threads);
-      resume_opts.context = &resumed_ctx;
-      auto resumed = engine.resume(*loaded, resume_opts);
-      ASSERT_TRUE(resumed.ok()) << resumed.status();
-      EXPECT_EQ(*resumed, *oracle);
-      EXPECT_EQ(loaded->charges_at_barrier + resumed_injector.charges_seen(),
-                n)
-          << "charge parity: barrier=" << loaded->charges_at_barrier
-          << " resumed=" << resumed_injector.charges_seen();
+    if (!concurrent) {
+      CrashAndResume(engine, *oracle, n, trip_points);
+      continue;
     }
+    std::vector<std::set<size_t>> shares(kSessions);
+    size_t next = 0;
+    for (size_t k : trip_points) shares[next++ % kSessions].insert(k);
+    RunSessions([&](size_t s) {
+      CrashAndResume(copies[s][e], *oracle, n, shares[s]);
+    });
   }
 }
 
-TEST(CrashPointRecovery, SweepSequential) { RunCrashPointSweep(1); }
+TEST(CrashPointRecovery, SweepSequential) { RunCrashPointSweep(false); }
 
-TEST(CrashPointRecovery, SweepFourThreads) { RunCrashPointSweep(4); }
+TEST(CrashPointRecovery, SweepFourThreads) { RunCrashPointSweep(true); }
 
 // ----------------------------------------------------------------------
 // Interned-vs-legacy value representation differential oracle
@@ -1106,7 +1166,7 @@ TEST(CrashPointRecovery, SweepFourThreads) { RunCrashPointSweep(4); }
 // per-instance representation (AWR_NO_VALUE_INTERN=1) is the oracle,
 // and every observable — models, status codes, governance charge
 // counts, and on-interrupt snapshot bytes — must be bit-identical with
-// interning on and off, across all semantics and thread counts.
+// interning on and off, across all semantics.
 
 // Restores the process-wide interning mode on scope exit so these
 // tests compose with the rest of the binary (and with the
@@ -1147,21 +1207,17 @@ TEST_P(InternVsLegacyDifferential, PositiveSemanticsAgreeAcrossReprs) {
   gen.allow_negation = false;
   Generated g = GenerateProgram(GetParam() * 48271 + 13, gen);
   const std::string what = g.program.ToString();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    const std::string where = what + "\n(threads=" + std::to_string(threads) +
-                              ")";
-    EvalBothReprs(
-        [&](datalog::EvalOptions o) {
-          o.seminaive = false;
-          return datalog::EvalMinimalModel(g.program, g.edb, o);
-        },
-        ThreadOpts(threads), where);
-    EvalBothReprs(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalMinimalModel(g.program, g.edb, o);
-        },
-        ThreadOpts(threads), where);
-  }
+  EvalBothReprs(
+      [&](datalog::EvalOptions o) {
+        o.seminaive = false;
+        return datalog::EvalMinimalModel(g.program, g.edb, o);
+      },
+      datalog::EvalOptions(), what);
+  EvalBothReprs(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::EvalMinimalModel(g.program, g.edb, o);
+      },
+      datalog::EvalOptions(), what);
 }
 
 TEST_P(InternVsLegacyDifferential, GeneralSemanticsAgreeAcrossReprs) {
@@ -1171,35 +1227,31 @@ TEST_P(InternVsLegacyDifferential, GeneralSemanticsAgreeAcrossReprs) {
   // (or succeed) identically.
   Generated g = GenerateProgram(GetParam() * 69621 + 29, GenOptions{});
   const std::string what = g.program.ToString();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    const std::string where = what + "\n(threads=" + std::to_string(threads) +
-                              ")";
-    EvalBothReprs(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalInflationary(g.program, g.edb, o);
-        },
-        ThreadOpts(threads), where);
-    EvalBothReprs(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalWellFounded(g.program, g.edb, o);
-        },
-        ThreadOpts(threads), where);
-    EvalBothReprs(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalStratified(g.program, g.edb, o);
-        },
-        ThreadOpts(threads), where);
-    EvalBothReprs(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalStableModels(g.program, g.edb, o);
-        },
-        ThreadOpts(threads), where);
-    EvalBothReprs(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::GroundProgramFor(g.program, g.edb, o);
-        },
-        ThreadOpts(threads), where);
-  }
+  EvalBothReprs(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::EvalInflationary(g.program, g.edb, o);
+      },
+      datalog::EvalOptions(), what);
+  EvalBothReprs(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::EvalWellFounded(g.program, g.edb, o);
+      },
+      datalog::EvalOptions(), what);
+  EvalBothReprs(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::EvalStratified(g.program, g.edb, o);
+      },
+      datalog::EvalOptions(), what);
+  EvalBothReprs(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::EvalStableModels(g.program, g.edb, o);
+      },
+      datalog::EvalOptions(), what);
+  EvalBothReprs(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::GroundProgramFor(g.program, g.edb, o);
+      },
+      datalog::EvalOptions(), what);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InternVsLegacyDifferential,
@@ -1211,19 +1263,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InternVsLegacyDifferential,
 TEST(InternVsLegacyDifferential, RenderedModelsAreByteIdentical) {
   ScopedRepr guard;
   for (const CpEngine& engine : CrashPointEngines()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SetStructuralInterningForTesting(false);
-      ExecutionContext legacy_ctx(EvalLimits::Default());
-      auto legacy = engine.run(&legacy_ctx, ThreadOpts(threads));
-      SetStructuralInterningForTesting(true);
-      ExecutionContext interned_ctx(EvalLimits::Default());
-      auto interned = engine.run(&interned_ctx, ThreadOpts(threads));
-      ASSERT_TRUE(legacy.ok() && interned.ok())
-          << engine.name << "\nlegacy:   " << legacy.status()
-          << "\ninterned: " << interned.status();
-      EXPECT_EQ(*legacy, *interned) << engine.name
-                                    << " threads=" << threads;
-    }
+    SetStructuralInterningForTesting(false);
+    ExecutionContext legacy_ctx(EvalLimits::Default());
+    auto legacy = engine.run(&legacy_ctx, datalog::EvalOptions());
+    SetStructuralInterningForTesting(true);
+    ExecutionContext interned_ctx(EvalLimits::Default());
+    auto interned = engine.run(&interned_ctx, datalog::EvalOptions());
+    ASSERT_TRUE(legacy.ok() && interned.ok())
+        << engine.name << "\nlegacy:   " << legacy.status()
+        << "\ninterned: " << interned.status();
+    EXPECT_EQ(*legacy, *interned) << engine.name;
   }
 }
 
@@ -1235,24 +1284,21 @@ TEST(InternVsLegacyDifferential, RenderedModelsAreByteIdentical) {
 TEST(InternVsLegacyGovernance, ChargeCountsIdenticalBothReprs) {
   ScopedRepr guard;
   for (const GovernedEngine& engine : GovernedEngines()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      size_t counts[2] = {0, 0};
-      int slot = 0;
-      for (bool interning : {false, true}) {
-        SetStructuralInterningForTesting(interning);
-        FaultInjector injector;
-        injector.Disarm();
-        ExecutionContext ctx(EvalLimits::Default());
-        ctx.set_fault_injector(&injector);
-        ASSERT_TRUE(engine.run_with(&ctx, ThreadOpts(threads)).ok())
-            << engine.name;
-        counts[slot++] = injector.charges_seen();
-      }
-      EXPECT_EQ(counts[0], counts[1])
-          << engine.name << " threads=" << threads
-          << ": legacy charges=" << counts[0]
-          << " interned charges=" << counts[1];
+    size_t counts[2] = {0, 0};
+    int slot = 0;
+    for (bool interning : {false, true}) {
+      SetStructuralInterningForTesting(interning);
+      FaultInjector injector;
+      injector.Disarm();
+      ExecutionContext ctx(EvalLimits::Default());
+      ctx.set_fault_injector(&injector);
+      ASSERT_TRUE(engine.run_with(&ctx, datalog::EvalOptions()).ok())
+          << engine.name;
+      counts[slot++] = injector.charges_seen();
     }
+    EXPECT_EQ(counts[0], counts[1])
+        << engine.name << ": legacy charges=" << counts[0]
+        << " interned charges=" << counts[1];
   }
 }
 
@@ -1268,7 +1314,7 @@ TEST(InternVsLegacyGovernance, FaultTripStatusesIdenticalBothReprs) {
     probe.Disarm();
     ExecutionContext probe_ctx(EvalLimits::Default());
     probe_ctx.set_fault_injector(&probe);
-    ASSERT_TRUE(engine.run_with(&probe_ctx, ThreadOpts(1)).ok())
+    ASSERT_TRUE(engine.run_with(&probe_ctx, datalog::EvalOptions()).ok())
         << engine.name;
     const size_t n = probe.charges_seen();
     ASSERT_GT(n, 0u) << engine.name;
@@ -1282,7 +1328,7 @@ TEST(InternVsLegacyGovernance, FaultTripStatusesIdenticalBothReprs) {
         injector.TripAt(k, Status::Internal("injected fault"));
         ExecutionContext ctx(EvalLimits::Default());
         ctx.set_fault_injector(&injector);
-        statuses[slot++] = engine.run_with(&ctx, ThreadOpts(1));
+        statuses[slot++] = engine.run_with(&ctx, datalog::EvalOptions());
       }
       EXPECT_EQ(statuses[0].code(), statuses[1].code())
           << engine.name << " trip at " << k << "/" << n;
@@ -1305,7 +1351,7 @@ TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {
     probe.Disarm();
     ExecutionContext probe_ctx(EvalLimits::Default());
     probe_ctx.set_fault_injector(&probe);
-    auto oracle = engine.run(&probe_ctx, ThreadOpts(1));
+    auto oracle = engine.run(&probe_ctx, datalog::EvalOptions());
     ASSERT_TRUE(oracle.ok()) << engine.name << ": " << oracle.status();
     const size_t n = probe.charges_seen();
     ASSERT_GT(n, 1u) << engine.name;
@@ -1323,7 +1369,7 @@ TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {
       ExecutionContext ctx(EvalLimits::Default());
       ctx.set_fault_injector(&injector);
       snapshot::CheckpointSink sink;
-      datalog::EvalOptions opts = ThreadOpts(1);
+      datalog::EvalOptions opts;
       opts.checkpoint.sink = &sink;
       opts.checkpoint.on_interrupt = true;
       opts.checkpoint.every_n_rounds = 0;
@@ -1340,7 +1386,7 @@ TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {
       SetStructuralInterningForTesting(!interning);
       auto loaded = snapshot::Deserialize(*bytes);
       ASSERT_TRUE(loaded.ok()) << loaded.status();
-      auto resumed = engine.resume(*loaded, ThreadOpts(1));
+      auto resumed = engine.resume(*loaded, datalog::EvalOptions());
       ASSERT_TRUE(resumed.ok()) << resumed.status();
       EXPECT_EQ(*resumed, *oracle);
     }
@@ -1353,13 +1399,13 @@ TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {
 // Columnar-vs-row differential oracle.  EvalOptions::use_columnar =
 // false is the row-at-a-time enumerator (the pre-columnar evaluator,
 // the oracle); the batch executor must produce the identical model,
-// charge sequence, and interruption statuses for every program,
-// semantics and thread count — the column store is a derived cache and
+// charge sequence, and interruption statuses for every program and
+// semantics — the column store is a derived cache and
 // the batch plan enumerates the same match multiset in an order the
 // set-valued model cannot observe.
 
-datalog::EvalOptions StorageOpts(size_t threads, bool columnar) {
-  datalog::EvalOptions o = ThreadOpts(threads);
+datalog::EvalOptions StorageOpts(bool columnar) {
+  datalog::EvalOptions o;
   o.use_columnar = columnar;  // pinned: overrides AWR_NO_COLUMNAR
   return o;
 }
@@ -1368,10 +1414,9 @@ datalog::EvalOptions StorageOpts(size_t threads, bool columnar) {
 /// execution, requiring identical status codes and — on success —
 /// identical results.  Returns the columnar-run result.
 template <typename Fn>
-auto EvalBothStorage(const Fn& eval, size_t threads,
-                     const std::string& what) {
-  auto row = eval(StorageOpts(threads, false));
-  auto columnar = eval(StorageOpts(threads, true));
+auto EvalBothStorage(const Fn& eval, const std::string& what) {
+  auto row = eval(StorageOpts(false));
+  auto columnar = eval(StorageOpts(true));
   EXPECT_EQ(row.status().code(), columnar.status().code())
       << what << "\nrow:      " << row.status()
       << "\ncolumnar: " << columnar.status();
@@ -1388,21 +1433,17 @@ TEST_P(ColumnarVsRowDifferential, PositiveSemanticsAgreeAcrossStorage) {
   gen.allow_negation = false;
   Generated g = GenerateProgram(GetParam() * 16807 + 37, gen);
   const std::string what = g.program.ToString();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    const std::string where = what + "\n(threads=" + std::to_string(threads) +
-                              ")";
-    EvalBothStorage(
-        [&](datalog::EvalOptions o) {
-          o.seminaive = false;
-          return datalog::EvalMinimalModel(g.program, g.edb, o);
-        },
-        threads, where);
-    EvalBothStorage(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalMinimalModel(g.program, g.edb, o);
-        },
-        threads, where);
-  }
+  EvalBothStorage(
+      [&](datalog::EvalOptions o) {
+        o.seminaive = false;
+        return datalog::EvalMinimalModel(g.program, g.edb, o);
+      },
+      what);
+  EvalBothStorage(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::EvalMinimalModel(g.program, g.edb, o);
+      },
+      what);
 }
 
 TEST_P(ColumnarVsRowDifferential, GeneralSemanticsAgreeAcrossStorage) {
@@ -1411,35 +1452,31 @@ TEST_P(ColumnarVsRowDifferential, GeneralSemanticsAgreeAcrossStorage) {
   // (or succeed) identically.
   Generated g = GenerateProgram(GetParam() * 22695477 + 41, GenOptions{});
   const std::string what = g.program.ToString();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    const std::string where = what + "\n(threads=" + std::to_string(threads) +
-                              ")";
-    EvalBothStorage(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalInflationary(g.program, g.edb, o);
-        },
-        threads, where);
-    EvalBothStorage(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalWellFounded(g.program, g.edb, o);
-        },
-        threads, where);
-    EvalBothStorage(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalStratified(g.program, g.edb, o);
-        },
-        threads, where);
-    EvalBothStorage(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalStableModels(g.program, g.edb, o);
-        },
-        threads, where);
-    EvalBothStorage(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::GroundProgramFor(g.program, g.edb, o);
-        },
-        threads, where);
-  }
+  EvalBothStorage(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::EvalInflationary(g.program, g.edb, o);
+      },
+      what);
+  EvalBothStorage(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::EvalWellFounded(g.program, g.edb, o);
+      },
+      what);
+  EvalBothStorage(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::EvalStratified(g.program, g.edb, o);
+      },
+      what);
+  EvalBothStorage(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::EvalStableModels(g.program, g.edb, o);
+      },
+      what);
+  EvalBothStorage(
+      [&](const datalog::EvalOptions& o) {
+        return datalog::GroundProgramFor(g.program, g.edb, o);
+      },
+      what);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarVsRowDifferential,
@@ -1450,43 +1487,37 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarVsRowDifferential,
 // permutation sort must agree with the row sort exactly.
 TEST(ColumnarVsRowDifferential, RenderedModelsAreByteIdentical) {
   for (const CpEngine& engine : CrashPointEngines()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ExecutionContext row_ctx(EvalLimits::Default());
-      auto row = engine.run(&row_ctx, StorageOpts(threads, false));
-      ExecutionContext col_ctx(EvalLimits::Default());
-      auto columnar = engine.run(&col_ctx, StorageOpts(threads, true));
-      ASSERT_TRUE(row.ok() && columnar.ok())
-          << engine.name << "\nrow:      " << row.status()
-          << "\ncolumnar: " << columnar.status();
-      EXPECT_EQ(*row, *columnar) << engine.name << " threads=" << threads;
-    }
+    ExecutionContext row_ctx(EvalLimits::Default());
+    auto row = engine.run(&row_ctx, StorageOpts(false));
+    ExecutionContext col_ctx(EvalLimits::Default());
+    auto columnar = engine.run(&col_ctx, StorageOpts(true));
+    ASSERT_TRUE(row.ok() && columnar.ok())
+        << engine.name << "\nrow:      " << row.status()
+        << "\ncolumnar: " << columnar.status();
+    EXPECT_EQ(*row, *columnar) << engine.name;
   }
 }
 
 // Governance charge sequences are storage-independent: the batch
 // executor polls CheckInterrupt("body-match") once per complete body
 // match, exactly like the row enumerator, so disarmed charge counts
-// match for every engine and thread count.
+// match for every engine.
 TEST(ColumnarVsRowGovernance, ChargeCountsIdenticalBothStorage) {
   for (const GovernedEngine& engine : GovernedEngines()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      size_t counts[2] = {0, 0};
-      int slot = 0;
-      for (bool columnar : {false, true}) {
-        FaultInjector injector;
-        injector.Disarm();
-        ExecutionContext ctx(EvalLimits::Default());
-        ctx.set_fault_injector(&injector);
-        ASSERT_TRUE(
-            engine.run_with(&ctx, StorageOpts(threads, columnar)).ok())
-            << engine.name;
-        counts[slot++] = injector.charges_seen();
-      }
-      EXPECT_EQ(counts[0], counts[1])
-          << engine.name << " threads=" << threads
-          << ": row charges=" << counts[0]
-          << " columnar charges=" << counts[1];
+    size_t counts[2] = {0, 0};
+    int slot = 0;
+    for (bool columnar : {false, true}) {
+      FaultInjector injector;
+      injector.Disarm();
+      ExecutionContext ctx(EvalLimits::Default());
+      ctx.set_fault_injector(&injector);
+      ASSERT_TRUE(engine.run_with(&ctx, StorageOpts(columnar)).ok())
+          << engine.name;
+      counts[slot++] = injector.charges_seen();
     }
+    EXPECT_EQ(counts[0], counts[1])
+        << engine.name << ": row charges=" << counts[0]
+        << " columnar charges=" << counts[1];
   }
 }
 
@@ -1500,7 +1531,7 @@ TEST(ColumnarVsRowGovernance, FaultTripStatusesIdenticalBothStorage) {
     probe.Disarm();
     ExecutionContext probe_ctx(EvalLimits::Default());
     probe_ctx.set_fault_injector(&probe);
-    ASSERT_TRUE(engine.run_with(&probe_ctx, StorageOpts(1, true)).ok())
+    ASSERT_TRUE(engine.run_with(&probe_ctx, StorageOpts(true)).ok())
         << engine.name;
     const size_t n = probe.charges_seen();
     ASSERT_GT(n, 0u) << engine.name;
@@ -1513,7 +1544,7 @@ TEST(ColumnarVsRowGovernance, FaultTripStatusesIdenticalBothStorage) {
         injector.TripAt(k, Status::Internal("injected fault"));
         ExecutionContext ctx(EvalLimits::Default());
         ctx.set_fault_injector(&injector);
-        statuses[slot++] = engine.run_with(&ctx, StorageOpts(1, columnar));
+        statuses[slot++] = engine.run_with(&ctx, StorageOpts(columnar));
       }
       EXPECT_EQ(statuses[0].code(), statuses[1].code())
           << engine.name << " trip at " << k << "/" << n;
@@ -1524,29 +1555,24 @@ TEST(ColumnarVsRowGovernance, FaultTripStatusesIdenticalBothStorage) {
 }
 
 // Pre-cancelled contexts and already-expired deadlines surface the same
-// terminal statuses whichever storage mode enumerates the bodies, at
-// both thread counts.
+// terminal statuses whichever storage mode enumerates the bodies.
 TEST(ColumnarVsRowGovernance, PreCancelledAndExpiredDeadlineParity) {
   for (const GovernedEngine& engine : GovernedEngines()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (bool columnar : {false, true}) {
-        CancelSource source;
-        source.RequestCancel();
-        ExecutionContext cancelled;
-        cancelled.set_cancel_token(source.token());
-        EXPECT_TRUE(engine.run_with(&cancelled, StorageOpts(threads, columnar))
-                        .IsCancelled())
-            << engine.name << " threads=" << threads
-            << " columnar=" << columnar;
+    for (bool columnar : {false, true}) {
+      CancelSource source;
+      source.RequestCancel();
+      ExecutionContext cancelled;
+      cancelled.set_cancel_token(source.token());
+      EXPECT_TRUE(
+          engine.run_with(&cancelled, StorageOpts(columnar)).IsCancelled())
+          << engine.name << " columnar=" << columnar;
 
-        ExecutionContext expired;
-        expired.set_deadline(ExecutionContext::Clock::now() -
-                             std::chrono::milliseconds(1));
-        EXPECT_TRUE(engine.run_with(&expired, StorageOpts(threads, columnar))
-                        .IsDeadlineExceeded())
-            << engine.name << " threads=" << threads
-            << " columnar=" << columnar;
-      }
+      ExecutionContext expired;
+      expired.set_deadline(ExecutionContext::Clock::now() -
+                           std::chrono::milliseconds(1));
+      EXPECT_TRUE(engine.run_with(&expired, StorageOpts(columnar))
+                      .IsDeadlineExceeded())
+          << engine.name << " columnar=" << columnar;
     }
   }
 }
@@ -1555,13 +1581,12 @@ TEST(ColumnarVsRowGovernance, PreCancelledAndExpiredDeadlineParity) {
 // Bytecode-vs-interpreter differential oracle.  EvalOptions::use_bytecode
 // = false is the tree-walking enumerator (the oracle); the compiled
 // register-VM path (DESIGN.md §14) must produce the identical model,
-// charge sequence and interruption statuses for every program, engine,
-// thread count and storage mode — a compiled program is just the plan
+// charge sequence and interruption statuses for every program, engine
+// and storage mode — a compiled program is just the plan
 // flattened, drawing candidate facts from the same enumeration sources.
 
-datalog::EvalOptions EngineOpts(size_t threads, bool columnar,
-                                bool bytecode) {
-  datalog::EvalOptions o = ThreadOpts(threads);
+datalog::EvalOptions EngineOpts(bool columnar, bool bytecode) {
+  datalog::EvalOptions o;
   o.use_columnar = columnar;  // pinned: overrides AWR_NO_COLUMNAR
   o.use_bytecode = bytecode;  // pinned: overrides AWR_NO_BYTECODE
   return o;
@@ -1571,10 +1596,9 @@ datalog::EvalOptions EngineOpts(size_t threads, bool columnar,
 /// bytecode VM, requiring identical status codes and — on success —
 /// identical results.
 template <typename Fn>
-void EvalBothExecutors(const Fn& eval, size_t threads, bool columnar,
-                       const std::string& what) {
-  auto interpreted = eval(EngineOpts(threads, columnar, false));
-  auto compiled = eval(EngineOpts(threads, columnar, true));
+void EvalBothExecutors(const Fn& eval, bool columnar, const std::string& what) {
+  auto interpreted = eval(EngineOpts(columnar, false));
+  auto compiled = eval(EngineOpts(columnar, true));
   EXPECT_EQ(interpreted.status().code(), compiled.status().code())
       << what << "\ninterpreter: " << interpreted.status()
       << "\nbytecode:    " << compiled.status();
@@ -1591,23 +1615,20 @@ TEST_P(BytecodeVsInterpreterDifferential, PositiveSemanticsAgree) {
   gen.allow_negation = false;
   Generated g = GenerateProgram(GetParam() * 48271 + 19, gen);
   const std::string what = g.program.ToString();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (bool columnar : {false, true}) {
-      const std::string where = what + "\n(threads=" +
-                                std::to_string(threads) +
-                                " columnar=" + std::to_string(columnar) + ")";
-      EvalBothExecutors(
-          [&](datalog::EvalOptions o) {
-            o.seminaive = false;
-            return datalog::EvalMinimalModel(g.program, g.edb, o);
-          },
-          threads, columnar, where);
-      EvalBothExecutors(
-          [&](const datalog::EvalOptions& o) {
-            return datalog::EvalMinimalModel(g.program, g.edb, o);
-          },
-          threads, columnar, where);
-    }
+  for (bool columnar : {false, true}) {
+    const std::string where =
+        what + "\n(columnar=" + std::to_string(columnar) + ")";
+    EvalBothExecutors(
+        [&](datalog::EvalOptions o) {
+          o.seminaive = false;
+          return datalog::EvalMinimalModel(g.program, g.edb, o);
+        },
+        columnar, where);
+    EvalBothExecutors(
+        [&](const datalog::EvalOptions& o) {
+          return datalog::EvalMinimalModel(g.program, g.edb, o);
+        },
+        columnar, where);
   }
 }
 
@@ -1616,32 +1637,29 @@ TEST_P(BytecodeVsInterpreterDifferential, GeneralSemanticsAgree) {
   // model; both executors must then fail (or succeed) identically.
   Generated g = GenerateProgram(GetParam() * 69621 + 59, GenOptions{});
   const std::string what = g.program.ToString();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (bool columnar : {false, true}) {
-      const std::string where = what + "\n(threads=" +
-                                std::to_string(threads) +
-                                " columnar=" + std::to_string(columnar) + ")";
-      EvalBothExecutors(
-          [&](const datalog::EvalOptions& o) {
-            return datalog::EvalInflationary(g.program, g.edb, o);
-          },
-          threads, columnar, where);
-      EvalBothExecutors(
-          [&](const datalog::EvalOptions& o) {
-            return datalog::EvalWellFounded(g.program, g.edb, o);
-          },
-          threads, columnar, where);
-      EvalBothExecutors(
-          [&](const datalog::EvalOptions& o) {
-            return datalog::EvalStratified(g.program, g.edb, o);
-          },
-          threads, columnar, where);
-      EvalBothExecutors(
-          [&](const datalog::EvalOptions& o) {
-            return datalog::EvalStableModels(g.program, g.edb, o);
-          },
-          threads, columnar, where);
-    }
+  for (bool columnar : {false, true}) {
+    const std::string where =
+        what + "\n(columnar=" + std::to_string(columnar) + ")";
+    EvalBothExecutors(
+        [&](const datalog::EvalOptions& o) {
+          return datalog::EvalInflationary(g.program, g.edb, o);
+        },
+        columnar, where);
+    EvalBothExecutors(
+        [&](const datalog::EvalOptions& o) {
+          return datalog::EvalWellFounded(g.program, g.edb, o);
+        },
+        columnar, where);
+    EvalBothExecutors(
+        [&](const datalog::EvalOptions& o) {
+          return datalog::EvalStratified(g.program, g.edb, o);
+        },
+        columnar, where);
+    EvalBothExecutors(
+        [&](const datalog::EvalOptions& o) {
+          return datalog::EvalStableModels(g.program, g.edb, o);
+        },
+        columnar, where);
   }
 }
 
@@ -1649,24 +1667,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BytecodeVsInterpreterDifferential,
                          ::testing::Range<uint64_t>(1, 201));
 
 // The rendered model text must be byte-identical across executors for
-// the crash-point engines, at both thread counts and storage modes.
+// the crash-point engines, in both storage modes.
 TEST(BytecodeVsInterpreterDifferential, RenderedModelsAreByteIdentical) {
   for (const CpEngine& engine : CrashPointEngines()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (bool columnar : {false, true}) {
-        ExecutionContext interp_ctx(EvalLimits::Default());
-        auto interpreted =
-            engine.run(&interp_ctx, EngineOpts(threads, columnar, false));
-        ExecutionContext vm_ctx(EvalLimits::Default());
-        auto compiled =
-            engine.run(&vm_ctx, EngineOpts(threads, columnar, true));
-        ASSERT_TRUE(interpreted.ok() && compiled.ok())
-            << engine.name << "\ninterpreter: " << interpreted.status()
-            << "\nbytecode:    " << compiled.status();
-        EXPECT_EQ(*interpreted, *compiled)
-            << engine.name << " threads=" << threads
-            << " columnar=" << columnar;
-      }
+    for (bool columnar : {false, true}) {
+      ExecutionContext interp_ctx(EvalLimits::Default());
+      auto interpreted =
+          engine.run(&interp_ctx, EngineOpts(columnar, false));
+      ExecutionContext vm_ctx(EvalLimits::Default());
+      auto compiled =
+          engine.run(&vm_ctx, EngineOpts(columnar, true));
+      ASSERT_TRUE(interpreted.ok() && compiled.ok())
+          << engine.name << "\ninterpreter: " << interpreted.status()
+          << "\nbytecode:    " << compiled.status();
+      EXPECT_EQ(*interpreted, *compiled)
+          << engine.name << " columnar=" << columnar;
     }
   }
 }
@@ -1676,27 +1691,24 @@ TEST(BytecodeVsInterpreterDifferential, RenderedModelsAreByteIdentical) {
 // like the enumerator, so disarmed charge counts match everywhere.
 TEST(BytecodeVsInterpreterGovernance, ChargeCountsIdentical) {
   for (const GovernedEngine& engine : GovernedEngines()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (bool columnar : {false, true}) {
-        size_t counts[2] = {0, 0};
-        int slot = 0;
-        for (bool bytecode : {false, true}) {
-          FaultInjector injector;
-          injector.Disarm();
-          ExecutionContext ctx(EvalLimits::Default());
-          ctx.set_fault_injector(&injector);
-          ASSERT_TRUE(
-              engine.run_with(&ctx, EngineOpts(threads, columnar, bytecode))
-                  .ok())
-              << engine.name;
-          counts[slot++] = injector.charges_seen();
-        }
-        EXPECT_EQ(counts[0], counts[1])
-            << engine.name << " threads=" << threads
-            << " columnar=" << columnar
-            << ": interpreter charges=" << counts[0]
-            << " bytecode charges=" << counts[1];
+    for (bool columnar : {false, true}) {
+      size_t counts[2] = {0, 0};
+      int slot = 0;
+      for (bool bytecode : {false, true}) {
+        FaultInjector injector;
+        injector.Disarm();
+        ExecutionContext ctx(EvalLimits::Default());
+        ctx.set_fault_injector(&injector);
+        ASSERT_TRUE(
+            engine.run_with(&ctx, EngineOpts(columnar, bytecode))
+                .ok())
+            << engine.name;
+        counts[slot++] = injector.charges_seen();
       }
+      EXPECT_EQ(counts[0], counts[1])
+          << engine.name << " columnar=" << columnar
+          << ": interpreter charges=" << counts[0]
+          << " bytecode charges=" << counts[1];
     }
   }
 }
@@ -1709,7 +1721,7 @@ TEST(BytecodeVsInterpreterGovernance, FaultTripStatusesIdentical) {
     probe.Disarm();
     ExecutionContext probe_ctx(EvalLimits::Default());
     probe_ctx.set_fault_injector(&probe);
-    ASSERT_TRUE(engine.run_with(&probe_ctx, EngineOpts(1, true, true)).ok())
+    ASSERT_TRUE(engine.run_with(&probe_ctx, EngineOpts(true, true)).ok())
         << engine.name;
     const size_t n = probe.charges_seen();
     ASSERT_GT(n, 0u) << engine.name;
@@ -1722,7 +1734,7 @@ TEST(BytecodeVsInterpreterGovernance, FaultTripStatusesIdentical) {
         injector.TripAt(k, Status::Internal("injected fault"));
         ExecutionContext ctx(EvalLimits::Default());
         ctx.set_fault_injector(&injector);
-        statuses[slot++] = engine.run_with(&ctx, EngineOpts(1, true, bytecode));
+        statuses[slot++] = engine.run_with(&ctx, EngineOpts(true, bytecode));
       }
       EXPECT_EQ(statuses[0].code(), statuses[1].code())
           << engine.name << " trip at " << k << "/" << n;
@@ -1736,27 +1748,23 @@ TEST(BytecodeVsInterpreterGovernance, FaultTripStatusesIdentical) {
 // terminal statuses whichever executor enumerates the bodies.
 TEST(BytecodeVsInterpreterGovernance, PreCancelledAndExpiredDeadlineParity) {
   for (const GovernedEngine& engine : GovernedEngines()) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (bool bytecode : {false, true}) {
-        CancelSource source;
-        source.RequestCancel();
-        ExecutionContext cancelled;
-        cancelled.set_cancel_token(source.token());
-        EXPECT_TRUE(
-            engine.run_with(&cancelled, EngineOpts(threads, true, bytecode))
-                .IsCancelled())
-            << engine.name << " threads=" << threads
-            << " bytecode=" << bytecode;
+    for (bool bytecode : {false, true}) {
+      CancelSource source;
+      source.RequestCancel();
+      ExecutionContext cancelled;
+      cancelled.set_cancel_token(source.token());
+      EXPECT_TRUE(
+          engine.run_with(&cancelled, EngineOpts(true, bytecode))
+              .IsCancelled())
+          << engine.name << " bytecode=" << bytecode;
 
-        ExecutionContext expired;
-        expired.set_deadline(ExecutionContext::Clock::now() -
-                             std::chrono::milliseconds(1));
-        EXPECT_TRUE(
-            engine.run_with(&expired, EngineOpts(threads, true, bytecode))
-                .IsDeadlineExceeded())
-            << engine.name << " threads=" << threads
-            << " bytecode=" << bytecode;
-      }
+      ExecutionContext expired;
+      expired.set_deadline(ExecutionContext::Clock::now() -
+                           std::chrono::milliseconds(1));
+      EXPECT_TRUE(
+          engine.run_with(&expired, EngineOpts(true, bytecode))
+              .IsDeadlineExceeded())
+          << engine.name << " bytecode=" << bytecode;
     }
   }
 }
@@ -1771,7 +1779,7 @@ TEST(BytecodeVsInterpreterSnapshot, SnapshotBytesIdentical) {
     probe.Disarm();
     ExecutionContext probe_ctx(EvalLimits::Default());
     probe_ctx.set_fault_injector(&probe);
-    auto oracle = engine.run(&probe_ctx, EngineOpts(1, true, true));
+    auto oracle = engine.run(&probe_ctx, EngineOpts(true, true));
     ASSERT_TRUE(oracle.ok()) << engine.name << ": " << oracle.status();
     const size_t n = probe.charges_seen();
     ASSERT_GT(n, 1u) << engine.name;
@@ -1788,7 +1796,7 @@ TEST(BytecodeVsInterpreterSnapshot, SnapshotBytesIdentical) {
       ExecutionContext ctx(EvalLimits::Default());
       ctx.set_fault_injector(&injector);
       snapshot::CheckpointSink sink;
-      datalog::EvalOptions opts = EngineOpts(1, true, bytecode);
+      datalog::EvalOptions opts = EngineOpts(true, bytecode);
       opts.checkpoint.sink = &sink;
       opts.checkpoint.on_interrupt = true;
       opts.checkpoint.every_n_rounds = 0;
@@ -1803,7 +1811,7 @@ TEST(BytecodeVsInterpreterSnapshot, SnapshotBytesIdentical) {
       // the oracle rendering byte for byte.
       auto loaded = snapshot::Deserialize(*bytes);
       ASSERT_TRUE(loaded.ok()) << loaded.status();
-      auto resumed = engine.resume(*loaded, EngineOpts(1, true, !bytecode));
+      auto resumed = engine.resume(*loaded, EngineOpts(true, !bytecode));
       ASSERT_TRUE(resumed.ok()) << resumed.status();
       EXPECT_EQ(*resumed, *oracle);
     }

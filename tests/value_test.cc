@@ -427,7 +427,7 @@ TEST(ValueSetColumnarTest, ColumnIndexProbesMatchRowLookups) {
   ASSERT_NE(store, nullptr);
   const ValueSet::ColumnStore::Index* index = s.ColumnIndex({0});
   ASSERT_NE(index, nullptr);
-  EXPECT_EQ(s.FindColumnIndex({0}), index);
+  EXPECT_EQ(s.ColumnIndex({0}), index);  // built once, then reused
   // Every key present: exactly one chain hit whose row decodes back to
   // the original tuple.
   for (int i = 0; i < 64; ++i) {

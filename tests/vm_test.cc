@@ -462,7 +462,7 @@ TEST(VmExecutionTest, DispatchFlavorsProduceTheSameFacts) {
           out.insert(fact.ToString());
           return Status::OK();
         },
-        /*allow_build=*/true, /*known=*/nullptr, d);
+        /*known=*/nullptr, d);
     ASSERT_TRUE(st.ok()) << st;
   }
   EXPECT_EQ(facts[0], facts[1]);
