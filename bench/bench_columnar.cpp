@@ -1,11 +1,12 @@
-// Experiment E20: columnar flat-tuple storage + vectorized joins.
+// Experiment E20: columnar flat-tuple storage + word-level joins.
 //
-// Measures the batch columnar executor (EvalOptions::use_columnar =
-// true, the default) against the row-at-a-time enumerator it replaces
-// (use_columnar = false), with the hash join indexes enabled on both
-// sides — so the delta is purely the storage layout and the batched
-// gather/hash/probe/emit loop, not the join algorithm:
-//   * a single-join micro workload isolating per-tuple vs batched
+// Measures the bytecode VM's word-level cursors over column stores
+// (EvalOptions::use_columnar = true, the default) against its row
+// cursors (use_columnar = false: extent iteration and Probe buckets),
+// with the hash join indexes enabled on both sides — so the delta is
+// purely the storage layout and the word-level probe/scan loops, not
+// the join algorithm:
+//   * a single-join micro workload isolating per-tuple vs word-level
 //     probes (out(X, Z) :- e(X, Y), t(Y, Z)) fired once per storage
 //     mode through FireRuleFacts;
 //   * semi-naive transitive closure on a dense random graph (the E15
@@ -22,6 +23,7 @@
 #include "awr/datalog/eval_core.h"
 #include "awr/datalog/leastmodel.h"
 #include "awr/datalog/parser.h"
+#include "awr/datalog/vm/vm.h"
 #include "workloads.h"
 
 using namespace awr;         // NOLINT
@@ -68,8 +70,8 @@ double BestMillis(int reps, const Fn& fn) {
 
 // The single-join micro: fire out(X, Z) :- e(X, Y), t(Y, Z) once per
 // storage mode.  Both modes probe a hash index keyed on position 0 of
-// `t`; the columnar side batches the key gather, the hashing and the
-// chain walks over contiguous word columns.
+// `t`; the columnar side gathers the key words, hashes them and walks
+// the index chain over contiguous word columns.
 Row MicroProbe(int n_left, int n_right) {
   Row row;
   row.name = "probe_micro_" + std::to_string(n_left) + "x" +
@@ -156,7 +158,7 @@ int main(int argc, char** argv) {
   datalog::Database dense = RandomEdges(250, 2200, /*seed=*/42);
   rows.push_back(EndToEndTc("tc_seminaive_random_2000", dense));
 
-  std::printf("E20: columnar batch execution vs row-at-a-time\n");
+  std::printf("E20: VM word-level cursors vs row cursors\n");
   std::printf("%-28s %9s %9s %11s %13s %8s %7s\n", "workload", "facts_in",
               "facts_out", "row (ms)", "columnar (ms)", "speedup", "equal?");
   bool all_equal = true;
@@ -167,15 +169,13 @@ int main(int argc, char** argv) {
                 r.models_equal ? "yes" : "NO");
   }
 
-  const datalog::ColumnarExecStats stats = datalog::GetColumnarExecStats();
-  std::printf(
-      "batch executor: %llu batched / %llu row firings, %llu/%llu probe "
-      "hits, %llu facts\n",
-      static_cast<unsigned long long>(stats.batch_rules_fired),
-      static_cast<unsigned long long>(stats.row_rules_fired),
-      static_cast<unsigned long long>(stats.batch_probe_hits),
-      static_cast<unsigned long long>(stats.batch_probes),
-      static_cast<unsigned long long>(stats.batch_facts));
+  const datalog::vm::VmExecStats stats = datalog::vm::GetVmExecStats();
+  std::printf("bytecode vm: %llu firings, %llu word / %llu row loop opens, "
+              "%llu facts\n",
+              static_cast<unsigned long long>(stats.vm_rules_fired),
+              static_cast<unsigned long long>(stats.word_opens),
+              static_cast<unsigned long long>(stats.row_opens),
+              static_cast<unsigned long long>(stats.vm_facts));
 
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {

@@ -4,12 +4,11 @@
 // true, the default) against the recursive BodyEnumerator it replaces
 // (use_bytecode = false), with row storage pinned on both sides so the
 // delta is purely dispatch — flat register bytecode vs call-stack
-// tree-walking — not the batch columnar executor (which keeps
-// precedence for the rules it covers and is measured by E20):
+// tree-walking — not the word-level cursors (measured by E20):
 //   * a dispatch micro firing one two-atom probe join through the
 //     interpreter, the portable switch loop, and the computed-goto
-//     loop (AWR_VM_DISPATCH picks the flavor in production; here both
-//     are invoked explicitly);
+//     loop (production always takes computed-goto where the compiler
+//     has it; here both are invoked explicitly);
 //   * semi-naive transitive closure on the E15/E20 headline graph
 //     (>= 2000 random edges over 250 nodes), end to end;
 //   * the magic-set transform of the same closure under a bound query

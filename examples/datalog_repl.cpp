@@ -193,11 +193,6 @@ void ShowStats(const datalog::Interpretation& last_model) {
   std::cout << "storage:        " << columnar_preds << " columnar / "
             << (preds - columnar_preds) << " row relation(s), ~"
             << column_bytes << " column bytes\n";
-  const datalog::ColumnarExecStats es = datalog::GetColumnarExecStats();
-  std::cout << "batch executor: " << es.batch_rules_fired
-            << " batched / " << es.row_rules_fired << " row rule firings, "
-            << es.batch_probe_hits << "/" << es.batch_probes
-            << " probe hits, " << es.batch_facts << " facts emitted\n";
   const datalog::vm::VmExecStats vm = datalog::vm::GetVmExecStats();
   const uint64_t lookups = vm.cache_hits + vm.cache_misses;
   std::cout << "bytecode vm:    "

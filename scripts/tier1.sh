@@ -54,7 +54,7 @@ cmake --build build -j"$(nproc)"
 (cd build && AWR_FORCE_SCAN_JOINS=1 ctest --output-on-failure -j"$(nproc)")
 (cd build && AWR_NO_VALUE_INTERN=1 ctest --output-on-failure -j"$(nproc)")
 # Row-storage oracle: AWR_NO_COLUMNAR=1 disables the columnar layout and
-# batch executor entirely, so the row-at-a-time path stays green.
+# with it the VM's word-level cursors, so the row cursors stay green.
 (cd build && AWR_NO_COLUMNAR=1 ctest --output-on-failure -j"$(nproc)")
 # Interpreter oracle: AWR_NO_BYTECODE=1 disables the compiled bytecode
 # VM (DESIGN.md §14), so the tree-walking enumerator — the differential
@@ -81,9 +81,9 @@ cmake --build build-asan -j"$(nproc)" \
   ctest --output-on-failure -R 'Snapshot|ValueCodec')
 (cd build-asan && AWR_CRASH_SWEEP_STRIDE=7 \
   ctest --output-on-failure -R CrashPointRecovery)
-# Columnar storage + batch executor under ASan/UBSan (columnar is on by
+# Columnar storage + VM word cursors under ASan/UBSan (columnar is on by
 # default): column-store maintenance across promotion/demotion and the
-# batch gather/probe/emit loops are pointer-heavy by design.
+# word-level scan/probe/emit loops are pointer-heavy by design.
 (cd build-asan && ctest --output-on-failure -R 'Columnar')
 # Service + thinned chaos under ASan/UBSan: socket lifecycle, executor
 # unwinding and the durable store under injected faults.

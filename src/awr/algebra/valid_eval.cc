@@ -217,13 +217,6 @@ Result<ValidAlgebraResult> EvalAlgebraValid(const AlgebraProgram& program,
       AWR_RETURN_IF_ERROR(ctx->ChargeFacts(added, "valid-eval(lower lfp)"));
     }
 
-    if (getenv("AWR_DEBUG_VALID") != nullptr) {
-      fprintf(stderr, "=== outer round ===\n");
-      for (const auto& [name, tvs] : lower_iter) {
-        fprintf(stderr, "  %s lower=%s upper=%s\n", name.c_str(),
-                tvs.lower.ToString().c_str(), tvs.upper.ToString().c_str());
-      }
-    }
     if (SameAssignment(lower_iter, assignment)) {
       ValidAlgebraResult out;
       for (auto& [name, tvs] : lower_iter) out.Set(name, std::move(tvs));

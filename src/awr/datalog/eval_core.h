@@ -73,19 +73,17 @@ struct BodyContext {
   /// scan path (false) computes the same matches and is kept alive as
   /// the differential-test oracle; see EvalOptions::use_join_index.
   bool use_join_index = true;
-  /// When true (and use_join_index), FireRuleFacts runs the batch
-  /// columnar executor for rules whose bodies are all positive atoms
-  /// over flat columnar extents (DESIGN.md §12); the row-at-a-time
-  /// enumerator remains the fallback for everything else and the
-  /// differential oracle (AWR_NO_COLUMNAR=1 / EvalOptions::use_columnar
-  /// = false).  Both paths deliver the same fact multiset and poll the
-  /// interrupt hook once per body match.
+  /// When true, the VM opens loops over flat
+  /// columnar extents on word-level cursors (raw column words and the
+  /// column index, DESIGN.md §12) instead of row cursors (extent
+  /// iteration and ValueSet::Probe buckets).  Both deliver the same fact
+  /// set and poll the interrupt hook once per body match; false is the
+  /// differential oracle (AWR_NO_COLUMNAR=1 / EvalOptions::use_columnar).
   bool use_columnar = true;
   /// When true, FireRuleFacts executes rules through compiled bytecode
   /// programs (src/awr/datalog/vm/, DESIGN.md §14) instead of the
   /// tree-walking enumerator, with the same observable behavior; rules
-  /// the VM declines fall back to the interpreter.  The batch columnar
-  /// executor keeps precedence for the rules it covers.
+  /// the VM cannot lower fall back to the interpreter.
   bool use_bytecode = BytecodeEnabledByDefault();
 };
 
@@ -115,61 +113,31 @@ struct PlannedRule {
 Result<std::vector<PlannedRule>> PlanProgram(const Program& program);
 
 /// Fires `rule` once: enumerates its body matches and delivers the
-/// derived head facts to `on_fact`.  The row path delivers one fact per
-/// match (duplicates included — the caller dedups, exactly as with
-/// ForEachBodyMatch + EvalHead); the batch path additionally suppresses
+/// derived head facts to `on_fact`.  The rule runs on its compiled
+/// bytecode program (vm::ExecuteCompiledRule); rules the VM cannot
+/// lower, and every rule when ctx.use_bytecode is off, run on the
+/// tree-walking enumerator (ForEachBodyMatch + EvalHead).  Both poll
+/// the context's interrupt hook once per body match, so models, charge
+/// counts, and fault/deadline/cancel statuses are identical.
+///
+/// The enumerator delivers one fact per match, duplicates included (the
+/// caller dedups).  For infallible rules the VM additionally suppresses
 /// duplicate head projections WITHIN the firing at the raw-word level,
 /// before any tuple is materialized.  Since every caller treats
 /// duplicate facts as no-ops (set insert / Holds check), the two
 /// deliveries are observationally equivalent.
 ///
-/// When the body is all positive atoms with variable/inline-constant
-/// arguments over columnar-eligible extents (and ctx.use_columnar /
-/// ctx.use_join_index are set), the batch executor runs instead of the
-/// per-tuple enumerator: per plan step it gathers probe-key words from
-/// the current batch columns, bulk-hashes them, probes the extent's
-/// column index, and emits the joined batch as new columns — head
-/// tuples are only materialized per distinct final match.  Fallbacks
-/// (nested values, negation, comparisons, function applications, arity
-/// mismatches, oversized batches) run the row path.  Both paths
-/// deliver the same fact set and poll the context's interrupt
-/// hook once per match, so models, charge counts, and fault/deadline/
-/// cancel statuses are identical.
-///
 /// `known` is an optional duplicate filter: an extent whose facts the
 /// caller treats as already derived (the set backing its Holds check,
 /// or any subset of it).  It MUST NOT change while the rule fires.  The
-/// batch path then skips known facts by probing that extent's
-/// full-arity column index at the word level — never materializing the
-/// tuple at all; the row path ignores it (its callers' Holds checks
-/// already dedup).  Since every skipped fact would have been a caller
-/// no-op, delivery with and without `known` is observationally
-/// equivalent.
+/// VM's word-level emit path then skips known facts by probing that
+/// extent's full-arity column index — never materializing the tuple at
+/// all; the enumerator ignores it (its callers' Holds checks already
+/// dedup).  Since every skipped fact would have been a caller no-op,
+/// delivery with and without `known` is observationally equivalent.
 Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
                      const std::function<Status(Value)>& on_fact,
                      const ValueSet* known = nullptr);
-
-/// Resolves the word-level duplicate filter over `known` for a head of
-/// `arity` all-inline components: the extent's full-arity column index,
-/// or nullptr when unavailable (non-flat extent, arity mismatch, >8
-/// positions).  Shared by the
-/// batch columnar executor and the bytecode VM's emit path.
-const ValueSet::ColumnStore::Index* KnownFactsIndex(
-    const ValueSet* known, size_t arity,
-    const ValueSet::ColumnStore** store_out);
-
-/// Process-wide counters of the batch executor, for the REPL's :stats
-/// and the benchmarks.  Updated atomically (concurrent awrd sessions
-/// fire rules too).
-struct ColumnarExecStats {
-  uint64_t batch_rules_fired = 0;  ///< firings served by the batch path
-  uint64_t row_rules_fired = 0;    ///< firings that took the row path
-  uint64_t batch_probes = 0;       ///< key probes issued by batch joins
-  uint64_t batch_probe_hits = 0;   ///< probes matching at least one row
-  uint64_t batch_facts = 0;        ///< facts emitted by the batch path
-};
-ColumnarExecStats GetColumnarExecStats();
-void ResetColumnarExecStats();
 
 }  // namespace awr::datalog
 

@@ -23,9 +23,8 @@ namespace {
 
 // Derives all heads of `rule` under `ctx` into `out` (skipping facts
 // already in `existing`); returns the number of new facts.  Dispatches
-// through FireRuleFacts, so flat-relation rules run the batch columnar
-// executor and everything else the row enumerator — same fact multiset
-// and poll sites either way.
+// through FireRuleFacts, so compiled rules run on the VM and the rest
+// on the row enumerator — same fact set and poll sites either way.
 Result<size_t> FireRule(const PlannedRule& pr, const BodyContext& ctx,
                         const Interpretation& existing, Interpretation* out) {
   size_t added = 0;

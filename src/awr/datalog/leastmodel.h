@@ -41,9 +41,9 @@ struct EvalOptions {
   /// differential-test oracle.  Env-overridable: AWR_FORCE_SCAN_JOINS=1
   /// flips the default to false process-wide.
   bool use_join_index = JoinIndexEnabledByDefault();
-  /// Run the batch columnar executor (DESIGN.md §12) for rules over
-  /// flat scalar relations; the row-at-a-time enumerator handles
-  /// everything else and remains the differential-test oracle.  Models,
+  /// Let the VM open word-level cursors (DESIGN.md §12) over flat
+  /// scalar relations; row cursors handle everything else and remain
+  /// the differential-test oracle.  Models,
   /// charge counts and interrupt statuses are identical either way.
   /// Env-overridable: AWR_NO_COLUMNAR=1 flips the default to false
   /// process-wide (and disables the columnar ValueSet layout itself).

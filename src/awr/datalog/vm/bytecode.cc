@@ -255,7 +255,6 @@ std::vector<uint8_t> EncodeProgram(const CompiledRule& cr) {
   uint8_t flags = 0;
   if (cr.use_join_index) flags |= 1;
   if (cr.infallible) flags |= 2;
-  if (cr.may_batch) flags |= 4;
   out.U8(flags);
   out.U32(cr.num_regs);
   out.U32(cr.num_loops);
@@ -361,7 +360,6 @@ Result<CompiledRule> DecodeProgram(const uint8_t* data, size_t size,
   AWR_RETURN_IF_ERROR(in.U8(&flags));
   cr.use_join_index = (flags & 1) != 0;
   cr.infallible = (flags & 2) != 0;
-  cr.may_batch = (flags & 4) != 0;
   AWR_RETURN_IF_ERROR(in.U32(&cr.num_regs));
   AWR_RETURN_IF_ERROR(in.U32(&cr.num_loops));
   AWR_RETURN_IF_ERROR(in.U64(&cr.cache_key));

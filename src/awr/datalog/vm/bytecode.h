@@ -88,10 +88,6 @@ struct CompiledRule {
   /// firing equals match count independent of enumeration order, so
   /// word-level cursors are admissible.
   bool infallible = false;
-  /// Statically eligible for eval_core's batch columnar executor; when
-  /// false, FireRuleFacts skips the per-firing PlanColumnarFire body
-  /// walk entirely.
-  bool may_batch = false;
   uint64_t cache_key = 0;
 
   /// Per-argument-position unification action for a positive atom,

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstddef>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -115,8 +116,7 @@ struct Lowerer {
     bool atom_has_apply = false;
     bool consts_inline = true;
     // First occurrence, within this atom, of each variable unbound at
-    // step entry (the word path's Bind/Dup split, as in the batch
-    // executor's PlanColumnarFire).
+    // step entry (the word path's Bind/Dup split).
     std::unordered_map<uint32_t, uint32_t> first_pos_here;
     for (uint32_t pos = 0; pos < si.arity; ++pos) {
       const TermExpr& arg = lit.atom.args[pos];
@@ -177,22 +177,19 @@ struct Lowerer {
       }
     }
     // Word-cursor candidacy (confirmed after the whole rule is walked:
-    // the rule must be infallible).  Mirrors the batch executor's
-    // eligibility per atom; additionally, every bound-variable or
-    // constant position must be part of the probe key, which holds
-    // exactly when the atom has no applications (no plan truncation)
-    // and the shape probes — a scan step then has binds and dups only.
-    const bool covered = !si.probe
-                             ? std::all_of(si.fields.begin(), si.fields.end(),
-                                           [](const CompiledRule::FieldDesc& f) {
-                                             return f.kind !=
-                                                        CompiledRule::FieldDesc::
-                                                            Kind::kCheckConst &&
-                                                    f.kind !=
-                                                        CompiledRule::FieldDesc::
-                                                            Kind::kCheckReg;
-                                           })
-                             : true;
+    // the rule must be infallible): inline constants, at most 8 key
+    // positions, and every bound-variable or constant position must be
+    // part of the probe key, which holds exactly when the atom has no
+    // applications (no plan truncation) and the shape probes.  A scan
+    // step must have binds and within-atom repeats only: every field
+    // that is not a bind is one of the word dups.
+    const bool covered =
+        si.probe ||
+        std::count_if(si.fields.begin(), si.fields.end(),
+                      [](const CompiledRule::FieldDesc& f) {
+                        return f.kind !=
+                               CompiledRule::FieldDesc::Kind::kBindReg;
+                      }) == static_cast<std::ptrdiff_t>(si.word_dups.size());
     if (si.arity >= 1 && !atom_has_apply && consts_inline && covered &&
         si.bound_positions.size() <= 8) {
       word_candidates.push_back(cr.steps.size());
@@ -284,40 +281,6 @@ struct Lowerer {
     return Status::OK();
   }
 
-  /// Structural half of PlanColumnarFire's eligibility test: when this
-  /// is false, the batch executor can never serve the rule (on any
-  /// extents), so FireRuleFacts skips its per-firing plan walk.
-  bool ComputeMayBatch() const {
-    if (plan.size() == 0) return false;
-    std::unordered_set<uint32_t> slot_vars;
-    for (const PlanStep& step : plan.steps) {
-      const Literal& lit = rule.body[step.literal];
-      if (!lit.is_atom() || !lit.positive) return false;
-      if (step.bound_positions.size() > 8) return false;
-      for (size_t pos = 0; pos < lit.atom.arity(); ++pos) {
-        const TermExpr& arg = lit.atom.args[pos];
-        const bool is_key =
-            std::binary_search(step.bound_positions.begin(),
-                               step.bound_positions.end(), pos);
-        if (arg.is_var()) {
-          if (!is_key) slot_vars.insert(arg.var().id);
-        } else if (arg.is_const()) {
-          if (!arg.constant().is_inline() || !is_key) return false;
-        } else {
-          return false;
-        }
-      }
-    }
-    for (const TermExpr& arg : rule.head.args) {
-      if (arg.is_var()) {
-        if (slot_vars.count(arg.var().id) == 0) return false;
-      } else if (!arg.is_const()) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   Result<std::shared_ptr<const CompiledRule>> Run() {
     if (plan.size() != rule.body.size()) {
       return Status::Internal("vm lowering: plan does not cover the body");
@@ -386,7 +349,6 @@ struct Lowerer {
         }
       }
     }
-    cr.may_batch = ComputeMayBatch();
 
     AWR_RETURN_IF_ERROR(VerifyCompiledRule(cr));
     return std::make_shared<const CompiledRule>(std::move(cr));

@@ -1,8 +1,6 @@
 #include "awr/datalog/vm/vm.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -66,11 +64,11 @@ struct ExecState {
   uint64_t word_opens = 0;
   uint64_t row_opens = 0;
   uint64_t facts = 0;
-  // Word-level emit filtering (infallible rules only, the batch
-  // columnar executor's license): an open-addressed table of the head
-  // projections already delivered this firing, plus the caller's
-  // `known` extent probed through its full-arity column index — both
-  // checked on raw words, before the head tuple is interned.
+  // Word-level emit filtering (infallible rules only): an
+  // open-addressed table of the head projections already delivered
+  // this firing, plus the caller's `known` extent probed through its
+  // full-arity column index — both checked on raw words, before the
+  // head tuple is interned.
   bool emit_dedup = false;
   std::vector<uintptr_t> dd_words = {};  ///< arity words per entry
   std::vector<int32_t> dd_table = {};    ///< open-addressed, -1 = empty
@@ -80,6 +78,24 @@ struct ExecState {
   std::vector<uintptr_t> head_words = {};
   std::vector<Value> head_buf = {};
 };
+
+/// Resolves the word-level duplicate filter over `known` for a head of
+/// `arity` all-inline components: the extent's full-arity column index,
+/// or nullptr when unavailable (non-flat extent, arity mismatch, >8
+/// positions).
+const ValueSet::ColumnStore::Index* KnownFactsIndex(
+    const ValueSet* known, size_t arity,
+    const ValueSet::ColumnStore** store_out) {
+  if (known == nullptr || arity == 0 || arity > 8) return nullptr;
+  const ValueSet::ColumnStore* store = known->columns();
+  if (store == nullptr || store->arity != arity) return nullptr;
+  std::vector<size_t> all_positions(arity);
+  for (size_t i = 0; i < arity; ++i) all_positions[i] = i;
+  const ValueSet::ColumnStore::Index* index = known->ColumnIndex(all_positions);
+  if (index == nullptr) return nullptr;
+  *store_out = store;
+  return index;
+}
 
 /// Doubles the emit-dedup table and re-seats every recorded projection.
 void GrowEmitTable(ExecState& s, size_t arity) {
@@ -595,28 +611,6 @@ op_halt:
 #define AWR_VM_HAVE_COMPUTED_GOTO 0
 #endif
 
-bool UseComputedGoto(Dispatch dispatch) {
-#if AWR_VM_HAVE_COMPUTED_GOTO
-  switch (dispatch) {
-    case Dispatch::kSwitch:
-      return false;
-    case Dispatch::kComputedGoto:
-      return true;
-    case Dispatch::kAuto: {
-      static const bool force_switch = [] {
-        const char* env = std::getenv("AWR_VM_DISPATCH");
-        return env != nullptr && std::strcmp(env, "switch") == 0;
-      }();
-      return !force_switch;
-    }
-  }
-  return true;
-#else
-  (void)dispatch;
-  return false;
-#endif
-}
-
 }  // namespace
 
 Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
@@ -636,7 +630,7 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
   }
   Status st;
 #if AWR_VM_HAVE_COMPUTED_GOTO
-  st = UseComputedGoto(dispatch) ? RunGoto(s) : RunSwitch(s);
+  st = dispatch == Dispatch::kSwitch ? RunSwitch(s) : RunGoto(s);
 #else
   (void)dispatch;
   st = RunSwitch(s);

@@ -11,8 +11,8 @@ namespace awr::datalog::vm {
 
 /// Dispatch-loop flavor.  kAuto picks computed-goto where the compiler
 /// supports labels-as-values (GCC/Clang) and the portable switch loop
-/// otherwise; AWR_VM_DISPATCH=switch forces the fallback (bench_vm
-/// measures both).
+/// otherwise; the other two pin one flavor (vm_test and bench_vm run
+/// both).
 enum class Dispatch {
   kAuto,
   kSwitch,
@@ -21,20 +21,23 @@ enum class Dispatch {
 
 /// Executes one firing of a compiled rule under `ctx`: enumerates every
 /// body match, polling CheckInterrupt("body-match") once per match, and
-/// delivers each derived head fact to `on_fact`.  Exactly the row
+/// delivers each derived head fact to `on_fact`.  This is the
+/// production executor behind FireRuleFacts, with exactly the row
 /// enumerator's observable behavior (see the parity contract in
-/// bytecode.h); word-level cursors may reorder deliveries for
-/// infallible rules only, mirroring the batch columnar executor's
-/// license.
+/// bytecode.h).  Infallible rules may open word-level cursors over
+/// column stores (when ctx.use_columnar), which can reorder deliveries:
+/// with no function application, the poll count per firing equals the
+/// match count in any order, and the caller's set semantics absorb the
+/// rest.
 ///
 /// `known` is the optional word-level duplicate filter with
 /// FireRuleFacts' contract: an extent whose facts the caller treats as
 /// already derived, immutable while the rule fires.  For infallible
-/// rules the emit handler then suppresses duplicate head projections
-/// within the firing and skips facts already in `known` — at the raw
-/// word level, before the tuple is ever materialized — exactly the
-/// batch columnar executor's license (every skipped delivery would have
-/// been a caller no-op; the per-match interrupt poll still fires).
+/// rules the emit handler suppresses duplicate head projections within
+/// the firing and skips facts already in `known` — at the raw word
+/// level, before the tuple is ever materialized.  Every skipped
+/// delivery would have been a caller no-op, and the per-match interrupt
+/// poll still fires.
 ///
 /// `cr` must have passed VerifyCompiledRule (LowerRule and
 /// DecodeProgram both guarantee it): the dispatch loop performs no

@@ -38,8 +38,8 @@ bool ColumnarStorageEnabled();
 /// all *flat* tuples of one arity — every component an inline tagged
 /// scalar (value.h) — can additionally materialize a structure-of-
 /// arrays ColumnStore: one contiguous word column per argument
-/// position, plus chained hash indexes over raw words for batch join
-/// probes.  Like the position indexes this is derived state: selected
+/// position, plus chained hash indexes over raw words for the VM's word-level
+/// join probes.  Like the position indexes this is derived state: selected
 /// adaptively (eligibility is tracked by the shape histogram), built
 /// lazily on the evaluating thread, appended to on flat Insert,
 /// dropped whenever the extent leaves the flat regime (promotion /
@@ -207,7 +207,7 @@ class ValueSet {
     std::vector<std::vector<uintptr_t>> cols;
     std::vector<Value> rows;
     // Deque for pointer stability: building one index must not move
-    // the others (the batch executor holds Index* across a rule plan).
+    // the others (the VM's word cursors hold Index* across a firing).
     std::deque<Index> indexes;
 
     size_t row_count() const { return rows.size(); }

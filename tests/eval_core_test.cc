@@ -11,6 +11,7 @@
 #include "awr/datalog/parser.h"
 #include "awr/datalog/stable.h"
 #include "awr/datalog/stratified.h"
+#include "awr/datalog/vm/vm.h"
 #include "awr/datalog/wellfounded.h"
 
 namespace awr::datalog {
@@ -159,9 +160,9 @@ TEST(BodyMatchTest, ArityMismatchMessageIdenticalOnBothJoinPaths) {
 }
 
 // ----------------------------------------------------------------------
-// FireRuleFacts: the batch columnar executor against the row-at-a-time
-// enumerator it replaces.  Both must deliver the same fact multiset;
-// the stats counters prove which path actually ran.
+// FireRuleFacts: the VM's word-level cursors against its row cursors.
+// Both must deliver the same fact set; the VM counters prove which
+// cursors actually ran (when the VM and column stores are enabled).
 
 BodyContext PlainContext(const Interpretation& interp,
                          const FunctionRegistry& fns, bool use_columnar) {
@@ -176,17 +177,21 @@ BodyContext PlainContext(const Interpretation& interp,
   return ctx;
 }
 
-Result<ValueSet> CollectFacts(const PlannedRule& pr, const BodyContext& ctx) {
+Result<ValueSet> CollectFacts(const PlannedRule& pr, const BodyContext& ctx,
+                              size_t* delivered = nullptr) {
   ValueSet facts;
+  size_t calls = 0;
   Status st = FireRuleFacts(pr, ctx, [&](Value fact) -> Status {
+    ++calls;
     facts.Insert(std::move(fact));
     return Status::OK();
   });
   if (!st.ok()) return st;
+  if (delivered != nullptr) *delivered = calls;
   return facts;
 }
 
-TEST(FireRuleFactsTest, BatchAndRowAgreeOnJoinsConstantsAndDups) {
+TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
   auto program = ParseProgram(R"(
     out(X, Z) :- e(X, Y), e(Y, Z).
     self(X) :- e(X, X).
@@ -203,18 +208,18 @@ TEST(FireRuleFactsTest, BatchAndRowAgreeOnJoinsConstantsAndDups) {
   interp.AddFact("e", {Value::Int(5), Value::Int(5)});
   FunctionRegistry fns = FunctionRegistry::Default();
   for (const PlannedRule& pr : *planned) {
-    ResetColumnarExecStats();
     auto row = CollectFacts(pr, PlainContext(interp, fns, false));
-    auto batch = CollectFacts(pr, PlainContext(interp, fns, true));
-    ASSERT_TRUE(row.ok() && batch.ok())
-        << pr.rule.head.predicate << "\nrow:   " << row.status()
-        << "\nbatch: " << batch.status();
-    EXPECT_EQ(*row, *batch) << pr.rule.head.predicate;
-    if (ColumnarStorageEnabled()) {
-      const ColumnarExecStats stats = GetColumnarExecStats();
-      EXPECT_EQ(stats.row_rules_fired, 1u) << pr.rule.head.predicate;
-      EXPECT_EQ(stats.batch_rules_fired, 1u) << pr.rule.head.predicate;
-      EXPECT_EQ(stats.batch_facts, batch->size()) << pr.rule.head.predicate;
+    vm::ResetVmExecStats();
+    size_t delivered = 0;
+    auto word = CollectFacts(pr, PlainContext(interp, fns, true), &delivered);
+    ASSERT_TRUE(row.ok() && word.ok())
+        << pr.rule.head.predicate << "\nrow:  " << row.status()
+        << "\nword: " << word.status();
+    EXPECT_EQ(*row, *word) << pr.rule.head.predicate;
+    if (BytecodeEnabledByDefault() && ColumnarStorageEnabled()) {
+      const vm::VmExecStats stats = vm::GetVmExecStats();
+      EXPECT_GT(stats.word_opens, 0u) << pr.rule.head.predicate;
+      EXPECT_EQ(stats.vm_facts, delivered) << pr.rule.head.predicate;
     }
   }
 }
@@ -228,18 +233,20 @@ TEST(FireRuleFactsTest, NonFlatExtentFallsBackToRowPath) {
   interp.AddFact("e",
                  {Value::Int(3), Value::Pair(Value::Int(4), Value::Int(5))});
   FunctionRegistry fns = FunctionRegistry::Default();
-  ResetColumnarExecStats();
-  auto batch = CollectFacts(planned->front(), PlainContext(interp, fns, true));
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  EXPECT_EQ(batch->size(), 2u);
-  EXPECT_TRUE(batch->Contains(
+  vm::ResetVmExecStats();
+  auto facts = CollectFacts(planned->front(), PlainContext(interp, fns, true));
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  EXPECT_EQ(facts->size(), 2u);
+  EXPECT_TRUE(facts->Contains(
       Value::Pair(Value::Int(3), Value::Pair(Value::Int(4), Value::Int(5)))));
-  const ColumnarExecStats stats = GetColumnarExecStats();
-  EXPECT_EQ(stats.batch_rules_fired, 0u);  // nested arg: not flat
-  EXPECT_EQ(stats.row_rules_fired, 1u);
+  if (BytecodeEnabledByDefault()) {
+    const vm::VmExecStats stats = vm::GetVmExecStats();
+    EXPECT_EQ(stats.word_opens, 0u);  // nested arg: no column store
+    EXPECT_GT(stats.row_opens, 0u);
+  }
 }
 
-TEST(FireRuleFactsTest, CallbackErrorAbortsBatchEmission) {
+TEST(FireRuleFactsTest, CallbackErrorAbortsVmEmission) {
   auto program = ParseProgram("out(X, Y) :- e(X, Y).");
   auto planned = PlanProgram(*program);
   ASSERT_TRUE(planned.ok());
@@ -257,6 +264,69 @@ TEST(FireRuleFactsTest, CallbackErrorAbortsBatchEmission) {
                             });
   EXPECT_TRUE(st.IsInternal());
   EXPECT_EQ(calls, 3u);
+}
+
+// The `known` filter of the VM's word-level emit path, on a flat
+// recursive rule: each distinct head projection not in `known` is
+// delivered exactly once, yet every raw body match still polls.
+TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
+  auto program = ParseProgram("tc(X, Z) :- e(X, Y), tc(Y, Z).");
+  ASSERT_TRUE(program.ok());
+  auto planned = PlanProgram(*program);
+  ASSERT_TRUE(planned.ok());
+  Interpretation interp;
+  for (int i = 0; i < 20; ++i) {
+    for (int step : {1, 2}) {
+      interp.AddFact("e", {Value::Int(i), Value::Int(i + step)});
+      interp.AddFact("tc", {Value::Int(i), Value::Int(i + step)});
+    }
+  }
+  // Oracle by nested loops: the raw match count and the distinct head
+  // projections; every other projection goes into `known`, plus one
+  // fact no match derives.
+  size_t raw_matches = 0;
+  ValueSet projections;
+  for (const Value& e : interp.Extent("e")) {
+    for (const Value& tc : interp.Extent("tc")) {
+      if (tc.items()[0] != e.items()[1]) continue;
+      ++raw_matches;
+      projections.Insert(Value::Pair(e.items()[0], tc.items()[1]));
+    }
+  }
+  ASSERT_GT(raw_matches, projections.size());  // the rule derives duplicates
+  ValueSet known;
+  ValueSet unknown;
+  known.Insert(Value::Pair(Value::Int(100), Value::Int(100)));
+  size_t i = 0;
+  for (const Value& fact : projections) {
+    (i++ % 2 == 0 ? known : unknown).Insert(fact);
+  }
+
+  FunctionRegistry fns = FunctionRegistry::Default();
+  ExecutionContext governed;
+  BodyContext ctx = PlainContext(interp, fns, true);
+  ctx.context = &governed;
+  ctx.use_bytecode = true;  // the filter lives in the VM's emit path
+  std::vector<Value> delivered;
+  Status st = FireRuleFacts(
+      planned->front(), ctx,
+      [&](Value fact) -> Status {
+        delivered.push_back(std::move(fact));
+        return Status::OK();
+      },
+      &known);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(governed.total_charges(), raw_matches);
+  ValueSet delivered_set;
+  for (const Value& fact : delivered) delivered_set.Insert(fact);
+  EXPECT_EQ(delivered_set.size(), delivered.size());  // each fact once
+  if (ColumnarStorageEnabled()) {
+    EXPECT_EQ(delivered_set, unknown);
+  } else {
+    // No column store, so no word-level index over `known`: the VM
+    // still dedups within the firing but delivers the known facts too.
+    EXPECT_EQ(delivered_set, projections);
+  }
 }
 
 // ----------------------------------------------------------------------

@@ -1397,12 +1397,12 @@ TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {
 
 // ----------------------------------------------------------------------
 // Columnar-vs-row differential oracle.  EvalOptions::use_columnar =
-// false is the row-at-a-time enumerator (the pre-columnar evaluator,
-// the oracle); the batch executor must produce the identical model,
-// charge sequence, and interruption statuses for every program and
-// semantics — the column store is a derived cache and
-// the batch plan enumerates the same match multiset in an order the
-// set-valued model cannot observe.
+// false keeps the VM on row cursors (extent iteration and Probe
+// buckets, the oracle); its word-level cursors over column stores must
+// produce the identical model, charge sequence, and interruption
+// statuses for every program and semantics — the column store is a
+// derived cache and the word cursors enumerate the same match multiset
+// in an order the set-valued model cannot observe.
 
 datalog::EvalOptions StorageOpts(bool columnar) {
   datalog::EvalOptions o;
@@ -1410,8 +1410,8 @@ datalog::EvalOptions StorageOpts(bool columnar) {
   return o;
 }
 
-/// Runs one engine with row storage (oracle) and then columnar batch
-/// execution, requiring identical status codes and — on success —
+/// Runs one engine on row cursors (oracle) and then on the VM's word
+/// cursors, requiring identical status codes and — on success —
 /// identical results.  Returns the columnar-run result.
 template <typename Fn>
 auto EvalBothStorage(const Fn& eval, const std::string& what) {
@@ -1498,10 +1498,10 @@ TEST(ColumnarVsRowDifferential, RenderedModelsAreByteIdentical) {
   }
 }
 
-// Governance charge sequences are storage-independent: the batch
-// executor polls CheckInterrupt("body-match") once per complete body
-// match, exactly like the row enumerator, so disarmed charge counts
-// match for every engine.
+// Governance charge sequences are storage-independent: word cursors
+// poll CheckInterrupt("body-match") once per complete body match,
+// exactly like row cursors, so disarmed charge counts match for every
+// engine.
 TEST(ColumnarVsRowGovernance, ChargeCountsIdenticalBothStorage) {
   for (const GovernedEngine& engine : GovernedEngines()) {
     size_t counts[2] = {0, 0};

@@ -910,9 +910,19 @@ TEST(SocketServerTest, DisconnectMidRequestDoesNotLoseTheResult) {
   }
 
   // The server finishes the execution anyway; Fetch (with retry, in
-  // case we land while it is still running) returns the result.
+  // case we land while it is still running) returns the result.  The
+  // hung-up session's submit may not have registered yet when the first
+  // fetch arrives, which answers a terminal kNotFound: ask again until
+  // the submit is known.
   Client client(path);
   auto res = client.FetchWithRetry(FetchRequest{"orphan", true});
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (res.ok() && res->code == StatusCode::kNotFound &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    res = client.FetchWithRetry(FetchRequest{"orphan", true});
+  }
   ASSERT_TRUE(res.ok()) << res.status();
   EXPECT_EQ(res->code, StatusCode::kOk) << res->message;
 

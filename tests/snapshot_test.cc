@@ -222,8 +222,8 @@ TEST(SnapshotFormatTest, SerializationIsDeterministic) {
 }
 
 TEST(SnapshotFormatTest, ColumnarAndRowStorageSerializeIdentically) {
-  // The same model evaluated with and without the batch columnar
-  // executor — and serialized with and without the column stores
+  // The same model evaluated with and without the VM's word-level
+  // cursors — and serialized with and without the column stores
   // materialized — must produce the exact same snapshot bytes: the
   // encoder goes through the canonical Sorted() order, and the columnar
   // permutation sort is byte-equivalent to the row sort.

@@ -84,6 +84,17 @@ TEST(VmLoweringTest, ScanShapeUnderNoJoinIndex) {
   EXPECT_EQ(CountOp(*cr, Op::kOpenProbeWord), 0u);
 }
 
+TEST(VmLoweringTest, WithinAtomRepeatScansOnWords) {
+  // The repeated X is checked by a word dup on the scanned row itself,
+  // so the scan opens on words.
+  std::vector<PlannedRule> rules = Planned("self(X) :- e(X, X).");
+  auto cr = Lower(rules[0]);
+  ASSERT_EQ(cr->steps.size(), 1u);
+  EXPECT_EQ(cr->steps[0].word_dups.size(), 1u);
+  EXPECT_EQ(CountOp(*cr, Op::kOpenScanWord), 1u);
+  EXPECT_EQ(CountOp(*cr, Op::kOpenScanRow), 0u);
+}
+
 TEST(VmLoweringTest, FallibleRuleStaysRowLevel) {
   std::vector<PlannedRule> rules =
       Planned("out(W) :- base(X), W = add(X, 1).");
@@ -100,8 +111,6 @@ TEST(VmLoweringTest, NegationAndComparisonLowerToFilters) {
   auto cr = Lower(rules[0]);
   EXPECT_EQ(CountOp(*cr, Op::kFilterNegate), 1u);
   EXPECT_EQ(CountOp(*cr, Op::kFilterCompare), 1u);
-  // Negation disqualifies the rule from the batch columnar executor.
-  EXPECT_FALSE(cr->may_batch);
 }
 
 TEST(VmLoweringTest, EmptyBodyRuleLowers) {
@@ -242,7 +251,6 @@ TEST(VmCodecTest, RoundTripPreservesTheProgram) {
   EXPECT_EQ(back->num_regs, cr.num_regs);
   EXPECT_EQ(back->use_join_index, cr.use_join_index);
   EXPECT_EQ(back->infallible, cr.infallible);
-  EXPECT_EQ(back->may_batch, cr.may_batch);
   EXPECT_EQ(back->consts.size(), cr.consts.size());
   EXPECT_EQ(EncodeProgram(*back), bytes);
 }
@@ -487,8 +495,6 @@ TEST(VmExecutionTest, StatsCountCompiledWork) {
   CompiledPlanCache::Global().Clear();
   auto program = ParseProgram(kTc);
   ASSERT_TRUE(program.ok());
-  // Row storage, so every firing runs through the VM rather than the
-  // batch columnar executor (which keeps precedence when eligible).
   EvalOptions opts = Opts(true);
   opts.use_columnar = false;
   auto model = EvalMinimalModel(*program, Chain(40), opts);
