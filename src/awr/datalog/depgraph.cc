@@ -27,9 +27,11 @@ DependencyGraph::DependencyGraph(const Program& program) {
   ComputeSccs();
 
   // Detect negative edges within one SCC.
+  negative_scc_.assign(sccs_.size(), false);
   for (size_t p = 0; p < predicates_.size(); ++p) {
     for (const Edge& e : edges_[p]) {
       if (!e.positive && scc_of_[p] == scc_of_[e.to]) {
+        negative_scc_[scc_of_[p]] = true;
         has_negative_cycle_ = true;
       }
     }
@@ -96,51 +98,31 @@ size_t DependencyGraph::SccIndex(const std::string& pred) const {
   return scc_of_[it->second];
 }
 
+std::vector<size_t> DependencyGraph::SccStrata() const {
+  // Tarjan emits SCCs in reverse topological order, so one pass in
+  // emission order sees every dependency's stratum before its
+  // dependents.
+  std::vector<size_t> stratum(sccs_.size(), 0);
+  for (size_t c = 0; c < sccs_.size(); ++c) {
+    for (const std::string& pred : sccs_[c]) {
+      for (const Edge& e : edges_[index_.at(pred)]) {
+        const size_t dep = scc_of_[e.to];
+        if (dep == c) continue;
+        stratum[c] = std::max(stratum[c], stratum[dep] + (e.positive ? 0 : 1));
+      }
+    }
+  }
+  return stratum;
+}
+
 Result<std::vector<std::vector<std::string>>> Stratify(const Program& program) {
   DependencyGraph graph(program);
   if (graph.HasNegativeCycle()) {
     return Status::FailedPrecondition(
         "program is not stratifiable: recursion through negation");
   }
-
-  // Assign each SCC a stratum: stratum(P) >= stratum(Q) for positive
-  // dependencies, > for negative ones.  Tarjan emits SCCs in reverse
-  // topological order, so one pass in emission order sees all
-  // dependencies before their dependents.
   const auto& sccs = graph.Sccs();
-  std::vector<size_t> stratum_of_scc(sccs.size(), 0);
-
-  // Rebuild SCC-level edges from the program.
-  for (const Rule& rule : program.rules) {
-    size_t head_scc = graph.SccIndex(rule.head.predicate);
-    for (const Literal& lit : rule.body) {
-      if (!lit.is_atom()) continue;
-      size_t dep_scc = graph.SccIndex(lit.atom.predicate);
-      if (dep_scc == head_scc) continue;
-      size_t need = stratum_of_scc[dep_scc] + (lit.positive ? 0 : 1);
-      stratum_of_scc[head_scc] = std::max(stratum_of_scc[head_scc], need);
-    }
-  }
-  // One pass is insufficient in general (stratum bumps must propagate),
-  // so iterate to fixpoint; the lattice height is bounded by #SCCs.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Rule& rule : program.rules) {
-      size_t head_scc = graph.SccIndex(rule.head.predicate);
-      for (const Literal& lit : rule.body) {
-        if (!lit.is_atom()) continue;
-        size_t dep_scc = graph.SccIndex(lit.atom.predicate);
-        if (dep_scc == head_scc) continue;
-        size_t need = stratum_of_scc[dep_scc] + (lit.positive ? 0 : 1);
-        if (stratum_of_scc[head_scc] < need) {
-          stratum_of_scc[head_scc] = need;
-          changed = true;
-        }
-      }
-    }
-  }
-
+  const std::vector<size_t> stratum_of_scc = graph.SccStrata();
   size_t max_stratum = 0;
   for (size_t s : stratum_of_scc) max_stratum = std::max(max_stratum, s);
   std::vector<std::vector<std::string>> strata(max_stratum + 1);

@@ -34,6 +34,17 @@ class DependencyGraph {
   /// stratifiability.
   bool HasNegativeCycle() const { return has_negative_cycle_; }
 
+  /// True iff SCC `scc` has a negative edge between two of its members
+  /// (the component is on a negative cycle).
+  bool NegativeCycleIn(size_t scc) const { return negative_scc_[scc]; }
+
+  /// The stratum of each SCC (indexed like Sccs()): the least numbering
+  /// with stratum(P) >= stratum(Q) for every edge P -> Q between two
+  /// components, and > for a negative one.  Edges inside a component
+  /// are ignored, so every program gets one; for a stratifiable program
+  /// this is the numbering Stratify groups by.
+  std::vector<size_t> SccStrata() const;
+
   /// True iff predicates `p` and `q` are mutually recursive.
   bool SameScc(const std::string& p, const std::string& q) const {
     return SccIndex(p) == SccIndex(q);
@@ -52,6 +63,7 @@ class DependencyGraph {
   std::vector<std::vector<Edge>> edges_;
   std::vector<std::vector<std::string>> sccs_;
   std::vector<size_t> scc_of_;
+  std::vector<bool> negative_scc_;
   bool has_negative_cycle_ = false;
 };
 

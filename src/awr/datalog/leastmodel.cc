@@ -1,6 +1,5 @@
 #include "awr/datalog/leastmodel.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -219,25 +218,6 @@ Result<Interpretation> LeastModelWithFrozenNegation(
     bar.Arrived(ctx);
   }
   return interp;
-}
-
-Result<Interpretation> LeastModelWithFrozenNegation(
-    const std::vector<PlannedRule>& rules, const Interpretation& base,
-    const Interpretation& neg_context, const EvalOptions& opts,
-    EvalBudget* budget) {
-  EvalLimits remaining = budget->limits();
-  remaining.max_rounds -= std::min(budget->rounds(), remaining.max_rounds);
-  remaining.max_facts -= std::min(budget->facts(), remaining.max_facts);
-  ExecutionContext ctx(remaining);
-  auto result = LeastModelWithFrozenNegation(rules, base, neg_context, opts,
-                                             &ctx);
-  for (size_t i = 0; i < ctx.rounds(); ++i) {
-    Status ignored = budget->ChargeRound("least-model");
-    (void)ignored;
-  }
-  Status ignored = budget->ChargeFacts(ctx.facts(), "least-model");
-  (void)ignored;
-  return result;
 }
 
 namespace {

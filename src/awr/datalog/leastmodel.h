@@ -101,16 +101,6 @@ Result<Interpretation> LeastModelWithFrozenNegation(
     const Interpretation& neg_context, const EvalOptions& opts,
     ExecutionContext* ctx, const LeastModelControl& control = {});
 
-/// Compatibility overload for callers still holding a bare EvalBudget:
-/// runs under a private ExecutionContext carrying the budget's remaining
-/// allowance, then mirrors the consumed rounds/facts back into `budget`.
-/// Prefer the ExecutionContext overload, which adds deadlines,
-/// cancellation and memory accounting.
-Result<Interpretation> LeastModelWithFrozenNegation(
-    const std::vector<PlannedRule>& rules, const Interpretation& base,
-    const Interpretation& neg_context, const EvalOptions& opts,
-    EvalBudget* budget);
-
 /// Minimal-model evaluation of a *positive* program (no negated atoms):
 /// the classical datalog semantics.  Fails with FailedPrecondition if
 /// the program uses negation.

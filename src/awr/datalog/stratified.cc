@@ -52,12 +52,15 @@ Result<Interpretation> EvalStratifiedImpl(
     }
     if (stratum_rules.empty()) continue;
     // Negation refers only to strictly lower strata, whose extents are
-    // final in `interp`; freeze a copy as the negation context.  When
-    // re-entering the snapshot's stratum, the frozen context and the
-    // inner frame come from the snapshot instead (the frame's interp
-    // already carries everything the lower strata established).
+    // final in `interp` and which this stratum never writes (the least
+    // model copies its base), so `interp` itself is the frozen negation
+    // context.  When re-entering the snapshot's stratum, the frozen
+    // context and the inner frame come from the snapshot instead (the
+    // frame's interp already carries everything the lower strata
+    // established).
     const bool resuming_here = resume != nullptr && s == start_stratum;
-    Interpretation before = resuming_here ? resume->neg_context : interp;
+    const Interpretation& before =
+        resuming_here ? resume->neg_context : interp;
 
     LeastModelControl control;
     snapshot::CheckpointHooks hooks;

@@ -14,9 +14,9 @@ constexpr uint8_t kFlagSeminaive = 1u << 2;
 constexpr uint8_t kKnownFlags = kFlagHaveTwo | kFlagInnerActive |
                                 kFlagSeminaive;
 
-/// Smallest syntactically possible snapshot: header + scalars + empty
-/// string table + four empty interpretations + checksum.
-constexpr size_t kMinSize = 8 + 4 + 1 + 1 + 5 * 8 + 4 + 4 * 4 + 8;
+/// Magic + format version + checksum: the least input whose version can
+/// be read.  Every later field is bounds-checked as it is parsed.
+constexpr size_t kMinSize = 8 + 4 + 8;
 
 void EncodeInterp(const datalog::Interpretation& interp, ValueEncoder* enc,
                   ByteWriter* out) {
@@ -97,6 +97,7 @@ Result<std::vector<uint8_t>> Serialize(const EvalSnapshot& snap) {
   out.U64(snap.edb_fingerprint);
   out.U64(snap.charges_at_barrier);
   out.U64(snap.outer_index);
+  out.U64(snap.component);
   out.U64(snap.inner.rounds_done);
   out.U32(static_cast<uint32_t>(enc.table().size()));
   for (const std::string& s : enc.table()) out.Str(s);
@@ -162,6 +163,7 @@ Result<EvalSnapshot> Deserialize(const uint8_t* data, size_t size) {
   AWR_RETURN_IF_ERROR(header.U64(&snap.edb_fingerprint));
   AWR_RETURN_IF_ERROR(header.U64(&snap.charges_at_barrier));
   AWR_RETURN_IF_ERROR(header.U64(&snap.outer_index));
+  AWR_RETURN_IF_ERROR(header.U64(&snap.component));
   AWR_RETURN_IF_ERROR(header.U64(&snap.inner.rounds_done));
 
   uint32_t table_count = 0;

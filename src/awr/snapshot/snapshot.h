@@ -25,6 +25,7 @@ namespace awr::snapshot {
 ///   u64  edb fingerprint
 ///   u64  charges at barrier
 ///   u64  outer index
+///   u64  component                  (since version 2)
 ///   u64  inner rounds done
 ///   string table                    u32 count, then u32-length-prefixed
 ///                                   entries (atom spellings + predicate
@@ -41,8 +42,13 @@ namespace awr::snapshot {
 /// files in tests/data/ pin the format.  Deserialize verifies the
 /// checksum before parsing and parses defensively after it, so
 /// truncated or bit-flipped input fails with a clean non-OK status.
+/// Bytes of any other format version fail with a version error.
+///
+/// Version 2 added the component field: the well-founded engine walks
+/// the dependency graph's components, and version 1 frames recorded
+/// only the global alternation step.
 
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr char kMagic[8] = {'A', 'W', 'R', 'S', 'N', 'A', 'P', '1'};
 
 Result<std::vector<uint8_t>> Serialize(const EvalSnapshot& snap);

@@ -23,8 +23,8 @@ namespace awr::snapshot {
 /// operator's stages (Thm 3.1), the strata of a stratified program, and
 /// the alternating-fixpoint steps of the valid model (§2.2) are all
 /// round-indexed.  A snapshot is the barrier state plus enough frame
-/// bookkeeping (round number, semi-naive delta, stratum index,
-/// alternation phase) to re-enter the loop exactly where it stopped.
+/// bookkeeping (round number, semi-naive delta, stratum index, component
+/// and alternation phase) to re-enter the loop exactly where it stopped.
 ///
 /// What is captured: interpretations (extents — atoms travel by
 /// spelling, so the interner is restored on load), round counters, and
@@ -74,10 +74,13 @@ struct LeastModelFrame {
 ///  * kStratified:   `outer_index` = stratum being evaluated,
 ///                   `neg_context` = the frozen pre-stratum state,
 ///                   `inner` = the stratum's least-model frame.
-///  * kWellFounded:  `outer_index` = completed alternation steps,
-///                   `neg_context` = prev (I_k), `prev_prev` = I_{k-1},
-///                   `have_two`, and when `inner_active` the in-flight
-///                   step's least-model frame.
+///  * kWellFounded:  `component` = step of the component walk being
+///                   evaluated, `outer_index` = its completed iterates k,
+///                   `neg_context` = I_k, `prev_prev` = I_{k-1} (at k = 0:
+///                   the lower possible set P when the lower result is
+///                   3-valued), `have_two` = prev_prev is set, and when
+///                   `inner_active` the in-flight iterate's least-model
+///                   frame.
 struct EvalSnapshot {
   EngineKind engine = EngineKind::kLeastModel;
   /// FNV-1a of Program::ToString() / edb ToString(): Resume refuses a
@@ -89,6 +92,7 @@ struct EvalSnapshot {
   /// run performs equals the uninterrupted total (the parity oracle).
   uint64_t charges_at_barrier = 0;
   uint64_t outer_index = 0;
+  uint64_t component = 0;
   bool have_two = false;
   bool inner_active = false;
   datalog::Interpretation neg_context;

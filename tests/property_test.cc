@@ -34,6 +34,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "awr/algebra/valid_eval.h"
@@ -184,6 +185,90 @@ Generated GenerateProgram(uint64_t seed, const GenOptions& opts) {
     }
   }
   return out;
+}
+
+// ----------------------------------------------------------------------
+// Global-alternation oracle for the well-founded engine.  EvalWellFounded
+// walks the dependency graph's components bottom-up and alternates only
+// inside components on a negative cycle, which is sound because the
+// well-founded model is modular over components.  This reference is the
+// procedure the walk replaced: Van Gelder's alternating fixpoint over
+// the whole program, I_{k+1} = S(I_k) from I_0 = ∅, where S(J) is the
+// least model with negation frozen against J, stopping at a total
+// fixpoint (I_{k+1} == I_k) or a period-2 limit (I_{k+1} == I_{k-1}).
+// It charges one round per step, as the engine charges per iterate of
+// an alternating component, so on a program whose IDB is one such
+// component the two charge counts must agree too.
+Result<datalog::ThreeValuedInterp> GlobalAlternation(const Program& program,
+                                                     const Database& edb,
+                                                     ExecutionContext* ctx) {
+  AWR_ASSIGN_OR_RETURN(std::vector<datalog::PlannedRule> rules,
+                       datalog::PlanProgram(program));
+  datalog::Interpretation prev_prev;
+  datalog::Interpretation prev;
+  bool have_two = false;
+  for (;;) {
+    AWR_RETURN_IF_ERROR(ctx->ChargeRound("well-founded(alternation)"));
+    AWR_ASSIGN_OR_RETURN(
+        datalog::Interpretation next,
+        datalog::LeastModelWithFrozenNegation(rules, edb, prev,
+                                              datalog::EvalOptions(), ctx));
+    if (next == prev) return datalog::ThreeValuedInterp{next, next};
+    if (have_two && next == prev_prev) {
+      if (next.IsSubsetOf(prev)) {
+        return datalog::ThreeValuedInterp{std::move(next), std::move(prev)};
+      }
+      return datalog::ThreeValuedInterp{std::move(prev), std::move(next)};
+    }
+    prev_prev = std::move(prev);
+    prev = std::move(next);
+    have_two = true;
+  }
+}
+
+std::string RenderThreeValued(const datalog::ThreeValuedInterp& tv) {
+  return "certain:\n" + tv.certain.ToString() + "possible:\n" +
+         tv.possible.ToString();
+}
+
+// The component walk's model must render byte-identically to the
+// global alternation's.
+void ExpectWalkMatchesGlobalAlternation(const Program& program,
+                                        const Database& edb) {
+  ExecutionContext ctx(EvalLimits::Large());
+  auto oracle = GlobalAlternation(program, edb, &ctx);
+  ASSERT_TRUE(oracle.ok()) << oracle.status() << "\n" << program.ToString();
+  datalog::EvalOptions opts;
+  opts.limits = EvalLimits::Large();
+  auto walk = datalog::EvalWellFounded(program, edb, opts);
+  ASSERT_TRUE(walk.ok()) << walk.status() << "\n" << program.ToString();
+  EXPECT_EQ(RenderThreeValued(*walk), RenderThreeValued(*oracle))
+      << program.ToString();
+}
+
+// WIN–MOVE with drawn 2-cycles (1 <-> 2, 5 <-> 6) feeding three upper
+// components: a positive one (reach), a negated one (safe) and a second
+// negative cycle (pick/skip).  The game's model is 3-valued, so every
+// upper component runs over a 3-valued lower result.
+Program ComponentsProgram() {
+  return *datalog::ParseProgram(R"(
+    win(X) :- move(X, Y), not win(Y).
+    reach(X) :- win(X).
+    reach(Y) :- reach(X), move(X, Y).
+    safe(X) :- pos(X), not reach(X).
+    pick(X) :- pos(X), not safe(X), not skip(X).
+    skip(X) :- pos(X), not pick(X).
+  )");
+}
+
+Database ComponentsDb() {
+  Database db;
+  for (auto [from, to] : std::vector<std::pair<int, int>>{
+           {1, 2}, {2, 1}, {2, 3}, {3, 4}, {5, 6}, {6, 5}, {7, 8}, {8, 9}}) {
+    db.AddFact("move", {Value::Int(from), Value::Int(to)});
+  }
+  for (int i = 1; i <= 10; ++i) db.AddFact("pos", {Value::Int(i)});
+  return db;
 }
 
 // ----------------------------------------------------------------------
@@ -340,6 +425,27 @@ TEST_P(StratifiedProgramProperty, StratifiedEqualsWfsAndUniqueStable) {
   EXPECT_EQ((*stable)[0], *m_strat) << g.program.ToString();
 }
 
+// On a stratified program the component walk computes the global
+// alternation's model with exactly EvalStratified's least-model calls:
+// the same rounds and the same charges.
+TEST_P(StratifiedProgramProperty, WfsMatchesGlobalAlternationAndStratifiedWork) {
+  GenOptions opts;
+  opts.stratified_only = true;
+  Generated g = GenerateProgram(GetParam(), opts);
+  ExpectWalkMatchesGlobalAlternation(g.program, g.edb);
+
+  ExecutionContext strat_ctx(EvalLimits::Large());
+  ExecutionContext wfs_ctx(EvalLimits::Large());
+  datalog::EvalOptions o;
+  o.context = &strat_ctx;
+  ASSERT_TRUE(datalog::EvalStratified(g.program, g.edb, o).ok());
+  o.context = &wfs_ctx;
+  ASSERT_TRUE(datalog::EvalWellFounded(g.program, g.edb, o).ok());
+  EXPECT_EQ(wfs_ctx.rounds(), strat_ctx.rounds()) << g.program.ToString();
+  EXPECT_EQ(wfs_ctx.total_charges(), strat_ctx.total_charges())
+      << g.program.ToString();
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StratifiedProgramProperty,
                          ::testing::Range<uint64_t>(1, 21));
 
@@ -426,8 +532,78 @@ TEST_P(GeneralProgramProperty, Prop52StepIndexMatchesInflationary) {
   }
 }
 
+TEST_P(GeneralProgramProperty, WfsMatchesGlobalAlternation) {
+  Generated g = GenerateProgram(GetParam(), GenOptions{});
+  ExpectWalkMatchesGlobalAlternation(g.program, g.edb);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneralProgramProperty,
                          ::testing::Range<uint64_t>(1, 16));
+
+// Wider random programs (six IDB predicates) split into more
+// components, so 2- and 3-valued lower results feed positive, negated
+// and alternating upper components in many combinations.
+class ComponentWalkProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ComponentWalkProperty, WfsMatchesGlobalAlternation) {
+  GenOptions opts;
+  opts.n_idb = 6;
+  Generated g = GenerateProgram(GetParam() * 2654435761u + 3, opts);
+  ExpectWalkMatchesGlobalAlternation(g.program, g.edb);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ComponentWalkProperty,
+                         ::testing::Range<uint64_t>(1, 101));
+
+TEST(WellFoundedComponentTest, ThreeValuedLowerComponentFeedsUpperOnes) {
+  const Program program = ComponentsProgram();
+  const Database db = ComponentsDb();
+  ExpectWalkMatchesGlobalAlternation(program, db);
+  auto model = datalog::EvalWellFounded(program, db);
+  ASSERT_TRUE(model.ok()) << model.status();
+  // The drawn cycles leave facts undefined in every component.
+  const datalog::Interpretation undefined = model->UndefinedFacts();
+  for (const char* pred : {"win", "reach", "safe", "pick", "skip"}) {
+    EXPECT_GT(undefined.Extent(pred).size(), 0u) << pred;
+  }
+  using datalog::Truth;
+  EXPECT_EQ(model->QueryFact("reach", Value::Tuple({Value::Int(4)})),
+            Truth::kTrue);
+  EXPECT_EQ(model->QueryFact("safe", Value::Tuple({Value::Int(7)})),
+            Truth::kTrue);
+  EXPECT_EQ(model->QueryFact("pick", Value::Tuple({Value::Int(7)})),
+            Truth::kFalse);
+  EXPECT_EQ(model->QueryFact("skip", Value::Tuple({Value::Int(7)})),
+            Truth::kTrue);
+}
+
+// A WIN–MOVE game's IDB is one component on a negative cycle, so the
+// walk alternates exactly as the global loop does: same model, rounds
+// and charges.
+TEST(WellFoundedComponentTest, SingleComponentGameAlternatesLikeGlobalLoop) {
+  const Program game =
+      *datalog::ParseProgram("win(X) :- move(X, Y), not win(Y).");
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Lcg rng(seed);
+    Database db;
+    for (int i = 0; i < 14; ++i) {
+      db.AddFact("move", {Value::Int(static_cast<int64_t>(rng.Below(10))),
+                          Value::Int(static_cast<int64_t>(rng.Below(10)))});
+    }
+    ExecutionContext oracle_ctx(EvalLimits::Large());
+    auto oracle = GlobalAlternation(game, db, &oracle_ctx);
+    ExecutionContext walk_ctx(EvalLimits::Large());
+    datalog::EvalOptions o;
+    o.context = &walk_ctx;
+    auto walk = datalog::EvalWellFounded(game, db, o);
+    ASSERT_TRUE(oracle.ok() && walk.ok()) << "seed " << seed;
+    EXPECT_EQ(RenderThreeValued(*walk), RenderThreeValued(*oracle))
+        << "seed " << seed;
+    EXPECT_EQ(walk_ctx.rounds(), oracle_ctx.rounds()) << "seed " << seed;
+    EXPECT_EQ(walk_ctx.total_charges(), oracle_ctx.total_charges())
+        << "seed " << seed;
+  }
+}
 
 class MagicProperty : public ::testing::TestWithParam<uint64_t> {};
 
@@ -581,6 +757,8 @@ std::vector<GovernedEngine> GovernedEngines() {
   game_db.AddFact("move", {Value::Int(2), Value::Int(3)});
   game_db.AddFact("move", {Value::Int(3), Value::Int(4)});
   game_db.AddFact("move", {Value::Int(4), Value::Int(3)});
+  const Program components = ComponentsProgram();
+  const Database components_db = ComponentsDb();
 
   std::vector<GovernedEngine> out;
   out.push_back({"least-model(seminaive)",
@@ -608,6 +786,13 @@ std::vector<GovernedEngine> GovernedEngines() {
                  [=](ExecutionContext* ctx, datalog::EvalOptions o) {
                    o.context = ctx;
                    return datalog::EvalWellFounded(game, game_db, o).status();
+                 }});
+  out.push_back({"well-founded(components)",
+                 [=](ExecutionContext* ctx, datalog::EvalOptions o) {
+                   o.context = ctx;
+                   return datalog::EvalWellFounded(components,
+                                                   components_db, o)
+                       .status();
                  }});
   out.push_back({"grounding",
                  [=](ExecutionContext* ctx, datalog::EvalOptions o) {
@@ -773,7 +958,7 @@ std::vector<std::vector<GovernedEngine>> SessionEngines() {
   return out;
 }
 
-TEST(ParallelGovernance, PreCancelledAndExpiredDeadlineParity) {
+TEST(ConcurrentSessionGovernance, PreCancelledAndExpiredDeadlineParity) {
   const auto engines = SessionEngines();
   RunSessions([&](size_t s) {
     for (const GovernedEngine& engine : engines[s]) {
@@ -797,7 +982,7 @@ TEST(ParallelGovernance, PreCancelledAndExpiredDeadlineParity) {
 
 // Total charges of each engine's uninterrupted run: alone, then in each
 // of kSessions concurrent sessions.
-TEST(ParallelGovernance, ChargeCountsIdenticalAcrossThreadCounts) {
+TEST(ConcurrentSessionGovernance, ChargeCountsIdenticalAcrossThreadCounts) {
   std::vector<size_t> alone;
   for (const GovernedEngine& engine : GovernedEngines()) {
     ExecutionContext ctx(EvalLimits::Default());
@@ -834,7 +1019,7 @@ std::vector<Status> FaultSweep(const GovernedEngine& engine,
   return out;
 }
 
-TEST(ParallelGovernance, FaultSweepStatusesIdenticalAcrossThreadCounts) {
+TEST(ConcurrentSessionGovernance, FaultSweepStatusesIdenticalAcrossThreadCounts) {
   const std::vector<GovernedEngine> oracle_engines = GovernedEngines();
   std::vector<std::vector<size_t>> trips;
   std::vector<std::vector<Status>> alone;
@@ -957,11 +1142,6 @@ std::string RenderInterp(const datalog::Interpretation& interp) {
   return interp.ToString();
 }
 
-std::string RenderThreeValued(const datalog::ThreeValuedInterp& tv) {
-  return "certain:\n" + tv.certain.ToString() + "possible:\n" +
-         tv.possible.ToString();
-}
-
 std::vector<CpEngine> CrashPointEngines() {
   auto tc = *datalog::ParseProgram(R"(
     tc(X, Y) :- edge(X, Y).
@@ -985,6 +1165,8 @@ std::vector<CpEngine> CrashPointEngines() {
   game_db.AddFact("move", {Value::Int(2), Value::Int(3)});
   game_db.AddFact("move", {Value::Int(3), Value::Int(4)});
   game_db.AddFact("move", {Value::Int(4), Value::Int(3)});
+  const Program components = ComponentsProgram();
+  const Database components_db = ComponentsDb();
 
   std::vector<CpEngine> out;
   out.push_back(
@@ -1056,6 +1238,23 @@ std::vector<CpEngine> CrashPointEngines() {
            datalog::EvalOptions o) -> Result<std::string> {
          AWR_ASSIGN_OR_RETURN(
              auto m, snapshot::ResumeWellFounded(game, game_db, s, o));
+         return RenderThreeValued(m);
+       }});
+  // Every step of the component walk: the game alternates over EDB, a
+  // positive and a negated component each take two least models over
+  // its 3-valued result, and a second negative cycle alternates on top.
+  out.push_back(
+      {"well-founded(components)",
+       [=](ExecutionContext* ctx, datalog::EvalOptions o) -> Result<std::string> {
+         o.context = ctx;
+         AWR_ASSIGN_OR_RETURN(
+             auto m, datalog::EvalWellFounded(components, components_db, o));
+         return RenderThreeValued(m);
+       },
+       [=](const snapshot::EvalSnapshot& s,
+           datalog::EvalOptions o) -> Result<std::string> {
+         AWR_ASSIGN_OR_RETURN(auto m, snapshot::ResumeWellFounded(
+                                          components, components_db, s, o));
          return RenderThreeValued(m);
        }});
   return out;
@@ -1155,9 +1354,48 @@ void RunCrashPointSweep(bool concurrent) {
   }
 }
 
+// The walk over ComponentsProgram has four steps (win, reach, safe,
+// pick/skip); a crash can land in each, and in each iterate of each.
+TEST(CrashPointRecovery, ComponentWalkCapturesEveryStep) {
+  const Program program = ComponentsProgram();
+  const Database db = ComponentsDb();
+  ExecutionContext oracle_ctx(EvalLimits::Default());
+  datalog::EvalOptions oracle_opts;
+  oracle_opts.context = &oracle_ctx;
+  ASSERT_TRUE(datalog::EvalWellFounded(program, db, oracle_opts).ok());
+  std::set<std::pair<uint64_t, uint64_t>> positions;  // (component, k)
+  for (size_t k = 1; k <= oracle_ctx.total_charges(); ++k) {
+    FaultInjector injector;
+    injector.TripAt(k, Status::Internal("injected fault"));
+    ExecutionContext ctx(EvalLimits::Default());
+    ctx.set_fault_injector(&injector);
+    snapshot::CheckpointSink sink;
+    datalog::EvalOptions opts;
+    opts.context = &ctx;
+    opts.checkpoint.sink = &sink;
+    opts.checkpoint.every_n_rounds = 0;
+    ASSERT_FALSE(datalog::EvalWellFounded(program, db, opts).ok());
+    ASSERT_TRUE(sink.latest.has_value());
+    positions.emplace(sink.latest->component, sink.latest->outer_index);
+  }
+  std::set<uint64_t> components;
+  for (const auto& [component, k] : positions) components.insert(component);
+  EXPECT_EQ(components, (std::set<uint64_t>{0, 1, 2, 3}));
+  // Both iterates of the two non-alternating steps over a 3-valued
+  // lower result, and more than two of each alternating step.
+  for (uint64_t component : {1, 2}) {
+    EXPECT_TRUE(positions.count({component, 0})) << component;
+    EXPECT_TRUE(positions.count({component, 1})) << component;
+    EXPECT_FALSE(positions.count({component, 2})) << component;
+  }
+  for (uint64_t component : {0, 3}) {
+    EXPECT_TRUE(positions.count({component, 2})) << component;
+  }
+}
+
 TEST(CrashPointRecovery, SweepSequential) { RunCrashPointSweep(false); }
 
-TEST(CrashPointRecovery, SweepFourThreads) { RunCrashPointSweep(true); }
+TEST(CrashPointRecovery, SweepConcurrentSessions) { RunCrashPointSweep(true); }
 
 // ----------------------------------------------------------------------
 // Interned-vs-legacy value representation differential oracle
@@ -1339,7 +1577,7 @@ TEST(InternVsLegacyGovernance, FaultTripStatusesIdenticalBothReprs) {
 }
 
 // On-interrupt snapshots serialize to the exact same bytes in both
-// representations (format v1 stores structure, never pointers), and a
+// representations (the format stores structure, never pointers), and a
 // snapshot captured under one representation resumes under the other —
 // crash under legacy, resume interned, and vice versa.
 TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {

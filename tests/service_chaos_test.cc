@@ -171,9 +171,18 @@ void RunWorker(const std::string& socket_path, uint64_t trace_seed, int worker,
     // mid-trace server restart the loop sees kUnavailable transport
     // failures and reconnects; `stop_retrying` is never set while
     // requests remain, so every request reaches a terminal outcome.
+    // It carries no deadline, so a kDeadlineExceeded reply is not its
+    // own outcome: the submit joined a hurried attempt of the same id
+    // that was still in flight — after a restart, recovery reruns the
+    // hurried journal entry with its 1–3 ms deadline.  Joining leaves
+    // that entry in the journal, so a later fetch would rerun it too;
+    // the attempt retries until it runs (and journals) itself.
     for (int round = 0; round < 50; ++round) {
       auto res = client.SubmitWithRetry(req, policy);
-      if (res.ok() && !StatusCodeIsRetryable(res->code)) break;
+      if (res.ok() && !StatusCodeIsRetryable(res->code) &&
+          res->code != StatusCode::kDeadlineExceeded) {
+        break;
+      }
       if (stop_retrying->load()) break;
       ++outcome->transients;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));

@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include "awr/datalog/parser.h"
 #include "awr/service/admission.h"
 #include "awr/service/client.h"
 #include "awr/service/executor.h"
@@ -25,6 +26,11 @@
 #include "awr/service/store.h"
 #include "awr/service/wire.h"
 #include "awr/snapshot/state.h"
+#include "awr/storage/fs.h"
+
+#ifndef AWR_TEST_DATA_DIR
+#define AWR_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace awr::service {
 namespace {
@@ -775,6 +781,61 @@ TEST(QueryServiceTest, StartupScrubCleansStaleTempsAndQuarantinesCorruption) {
   EXPECT_EQ(res.code, StatusCode::kOk) << res.message;
   ResultRecord broken = service.Fetch(FetchRequest{"broken", true});
   EXPECT_EQ(broken.code, StatusCode::kNotFound) << broken.message;
+  service.BeginDrain();
+  service.WaitDrained();
+}
+
+// A checkpoint written by a build with snapshot format version 1 (the
+// committed v1_wellfounded.snap, taken mid-alternation on this WIN–MOVE
+// request) no longer decodes: the startup scrub quarantines it, and
+// recovery reruns the journaled request from round 0 to the oracle's
+// model and charge total.
+TEST(QueryServiceTest, StartupQuarantinesVersionOneSnapshotAndRerunsFresh) {
+  ScratchDir scratch("v1snap");
+  SubmitRequest req;
+  req.id = "game";
+  req.semantics = Semantics::kWellFounded;
+  req.program = "win(X) :- move(X, Y), not win(Y).\n";
+  req.edb = "move(1,2).\nmove(2,3).\nmove(3,4).\nmove(4,3).\n";
+  const ResultRecord oracle = ExecuteRequest(req, nullptr, ExecOptions{});
+  ASSERT_EQ(oracle.code, StatusCode::kOk) << oracle.message;
+
+  auto read =
+      storage::DefaultFs()->ReadFile(AWR_TEST_DATA_DIR "/v1_wellfounded.snap");
+  ASSERT_TRUE(read.ok()) << read.status();
+  const std::vector<uint8_t>& v1 = *read;
+  // The frame belongs to this request: a version-1 build would have
+  // resumed from it (fingerprints at bytes 14 and 22, little-endian).
+  auto u64_at = [&v1](size_t offset) {
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) v = (v << 8) | v1.at(offset + i);
+    return v;
+  };
+  EXPECT_EQ(u64_at(14), snapshot::ProgramFingerprint(
+                            *datalog::ParseProgram(req.program)));
+  EXPECT_EQ(u64_at(22),
+            snapshot::DatabaseFingerprint(*datalog::ParseFacts(req.edb)));
+  {
+    RequestStore store(scratch.path());
+    ASSERT_TRUE(store.WriteRequest(req).ok());
+    ASSERT_TRUE(AtomicWriteFile(scratch.path() + "/game.snap", v1).ok());
+  }
+
+  ServiceConfig config;
+  config.state_dir = scratch.path();
+  config.recover_on_start = true;
+  QueryService service(config);
+  ASSERT_NE(service.store(), nullptr);
+  EXPECT_EQ(service.store()->scrub_quarantined(), 1u);
+  EXPECT_EQ(::access((service.store()->QuarantineDir() + "/game.snap").c_str(),
+                     F_OK),
+            0);
+
+  ResultRecord res = service.Fetch(FetchRequest{"game", true});
+  ASSERT_EQ(res.code, StatusCode::kOk) << res.message;
+  EXPECT_FALSE(res.resumed);
+  EXPECT_EQ(res.model, oracle.model);
+  EXPECT_EQ(res.charges, oracle.charges);
   service.BeginDrain();
   service.WaitDrained();
 }

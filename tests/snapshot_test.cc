@@ -29,6 +29,7 @@
 #include "awr/snapshot/resume.h"
 #include "awr/snapshot/snapshot.h"
 #include "awr/snapshot/state.h"
+#include "awr/storage/fs.h"
 #include "awr/value/value_codec.h"
 
 #ifndef AWR_TEST_DATA_DIR
@@ -438,7 +439,7 @@ TEST(SnapshotResumeTest, RejectsMismatchedProgramAndDatabase) {
 }
 
 // ----------------------------------------------------------------------
-// Golden files: the committed bytes in tests/data/ pin format v1.
+// Golden files: the committed bytes in tests/data/ pin format v2.
 // Each golden is the on-interrupt snapshot of a fixed (engine,
 // workload, crash charge) triple; the workloads use int constants only,
 // so the capture — and therefore the bytes — is deterministic across
@@ -584,6 +585,33 @@ TEST(SnapshotGoldenTest, CommittedBytesStayValidAndResumable) {
     // And the golden still resumes to the uninterrupted model.
     EXPECT_EQ(gc.resume(*loaded), gc.oracle());
   }
+}
+
+// Version 1 frames predate the component field: v1_wellfounded.snap is
+// the version-1 golden_wellfounded.snap, an intact WIN–MOVE frame taken
+// in the second alternation step.  It must fail with the version error
+// rather than decode into a frame that resumes the wrong position.
+TEST(SnapshotGoldenTest, VersionOneWellFoundedFrameIsRejected) {
+  const std::string path =
+      std::string(AWR_TEST_DATA_DIR) + "/v1_wellfounded.snap";
+  auto read = storage::DefaultFs()->ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  const std::vector<uint8_t>& bytes = *read;
+  ASSERT_GT(bytes.size(), kFlagsOffset);
+  // An intact frame: checksum valid, version 1, the well-founded engine.
+  ByteReader trailer(bytes.data() + bytes.size() - 8, 8);
+  uint64_t stored_sum = 0;
+  ASSERT_TRUE(trailer.U64(&stored_sum).ok());
+  EXPECT_EQ(stored_sum, Fnv1a(bytes.data(), bytes.size() - 8));
+  EXPECT_EQ(bytes[kVersionOffset], 1);
+  EXPECT_EQ(bytes[kEngineOffset],
+            static_cast<uint8_t>(EngineKind::kWellFounded));
+
+  Status st = snapshot::Deserialize(bytes).status();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.message().find("unsupported format version 1"),
+            std::string::npos)
+      << st;
 }
 
 }  // namespace
