@@ -86,6 +86,20 @@ class ValidAlgebraResult {
 /// T_{k+1} = lfp of the lower components over upper = U_{k+1};
 /// repeated to convergence.  T grows, U shrinks, T ⊆ U.
 ///
+/// A *positive* system — every constant occurs positively in every body
+/// (SystemIsPositive) and every IFP's variable occurs positively
+/// (AllIfpsPositive) — is monotone, so by Prop 3.4 its valid model is
+/// its least fixpoint and 2-valued: it is computed by one least fixpoint
+/// over single sets, charged at "valid-eval(lfp)", and does not
+/// alternate.  A positive system with a non-positive IFP still
+/// alternates.
+///
+/// Both bounds evaluate products as eval.h does: `σ_p(A × B)` as a hash
+/// equi-join and `A − (B × C)` as a membership filter (join.h), the
+/// latter per bound as lower(A) − (upper(B) × upper(C)) and upper(A) −
+/// (lower(B) × lower(C)).  Each `×` is charged at "valid-eval ×" with
+/// |upper(A)|·|upper(B)| as if it were built.
+///
 /// Results: `S = {0} ∪ MAP₊₂(S)` (Example 3, over a bounded universe)
 /// is 2-valued; `S = {a} − S` (§3.2) leaves a undefined; WIN–MOVE is
 /// 2-valued iff the game has no drawn positions.
@@ -95,6 +109,8 @@ Result<ValidAlgebraResult> EvalAlgebraValid(const AlgebraProgram& program,
 
 /// Evaluates `query` (which may reference the program's recursive
 /// constants and call its definitions) under the program's valid model.
+/// The model and the query are charged to one context, so the whole
+/// call stays within `opts.limits` (or `opts.context`).
 Result<ThreeValuedSet> EvalQueryValid(const AlgebraExpr& query,
                                       const AlgebraProgram& program,
                                       const SetDb& db,

@@ -1,10 +1,14 @@
-// Tests for the algebra: FnExpr, expression evaluation, IFP,
+// Tests for the algebra: FnExpr, expression evaluation, IFP, joins,
 // definitions/inlining, positivity analysis.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "awr/algebra/eval.h"
+#include "awr/algebra/join.h"
 #include "awr/algebra/positivity.h"
 #include "awr/algebra/program.h"
+#include "awr/common/intern.h"
 
 namespace awr::algebra {
 namespace {
@@ -238,6 +242,265 @@ TEST(AlgebraEvalTest, RecursiveConstantRejectedByTwoValuedEval) {
   prog.DefineConstant("S", E::Diff(E::Singleton(AV("a")), E::Relation("S")));
   auto r = EvalAlgebra(E::Relation("S"), prog, SetDb{});
   EXPECT_TRUE(r.status().IsFailedPrecondition()) << r.status();
+}
+
+TEST(AlgebraEvalTest, JoinedProductIsStillChargedInFull) {
+  // σ_{x.0.1 = x.1.0}(E × E) over a 100-edge path joins to 99 pairs,
+  // but the × is charged with the 10,000 pairs it denotes, which is
+  // past the Tiny budget's 4,096 facts.
+  SetDb db;
+  std::vector<std::pair<Value, Value>> path;
+  for (int64_t i = 0; i < 100; ++i) path.emplace_back(IV(i), IV(i + 1));
+  db.DefinePairs("E", path);
+  FnExpr match = FnExpr::Eq(FnExpr::Get(fn::Proj(0), 1),
+                            FnExpr::Get(fn::Proj(1), 0));
+  E join = E::Select(match, E::Product(E::Relation("E"), E::Relation("E")));
+  auto joined = EvalAlgebra(join, db);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ(joined->size(), 99u);
+
+  AlgebraEvalOptions opts;
+  opts.limits = EvalLimits::Tiny();
+  auto r = EvalAlgebra(join, db, opts);
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status();
+  EXPECT_EQ(r.status().message(), "algebra ×: exceeded max_facts=4096");
+}
+
+// ---------------------------------------------------------------------
+// Joins (join.h) against a reference that builds the product and then
+// filters it.
+
+Result<ValueSet> ReferenceSelectProduct(const FnExpr& test, const ValueSet& a,
+                                        const ValueSet& b) {
+  ValueSet product;
+  for (const Value& x : a) {
+    for (const Value& y : b) product.Insert(Value::Pair(x, y));
+  }
+  ValueSet out;
+  for (const Value& v : product) {
+    AWR_ASSIGN_OR_RETURN(bool keep,
+                         test.EvalTest(v, FunctionRegistry::Default()));
+    if (keep) out.Insert(v);
+  }
+  return out;
+}
+
+void ExpectJoinMatchesReference(const FnExpr& test, const ValueSet& a,
+                                const ValueSet& b, const std::string& what) {
+  auto want = ReferenceSelectProduct(test, a, b);
+  auto got = SelectProduct(test, EquiJoinKeys(test), a, b,
+                           FunctionRegistry::Default());
+  ASSERT_EQ(got.status().code(), want.status().code())
+      << what << "\ngot:  " << got.status() << "\nwant: " << want.status();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().message(), want.status().message()) << what;
+    return;
+  }
+  EXPECT_EQ(*got, *want) << what << "\ngot:  " << got->ToString()
+                         << "\nwant: " << want->ToString();
+}
+
+// x.side.i.j...: a projection path below one side of the pair.
+FnExpr Path(size_t side, std::vector<size_t> path) {
+  FnExpr e = fn::Proj(side);
+  for (size_t i : path) e = FnExpr::Get(std::move(e), i);
+  return e;
+}
+
+FnExpr KeyEq(std::vector<size_t> left, std::vector<size_t> right) {
+  return FnExpr::Eq(Path(0, std::move(left)), Path(1, std::move(right)));
+}
+
+class JoinGen {
+ public:
+  explicit JoinGen(uint64_t seed) : rng_(seed) {}
+
+  size_t Below(size_t n) { return rng_() % n; }
+
+  Value Scalar() {
+    switch (Below(5)) {
+      case 0:
+        return AV("a");
+      default:
+        return IV(static_cast<int64_t>(Below(3)));
+    }
+  }
+
+  // <s, s, <s, s>>: every key path of the tests below exists.
+  Value WellFormed() {
+    return Value::Tuple({Scalar(), Scalar(), Value::Pair(Scalar(), Scalar())});
+  }
+
+  // A non-tuple, a short tuple, or a tuple whose third component is a
+  // scalar: some key path fails on it.
+  Value Malformed() {
+    switch (Below(4)) {
+      case 0:
+        return Scalar();
+      case 1:
+        return Value::Set({Scalar(), Scalar()});
+      case 2:
+        return Value::Tuple({Scalar()});
+      default:
+        return Value::Tuple({Scalar(), Scalar(), Scalar()});
+    }
+  }
+
+  ValueSet Set(size_t max_size, int malformed_percent) {
+    ValueSet out;
+    const size_t n = Below(max_size + 1);
+    for (size_t i = 0; i < n; ++i) {
+      out.Insert(Below(100) < static_cast<size_t>(malformed_percent)
+                     ? Malformed()
+                     : WellFormed());
+    }
+    return out;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+struct JoinCase {
+  const char* name;
+  FnExpr test;
+  size_t keys;
+};
+
+std::vector<JoinCase> JoinCases() {
+  const FnExpr x00 = Path(0, {0});
+  const FnExpr x11 = Path(1, {1});
+  return {
+      {"one key", KeyEq({0}, {1}), 1},
+      {"two keys, the second written right = left",
+       FnExpr::And(KeyEq({0}, {0}), FnExpr::Eq(Path(1, {1}), Path(0, {1}))),
+       2},
+      {"three keys with nested paths",
+       FnExpr::And(FnExpr::And(KeyEq({0}, {0}), KeyEq({2, 0}, {2, 1})),
+                   KeyEq({1}, {1})),
+       3},
+      {"key then residual",
+       FnExpr::And(KeyEq({1}, {0}), FnExpr::Ne(x00, Path(1, {2, 0}))), 1},
+      {"keys nested on the right of and",
+       FnExpr::And(KeyEq({0}, {0}),
+                   FnExpr::And(KeyEq({1}, {1}),
+                               FnExpr::Lt(Path(0, {2, 1}), Path(1, {2, 1})))),
+       2},
+      {"swapped sides", FnExpr::Eq(Path(1, {0}), Path(0, {2, 1})), 1},
+      {"whole side against a component",
+       FnExpr::Eq(Path(0, {}), Path(1, {2})), 1},
+      {"non-key leading conjunct",
+       FnExpr::And(FnExpr::Ne(x00, Path(1, {0})), KeyEq({1}, {1})), 0},
+      {"leading equality within one side",
+       FnExpr::And(FnExpr::Eq(x00, Path(0, {1})), KeyEq({1}, {1})), 0},
+      {"residual failing on some candidates",
+       FnExpr::And(KeyEq({0}, {0}),
+                   FnExpr::Eq(FnExpr::Apply("add", {Path(0, {1}),
+                                                    FnExpr::Cst(IV(1))}),
+                              x11)),
+       1},
+      {"residual that is not boolean on some candidates",
+       FnExpr::And(KeyEq({0}, {0}),
+                   FnExpr::If(FnExpr::Eq(x11, FnExpr::Cst(IV(1))),
+                              FnExpr::Cst(IV(5)),
+                              FnExpr::Cst(Value::Boolean(true)))),
+       1},
+  };
+}
+
+TEST(AlgebraJoinTest, KeysAreTheLeadingCrossSideEqualities) {
+  for (const JoinCase& c : JoinCases()) {
+    JoinKeys keys = EquiJoinKeys(c.test);
+    EXPECT_EQ(keys.left.size(), c.keys) << c.name;
+    EXPECT_EQ(keys.right.size(), c.keys) << c.name;
+  }
+  JoinKeys keys = EquiJoinKeys(FnExpr::Eq(Path(1, {0}), Path(0, {2, 1})));
+  EXPECT_EQ(keys.left, (std::vector<std::vector<size_t>>{{2, 1}}));
+  EXPECT_EQ(keys.right, (std::vector<std::vector<size_t>>{{0}}));
+  // Get(Arg, 2) is no side of a pair, and a constant is no path.
+  EXPECT_TRUE(EquiJoinKeys(FnExpr::Eq(fn::Proj(2), fn::Proj(1))).empty());
+  EXPECT_TRUE(
+      EquiJoinKeys(FnExpr::Eq(fn::Proj(0), FnExpr::Cst(IV(1)))).empty());
+}
+
+TEST(AlgebraJoinTest, WellFormedSetsMatchProductFilter) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    JoinGen gen(seed);
+    ValueSet a = gen.Set(30, 0);
+    ValueSet b = gen.Set(30, 0);
+    for (const JoinCase& c : JoinCases()) {
+      ExpectJoinMatchesReference(c.test, a, b,
+                                 std::string(c.name) + ", seed " +
+                                     std::to_string(seed));
+      ExpectJoinMatchesReference(c.test, b, a,
+                                 std::string(c.name) + ", sides swapped, seed " +
+                                     std::to_string(seed));
+    }
+  }
+}
+
+TEST(AlgebraJoinTest, MalformedElementsMatchProductFilterStatuses) {
+  // Sets mixing non-tuples and short tuples into the well-formed ones:
+  // where a key cannot be read the join falls back to the product, so
+  // statuses and messages are the reference's byte for byte.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    JoinGen gen(seed * 7919);
+    ValueSet a = gen.Set(12, seed % 3 == 0 ? 0 : 15);
+    ValueSet b = gen.Set(12, 15);
+    for (const JoinCase& c : JoinCases()) {
+      ExpectJoinMatchesReference(c.test, a, b,
+                                 std::string(c.name) + ", seed " +
+                                     std::to_string(seed));
+    }
+  }
+}
+
+TEST(AlgebraJoinTest, CompareEqualKeysBuiltDifferently) {
+  // The left side's keys are interned tuples, the right side's are built
+  // while structural interning is off: equal under Compare, different
+  // representations.  The index must still match them.
+  const bool saved = StructuralInterningEnabled();
+  SetStructuralInterningForTesting(true);
+  ValueSet a;
+  for (int64_t i = 0; i < 4; ++i) {
+    a.Insert(Value::Pair(Value::Pair(IV(i), AV("k")), IV(i)));
+  }
+  SetStructuralInterningForTesting(false);
+  ValueSet b;
+  for (int64_t i = 0; i < 4; ++i) {
+    b.Insert(Value::Pair(IV(10 * i), Value::Pair(IV(i), AV("k"))));
+  }
+  const Value fresh = Value::Pair(IV(2), AV("k"));
+  SetStructuralInterningForTesting(saved);
+
+  const FnExpr test = KeyEq({0}, {1});
+  auto got = SelectProduct(test, EquiJoinKeys(test), a, b,
+                           FunctionRegistry::Default());
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->size(), 4u);
+  EXPECT_TRUE(got->Contains(Value::Pair(Value::Pair(fresh, IV(2)),
+                                        Value::Pair(IV(20), fresh))));
+  ExpectJoinMatchesReference(test, a, b, "interned against fresh keys");
+}
+
+TEST(AlgebraJoinTest, DiffProductMatchesMaterialisedDifference) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    JoinGen gen(seed * 104729);
+    ValueSet b, c, a = gen.Set(20, 30);
+    for (size_t i = 0; i < 6; ++i) {
+      b.Insert(gen.Scalar());
+      c.Insert(gen.Below(2) == 0 ? gen.Scalar() : gen.WellFormed());
+    }
+    // Pairs over B × C, some of them also in A.
+    for (size_t i = 0; i < 10; ++i) {
+      Value x = gen.Below(3) == 0 ? gen.Scalar() : *b.begin();
+      Value y = gen.Below(3) == 0 ? gen.WellFormed() : *c.begin();
+      a.Insert(Value::Pair(x, y));
+    }
+    EXPECT_EQ(DiffProduct(a, b, c), SetDifference(a, SetProduct(b, c)))
+        << "seed " << seed;
+    EXPECT_EQ(DiffProduct(a, ValueSet{}, c), a) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -205,6 +205,112 @@ TEST(ValidEvalTest, DbExtentUnionsIntoSameNamedConstant) {
   EXPECT_EQ(model->Get("S").lower, (ValueSet{IV(1)}));
 }
 
+// Work counts, read from the context the evaluation charged.
+struct Work {
+  size_t rounds;
+  size_t charges;
+};
+
+Work CountWork(const AlgebraProgram& prog, const SetDb& db) {
+  ExecutionContext ctx(EvalLimits::Default());
+  AlgebraEvalOptions opts;
+  opts.context = &ctx;
+  auto model = EvalAlgebraValid(prog, db, opts);
+  EXPECT_TRUE(model.ok()) << model.status();
+  return Work{ctx.rounds(), ctx.total_charges()};
+}
+
+TEST(ValidEvalTest, WinMoveWorkIsThatOfTheMaterialisingEvaluator) {
+  // WIN–MOVE is not positive, so it alternates; the joins charge each
+  // `×` exactly as building it did.  These are the counts the
+  // evaluator had when it built every product.
+  const Work work = CountWork(
+      WinMoveProgram(),
+      MoveDb({{"a", "b"}, {"b", "c"}, {"c", "d"}, {"e", "f"}, {"f", "e"},
+              {"f", "a"}}));
+  EXPECT_EQ(work.rounds, 15u);
+  EXPECT_EQ(work.charges, 33u);
+}
+
+TEST(ValidEvalTest, PositiveTcRunsOneLeastFixpoint) {
+  // TC = E ∪ MAP_{<x.0.0, x.1.1>}(σ_{x.0.1 = x.1.0}(E × TC)) over the
+  // path 0 → 1 → 2 → 3 → 4 is positive, so it is one least fixpoint.
+  // Round k adds the paths of length k (4, 3, 2, 1 of them) and round 5
+  // adds none: 5 rounds.  Each round charges its round and one `×`, and
+  // the four rounds that add charge their facts: 5 + 5 + 4 = 14.  The
+  // alternation computed this fixpoint four times, plus two alternation
+  // rounds: 22 rounds and 2 + 4 · 14 = 58 charges.
+  AlgebraProgram prog;
+  prog.DefineConstant(
+      "TC",
+      E::Union(E::Relation("E"),
+               E::Map(FnExpr::MkTuple({FnExpr::Get(fn::Proj(0), 0),
+                                       FnExpr::Get(fn::Proj(1), 1)}),
+                      E::Select(FnExpr::Eq(FnExpr::Get(fn::Proj(0), 1),
+                                           FnExpr::Get(fn::Proj(1), 0)),
+                                E::Product(E::Relation("E"),
+                                           E::Relation("TC"))))));
+  SetDb db;
+  db.DefinePairs("E", {{IV(0), IV(1)}, {IV(1), IV(2)}, {IV(2), IV(3)},
+                       {IV(3), IV(4)}});
+  auto model = EvalAlgebraValid(prog, db);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_TRUE(model->IsTwoValued());
+  EXPECT_EQ(model->Get("TC").lower.size(), 10u);
+  const Work work = CountWork(prog, db);
+  EXPECT_EQ(work.rounds, 5u);
+  EXPECT_EQ(work.charges, 14u);
+}
+
+TEST(ValidEvalTest, JoinedProductIsStillChargedInFull) {
+  // P = σ_{x.0.1 = x.1.0}(E × E) over a 100-edge path: the join yields
+  // 99 pairs, but the `×` is charged with the 10,000 it denotes.
+  SetDb db;
+  std::vector<std::pair<Value, Value>> path;
+  for (int64_t i = 0; i < 100; ++i) path.emplace_back(IV(i), IV(i + 1));
+  db.DefinePairs("E", path);
+  AlgebraProgram prog;
+  prog.DefineConstant(
+      "P", E::Select(FnExpr::Eq(FnExpr::Get(fn::Proj(0), 1),
+                                FnExpr::Get(fn::Proj(1), 0)),
+                     E::Product(E::Relation("E"), E::Relation("E"))));
+  auto model = EvalAlgebraValid(prog, db);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->Get("P").lower.size(), 99u);
+
+  AlgebraEvalOptions opts;
+  opts.limits = EvalLimits::Tiny();
+  auto tiny = EvalAlgebraValid(prog, db, opts);
+  EXPECT_TRUE(tiny.status().IsResourceExhausted()) << tiny.status();
+  EXPECT_EQ(tiny.status().message(), "valid-eval ×: exceeded max_facts=4096");
+}
+
+TEST(ValidEvalTest, QueryAndModelShareOneBudget) {
+  // S = σ_{x≤20}({0} ∪ MAP₊₂(S)) takes `model_rounds` rounds; the query
+  // IFP(S) takes two more.  One round short of that, the query trips.
+  AlgebraProgram prog;
+  prog.DefineConstant(
+      "S", E::Select(FnExpr::Le(FnExpr::Arg(), FnExpr::Cst(IV(20))),
+                     E::Union(E::Singleton(IV(0)),
+                              E::Map(fn::AddConst(2), E::Relation("S")))));
+  const size_t model_rounds = CountWork(prog, SetDb{}).rounds;
+  const E query = E::Ifp(E::Relation("S"));
+
+  AlgebraEvalOptions opts;
+  opts.limits.max_rounds = model_rounds + 1;
+  auto short_budget = EvalQueryValid(query, prog, SetDb{}, opts);
+  EXPECT_TRUE(short_budget.status().IsResourceExhausted())
+      << short_budget.status();
+  EXPECT_EQ(short_budget.status().message(),
+            "valid-eval IFP: exceeded max_rounds=" +
+                std::to_string(model_rounds + 1));
+
+  opts.limits.max_rounds = model_rounds + 2;
+  auto enough = EvalQueryValid(query, prog, SetDb{}, opts);
+  ASSERT_TRUE(enough.ok()) << enough.status();
+  EXPECT_EQ(enough->lower.size(), 11u);
+}
+
 // Prop 3.4: for monotone (syntactically positive) bodies, the declared
 // fixpoint S = exp(S) and IFP_exp agree — swept over several bodies.
 struct MonotoneCase {

@@ -30,6 +30,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -37,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "awr/algebra/positivity.h"
 #include "awr/algebra/valid_eval.h"
 #include "awr/common/context.h"
 #include "awr/common/intern.h"
@@ -272,6 +275,213 @@ Database ComponentsDb() {
 }
 
 // ----------------------------------------------------------------------
+// Global-alternation oracle for the algebra= valid evaluator.
+// EvalAlgebraValid joins instead of building products and solves a
+// positive system (every constant and every IFP variable occurring
+// positively) with one least fixpoint.  This reference is what it
+// replaced: a pair evaluator that builds every product, under the
+// alternating fixpoint over the whole system, U_{k+1} = lfp of the
+// upper bounds over T_k, T_{k+1} = lfp of the lower bounds over
+// U_{k+1}, until T repeats.  It charges the engine's sites in the
+// engine's order, so a system that still alternates must also agree on
+// rounds and charges.
+
+using AlgebraPairs = std::map<std::string, algebra::ThreeValuedSet>;
+
+class NaivePairEval {
+ public:
+  NaivePairEval(const algebra::SetDb& db, const AlgebraPairs& unknowns,
+                ExecutionContext* ctx)
+      : db_(db), unknowns_(unknowns), ctx_(ctx) {}
+
+  Result<algebra::ThreeValuedSet> Eval(const algebra::AlgebraExpr& e) {
+    using Kind = algebra::AlgebraExpr::Kind;
+    const auto& fns = algebra::FunctionRegistry::Default();
+    switch (e.kind()) {
+      case Kind::kRelation: {
+        auto it = unknowns_.find(e.name());
+        if (it != unknowns_.end()) return it->second;
+        return algebra::ThreeValuedSet{db_.Extent(e.name()),
+                                       db_.Extent(e.name())};
+      }
+      case Kind::kLiteralSet:
+        return algebra::ThreeValuedSet{e.literal(), e.literal()};
+      case Kind::kUnion:
+      case Kind::kDiff:
+      case Kind::kProduct: {
+        AWR_ASSIGN_OR_RETURN(auto l, Eval(e.children()[0]));
+        AWR_ASSIGN_OR_RETURN(auto r, Eval(e.children()[1]));
+        if (e.kind() == Kind::kUnion) {
+          return algebra::ThreeValuedSet{SetUnion(l.lower, r.lower),
+                                         SetUnion(l.upper, r.upper)};
+        }
+        if (e.kind() == Kind::kDiff) {
+          return algebra::ThreeValuedSet{SetDifference(l.lower, r.upper),
+                                         SetDifference(l.upper, r.lower)};
+        }
+        AWR_RETURN_IF_ERROR(ctx_->ChargeFacts(
+            l.upper.size() * r.upper.size(), "valid-eval ×"));
+        return algebra::ThreeValuedSet{SetProduct(l.lower, r.lower),
+                                       SetProduct(l.upper, r.upper)};
+      }
+      case Kind::kSelect:
+      case Kind::kMap: {
+        AWR_ASSIGN_OR_RETURN(auto sub, Eval(e.children()[0]));
+        algebra::ThreeValuedSet out;
+        for (auto [from, to] : {std::pair{&sub.upper, &out.upper},
+                                std::pair{&sub.lower, &out.lower}}) {
+          for (const Value& v : *from) {
+            if (e.kind() == Kind::kSelect) {
+              AWR_ASSIGN_OR_RETURN(bool keep, e.fn().EvalTest(v, fns));
+              if (keep) to->Insert(v);
+            } else {
+              AWR_ASSIGN_OR_RETURN(Value mapped, e.fn().Eval(v, fns));
+              to->Insert(mapped);
+            }
+          }
+        }
+        return out;
+      }
+      case Kind::kIfp: {
+        algebra::ThreeValuedSet acc;
+        for (;;) {
+          AWR_RETURN_IF_ERROR(ctx_->ChargeRound("valid-eval IFP"));
+          AWR_RETURN_IF_ERROR(ctx_->ChargeMemory(
+              acc.lower.approx_bytes() + acc.upper.approx_bytes(),
+              "valid-eval IFP"));
+          iters_.push_back(&acc);
+          auto step = Eval(e.children()[0]);
+          iters_.pop_back();
+          AWR_RETURN_IF_ERROR(step.status());
+          size_t added = acc.lower.InsertAll(step->lower) +
+                         acc.upper.InsertAll(step->upper);
+          if (added == 0) break;
+          AWR_RETURN_IF_ERROR(ctx_->ChargeFacts(added, "valid-eval IFP"));
+        }
+        return acc;
+      }
+      case Kind::kIterVar:
+        return *iters_[iters_.size() - 1 - e.index()];
+      default:
+        return Status::Internal("unexpected node " + e.ToString());
+    }
+  }
+
+ private:
+  const algebra::SetDb& db_;
+  const AlgebraPairs& unknowns_;
+  ExecutionContext* ctx_;
+  std::vector<const algebra::ThreeValuedSet*> iters_;
+};
+
+// `program` normalized as EvalAlgebraValid normalizes it: a constant
+// with a database extent gets the extent unioned into its equation.
+Result<algebra::AlgebraProgram> NormalizeWithExtents(
+    const algebra::AlgebraProgram& program, const algebra::SetDb& db) {
+  AWR_ASSIGN_OR_RETURN(algebra::AlgebraProgram normalized,
+                       algebra::NormalizeProgram(program));
+  algebra::AlgebraProgram out;
+  for (const algebra::Definition& d : normalized.defs()) {
+    out.DefineConstant(
+        d.name, db.Has(d.name)
+                    ? algebra::AlgebraExpr::Union(
+                          algebra::AlgebraExpr::LiteralSet(db.Extent(d.name)),
+                          d.body)
+                    : d.body);
+  }
+  return out;
+}
+
+bool AlgebraSystemIsPositive(const algebra::AlgebraProgram& normalized) {
+  if (!algebra::SystemIsPositive(normalized)) return false;
+  for (const algebra::Definition& d : normalized.defs()) {
+    if (!algebra::AllIfpsPositive(d.body)) return false;
+  }
+  return true;
+}
+
+Result<AlgebraPairs> AlgebraGlobalAlternation(
+    const algebra::AlgebraProgram& program, const algebra::SetDb& db,
+    ExecutionContext* ctx) {
+  AWR_ASSIGN_OR_RETURN(algebra::AlgebraProgram normalized,
+                       NormalizeWithExtents(program, db));
+  AlgebraPairs assignment;
+  for (const algebra::Definition& d : normalized.defs()) assignment[d.name];
+  // One least fixpoint of the `upper` (or `lower`) bounds, the other
+  // bound frozen.
+  auto lfp = [&](AlgebraPairs* iter, bool upper, const char* site) -> Status {
+    for (;;) {
+      AWR_RETURN_IF_ERROR(ctx->ChargeRound(site));
+      size_t added = 0;
+      for (const algebra::Definition& d : normalized.defs()) {
+        NaivePairEval eval(db, *iter, ctx);
+        AWR_ASSIGN_OR_RETURN(algebra::ThreeValuedSet r, eval.Eval(d.body));
+        algebra::ThreeValuedSet& mine = (*iter)[d.name];
+        added += upper ? mine.upper.InsertAll(r.upper)
+                       : mine.lower.InsertAll(r.lower);
+      }
+      if (added == 0) return Status::OK();
+      AWR_RETURN_IF_ERROR(ctx->ChargeFacts(added, site));
+    }
+  };
+  for (;;) {
+    AWR_RETURN_IF_ERROR(ctx->ChargeRound("valid-eval(alternation)"));
+    AlgebraPairs iter = assignment;
+    for (auto& [name, tvs] : iter) tvs.upper.Clear();
+    AWR_RETURN_IF_ERROR(lfp(&iter, true, "valid-eval(upper lfp)"));
+    for (auto& [name, tvs] : iter) tvs.lower.Clear();
+    AWR_RETURN_IF_ERROR(lfp(&iter, false, "valid-eval(lower lfp)"));
+    bool same = true;
+    for (const auto& [name, tvs] : iter) {
+      same = same && tvs.lower == assignment[name].lower &&
+             tvs.upper == assignment[name].upper;
+    }
+    if (same) return iter;
+    assignment = std::move(iter);
+  }
+}
+
+// EvalAlgebraValid must compute the oracle's 3-valued sets; a system that
+// still alternates must also cost what the oracle costs, and a positive
+// one strictly less.
+void ExpectAlgebraValidMatchesOracle(const algebra::AlgebraProgram& program,
+                                     const algebra::SetDb& db,
+                                     const std::string& what) {
+  ExecutionContext oracle_ctx(EvalLimits::Large());
+  auto oracle = AlgebraGlobalAlternation(program, db, &oracle_ctx);
+  ASSERT_TRUE(oracle.ok()) << oracle.status() << "\n" << what;
+  ExecutionContext ctx(EvalLimits::Large());
+  algebra::AlgebraEvalOptions opts;
+  opts.context = &ctx;
+  auto model = algebra::EvalAlgebraValid(program, db, opts);
+  ASSERT_TRUE(model.ok()) << model.status() << "\n" << what;
+  for (const auto& [name, tvs] : *oracle) {
+    EXPECT_EQ(model->Get(name).lower, tvs.lower) << name << "\n" << what;
+    EXPECT_EQ(model->Get(name).upper, tvs.upper) << name << "\n" << what;
+  }
+  EXPECT_EQ(std::distance(model->begin(), model->end()),
+            static_cast<std::ptrdiff_t>(oracle->size()))
+      << what;
+  auto normalized = NormalizeWithExtents(program, db);
+  ASSERT_TRUE(normalized.ok()) << normalized.status();
+  if (AlgebraSystemIsPositive(*normalized)) {
+    EXPECT_TRUE(model->IsTwoValued()) << what;
+    EXPECT_LT(ctx.total_charges(), oracle_ctx.total_charges()) << what;
+  } else {
+    EXPECT_EQ(ctx.rounds(), oracle_ctx.rounds()) << what;
+    EXPECT_EQ(ctx.total_charges(), oracle_ctx.total_charges()) << what;
+  }
+}
+
+// The Prop 6.1 translation of a generated program against the oracle.
+void ExpectProp61MatchesAlgebraOracle(const Generated& g) {
+  auto system = translate::DatalogToAlgebra(g.program);
+  ASSERT_TRUE(system.ok()) << system.status() << "\n" << g.program.ToString();
+  ExpectAlgebraValidMatchesOracle(*system, translate::EdbToSetDb(g.edb),
+                                  g.program.ToString());
+}
+
+// ----------------------------------------------------------------------
 // Scan-vs-index differential harness.  EvalBothWays runs one engine
 // under both join strategies and requires agreement; it returns the
 // indexed result so the surrounding property checks exercise the new
@@ -389,6 +599,13 @@ TEST_P(PositiveProgramProperty, AllSemanticsCoincide) {
   EXPECT_EQ(*m_semi, m_wfs->certain) << g.program.ToString();
 }
 
+// Every translated system here is positive: the one least fixpoint.
+TEST_P(PositiveProgramProperty, AlgebraValidMatchesGlobalAlternation) {
+  GenOptions opts;
+  opts.allow_negation = false;
+  ExpectProp61MatchesAlgebraOracle(GenerateProgram(GetParam(), opts));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PositiveProgramProperty,
                          ::testing::Range<uint64_t>(1, 21));
 
@@ -444,6 +661,12 @@ TEST_P(StratifiedProgramProperty, WfsMatchesGlobalAlternationAndStratifiedWork) 
   EXPECT_EQ(wfs_ctx.rounds(), strat_ctx.rounds()) << g.program.ToString();
   EXPECT_EQ(wfs_ctx.total_charges(), strat_ctx.total_charges())
       << g.program.ToString();
+}
+
+TEST_P(StratifiedProgramProperty, AlgebraValidMatchesGlobalAlternation) {
+  GenOptions opts;
+  opts.stratified_only = true;
+  ExpectProp61MatchesAlgebraOracle(GenerateProgram(GetParam(), opts));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StratifiedProgramProperty,
@@ -537,6 +760,10 @@ TEST_P(GeneralProgramProperty, WfsMatchesGlobalAlternation) {
   ExpectWalkMatchesGlobalAlternation(g.program, g.edb);
 }
 
+TEST_P(GeneralProgramProperty, AlgebraValidMatchesGlobalAlternation) {
+  ExpectProp61MatchesAlgebraOracle(GenerateProgram(GetParam(), GenOptions{}));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneralProgramProperty,
                          ::testing::Range<uint64_t>(1, 16));
 
@@ -554,6 +781,53 @@ TEST_P(ComponentWalkProperty, WfsMatchesGlobalAlternation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ComponentWalkProperty,
                          ::testing::Range<uint64_t>(1, 101));
+
+TEST(AlgebraValidOracleTest, PositiveSystemWithNonPositiveIfpAlternates) {
+  // Q = R ∪ MAP₊₁(σ_{x<4}(Q)) and P = IFP(Q − x): every constant occurs
+  // positively, but the IFP's variable is subtracted, so the system is
+  // not positive and still alternates — at the oracle's cost.
+  using E = algebra::AlgebraExpr;
+  using algebra::FnExpr;
+  algebra::AlgebraProgram prog;
+  prog.DefineConstant(
+      "Q", E::Union(E::Relation("R"),
+                    E::Map(algebra::fn::AddConst(1),
+                           E::Select(FnExpr::Lt(FnExpr::Arg(),
+                                                FnExpr::Cst(Value::Int(4))),
+                                     E::Relation("Q")))));
+  prog.DefineConstant("P", E::Ifp(E::Diff(E::Relation("Q"), E::IterVar(0))));
+  algebra::SetDb db;
+  db.Define("R", ValueSet{Value::Int(0), Value::Int(10)});
+  auto normalized = NormalizeWithExtents(prog, db);
+  ASSERT_TRUE(normalized.ok());
+  EXPECT_TRUE(algebra::SystemIsPositive(*normalized));
+  EXPECT_FALSE(AlgebraSystemIsPositive(*normalized));
+  ExpectAlgebraValidMatchesOracle(prog, db, prog.ToString());
+}
+
+TEST(AlgebraValidOracleTest, PositiveConstantWithDatabaseExtent) {
+  // S has the extent {3, 10} and the equation S = T ∪ MAP₊₁(σ_{x<6}(S)):
+  // the extent joins the equation, and the one least fixpoint holds
+  // {3, 4, 5, 6, 10} ∪ T.
+  using E = algebra::AlgebraExpr;
+  using algebra::FnExpr;
+  algebra::AlgebraProgram prog;
+  prog.DefineConstant(
+      "S", E::Union(E::Relation("T"),
+                    E::Map(algebra::fn::AddConst(1),
+                           E::Select(FnExpr::Lt(FnExpr::Arg(),
+                                                FnExpr::Cst(Value::Int(6))),
+                                     E::Relation("S")))));
+  algebra::SetDb db;
+  db.Define("S", ValueSet{Value::Int(3), Value::Int(10)});
+  db.Define("T", ValueSet{Value::Int(20)});
+  ExpectAlgebraValidMatchesOracle(prog, db, prog.ToString());
+  auto model = algebra::EvalAlgebraValid(prog, db);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->Get("S").lower,
+            (ValueSet{Value::Int(3), Value::Int(4), Value::Int(5),
+                      Value::Int(6), Value::Int(10), Value::Int(20)}));
+}
 
 TEST(WellFoundedComponentTest, ThreeValuedLowerComponentFeedsUpperOnes) {
   const Program program = ComponentsProgram();
