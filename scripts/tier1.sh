@@ -71,7 +71,8 @@ cmake --build build-asan -j"$(nproc)" \
   --target awr_property_test --target awr_value_test \
   --target awr_eval_core_test --target awr_service_test \
   --target awr_service_chaos_test --target awr_storage_test \
-  --target awr_powercut_test --target awr_vm_test --target awrd
+  --target awr_powercut_test --target awr_vm_test \
+  --target awr_algebra_test --target awr_algebra_valid_test --target awrd
 (cd build-asan && ctest --output-on-failure -R Interruption)
 (cd build-asan && ctest --output-on-failure -R 'Snapshot|ValueCodec')
 # The snapshot corruption fuzz again on the legacy representation: the
@@ -103,6 +104,10 @@ cmake --build build-asan -j"$(nproc)" \
 # dispatch loop — and the execution/verifier suites drive both dispatch
 # flavors over handcrafted programs.
 (cd build-asan && ctest --output-on-failure -R 'Vm')
+# The algebra joins under ASan/UBSan: the hash equi-join indexes one
+# side by pointers into its set and probes with the other, and both
+# evaluators run it (the valid one once per bound).
+(cd build-asan && ctest --output-on-failure -R 'AlgebraEval|ValidEval|AlgebraJoin')
 scripts/service_smoke.sh build-asan/src/awr/service/awrd asan
 
 cmake -B build-tsan -S . -DAWR_SANITIZE=thread
