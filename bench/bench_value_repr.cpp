@@ -2,8 +2,8 @@
 //
 // Micro-benches the Value hot paths — construction, equality, hash,
 // Compare — on the hash-consed representation vs the legacy
-// per-instance representation (AWR_NO_VALUE_INTERN semantics, toggled
-// in-process via SetStructuralInterningForTesting), then measures the
+// per-instance representation (toggled in-process via
+// SetStructuralInterningForTesting), then measures the
 // end-to-end effect on semi-naive transitive closure, WIN/MOVE
 // well-founded evaluation, and the term-rewriting engine (where the
 // adaptive interning policy actually engages — terms are nested),

@@ -6,9 +6,7 @@
 // delta is purely dispatch — flat register bytecode vs call-stack
 // tree-walking — not the word-level cursors (measured by E20):
 //   * a dispatch micro firing one two-atom probe join through the
-//     interpreter, the portable switch loop, and the computed-goto
-//     loop (production always takes computed-goto where the compiler
-//     has it; here both are invoked explicitly);
+//     interpreter and through the VM's switch dispatch loop;
 //   * semi-naive transitive closure on the E15/E20 headline graph
 //     (>= 2000 random edges over 250 nodes), end to end;
 //   * the magic-set transform of the same closure under a bound query
@@ -74,10 +72,10 @@ datalog::EvalOptions Opts(bool bytecode) {
   return o;
 }
 
-// One two-atom probe join fired through all three dispatchers.  The
-// interpreter column is FireRuleFacts with bytecode off; the VM columns
-// call the executor directly with the dispatch flavor pinned.
-void DispatchMicro(int n_left, int n_right, double out[3], size_t* facts) {
+// One two-atom probe join fired through both dispatchers.  The
+// interpreter column is FireRuleFacts with bytecode off; the VM column
+// calls the executor directly.
+void DispatchMicro(int n_left, int n_right, double out[2], size_t* facts) {
   auto program = datalog::ParseProgram("out(X, Z) :- e(X, Y), t(Y, Z).");
   auto planned = datalog::PlanProgram(*program);
   datalog::Interpretation interp;
@@ -118,22 +116,16 @@ void DispatchMicro(int n_left, int n_right, double out[3], size_t* facts) {
                  compiled.status().ToString().c_str());
     return;
   }
-  const datalog::vm::Dispatch flavors[] = {
-      datalog::vm::Dispatch::kSwitch, datalog::vm::Dispatch::kComputedGoto};
-  for (int f = 0; f < 2; ++f) {
-    out[1 + f] = BestMillis(5, [&] {
-      size_t vm_count = 0;
-      Status st = datalog::vm::ExecuteCompiledRule(
-          **compiled, ctx,
-          [&vm_count](Value) -> Status {
-            ++vm_count;
-            return Status::OK();
-          },
-          /*known=*/nullptr, flavors[f]);
-      if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      if (vm_count != count) std::fprintf(stderr, "fact count mismatch\n");
-    });
-  }
+  out[1] = BestMillis(5, [&] {
+    size_t vm_count = 0;
+    Status st = datalog::vm::ExecuteCompiledRule(
+        **compiled, ctx, [&vm_count](Value) -> Status {
+          ++vm_count;
+          return Status::OK();
+        });
+    if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    if (vm_count != count) std::fprintf(stderr, "fact count mismatch\n");
+  });
 }
 
 Row EndToEnd(const std::string& name, const datalog::Program& program,
@@ -165,16 +157,15 @@ Row EndToEnd(const std::string& name, const datalog::Program& program,
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_vm.json";
 
-  // Dispatch micro: one firing, three dispatchers.
-  double micro[3] = {0, 0, 0};
+  // Dispatch micro: one firing, two dispatchers.
+  double micro[2] = {0, 0};
   size_t micro_facts = 0;
   DispatchMicro(200000, 100000, micro, &micro_facts);
   std::printf("E22: bytecode VM vs tree-walking interpreter\n");
   std::printf(
-      "dispatch micro (%zu facts): interpreted %.2f ms, switch %.2f ms "
-      "(%.1fx), computed-goto %.2f ms (%.1fx)\n",
-      micro_facts, micro[0], micro[1], micro[1] > 0 ? micro[0] / micro[1] : 0,
-      micro[2], micro[2] > 0 ? micro[0] / micro[2] : 0);
+      "dispatch micro (%zu facts): interpreted %.2f ms, vm %.2f ms "
+      "(%.1fx)\n",
+      micro_facts, micro[0], micro[1], micro[1] > 0 ? micro[0] / micro[1] : 0);
 
   // Compile time: LowerRule latency on the closure rules.
   auto tc = TcProgram();
@@ -245,9 +236,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "{\n  \"experiment\": \"bytecode_vm_vs_interpreter\",\n");
   std::fprintf(out,
                "  \"dispatch_micro\": {\"facts\": %zu, "
-               "\"interpreted_ms\": %.3f, \"switch_ms\": %.3f, "
-               "\"computed_goto_ms\": %.3f},\n",
-               micro_facts, micro[0], micro[1], micro[2]);
+               "\"interpreted_ms\": %.3f, \"switch_ms\": %.3f},\n",
+               micro_facts, micro[0], micro[1]);
   std::fprintf(out, "  \"lower_us_per_rule\": %.3f,\n", lower_us);
   std::fprintf(out, "  \"cache_hit_rate\": %.4f,\n", hit_rate);
   std::fprintf(out, "  \"workloads\": [\n");

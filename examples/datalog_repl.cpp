@@ -164,14 +164,6 @@ void ShowStats(const datalog::Interpretation& last_model) {
             << "% hit rate), ~" << vs.bytes << " bytes pinned\n";
   std::cout << "atom interner:  " << Interner::Global().size()
             << " interned symbols\n";
-  std::cout << "interning mode: "
-            << (StructuralInterningEnabled() ? "structural (hash-consing)"
-                                             : "per-instance (legacy)")
-            << "\n";
-  std::cout << "columnar mode:  "
-            << (ColumnarStorageEnabled() ? "enabled (flat extents promote)"
-                                         : "disabled (AWR_NO_COLUMNAR=1)")
-            << "\n";
   size_t preds = 0, facts = 0, indexes = 0;
   size_t columnar_preds = 0, column_bytes = 0;
   for (const auto& [pred, extent] : last_model) {
@@ -195,11 +187,8 @@ void ShowStats(const datalog::Interpretation& last_model) {
             << column_bytes << " column bytes\n";
   const datalog::vm::VmExecStats vm = datalog::vm::GetVmExecStats();
   const uint64_t lookups = vm.cache_hits + vm.cache_misses;
-  std::cout << "bytecode vm:    "
-            << (datalog::BytecodeEnabledByDefault()
-                    ? "enabled"
-                    : "disabled (AWR_NO_BYTECODE=1)")
-            << ", " << vm.vm_rules_fired << " compiled firings, "
+  std::cout << "bytecode vm:    " << vm.vm_rules_fired
+            << " compiled firings, "
             << vm.ops_dispatched << " ops, " << vm.word_opens << " word / "
             << vm.row_opens << " row loop opens, " << vm.vm_facts
             << " facts emitted\n";

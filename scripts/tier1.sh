@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite — run five times: on the
-# default hash-indexed join path, with AWR_FORCE_SCAN_JOINS=1 so the
-# scan oracle stays green, with AWR_NO_VALUE_INTERN=1 so the legacy
-# per-instance value/term representation (the hash-consing
-# differential oracle) stays green,
-# with AWR_NO_COLUMNAR=1 so the row-at-a-time storage/join oracle
-# (the columnar differential baseline) stays green, and with
-# AWR_NO_BYTECODE=1 so the tree-walking interpreter (the bytecode VM's
-# parity baseline, DESIGN.md §14) stays green.
+# Tier-1 verification: full build, then the test suite once.  No
+# environment variable selects an evaluation path: each reference path
+# (scan joins, row cursors, the tree-walking interpreter, the legacy
+# per-instance value representation) is checked against production per
+# call, by the differential suites and by the checks that rerun under
+# every reference in-process (tests/reference_configs.h: the
+# crash-point sweep, the golden snapshots, the snapshot corruption fuzz,
+# the term and rewrite tests).
 # Then the interruption tests again under AddressSanitizer/UBSan
 # (injected-fault unwinding is checked for leaks and UB) and the
 # concurrency suite under ThreadSanitizer (concurrent evaluations
@@ -15,17 +14,17 @@
 # awrd sessions do).
 #
 # The snapshot-format suite (corruption fuzz: truncation, bit flips,
-# checksum-patched mutations) and the crash-point recovery sweep also
-# run under ASan/UBSan — memory bugs in the defensive parser or in
-# interrupt-capture unwinding are exactly what those sanitizers catch.
-# AWR_CRASH_SWEEP_STRIDE thins the exhaustive sweep (every k-th crash
-# charge, endpoints always included) to keep the sanitizer pass inside
-# the time budget; the default (unset = 1) sweep runs in the three
-# un-sanitized ctest passes above it.
+# checksum-patched mutations, under both value representations) and the
+# crash-point recovery sweep also run under ASan/UBSan — memory bugs in
+# the defensive parser or in interrupt-capture unwinding are exactly
+# what those sanitizers catch.  AWR_CRASH_SWEEP_STRIDE thins the
+# exhaustive sweep (every k-th crash charge, endpoints always included)
+# to keep the sanitizer pass inside the time budget; the default
+# (unset = 1) sweep runs in the un-sanitized ctest pass above it.
 #
 # The query service (DESIGN.md §11) gets three layers here:
 #   * its unit/integration suite and the seeded chaos harness run in
-#     the plain ctest passes (100 traces, the acceptance floor);
+#     the plain ctest pass (100 traces, the acceptance floor);
 #   * both run again under ASan/UBSan and TSan with AWR_CHAOS_TRACES
 #     thinned to keep the sanitizer passes inside the time budget;
 #   * scripts/service_smoke.sh drives the real awrd binary through
@@ -36,9 +35,9 @@
 # the storage unit tests (PosixFs durability discipline, FaultFs
 # injection, startup scrub/quarantine) and the power-cut recovery
 # oracle, which reruns its trace once per filesystem op with a
-# simulated power cut at that op.  The plain ctest passes above run
-# the full stride-1 sweep (it is fast un-sanitized); the ASan pass
-# reruns it with AWR_POWER_CUT_STRIDE=3 to stay inside the budget.
+# simulated power cut at that op.  The plain ctest pass runs the full
+# stride-1 sweep (it is fast un-sanitized); the ASan pass reruns it
+# with AWR_POWER_CUT_STRIDE=3 to stay inside the budget.
 # Finally bench_service emits BENCH_service.json (QPS, p50/p99 latency,
 # shed rate under an undersized admission budget, restart-to-first-
 # result time) and bench_store_durability emits
@@ -51,15 +50,6 @@ cd "$(dirname "$0")/.."
 cmake -B build -S .
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
-(cd build && AWR_FORCE_SCAN_JOINS=1 ctest --output-on-failure -j"$(nproc)")
-(cd build && AWR_NO_VALUE_INTERN=1 ctest --output-on-failure -j"$(nproc)")
-# Row-storage oracle: AWR_NO_COLUMNAR=1 disables the columnar layout and
-# with it the VM's word-level cursors, so the row cursors stay green.
-(cd build && AWR_NO_COLUMNAR=1 ctest --output-on-failure -j"$(nproc)")
-# Interpreter oracle: AWR_NO_BYTECODE=1 disables the compiled bytecode
-# VM (DESIGN.md §14), so the tree-walking enumerator — the differential
-# baseline for the VM parity contract — stays green.
-(cd build && AWR_NO_BYTECODE=1 ctest --output-on-failure -j"$(nproc)")
 
 # Service smoke against the plain build: real awrd process lifecycle
 # (SIGTERM drain, warm restart, SIGKILL mid-fixpoint + recovery).
@@ -74,12 +64,10 @@ cmake --build build-asan -j"$(nproc)" \
   --target awr_powercut_test --target awr_vm_test \
   --target awr_algebra_test --target awr_algebra_valid_test --target awrd
 (cd build-asan && ctest --output-on-failure -R Interruption)
-(cd build-asan && ctest --output-on-failure -R 'Snapshot|ValueCodec')
-# The snapshot corruption fuzz again on the legacy representation: the
-# decoder re-interns through the value factories, so both paths must
+# The snapshot corruption fuzz runs under both value representations:
+# the decoder re-interns through the value factories, so both must
 # survive the same mutated byte streams.
-(cd build-asan && AWR_NO_VALUE_INTERN=1 \
-  ctest --output-on-failure -R 'Snapshot|ValueCodec')
+(cd build-asan && ctest --output-on-failure -R 'Snapshot|ValueCodec')
 (cd build-asan && AWR_CRASH_SWEEP_STRIDE=7 \
   ctest --output-on-failure -R CrashPointRecovery)
 # Columnar storage + VM word cursors under ASan/UBSan (columnar is on by
@@ -101,8 +89,8 @@ cmake --build build-asan -j"$(nproc)" \
 # The bytecode VM under ASan/UBSan: the wire-codec corruption fuzz
 # (truncation, byte flips, cross-program splices) feeds the decoder +
 # verifier — the sole safety boundary before the bounds-check-free
-# dispatch loop — and the execution/verifier suites drive both dispatch
-# flavors over handcrafted programs.
+# dispatch loop — and the execution/verifier suites drive the loop over
+# handcrafted programs.
 (cd build-asan && ctest --output-on-failure -R 'Vm')
 # The algebra joins under ASan/UBSan: the hash equi-join indexes one
 # side by pointers into its set and probes with the other, and both

@@ -2,30 +2,23 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 namespace awr {
 
 namespace {
 
-std::atomic<bool>& StructuralInterningFlag() {
-  static std::atomic<bool> flag([] {
-    const char* no_intern = std::getenv("AWR_NO_VALUE_INTERN");
-    return no_intern == nullptr || *no_intern == '\0' ||
-           std::strcmp(no_intern, "0") == 0;
-  }());
-  return flag;
-}
+// Constant-initialised, so it is valid before any dynamic initialiser
+// that builds values runs.
+constinit std::atomic<bool> structural_interning{true};
 
 }  // namespace
 
 bool StructuralInterningEnabled() {
-  return StructuralInterningFlag().load(std::memory_order_relaxed);
+  return structural_interning.load(std::memory_order_relaxed);
 }
 
 void SetStructuralInterningForTesting(bool enabled) {
-  StructuralInterningFlag().store(enabled, std::memory_order_relaxed);
+  structural_interning.store(enabled, std::memory_order_relaxed);
 }
 
 Interner& Interner::Global() {

@@ -62,13 +62,12 @@ inline uint32_t InternString(std::string_view s) {
   return Interner::Global().Intern(s);
 }
 
-/// True unless the environment variable AWR_NO_VALUE_INTERN is set to a
-/// non-empty value other than "0".  Gates *structural* hash-consing —
-/// the global interners for composite values (Value tuples/sets) and
-/// terms — so the per-instance legacy representation stays alive as the
-/// differential-test oracle; scripts/tier1.sh runs the test suite both
-/// ways.  Inline scalar values (bool/int/atom in a tagged word) are not
-/// gated: they have no sharing semantics to verify.
+/// True unless SetStructuralInterningForTesting(false) is in effect.
+/// Gates *structural* hash-consing — the global interners for composite
+/// values (Value tuples/sets) and terms — so the per-instance legacy
+/// representation stays alive as the differential-test oracle.  Inline
+/// scalar values (bool/int/atom in a tagged word) are not gated: they
+/// have no sharing semantics to verify.
 bool StructuralInterningEnabled();
 
 /// Test/bench hook: flips the structural-interning default in-process

@@ -1,22 +1,12 @@
 #include "awr/datalog/eval_core.h"
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 
 #include "awr/datalog/vm/cache.h"
 #include "awr/datalog/vm/vm.h"
 
 namespace awr::datalog {
-
-bool BytecodeEnabledByDefault() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("AWR_NO_BYTECODE");
-    return env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0;
-  }();
-  return enabled;
-}
 
 Result<Value> EvalTerm(const TermExpr& term, const Env& env,
                        const FunctionRegistry& fns) {
@@ -209,8 +199,8 @@ Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
                      const std::function<Status(Value)>& on_fact,
                      const ValueSet* known) {
   // The compiled program is a cache hit after the first firing; rules
-  // the VM cannot lower (and every rule under AWR_NO_BYTECODE) run on
-  // the tree-walking enumerator, with identical observables.
+  // the VM cannot lower (and every rule when ctx.use_bytecode is off)
+  // run on the tree-walking enumerator, with identical observables.
   if (ctx.use_bytecode) {
     std::shared_ptr<const vm::CompiledRule> compiled =
         vm::CompiledPlanCache::Global().Get(planned, ctx.use_join_index);

@@ -40,12 +40,6 @@ class Env {
 Result<Value> EvalTerm(const TermExpr& term, const Env& env,
                        const FunctionRegistry& fns);
 
-/// Process-wide default for BodyContext::use_bytecode /
-/// EvalOptions::use_bytecode: true unless AWR_NO_BYTECODE is set to a
-/// non-empty value other than "0" (the interpreter then remains the
-/// oracle, as with AWR_NO_COLUMNAR / AWR_FORCE_SCAN_JOINS).
-bool BytecodeEnabledByDefault();
-
 /// The evaluation context abstracts *which* extents a rule body reads,
 /// so the same join machinery serves naive, semi-naive, inflationary and
 /// alternating-fixpoint evaluation:
@@ -78,13 +72,14 @@ struct BodyContext {
   /// column index, DESIGN.md §12) instead of row cursors (extent
   /// iteration and ValueSet::Probe buckets).  Both deliver the same fact
   /// set and poll the interrupt hook once per body match; false is the
-  /// differential oracle (AWR_NO_COLUMNAR=1 / EvalOptions::use_columnar).
+  /// differential oracle (EvalOptions::use_columnar), which also skips
+  /// the column-index probe of FireRuleFacts' `known`.
   bool use_columnar = true;
   /// When true, FireRuleFacts executes rules through compiled bytecode
   /// programs (src/awr/datalog/vm/, DESIGN.md §14) instead of the
   /// tree-walking enumerator, with the same observable behavior; rules
   /// the VM cannot lower fall back to the interpreter.
-  bool use_bytecode = BytecodeEnabledByDefault();
+  bool use_bytecode = true;
 };
 
 /// Enumerates every satisfying assignment of `rule`'s body (processed in
@@ -132,9 +127,10 @@ Result<std::vector<PlannedRule>> PlanProgram(const Program& program);
 /// or any subset of it).  It MUST NOT change while the rule fires.  The
 /// VM's word-level emit path then skips known facts by probing that
 /// extent's full-arity column index — never materializing the tuple at
-/// all; the enumerator ignores it (its callers' Holds checks already
-/// dedup).  Since every skipped fact would have been a caller no-op,
-/// delivery with and without `known` is observationally equivalent.
+/// all; the enumerator, and the VM when ctx.use_columnar is off, ignore
+/// it (their callers' Holds checks already dedup).  Since every skipped
+/// fact would have been a caller no-op, delivery with and without
+/// `known` is observationally equivalent.
 Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
                      const std::function<Status(Value)>& on_fact,
                      const ValueSet* known = nullptr);

@@ -1,22 +1,9 @@
 #include "awr/datalog/leastmodel.h"
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 
 namespace awr::datalog {
-
-bool JoinIndexEnabledByDefault() {
-  static const bool enabled = [] {
-    const char* force_scan = std::getenv("AWR_FORCE_SCAN_JOINS");
-    return force_scan == nullptr || *force_scan == '\0' ||
-           std::strcmp(force_scan, "0") == 0;
-  }();
-  return enabled;
-}
-
-bool ColumnarEnabledByDefault() { return ColumnarStorageEnabled(); }
 
 namespace {
 

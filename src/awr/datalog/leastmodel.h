@@ -13,19 +13,6 @@
 
 namespace awr::datalog {
 
-/// True unless the environment variable AWR_FORCE_SCAN_JOINS is set to
-/// a non-empty value other than "0".  The default for
-/// EvalOptions::use_join_index; scripts/tier1.sh runs the test suite
-/// both ways.
-bool JoinIndexEnabledByDefault();
-
-/// True unless the environment variable AWR_NO_COLUMNAR is set to a
-/// non-empty value other than "0" (the value-layer switch,
-/// ColumnarStorageEnabled).  The default for
-/// EvalOptions::use_columnar; scripts/tier1.sh runs the test suite
-/// both ways.
-bool ColumnarEnabledByDefault();
-
 /// Shared evaluation configuration for all datalog evaluators.
 struct EvalOptions {
   FunctionRegistry functions = FunctionRegistry::Default();
@@ -38,22 +25,20 @@ struct EvalOptions {
   /// atoms with bound argument positions instead of scanning the full
   /// extent.  Both paths compute the same model with identical
   /// governance charge points; the scan path (false) is the
-  /// differential-test oracle.  Env-overridable: AWR_FORCE_SCAN_JOINS=1
-  /// flips the default to false process-wide.
-  bool use_join_index = JoinIndexEnabledByDefault();
+  /// differential-test oracle.
+  bool use_join_index = true;
   /// Let the VM open word-level cursors (DESIGN.md §12) over flat
   /// scalar relations; row cursors handle everything else and remain
-  /// the differential-test oracle.  Models,
-  /// charge counts and interrupt statuses are identical either way.
-  /// Env-overridable: AWR_NO_COLUMNAR=1 flips the default to false
-  /// process-wide (and disables the columnar ValueSet layout itself).
-  bool use_columnar = ColumnarEnabledByDefault();
+  /// the differential-test oracle.  Models, charge counts and interrupt
+  /// statuses are identical either way.  False also keeps the VM from
+  /// building or probing column stores for its known-fact filter, so
+  /// the oracle runs on rows only.
+  bool use_columnar = true;
   /// Execute rules through compiled bytecode programs (DESIGN.md §14)
   /// instead of the tree-walking enumerator; the interpreter remains
   /// the differential-test oracle.  Models, charge counts and interrupt
-  /// statuses are identical either way.  Env-overridable:
-  /// AWR_NO_BYTECODE=1 flips the default to false process-wide.
-  bool use_bytecode = BytecodeEnabledByDefault();
+  /// statuses are identical either way.
+  bool use_bytecode = true;
   /// Optional resource governance (borrowed, may outlive the call but
   /// not vice versa).  When set, the evaluator charges this context —
   /// deadline, cancellation, fault injection and memory accounting all

@@ -556,66 +556,11 @@ Status RunSwitch(ExecState& s) {
   }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-#define AWR_VM_HAVE_COMPUTED_GOTO 1
-
-// Labels-as-values dispatch: each handler jumps straight to the next
-// instruction's handler, giving the branch predictor one indirect
-// branch per (predecessor, opcode) pair instead of a single shared
-// switch branch.  Observable behavior is identical to RunSwitch.
-Status RunGoto(ExecState& s) {
-  static const void* const kLabels[] = {
-      &&op_open, &&op_open, &&op_open,   &&op_open, &&op_next, &&op_negate,
-      &&op_cmp,  &&op_bind, &&op_charge, &&op_emit, &&op_halt};
-  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kNumOps,
-                "label table covers every opcode");
-  const Instr* code = s.cr.code.data();
-  Status st = Status::OK();
-  size_t pc = 0;
-
-#define AWR_VM_NEXT()                                   \
-  do {                                                  \
-    if (pc == kPcError) return st;                      \
-    ++s.ops;                                            \
-    goto* kLabels[static_cast<uint8_t>(code[pc].op)];   \
-  } while (0)
-
-  ++s.ops;
-  goto* kLabels[static_cast<uint8_t>(code[0].op)];
-op_open:
-  pc = HandleOpen(s, code[pc], pc, &st);
-  AWR_VM_NEXT();
-op_next:
-  pc = HandleNext(s, code[pc], pc, &st);
-  AWR_VM_NEXT();
-op_negate:
-  pc = HandleNegate(s, code[pc], pc, &st);
-  AWR_VM_NEXT();
-op_cmp:
-  pc = HandleCompare(s, code[pc], pc, &st);
-  AWR_VM_NEXT();
-op_bind:
-  pc = HandleBind(s, code[pc], pc, &st);
-  AWR_VM_NEXT();
-op_charge:
-  pc = HandleCharge(s, pc, &st);
-  AWR_VM_NEXT();
-op_emit:
-  pc = HandleEmit(s, code[pc], &st);
-  AWR_VM_NEXT();
-op_halt:
-  return Status::OK();
-#undef AWR_VM_NEXT
-}
-#else
-#define AWR_VM_HAVE_COMPUTED_GOTO 0
-#endif
-
 }  // namespace
 
 Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
                            const std::function<Status(Value)>& on_fact,
-                           const ValueSet* known, Dispatch dispatch) {
+                           const ValueSet* known) {
   ExecState s{cr, ctx, on_fact};
   s.regs.resize(cr.num_regs);
   s.cursors.resize(cr.num_loops);
@@ -626,15 +571,13 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
     s.head_buf.resize(head_arity);
     s.dd_table.assign(16, -1);
     s.dd_mask = 15;
-    s.known_index = KnownFactsIndex(known, head_arity, &s.known_store);
+    // The row oracle (use_columnar off) builds no column store, not
+    // even for the known-fact filter; the caller's Holds check dedups.
+    if (ctx.use_columnar) {
+      s.known_index = KnownFactsIndex(known, head_arity, &s.known_store);
+    }
   }
-  Status st;
-#if AWR_VM_HAVE_COMPUTED_GOTO
-  st = dispatch == Dispatch::kSwitch ? RunSwitch(s) : RunGoto(s);
-#else
-  (void)dispatch;
-  st = RunSwitch(s);
-#endif
+  Status st = RunSwitch(s);
   VmStatCounters& counters = VmCounters();
   counters.rules.fetch_add(1, std::memory_order_relaxed);
   counters.ops.fetch_add(s.ops, std::memory_order_relaxed);

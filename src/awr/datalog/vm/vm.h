@@ -9,16 +9,6 @@
 
 namespace awr::datalog::vm {
 
-/// Dispatch-loop flavor.  kAuto picks computed-goto where the compiler
-/// supports labels-as-values (GCC/Clang) and the portable switch loop
-/// otherwise; the other two pin one flavor (vm_test and bench_vm run
-/// both).
-enum class Dispatch {
-  kAuto,
-  kSwitch,
-  kComputedGoto,
-};
-
 /// Executes one firing of a compiled rule under `ctx`: enumerates every
 /// body match, polling CheckInterrupt("body-match") once per match, and
 /// delivers each derived head fact to `on_fact`.  This is the
@@ -37,15 +27,15 @@ enum class Dispatch {
 /// the firing and skips facts already in `known` — at the raw word
 /// level, before the tuple is ever materialized.  Every skipped
 /// delivery would have been a caller no-op, and the per-match interrupt
-/// poll still fires.
+/// poll still fires.  `known` is consulted only when ctx.use_columnar
+/// holds, since the filter probes the extent's column store.
 ///
 /// `cr` must have passed VerifyCompiledRule (LowerRule and
 /// DecodeProgram both guarantee it): the dispatch loop performs no
 /// bounds checks of its own.
 Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
                            const std::function<Status(Value)>& on_fact,
-                           const ValueSet* known = nullptr,
-                           Dispatch dispatch = Dispatch::kAuto);
+                           const ValueSet* known = nullptr);
 
 /// Process-wide VM counters for the REPL's :stats, awrd stats and the
 /// benchmarks.  Execution counters are updated atomically (concurrent

@@ -2,7 +2,6 @@
 #define AWR_SNAPSHOT_STATE_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <optional>
 #include <string>
@@ -126,27 +125,12 @@ class CheckpointSink {
   uint64_t captures = 0;
 };
 
-/// AWR_CHECKPOINT_EVERY: default period (in completed rounds) for
-/// periodic checkpoints; 0 (the default) disables periodic capture.
-/// Parsed once, like the other evaluation knobs.
-inline uint64_t DefaultCheckpointEvery() {
-  static const uint64_t every = [] {
-    const char* env = std::getenv("AWR_CHECKPOINT_EVERY");
-    if (env == nullptr || *env == '\0') return uint64_t{0};
-    char* end = nullptr;
-    unsigned long long n = std::strtoull(env, &end, 10);
-    if (end == env) return uint64_t{0};
-    return static_cast<uint64_t>(n);
-  }();
-  return every;
-}
-
 /// When and where to capture snapshots.  Checkpointing is enabled by
 /// giving the policy a sink; without one the engines never copy state
 /// and the evaluation path is byte-for-byte the pre-checkpoint one.
 struct CheckpointPolicy {
   /// Capture at every Nth completed round barrier; 0 = never.
-  uint64_t every_n_rounds = DefaultCheckpointEvery();
+  uint64_t every_n_rounds = 0;
   /// Capture the last-completed-barrier state when a charge returns a
   /// non-OK status (deadline, cancellation, fault, exhausted budget).
   bool on_interrupt = true;

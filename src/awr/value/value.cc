@@ -83,7 +83,7 @@ size_t HashComposite(ValueKind kind, const std::vector<Value>& items) {
 // composites a per-node constant plus a slot per component plus the
 // components themselves.  Representation-independence is what keeps
 // memory charges (and so memory-trip statuses) bit-identical between
-// AWR_NO_VALUE_INTERN=1 and the default.
+// the legacy per-instance representation and the interned default.
 
 constexpr size_t kScalarApproxBytes = 16;
 constexpr size_t kCompositeBaseBytes = sizeof(Value::Rep) + 2 * sizeof(void*);

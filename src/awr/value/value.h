@@ -43,11 +43,12 @@ std::string_view ValueKindToString(ValueKind kind);
 ///    interner, so structurally equal composites share one canonical
 ///    Rep for the process lifetime and `operator==` / `Compare` get
 ///    O(1) identity fast paths — positive (same word => equal) and
-///    negative (two distinct canonical Reps => unequal).  With
-///    AWR_NO_VALUE_INTERN=1 each composite owns a private refcounted
-///    Rep (the legacy per-instance representation, kept as the
-///    differential-test oracle); equality then falls back to
-///    hash-rejected structural descent, exactly as before.
+///    negative (two distinct canonical Reps => unequal).  With it
+///    disabled (SetStructuralInterningForTesting(false)) each
+///    composite owns a private refcounted Rep (the legacy per-instance
+///    representation, kept as the differential-test oracle); equality
+///    then falls back to hash-rejected structural descent, exactly as
+///    before.
 ///
 /// Either way the *semantics* are identical: hashes use the same
 /// recipe, sets are stored canonically (sorted by the total order,

@@ -2,20 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <string_view>
 
 #include "awr/common/hash.h"
 
 namespace awr {
-
-bool ColumnarStorageEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("AWR_NO_COLUMNAR");
-    return env == nullptr || std::string_view(env) == "0";
-  }();
-  return enabled;
-}
 
 namespace {
 
@@ -121,7 +111,6 @@ size_t ValueSet::ColumnStore::HashRow(const std::vector<size_t>& positions,
 }
 
 bool ValueSet::columnar_eligible() const {
-  if (!ColumnarStorageEnabled()) return false;
   if (non_tuple_count_ != 0 || tuple_arity_counts_.size() != 1) return false;
   if (flat_tuple_count_ != items_.size()) return false;
   return tuple_arity_counts_.begin()->first >= 1;

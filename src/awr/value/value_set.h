@@ -13,11 +13,6 @@
 
 namespace awr {
 
-/// False when AWR_NO_COLUMNAR=1: the columnar layout is disabled
-/// process-wide and every extent stays on the row representation (the
-/// differential-test oracle).  Unset or "0" means enabled.  Read once.
-bool ColumnarStorageEnabled();
-
 /// A mutable extent of values: the working representation of a database
 /// relation, an algebra set, or a predicate's derived facts.
 ///
@@ -44,10 +39,11 @@ bool ColumnarStorageEnabled();
 /// lazily on the evaluating thread, appended to on flat Insert,
 /// dropped whenever the extent leaves the flat regime (promotion /
 /// demotion is automatic), never copied, and excluded from
-/// approx_bytes so memory charges are identical with columnar storage
-/// on or off.  The row structures (items_) stay authoritative, which
-/// is what keeps hashing, iteration order, set equality, and snapshot
-/// bytes byte-identical across the two layouts.
+/// approx_bytes so memory charges are identical whether or not an
+/// evaluation uses it (EvalOptions::use_columnar).  The row structures
+/// (items_) stay authoritative, which is what keeps hashing, iteration
+/// order, set equality, and snapshot bytes byte-identical across the
+/// two layouts.
 class ValueSet {
  public:
   ValueSet() = default;
@@ -218,9 +214,8 @@ class ValueSet {
   };
 
   /// True iff this extent currently qualifies for the columnar layout:
-  /// columnar storage enabled process-wide, at least one fact, every
-  /// fact a flat tuple (all components inline scalars) of one shared
-  /// arity >= 1.  O(1) from the shape histogram.
+  /// at least one fact, every fact a flat tuple (all components inline
+  /// scalars) of one shared arity >= 1.  O(1) from the shape histogram.
   bool columnar_eligible() const;
 
   /// The columnar view, built on first demand; nullptr when the extent

@@ -216,11 +216,9 @@ TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
         << pr.rule.head.predicate << "\nrow:  " << row.status()
         << "\nword: " << word.status();
     EXPECT_EQ(*row, *word) << pr.rule.head.predicate;
-    if (BytecodeEnabledByDefault() && ColumnarStorageEnabled()) {
-      const vm::VmExecStats stats = vm::GetVmExecStats();
-      EXPECT_GT(stats.word_opens, 0u) << pr.rule.head.predicate;
-      EXPECT_EQ(stats.vm_facts, delivered) << pr.rule.head.predicate;
-    }
+    const vm::VmExecStats stats = vm::GetVmExecStats();
+    EXPECT_GT(stats.word_opens, 0u) << pr.rule.head.predicate;
+    EXPECT_EQ(stats.vm_facts, delivered) << pr.rule.head.predicate;
   }
 }
 
@@ -239,11 +237,9 @@ TEST(FireRuleFactsTest, NonFlatExtentFallsBackToRowPath) {
   EXPECT_EQ(facts->size(), 2u);
   EXPECT_TRUE(facts->Contains(
       Value::Pair(Value::Int(3), Value::Pair(Value::Int(4), Value::Int(5)))));
-  if (BytecodeEnabledByDefault()) {
-    const vm::VmExecStats stats = vm::GetVmExecStats();
-    EXPECT_EQ(stats.word_opens, 0u);  // nested arg: no column store
-    EXPECT_GT(stats.row_opens, 0u);
-  }
+  const vm::VmExecStats stats = vm::GetVmExecStats();
+  EXPECT_EQ(stats.word_opens, 0u);  // nested arg: no column store
+  EXPECT_GT(stats.row_opens, 0u);
 }
 
 TEST(FireRuleFactsTest, CallbackErrorAbortsVmEmission) {
@@ -303,29 +299,32 @@ TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
   }
 
   FunctionRegistry fns = FunctionRegistry::Default();
-  ExecutionContext governed;
-  BodyContext ctx = PlainContext(interp, fns, true);
-  ctx.context = &governed;
-  ctx.use_bytecode = true;  // the filter lives in the VM's emit path
-  std::vector<Value> delivered;
-  Status st = FireRuleFacts(
-      planned->front(), ctx,
-      [&](Value fact) -> Status {
-        delivered.push_back(std::move(fact));
-        return Status::OK();
-      },
-      &known);
-  ASSERT_TRUE(st.ok()) << st;
-  EXPECT_EQ(governed.total_charges(), raw_matches);
-  ValueSet delivered_set;
-  for (const Value& fact : delivered) delivered_set.Insert(fact);
-  EXPECT_EQ(delivered_set.size(), delivered.size());  // each fact once
-  if (ColumnarStorageEnabled()) {
-    EXPECT_EQ(delivered_set, unknown);
-  } else {
-    // No column store, so no word-level index over `known`: the VM
-    // still dedups within the firing but delivers the known facts too.
-    EXPECT_EQ(delivered_set, projections);
+  for (bool columnar : {false, true}) {
+    ExecutionContext governed;
+    BodyContext ctx = PlainContext(interp, fns, columnar);
+    ctx.context = &governed;
+    ctx.use_bytecode = true;  // the filter lives in the VM's emit path
+    std::vector<Value> delivered;
+    Status st = FireRuleFacts(
+        planned->front(), ctx,
+        [&](Value fact) -> Status {
+          delivered.push_back(std::move(fact));
+          return Status::OK();
+        },
+        &known);
+    ASSERT_TRUE(st.ok()) << st;
+    EXPECT_EQ(governed.total_charges(), raw_matches);
+    ValueSet delivered_set;
+    for (const Value& fact : delivered) delivered_set.Insert(fact);
+    EXPECT_EQ(delivered_set.size(), delivered.size());  // each fact once
+    if (columnar) {
+      EXPECT_EQ(delivered_set, unknown);
+    } else {
+      // The row oracle builds no column store over `known`, so the VM
+      // still dedups within the firing but delivers the known facts too.
+      EXPECT_FALSE(known.columnar_built());
+      EXPECT_EQ(delivered_set, projections);
+    }
   }
 }
 

@@ -58,6 +58,7 @@
 #include "awr/snapshot/state.h"
 #include "awr/translate/datalog_to_alg.h"
 #include "awr/translate/step_index.h"
+#include "reference_configs.h"
 
 namespace awr {
 namespace {
@@ -1549,9 +1550,11 @@ size_t CrashSweepStride() {
 // Crashes `engine` at each charge in `trip_points`, round-trips the
 // on-interrupt snapshot through the byte format, resumes under a fresh
 // context, and checks the model and charge parity against the
-// uninterrupted run (`oracle`, `n` charges).
+// uninterrupted run (`oracle`, `n` charges).  Every run starts from
+// `base`'s evaluation paths.
 void CrashAndResume(const CpEngine& engine, const std::string& oracle,
-                    size_t n, const std::set<size_t>& trip_points) {
+                    size_t n, const std::set<size_t>& trip_points,
+                    const datalog::EvalOptions& base) {
   for (size_t k : trip_points) {
     SCOPED_TRACE(engine.name + " crash at charge " + std::to_string(k) + "/" +
                  std::to_string(n));
@@ -1561,7 +1564,7 @@ void CrashAndResume(const CpEngine& engine, const std::string& oracle,
     ExecutionContext ctx(EvalLimits::Default());
     ctx.set_fault_injector(&injector);
     snapshot::CheckpointSink sink;
-    datalog::EvalOptions opts;
+    datalog::EvalOptions opts = base;
     opts.checkpoint.sink = &sink;
     opts.checkpoint.on_interrupt = true;
     opts.checkpoint.every_n_rounds = 0;
@@ -1579,7 +1582,7 @@ void CrashAndResume(const CpEngine& engine, const std::string& oracle,
 
     // Resume under a fresh context, which counts the resumed charges.
     ExecutionContext resumed_ctx(EvalLimits::Default());
-    datalog::EvalOptions resume_opts;
+    datalog::EvalOptions resume_opts = base;
     resume_opts.context = &resumed_ctx;
     auto resumed = engine.resume(*loaded, resume_opts);
     ASSERT_TRUE(resumed.ok()) << resumed.status();
@@ -1593,8 +1596,10 @@ void CrashAndResume(const CpEngine& engine, const std::string& oracle,
 // Runs the sweep on the calling thread or, when `concurrent`, with its
 // trip points dealt round-robin over kSessions threads, each crashing
 // and resuming its own copy of the engines — the way concurrent awrd
-// sessions checkpoint and resume side by side.
-void RunCrashPointSweep(bool concurrent) {
+// sessions checkpoint and resume side by side.  `base` selects the
+// evaluation paths of every run.
+void RunCrashPointSweep(bool concurrent,
+                        const datalog::EvalOptions& base = {}) {
   const size_t stride = CrashSweepStride();
   const std::vector<CpEngine> engines = CrashPointEngines();
   std::vector<std::vector<CpEngine>> copies(concurrent ? kSessions : 0);
@@ -1603,7 +1608,7 @@ void RunCrashPointSweep(bool concurrent) {
     const CpEngine& engine = engines[e];
     // Uninterrupted oracle: learn N and the reference rendering.
     ExecutionContext oracle_ctx(EvalLimits::Default());
-    auto oracle = engine.run(&oracle_ctx, datalog::EvalOptions());
+    auto oracle = engine.run(&oracle_ctx, base);
     ASSERT_TRUE(oracle.ok()) << engine.name << ": " << oracle.status();
     const size_t n = oracle_ctx.total_charges();
     ASSERT_GT(n, 0u) << engine.name;
@@ -1616,14 +1621,14 @@ void RunCrashPointSweep(bool concurrent) {
     trip_points.insert(n);
 
     if (!concurrent) {
-      CrashAndResume(engine, *oracle, n, trip_points);
+      CrashAndResume(engine, *oracle, n, trip_points, base);
       continue;
     }
     std::vector<std::set<size_t>> shares(kSessions);
     size_t next = 0;
     for (size_t k : trip_points) shares[next++ % kSessions].insert(k);
     RunSessions([&](size_t s) {
-      CrashAndResume(copies[s][e], *oracle, n, shares[s]);
+      CrashAndResume(copies[s][e], *oracle, n, shares[s], base);
     });
   }
 }
@@ -1667,7 +1672,15 @@ TEST(CrashPointRecovery, ComponentWalkCapturesEveryStep) {
   }
 }
 
-TEST(CrashPointRecovery, SweepSequential) { RunCrashPointSweep(false); }
+// Once per reference configuration: crash-point resume holds on every
+// alternative evaluation path, not only in production.
+TEST(CrashPointRecovery, SweepSequential) {
+  for (const ReferenceConfig& config : ReferenceConfigs()) {
+    SCOPED_TRACE(config.name);
+    ScopedInterning repr(config.structural_interning);
+    RunCrashPointSweep(false, config.Apply({}));
+  }
+}
 
 TEST(CrashPointRecovery, SweepConcurrentSessions) { RunCrashPointSweep(true); }
 
@@ -1675,22 +1688,10 @@ TEST(CrashPointRecovery, SweepConcurrentSessions) { RunCrashPointSweep(true); }
 // Interned-vs-legacy value representation differential oracle
 // (DESIGN.md §10).  Structural interning (hash-consing) of composite
 // Values and Terms is a pure representation change: the legacy
-// per-instance representation (AWR_NO_VALUE_INTERN=1) is the oracle,
-// and every observable — models, status codes, governance charge
-// counts, and on-interrupt snapshot bytes — must be bit-identical with
-// interning on and off, across all semantics.
-
-// Restores the process-wide interning mode on scope exit so these
-// tests compose with the rest of the binary (and with the
-// AWR_NO_VALUE_INTERN tier-1 pass, where the ambient default is off).
-class ScopedRepr {
- public:
-  ScopedRepr() : saved_(StructuralInterningEnabled()) {}
-  ~ScopedRepr() { SetStructuralInterningForTesting(saved_); }
-
- private:
-  bool saved_;
-};
+// per-instance representation (SetStructuralInterningForTesting(false))
+// is the oracle, and every observable — models, status codes,
+// governance charge counts, and on-interrupt snapshot bytes — must be
+// bit-identical with interning on and off, across all semantics.
 
 // Runs one engine with the legacy representation (oracle) and then the
 // hash-consed representation, requiring identical status codes and —
@@ -1714,7 +1715,7 @@ auto EvalBothReprs(const Fn& eval, datalog::EvalOptions opts,
 class InternVsLegacyDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(InternVsLegacyDifferential, PositiveSemanticsAgreeAcrossReprs) {
-  ScopedRepr guard;
+  ScopedInterning guard(true);
   GenOptions gen;
   gen.allow_negation = false;
   Generated g = GenerateProgram(GetParam() * 48271 + 13, gen);
@@ -1733,7 +1734,7 @@ TEST_P(InternVsLegacyDifferential, PositiveSemanticsAgreeAcrossReprs) {
 }
 
 TEST_P(InternVsLegacyDifferential, GeneralSemanticsAgreeAcrossReprs) {
-  ScopedRepr guard;
+  ScopedInterning guard(true);
   // Random general programs may be unstratifiable or have no stable
   // model; EvalBothReprs still checks that both representations fail
   // (or succeed) identically.
@@ -1773,7 +1774,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InternVsLegacyDifferential,
 // also be identical: canonical set ordering and ToString go through
 // Value::Compare, which gains pointer fast paths under interning.
 TEST(InternVsLegacyDifferential, RenderedModelsAreByteIdentical) {
-  ScopedRepr guard;
+  ScopedInterning guard(true);
   for (const CpEngine& engine : CrashPointEngines()) {
     SetStructuralInterningForTesting(false);
     ExecutionContext legacy_ctx(EvalLimits::Default());
@@ -1794,7 +1795,7 @@ TEST(InternVsLegacyDifferential, RenderedModelsAreByteIdentical) {
 // disarmed charge counts match exactly — for every engine, including
 // stable-model search.
 TEST(InternVsLegacyGovernance, ChargeCountsIdenticalBothReprs) {
-  ScopedRepr guard;
+  ScopedInterning guard(true);
   for (const GovernedEngine& engine : GovernedEngines()) {
     size_t counts[2] = {0, 0};
     int slot = 0;
@@ -1817,7 +1818,7 @@ TEST(InternVsLegacyGovernance, ChargeCountsIdenticalBothReprs) {
 // A fault tripped at charge i surfaces the identical status (code and
 // message, which embeds the trip coordinates) in both representations.
 TEST(InternVsLegacyGovernance, FaultTripStatusesIdenticalBothReprs) {
-  ScopedRepr guard;
+  ScopedInterning guard(true);
   for (const GovernedEngine& engine : GovernedEngines()) {
     // Learn the charge count with interning on; the previous test
     // proves it is the same number in legacy mode.
@@ -1855,7 +1856,7 @@ TEST(InternVsLegacyGovernance, FaultTripStatusesIdenticalBothReprs) {
 // snapshot captured under one representation resumes under the other —
 // crash under legacy, resume interned, and vice versa.
 TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {
-  ScopedRepr guard;
+  ScopedInterning guard(true);
   for (const CpEngine& engine : CrashPointEngines()) {
     // Oracle rendering + charge count, interned mode.
     SetStructuralInterningForTesting(true);
@@ -1918,7 +1919,7 @@ TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {
 
 datalog::EvalOptions StorageOpts(bool columnar) {
   datalog::EvalOptions o;
-  o.use_columnar = columnar;  // pinned: overrides AWR_NO_COLUMNAR
+  o.use_columnar = columnar;
   return o;
 }
 
@@ -2099,8 +2100,8 @@ TEST(ColumnarVsRowGovernance, PreCancelledAndExpiredDeadlineParity) {
 
 datalog::EvalOptions EngineOpts(bool columnar, bool bytecode) {
   datalog::EvalOptions o;
-  o.use_columnar = columnar;  // pinned: overrides AWR_NO_COLUMNAR
-  o.use_bytecode = bytecode;  // pinned: overrides AWR_NO_BYTECODE
+  o.use_columnar = columnar;
+  o.use_bytecode = bytecode;
   return o;
 }
 

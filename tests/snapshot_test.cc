@@ -7,6 +7,9 @@
 //   * adversarial mutations with a *recomputed* checksum (past the
 //     integrity layer, into the defensive parser) never crash — they
 //     either decode to some snapshot or fail cleanly.
+// The codec, format, corruption and resume tests run under both value
+// representations: the decoder re-interns through the value factories,
+// so the legacy representation must survive the same byte streams.
 // Golden files in tests/data/ pin the byte format: a format change that
 // bumps kFormatVersion must keep rejecting old-version bytes with a
 // version-specific error, and an unintentional encoding change breaks
@@ -31,6 +34,7 @@
 #include "awr/snapshot/state.h"
 #include "awr/storage/fs.h"
 #include "awr/value/value_codec.h"
+#include "reference_configs.h"
 
 #ifndef AWR_TEST_DATA_DIR
 #define AWR_TEST_DATA_DIR "tests/data"
@@ -62,7 +66,7 @@ Value RoundTrip(const Value& v) {
   return decoded.ok() ? *decoded : Value::EmptySet();
 }
 
-TEST(ValueCodecTest, RoundTripsEveryKind) {
+AWR_TEST_BOTH_REPRS(ValueCodecTest, RoundTripsEveryKind) {
   const Value cases[] = {
       Value::Boolean(true),
       Value::Boolean(false),
@@ -83,7 +87,7 @@ TEST(ValueCodecTest, RoundTripsEveryKind) {
   }
 }
 
-TEST(ValueCodecTest, RoundTripsDeepNesting) {
+AWR_TEST_BOTH_REPRS(ValueCodecTest, RoundTripsDeepNesting) {
   Value v = Value::Int(7);
   for (int i = 0; i < 40; ++i) {
     v = Value::Tuple({Value::Atom("wrap"), Value::Set({v})});
@@ -91,7 +95,7 @@ TEST(ValueCodecTest, RoundTripsDeepNesting) {
   EXPECT_EQ(RoundTrip(v), v);
 }
 
-TEST(ValueCodecTest, SharedAtomsUseOneTableEntry) {
+AWR_TEST_BOTH_REPRS(ValueCodecTest, SharedAtomsUseOneTableEntry) {
   ByteWriter body;
   ValueEncoder enc(&body);
   enc.Encode(Value::Tuple({Value::Atom("a"), Value::Atom("a"),
@@ -99,7 +103,7 @@ TEST(ValueCodecTest, SharedAtomsUseOneTableEntry) {
   EXPECT_EQ(enc.table().size(), 2u);
 }
 
-TEST(ValueCodecTest, GarbageNeverCrashesDecoder) {
+AWR_TEST_BOTH_REPRS(ValueCodecTest, GarbageNeverCrashesDecoder) {
   // Every short byte string, plus targeted bad tags / bad refs.
   std::vector<std::string> table{"a"};
   for (int b0 = 0; b0 < 256; ++b0) {
@@ -120,7 +124,7 @@ TEST(ValueCodecTest, GarbageNeverCrashesDecoder) {
   EXPECT_FALSE(dec.Decode().ok());
 }
 
-TEST(ValueCodecTest, NestingDepthIsCapped) {
+AWR_TEST_BOTH_REPRS(ValueCodecTest, NestingDepthIsCapped) {
   // 200 nested single-element tuples: deeper than kMaxDepth, shallow
   // enough to build the input by hand.
   ByteWriter w;
@@ -198,7 +202,7 @@ void ExpectSnapshotsEqual(const EvalSnapshot& a, const EvalSnapshot& b) {
   EXPECT_EQ(a.inner.delta.ToString(), b.inner.delta.ToString());
 }
 
-TEST(SnapshotFormatTest, RoundTripsAllFields) {
+AWR_TEST_BOTH_REPRS(SnapshotFormatTest, RoundTripsAllFields) {
   EvalSnapshot s = FullSnapshot();
   auto bytes = snapshot::Serialize(s);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
@@ -207,7 +211,7 @@ TEST(SnapshotFormatTest, RoundTripsAllFields) {
   ExpectSnapshotsEqual(s, *back);
 }
 
-TEST(SnapshotFormatTest, SerializationIsDeterministic) {
+AWR_TEST_BOTH_REPRS(SnapshotFormatTest, SerializationIsDeterministic) {
   EvalSnapshot s = FullSnapshot();
   auto a = snapshot::Serialize(s);
   auto b = snapshot::Serialize(s);
@@ -222,7 +226,8 @@ TEST(SnapshotFormatTest, SerializationIsDeterministic) {
   EXPECT_EQ(*a, *c);
 }
 
-TEST(SnapshotFormatTest, ColumnarAndRowStorageSerializeIdentically) {
+AWR_TEST_BOTH_REPRS(SnapshotFormatTest,
+                    ColumnarAndRowStorageSerializeIdentically) {
   // The same model evaluated with and without the VM's word-level
   // cursors — and serialized with and without the column stores
   // materialized — must produce the exact same snapshot bytes: the
@@ -266,7 +271,7 @@ TEST(SnapshotFormatTest, ColumnarAndRowStorageSerializeIdentically) {
   EXPECT_EQ(back->inner.interp.ToString(), row_model->ToString());
 }
 
-TEST(SnapshotFormatTest, FileRoundTrip) {
+AWR_TEST_BOTH_REPRS(SnapshotFormatTest, FileRoundTrip) {
   EvalSnapshot s = FullSnapshot();
   std::string path = ::testing::TempDir() + "/awr_snapshot_roundtrip.snap";
   ASSERT_TRUE(snapshot::WriteSnapshotFile(s, path).ok());
@@ -286,7 +291,7 @@ std::vector<uint8_t> SerializedFull() {
   return *bytes;
 }
 
-TEST(SnapshotCorruptionTest, EveryTruncationFailsCleanly) {
+AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, EveryTruncationFailsCleanly) {
   std::vector<uint8_t> bytes = SerializedFull();
   for (size_t len = 0; len < bytes.size(); ++len) {
     auto r = snapshot::Deserialize(bytes.data(), len);
@@ -294,7 +299,8 @@ TEST(SnapshotCorruptionTest, EveryTruncationFailsCleanly) {
   }
 }
 
-TEST(SnapshotCorruptionTest, EverySingleBitFlipFailsTheChecksum) {
+AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest,
+                    EverySingleBitFlipFailsTheChecksum) {
   std::vector<uint8_t> bytes = SerializedFull();
   for (size_t i = 0; i < bytes.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -316,7 +322,8 @@ void PatchChecksum(std::vector<uint8_t>* bytes) {
   }
 }
 
-TEST(SnapshotCorruptionTest, ChecksumPatchedMutationsNeverCrash) {
+AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest,
+                    ChecksumPatchedMutationsNeverCrash) {
   const std::vector<uint8_t> bytes = SerializedFull();
   // Deterministic LCG; no std::random so failures replay exactly.
   uint64_t state = 0x2545f4914f6cdd1dull;
@@ -356,7 +363,7 @@ constexpr size_t kVersionOffset = 8;
 constexpr size_t kEngineOffset = 12;
 constexpr size_t kFlagsOffset = 13;
 
-TEST(SnapshotCorruptionTest, BadMagicIsRejected) {
+AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, BadMagicIsRejected) {
   std::vector<uint8_t> bytes = SerializedFull();
   bytes[0] = 'X';
   PatchChecksum(&bytes);
@@ -365,7 +372,7 @@ TEST(SnapshotCorruptionTest, BadMagicIsRejected) {
   EXPECT_NE(st.message().find("magic"), std::string::npos) << st;
 }
 
-TEST(SnapshotCorruptionTest, FutureFormatVersionIsRejected) {
+AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, FutureFormatVersionIsRejected) {
   std::vector<uint8_t> bytes = SerializedFull();
   bytes[kVersionOffset] = snapshot::kFormatVersion + 1;
   PatchChecksum(&bytes);
@@ -374,7 +381,7 @@ TEST(SnapshotCorruptionTest, FutureFormatVersionIsRejected) {
   EXPECT_NE(st.message().find("version"), std::string::npos) << st;
 }
 
-TEST(SnapshotCorruptionTest, UnknownEngineIsRejected) {
+AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, UnknownEngineIsRejected) {
   std::vector<uint8_t> bytes = SerializedFull();
   bytes[kEngineOffset] = 9;
   PatchChecksum(&bytes);
@@ -383,7 +390,7 @@ TEST(SnapshotCorruptionTest, UnknownEngineIsRejected) {
   EXPECT_NE(st.message().find("engine"), std::string::npos) << st;
 }
 
-TEST(SnapshotCorruptionTest, UnknownFlagBitsAreRejected) {
+AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, UnknownFlagBitsAreRejected) {
   std::vector<uint8_t> bytes = SerializedFull();
   bytes[kFlagsOffset] |= 0x80;
   PatchChecksum(&bytes);
@@ -391,7 +398,7 @@ TEST(SnapshotCorruptionTest, UnknownFlagBitsAreRejected) {
   EXPECT_TRUE(st.IsInvalidArgument()) << st;
 }
 
-TEST(SnapshotCorruptionTest, TrailingBytesAreRejected) {
+AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, TrailingBytesAreRejected) {
   std::vector<uint8_t> bytes = SerializedFull();
   // Splice two junk bytes before the checksum, then re-patch: the body
   // parses but does not consume everything.
@@ -419,7 +426,7 @@ EvalSnapshot CapturedTcSnapshot() {
   return *sink.latest;
 }
 
-TEST(SnapshotResumeTest, RejectsMismatchedProgramAndDatabase) {
+AWR_TEST_BOTH_REPRS(SnapshotResumeTest, RejectsMismatchedProgramAndDatabase) {
   EvalSnapshot snap = CapturedTcSnapshot();
   auto other_program = *datalog::ParseProgram("tc(X, Y) :- edge(X, Y).");
   Status st =
@@ -445,25 +452,27 @@ TEST(SnapshotResumeTest, RejectsMismatchedProgramAndDatabase) {
 // so the capture — and therefore the bytes — is deterministic across
 // platforms and processes.
 
+// Capture and resume run on the evaluation paths their options select.
 struct GoldenCase {
   std::string file;
   EngineKind engine;
   // Captures the snapshot this golden pins.
-  std::function<EvalSnapshot()> capture;
+  std::function<EvalSnapshot(const EvalOptions&)> capture;
   // Resumes from the golden and renders; empty string on error.
-  std::function<std::string(const EvalSnapshot&)> resume;
+  std::function<std::string(const EvalSnapshot&, const EvalOptions&)> resume;
   // Renders the uninterrupted model for the resume check.
   std::function<std::string()> oracle;
 };
 
 template <typename EvalFn>
-EvalSnapshot CaptureAtCharge(const EvalFn& eval, size_t k) {
+EvalSnapshot CaptureAtCharge(const EvalFn& eval, size_t k,
+                             const EvalOptions& base) {
   FaultInjector injector;
   injector.TripAt(k, Status::Internal("injected fault"));
   ExecutionContext ctx(EvalLimits::Default());
   ctx.set_fault_injector(&injector);
   snapshot::CheckpointSink sink;
-  EvalOptions opts;
+  EvalOptions opts = base;
   opts.context = &ctx;
   opts.checkpoint.sink = &sink;
   opts.checkpoint.every_n_rounds = 0;
@@ -493,43 +502,43 @@ std::vector<GoldenCase> GoldenCases() {
   std::vector<GoldenCase> out;
   out.push_back(
       {"golden_leastmodel.snap", EngineKind::kLeastModel,
-       [=] {
+       [=](const EvalOptions& base) {
          return CaptureAtCharge(
              [&](const EvalOptions& o) {
                return datalog::EvalMinimalModel(tc, edges, o).status();
              },
-             9);
+             9, base);
        },
-       [=](const EvalSnapshot& s) {
-         auto r = snapshot::ResumeMinimalModel(tc, edges, s);
+       [=](const EvalSnapshot& s, const EvalOptions& base) {
+         auto r = snapshot::ResumeMinimalModel(tc, edges, s, base);
          return r.ok() ? r->ToString() : std::string();
        },
        [=] { return datalog::EvalMinimalModel(tc, edges)->ToString(); }});
   out.push_back(
       {"golden_stratified.snap", EngineKind::kStratified,
-       [=] {
+       [=](const EvalOptions& base) {
          return CaptureAtCharge(
              [&](const EvalOptions& o) {
                return datalog::EvalStratified(reach, reach_db, o).status();
              },
-             11);
+             11, base);
        },
-       [=](const EvalSnapshot& s) {
-         auto r = snapshot::ResumeStratified(reach, reach_db, s);
+       [=](const EvalSnapshot& s, const EvalOptions& base) {
+         auto r = snapshot::ResumeStratified(reach, reach_db, s, base);
          return r.ok() ? r->ToString() : std::string();
        },
        [=] { return datalog::EvalStratified(reach, reach_db)->ToString(); }});
   out.push_back(
       {"golden_inflationary.snap", EngineKind::kInflationary,
-       [=] {
+       [=](const EvalOptions& base) {
          return CaptureAtCharge(
              [&](const EvalOptions& o) {
                return datalog::EvalInflationary(game, game_db, o).status();
              },
-             5);
+             5, base);
        },
-       [=](const EvalSnapshot& s) {
-         auto r = snapshot::ResumeInflationary(game, game_db, s);
+       [=](const EvalSnapshot& s, const EvalOptions& base) {
+         auto r = snapshot::ResumeInflationary(game, game_db, s, base);
          return r.ok() ? r->ToString() : std::string();
        },
        [=] {
@@ -537,15 +546,15 @@ std::vector<GoldenCase> GoldenCases() {
        }});
   out.push_back(
       {"golden_wellfounded.snap", EngineKind::kWellFounded,
-       [=] {
+       [=](const EvalOptions& base) {
          return CaptureAtCharge(
              [&](const EvalOptions& o) {
                return datalog::EvalWellFounded(game, game_db, o).status();
              },
-             13);
+             13, base);
        },
-       [=](const EvalSnapshot& s) {
-         auto r = snapshot::ResumeWellFounded(game, game_db, s);
+       [=](const EvalSnapshot& s, const EvalOptions& base) {
+         auto r = snapshot::ResumeWellFounded(game, game_db, s, base);
          return r.ok() ? r->certain.ToString() + r->possible.ToString()
                        : std::string();
        },
@@ -556,34 +565,50 @@ std::vector<GoldenCase> GoldenCases() {
   return out;
 }
 
+std::string GoldenPath(const GoldenCase& gc) {
+  return std::string(AWR_TEST_DATA_DIR) + "/" + gc.file;
+}
+
+// Every reference configuration captures the committed bytes and
+// resumes from them to the production model; only production captures
+// regenerate the goldens.
 TEST(SnapshotGoldenTest, CommittedBytesStayValidAndResumable) {
   const bool regen = [] {
     const char* env = std::getenv("AWR_REGEN_GOLDEN");
     return env != nullptr && *env == '1';
   }();
-  for (const GoldenCase& gc : GoldenCases()) {
-    SCOPED_TRACE(gc.file);
-    const std::string path = std::string(AWR_TEST_DATA_DIR) + "/" + gc.file;
-    EvalSnapshot captured = gc.capture();
-    if (regen) {
-      ASSERT_TRUE(snapshot::WriteSnapshotFile(captured, path).ok()) << path;
+  if (regen) {
+    for (const GoldenCase& gc : GoldenCases()) {
+      ASSERT_TRUE(snapshot::WriteSnapshotFile(gc.capture(EvalOptions()),
+                                              GoldenPath(gc))
+                      .ok())
+          << GoldenPath(gc);
     }
-    auto loaded = snapshot::ReadSnapshotFile(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status() << "\n(path: " << path
-                             << "; regenerate with AWR_REGEN_GOLDEN=1)";
-    EXPECT_EQ(loaded->engine, gc.engine);
+  }
+  for (const ReferenceConfig& config : ReferenceConfigs()) {
+    SCOPED_TRACE(config.name);
+    ScopedInterning repr(config.structural_interning);
+    const EvalOptions opts = config.Apply({});
+    for (const GoldenCase& gc : GoldenCases()) {
+      SCOPED_TRACE(gc.file);
+      const std::string path = GoldenPath(gc);
+      auto loaded = snapshot::ReadSnapshotFile(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status() << "\n(path: " << path
+                               << "; regenerate with AWR_REGEN_GOLDEN=1)";
+      EXPECT_EQ(loaded->engine, gc.engine);
 
-    // Today's serializer reproduces the committed bytes exactly: the
-    // fresh capture and the golden agree byte for byte.
-    auto golden_bytes = snapshot::Serialize(*loaded);
-    auto fresh_bytes = snapshot::Serialize(captured);
-    ASSERT_TRUE(golden_bytes.ok() && fresh_bytes.ok());
-    EXPECT_EQ(*golden_bytes, *fresh_bytes)
-        << "serializer output changed for committed golden " << gc.file
-        << "; if intentional, bump kFormatVersion and regenerate";
+      // Today's serializer reproduces the committed bytes exactly: the
+      // fresh capture and the golden agree byte for byte.
+      auto golden_bytes = snapshot::Serialize(*loaded);
+      auto fresh_bytes = snapshot::Serialize(gc.capture(opts));
+      ASSERT_TRUE(golden_bytes.ok() && fresh_bytes.ok());
+      EXPECT_EQ(*golden_bytes, *fresh_bytes)
+          << "serializer output changed for committed golden " << gc.file
+          << "; if intentional, bump kFormatVersion and regenerate";
 
-    // And the golden still resumes to the uninterrupted model.
-    EXPECT_EQ(gc.resume(*loaded), gc.oracle());
+      // And the golden still resumes to the uninterrupted model.
+      EXPECT_EQ(gc.resume(*loaded, opts), gc.oracle());
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the specification substrate: the §2.1 SET(nat) example via
 // rewriting, congruence closure, the §2.2 valid interpretation, and the
-// Proposition 2.3(2) decision procedure on Example 2.
+// Proposition 2.3(2) decision procedure on Example 2.  Every test runs
+// under both term representations: hash-consed and legacy per-instance.
 #include <gtest/gtest.h>
 
 #include "awr/spec/builtin_specs.h"
@@ -8,11 +9,12 @@
 #include "awr/spec/ivm_decision.h"
 #include "awr/spec/rewrite.h"
 #include "awr/spec/valid_interp.h"
+#include "reference_configs.h"
 
 namespace awr::spec {
 namespace {
 
-TEST(SpecTest, BuiltinSpecsValidate) {
+AWR_TEST_BOTH_REPRS(SpecTest, BuiltinSpecsValidate) {
   EXPECT_TRUE(BoolSpec().Validate().ok());
   EXPECT_TRUE(NatSpec().Validate().ok());
   EXPECT_TRUE(SetNatSpec().Validate().ok());
@@ -23,7 +25,7 @@ TEST(SpecTest, BuiltinSpecsValidate) {
   EXPECT_FALSE(SetNatSpec().IsConstantsOnly());
 }
 
-TEST(SpecTest, ValidateCatchesIllSortedEquation) {
+AWR_TEST_BOTH_REPRS(SpecTest, ValidateCatchesIllSortedEquation) {
   Specification spec = BoolSpec();
   // T = ZERO is ill-sorted once nat exists.
   spec.signature.AddSort("nat");
@@ -35,56 +37,58 @@ TEST(SpecTest, ValidateCatchesIllSortedEquation) {
 // ---------------------------------------------------------------------
 // Rewriting: the §2.1 SET(nat) specification.
 
-class SetRewriteTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    auto rs = RewriteSystem::FromSpec(SetNatSpec());
-    ASSERT_TRUE(rs.ok()) << rs.status();
-    rs_ = std::make_unique<RewriteSystem>(std::move(*rs));
-  }
-  std::unique_ptr<RewriteSystem> rs_;
-};
-
-TEST_F(SetRewriteTest, NatEqualityEvaluates) {
-  EXPECT_TRUE(*rs_->Equal(Term::Op("EQ", {NatTerm(3), NatTerm(3)}), TrueTerm()));
-  EXPECT_TRUE(*rs_->Equal(Term::Op("EQ", {NatTerm(3), NatTerm(4)}), FalseTerm()));
+// Built per representation, inside each test body.
+RewriteSystem SetNatRewrites() {
+  auto rs = RewriteSystem::FromSpec(SetNatSpec());
+  EXPECT_TRUE(rs.ok()) << rs.status();
+  return std::move(*rs);
 }
 
-TEST_F(SetRewriteTest, MembershipOnFiniteSets) {
+AWR_TEST_BOTH_REPRS(SetRewriteTest, NatEqualityEvaluates) {
+  const RewriteSystem rs = SetNatRewrites();
+  EXPECT_TRUE(*rs.Equal(Term::Op("EQ", {NatTerm(3), NatTerm(3)}), TrueTerm()));
+  EXPECT_TRUE(*rs.Equal(Term::Op("EQ", {NatTerm(3), NatTerm(4)}), FalseTerm()));
+}
+
+AWR_TEST_BOTH_REPRS(SetRewriteTest, MembershipOnFiniteSets) {
+  const RewriteSystem rs = SetNatRewrites();
   Term s = SetTerm({1, 3, 5});
-  EXPECT_TRUE(*rs_->Equal(MemTerm(3, s), TrueTerm()));
-  EXPECT_TRUE(*rs_->Equal(MemTerm(1, s), TrueTerm()));
-  EXPECT_TRUE(*rs_->Equal(MemTerm(5, s), TrueTerm()));
+  EXPECT_TRUE(*rs.Equal(MemTerm(3, s), TrueTerm()));
+  EXPECT_TRUE(*rs.Equal(MemTerm(1, s), TrueTerm()));
+  EXPECT_TRUE(*rs.Equal(MemTerm(5, s), TrueTerm()));
   // "For a finite set S, MEM returns F otherwise."
-  EXPECT_TRUE(*rs_->Equal(MemTerm(2, s), FalseTerm()));
-  EXPECT_TRUE(*rs_->Equal(MemTerm(0, SetTerm({})), FalseTerm()));
+  EXPECT_TRUE(*rs.Equal(MemTerm(2, s), FalseTerm()));
+  EXPECT_TRUE(*rs.Equal(MemTerm(0, SetTerm({})), FalseTerm()));
 }
 
-TEST_F(SetRewriteTest, InsertionOrderIrrelevant) {
+AWR_TEST_BOTH_REPRS(SetRewriteTest, InsertionOrderIrrelevant) {
+  const RewriteSystem rs = SetNatRewrites();
   // INS commutation + absorption give a canonical form: sets built in
   // any insertion order (with duplicates) normalize identically.
   Term a = SetTerm({1, 2, 3});
   Term b = SetTerm({3, 1, 2});
   Term c = SetTerm({2, 2, 3, 1, 1});
-  EXPECT_TRUE(*rs_->Equal(a, b));
-  EXPECT_TRUE(*rs_->Equal(a, c));
-  EXPECT_FALSE(*rs_->Equal(a, SetTerm({1, 2})));
+  EXPECT_TRUE(*rs.Equal(a, b));
+  EXPECT_TRUE(*rs.Equal(a, c));
+  EXPECT_FALSE(*rs.Equal(a, SetTerm({1, 2})));
   // Normal forms are literally identical terms.
-  EXPECT_EQ(*rs_->Normalize(a), *rs_->Normalize(c));
+  EXPECT_EQ(*rs.Normalize(a), *rs.Normalize(c));
 }
 
-TEST_F(SetRewriteTest, NormalFormIsStable) {
+AWR_TEST_BOTH_REPRS(SetRewriteTest, NormalFormIsStable) {
+  const RewriteSystem rs = SetNatRewrites();
   Term s = SetTerm({4, 1, 4, 2});
-  Term n1 = *rs_->Normalize(s);
-  Term n2 = *rs_->Normalize(n1);
+  Term n1 = *rs.Normalize(s);
+  Term n2 = *rs.Normalize(n1);
   EXPECT_EQ(n1, n2);
 }
 
-TEST_F(SetRewriteTest, NonGroundTermRejected) {
-  EXPECT_TRUE(rs_->Normalize(Term::Var("x", "nat")).status().IsInvalidArgument());
+AWR_TEST_BOTH_REPRS(SetRewriteTest, NonGroundTermRejected) {
+  const RewriteSystem rs = SetNatRewrites();
+  EXPECT_TRUE(rs.Normalize(Term::Var("x", "nat")).status().IsInvalidArgument());
 }
 
-TEST(RewriteTest, UnorientableEquationRejected) {
+AWR_TEST_BOTH_REPRS(RewriteTest, UnorientableEquationRejected) {
   Specification spec = BoolSpec();
   // T = IF(x, T, T) has an extra variable on the right.
   spec.equations.push_back(
@@ -94,7 +98,7 @@ TEST(RewriteTest, UnorientableEquationRejected) {
   EXPECT_TRUE(RewriteSystem::FromSpec(spec).status().IsInvalidArgument());
 }
 
-TEST(RewriteTest, ConditionalRuleWithDisequation) {
+AWR_TEST_BOTH_REPRS(RewriteTest, ConditionalRuleWithDisequation) {
   // f(x): c → d if x ≠ T.  Tests negative premises operationally.
   Specification spec = BoolSpec();
   spec.signature.AddSort("s");
@@ -116,7 +120,7 @@ TEST(RewriteTest, ConditionalRuleWithDisequation) {
             Term::Op("d"));
 }
 
-TEST(RewriteTest, FuelExhaustionReported) {
+AWR_TEST_BOTH_REPRS(RewriteTest, FuelExhaustionReported) {
   // A looping rule: f(x) = f(x) is permutative (same multiset) so it is
   // never applied — use g(x) = g(g(x))... that grows; budget must trip.
   Specification spec;
@@ -138,7 +142,7 @@ TEST(RewriteTest, FuelExhaustionReported) {
 // ---------------------------------------------------------------------
 // Congruence closure.
 
-TEST(CongruenceTest, BasicUnionAndCongruence) {
+AWR_TEST_BOTH_REPRS(CongruenceTest, BasicUnionAndCongruence) {
   CongruenceClosure cc;
   Term a = Term::Op("a"), b = Term::Op("b"), c = Term::Op("c");
   ASSERT_TRUE(cc.AddEquation(a, b).ok());
@@ -149,7 +153,7 @@ TEST(CongruenceTest, BasicUnionAndCongruence) {
   EXPECT_FALSE(*cc.AreEqual(Term::Op("f", {a}), Term::Op("g", {b})));
 }
 
-TEST(CongruenceTest, TransitivityThroughCongruence) {
+AWR_TEST_BOTH_REPRS(CongruenceTest, TransitivityThroughCongruence) {
   // a = b and f(b) = c imply f(a) = c.
   CongruenceClosure cc;
   Term a = Term::Op("a"), b = Term::Op("b"), c = Term::Op("c");
@@ -158,7 +162,7 @@ TEST(CongruenceTest, TransitivityThroughCongruence) {
   EXPECT_TRUE(*cc.AreEqual(Term::Op("f", {a}), c));
 }
 
-TEST(CongruenceTest, NestedCongruencePropagates) {
+AWR_TEST_BOTH_REPRS(CongruenceTest, NestedCongruencePropagates) {
   // a = b ⟹ g(f(a), a) = g(f(b), b).
   CongruenceClosure cc;
   Term a = Term::Op("a"), b = Term::Op("b");
@@ -167,7 +171,7 @@ TEST(CongruenceTest, NestedCongruencePropagates) {
                            Term::Op("g", {Term::Op("f", {b}), b})));
 }
 
-TEST(CongruenceTest, ClassicAckermannExample) {
+AWR_TEST_BOTH_REPRS(CongruenceTest, ClassicAckermannExample) {
   // f(f(f(a))) = a and f(f(f(f(f(a))))) = a imply f(a) = a.
   CongruenceClosure cc;
   Term a = Term::Op("a");
@@ -177,7 +181,7 @@ TEST(CongruenceTest, ClassicAckermannExample) {
   EXPECT_TRUE(*cc.AreEqual(f(a), a));
 }
 
-TEST(CongruenceTest, RejectsNonGround) {
+AWR_TEST_BOTH_REPRS(CongruenceTest, RejectsNonGround) {
   CongruenceClosure cc;
   EXPECT_TRUE(
       cc.AddEquation(Term::Var("x", "s"), Term::Op("a")).IsInvalidArgument());
@@ -186,7 +190,7 @@ TEST(CongruenceTest, RejectsNonGround) {
 // ---------------------------------------------------------------------
 // Valid interpretation (§2.2) over a bounded universe.
 
-TEST(ValidInterpTest, PositiveSpecEqualities) {
+AWR_TEST_BOTH_REPRS(ValidInterpTest, PositiveSpecEqualities) {
   // A minimal successor algebra with a redundant constant
   // D = SUCC(ZERO).  (The full NAT spec imports BOOL whose ternary IF
   // makes the bounded universe explode combinatorially; the valid
@@ -210,7 +214,7 @@ TEST(ValidInterpTest, PositiveSpecEqualities) {
             Truth::kTrue);
 }
 
-TEST(ValidInterpTest, Example2AllUndefinedBetweenConstants) {
+AWR_TEST_BOTH_REPRS(ValidInterpTest, Example2AllUndefinedBetweenConstants) {
   // Example 2: no equality is derivable in a valid manner, and the
   // conditional equations make a=b / a=c undefined rather than false.
   auto interp = SpecValidInterp::Compute(Example2Spec());
@@ -223,7 +227,7 @@ TEST(ValidInterpTest, Example2AllUndefinedBetweenConstants) {
   EXPECT_TRUE(interp->CertainEqualities().empty());
 }
 
-TEST(ValidInterpTest, UniverseBudgetEnforced) {
+AWR_TEST_BOTH_REPRS(ValidInterpTest, UniverseBudgetEnforced) {
   ValidInterpOptions opts;
   opts.max_depth = 50;
   opts.max_universe = 20;
@@ -231,7 +235,7 @@ TEST(ValidInterpTest, UniverseBudgetEnforced) {
   EXPECT_TRUE(interp.status().IsResourceExhausted());
 }
 
-TEST(ValidInterpTest, NegativePremiseDerivesDefault) {
+AWR_TEST_BOTH_REPRS(ValidInterpTest, NegativePremiseDerivesDefault) {
   // A miniature of the §2.2 MEM-totalization: sort s with constants
   // ok, bad, out; out = bad  if  ok ≠ bad.  ok ≠ bad is certainly
   // underivable (no equation equates them), so out = bad is derived.
@@ -253,7 +257,7 @@ TEST(ValidInterpTest, NegativePremiseDerivesDefault) {
 // ---------------------------------------------------------------------
 // Proposition 2.3(2): the constants-only decision procedure.
 
-TEST(IvmDecisionTest, Example2HasNoInitialValidModel) {
+AWR_TEST_BOTH_REPRS(IvmDecisionTest, Example2HasNoInitialValidModel) {
   auto decision = DecideInitialValidModel(Example2Spec());
   ASSERT_TRUE(decision.ok()) << decision.status();
   // "SPEC has three such models: a=b=c, a=b≠c, and a=c≠b.  However,
@@ -263,7 +267,7 @@ TEST(IvmDecisionTest, Example2HasNoInitialValidModel) {
   EXPECT_FALSE(decision->has_initial_valid_model);
 }
 
-TEST(IvmDecisionTest, PositiveSpecHasInitialModel) {
+AWR_TEST_BOTH_REPRS(IvmDecisionTest, PositiveSpecHasInitialModel) {
   // a = b, c free: initial valid model is {a, b} | {c}.
   Specification spec;
   spec.signature.AddSort("s");
@@ -279,7 +283,7 @@ TEST(IvmDecisionTest, PositiveSpecHasInitialModel) {
   EXPECT_FALSE(decision->initial->SameBlock("a", "c"));
 }
 
-TEST(IvmDecisionTest, NegationWithUniqueMinimalModel) {
+AWR_TEST_BOTH_REPRS(IvmDecisionTest, NegationWithUniqueMinimalModel) {
   // a ≠ b → c = a: the valid computation cannot derive a = b, so a ≠ b
   // becomes certain and c = a is forced: initial valid model {a,c}|{b}.
   Specification spec;
@@ -299,7 +303,7 @@ TEST(IvmDecisionTest, NegationWithUniqueMinimalModel) {
   EXPECT_FALSE(decision->initial->SameBlock("a", "b"));
 }
 
-TEST(IvmDecisionTest, FreeSpecInitialIsDiscrete) {
+AWR_TEST_BOTH_REPRS(IvmDecisionTest, FreeSpecInitialIsDiscrete) {
   Specification spec;
   spec.signature.AddSort("s");
   ASSERT_TRUE(spec.signature.AddOp({"a", {}, "s"}).ok());
@@ -311,7 +315,7 @@ TEST(IvmDecisionTest, FreeSpecInitialIsDiscrete) {
   EXPECT_EQ(decision->model_count, 2u);  // {a}{b} and {a,b}
 }
 
-TEST(IvmDecisionTest, SortsPartitionIndependently) {
+AWR_TEST_BOTH_REPRS(IvmDecisionTest, SortsPartitionIndependently) {
   Specification spec;
   spec.signature.AddSort("s");
   spec.signature.AddSort("t");
@@ -325,12 +329,12 @@ TEST(IvmDecisionTest, SortsPartitionIndependently) {
   EXPECT_TRUE(decision->has_initial_valid_model);
 }
 
-TEST(IvmDecisionTest, RejectsNonConstantSpec) {
+AWR_TEST_BOTH_REPRS(IvmDecisionTest, RejectsNonConstantSpec) {
   auto decision = DecideInitialValidModel(NatSpec());
   EXPECT_TRUE(decision.status().IsFailedPrecondition());
 }
 
-TEST(IvmDecisionTest, ConstantBudgetEnforced) {
+AWR_TEST_BOTH_REPRS(IvmDecisionTest, ConstantBudgetEnforced) {
   Specification spec;
   spec.signature.AddSort("s");
   for (int i = 0; i < 12; ++i) {
@@ -372,7 +376,7 @@ Specification ColorSpec() {
   return spec;
 }
 
-TEST(ParameterizedSetTest, InstantiationAtColors) {
+AWR_TEST_BOTH_REPRS(ParameterizedSetTest, InstantiationAtColors) {
   auto set_spec = SetSpecFor(ColorSpec(), "color", "ceq");
   ASSERT_TRUE(set_spec.ok()) << set_spec.status();
   ASSERT_TRUE(set_spec->Validate().ok());
@@ -394,14 +398,14 @@ TEST(ParameterizedSetTest, InstantiationAtColors) {
   EXPECT_TRUE(*rs->Equal(s, t));
 }
 
-TEST(ParameterizedSetTest, SetNatIsAnInstance) {
+AWR_TEST_BOTH_REPRS(ParameterizedSetTest, SetNatIsAnInstance) {
   auto from_param = SetSpecFor(NatSpec(), "nat", "EQ");
   ASSERT_TRUE(from_param.ok());
   EXPECT_EQ(from_param->equations.size(), SetNatSpec().equations.size());
   EXPECT_EQ(from_param->name, "SET(nat)");
 }
 
-TEST(ParameterizedSetTest, RequiresDeclaredEquality) {
+AWR_TEST_BOTH_REPRS(ParameterizedSetTest, RequiresDeclaredEquality) {
   Specification no_eq = BoolSpec();
   no_eq.signature.AddSort("thing");
   EXPECT_TRUE(
@@ -414,14 +418,14 @@ TEST(ParameterizedSetTest, RequiresDeclaredEquality) {
   EXPECT_TRUE(SetSpecFor(bad, "thing", "teq").status().IsInvalidArgument());
 }
 
-TEST(ParameterizedSetTest, RequiresBoolSubstrate) {
+AWR_TEST_BOTH_REPRS(ParameterizedSetTest, RequiresBoolSubstrate) {
   Specification spec;  // no bool at all
   spec.signature.AddSort("thing");
   EXPECT_TRUE(
       SetSpecFor(spec, "thing", "teq").status().IsInvalidArgument());
 }
 
-TEST(ParameterizedSetTest, UnknownSortRejected) {
+AWR_TEST_BOTH_REPRS(ParameterizedSetTest, UnknownSortRejected) {
   EXPECT_TRUE(
       SetSpecFor(BoolSpec(), "ghost", "geq").status().IsInvalidArgument());
 }

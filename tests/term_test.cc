@@ -1,8 +1,11 @@
 // Tests for the many-sorted term substrate: signatures, terms, sort
-// checking, substitution and matching.
+// checking, substitution and matching.  The term tests run under both
+// representations: hash-consed terms and the legacy per-instance ones.
 #include "awr/term/term.h"
 
 #include <gtest/gtest.h>
+
+#include "reference_configs.h"
 
 namespace awr::term {
 namespace {
@@ -50,7 +53,7 @@ TEST(SignatureTest, ImportMergesDisjointSignatures) {
   EXPECT_NE(a.FindOp("nil"), nullptr);
 }
 
-TEST(TermTest, ConstructionAndStringification) {
+AWR_TEST_BOTH_REPRS(TermTest, ConstructionAndStringification) {
   Term two = Term::Op("succ", {Term::Op("succ", {Term::Op("zero")})});
   EXPECT_EQ(two.ToString(), "succ(succ(zero))");
   EXPECT_TRUE(two.IsGround());
@@ -63,7 +66,7 @@ TEST(TermTest, ConstructionAndStringification) {
   EXPECT_EQ(vars.at("x"), "nat");
 }
 
-TEST(TermTest, EqualityAndOrdering) {
+AWR_TEST_BOTH_REPRS(TermTest, EqualityAndOrdering) {
   Term a = Term::Op("succ", {Term::Op("zero")});
   Term b = Term::Op("succ", {Term::Op("zero")});
   Term c = Term::Op("zero");
@@ -74,7 +77,7 @@ TEST(TermTest, EqualityAndOrdering) {
   EXPECT_EQ(Term::Compare(a, c), -Term::Compare(c, a));
 }
 
-TEST(TermTest, SortChecking) {
+AWR_TEST_BOTH_REPRS(TermTest, SortChecking) {
   Signature sig = NatSig();
   Term ok = Term::Op("is_zero", {Term::Op("succ", {Term::Op("zero")})});
   auto sort = ok.SortOf(sig);
@@ -91,7 +94,7 @@ TEST(TermTest, SortChecking) {
   EXPECT_TRUE(unknown.SortOf(sig).status().IsNotFound());
 }
 
-TEST(TermTest, SubstitutionAndMatching) {
+AWR_TEST_BOTH_REPRS(TermTest, SubstitutionAndMatching) {
   Term pattern = Term::Op("succ", {Term::Var("x", "nat")});
   Term subject = Term::Op("succ", {Term::Op("zero")});
   Subst subst;
@@ -100,7 +103,7 @@ TEST(TermTest, SubstitutionAndMatching) {
   EXPECT_EQ(ApplySubst(pattern, subst), subject);
 }
 
-TEST(TermTest, NonLinearPatternMatching) {
+AWR_TEST_BOTH_REPRS(TermTest, NonLinearPatternMatching) {
   Term pattern = Term::Op("pair", {Term::Var("x", "nat"), Term::Var("x", "nat")});
   Term same = Term::Op("pair", {Term::Op("zero"), Term::Op("zero")});
   Term diff =
@@ -110,7 +113,7 @@ TEST(TermTest, NonLinearPatternMatching) {
   EXPECT_FALSE(MatchTerm(pattern, diff, &s2));
 }
 
-TEST(TermTest, MatchFailsOnDifferentShape) {
+AWR_TEST_BOTH_REPRS(TermTest, MatchFailsOnDifferentShape) {
   Subst s;
   EXPECT_FALSE(MatchTerm(Term::Op("f", {Term::Var("x", "nat")}),
                          Term::Op("g", {Term::Op("zero")}), &s));

@@ -9,23 +9,10 @@
 
 #include "awr/common/intern.h"
 #include "awr/value/value_set.h"
+#include "reference_configs.h"
 
 namespace awr {
 namespace {
-
-/// Restores the structural-interning default when a test that toggles
-/// the representation exits (including via assertion failure).
-class ScopedInterning {
- public:
-  explicit ScopedInterning(bool enabled)
-      : previous_(StructuralInterningEnabled()) {
-    SetStructuralInterningForTesting(enabled);
-  }
-  ~ScopedInterning() { SetStructuralInterningForTesting(previous_); }
-
- private:
-  bool previous_;
-};
 
 TEST(ValueTest, ScalarConstructionAndEquality) {
   EXPECT_EQ(Value::Boolean(true), Value::Boolean(true));
@@ -355,9 +342,7 @@ TEST(ValueSetColumnarTest, EligibilityTracksShapeHistogram) {
   ValueSet s;
   EXPECT_FALSE(s.columnar_eligible());  // empty: nothing to lay out
   s.Insert(Value::Pair(Value::Int(1), Value::Int(2)));
-  // Uniform flat pairs are the eligible shape — unless the layout is
-  // globally disabled (AWR_NO_COLUMNAR=1), which vetoes everything.
-  EXPECT_EQ(s.columnar_eligible(), ColumnarStorageEnabled());
+  EXPECT_TRUE(s.columnar_eligible());  // uniform flat pairs
   s.Insert(Value::Tuple({Value::Int(1), Value::Int(2), Value::Int(3)}));
   EXPECT_FALSE(s.columnar_eligible());  // mixed arity
   ValueSet scalars{Value::Int(1)};
@@ -370,7 +355,7 @@ TEST(ValueSetColumnarTest, EligibilityTracksShapeHistogram) {
 TEST(ValueSetColumnarTest, ColumnarAndRowSetsCompareEqual) {
   ValueSet columnar = FlatPairs(20);
   ValueSet row = FlatPairs(20);
-  ASSERT_EQ(columnar.BuildColumns(), ColumnarStorageEnabled());
+  ASSERT_TRUE(columnar.BuildColumns());
   EXPECT_EQ(columnar, row);
   EXPECT_EQ(row, columnar);
   EXPECT_TRUE(columnar.IsSubsetOf(row) && row.IsSubsetOf(columnar));
@@ -392,7 +377,6 @@ TEST(ValueSetColumnarTest, IterationOrderUnchangedByBuild) {
 }
 
 TEST(ValueSetColumnarTest, PromotionAndDemotionOnMutation) {
-  if (!ColumnarStorageEnabled()) GTEST_SKIP() << "AWR_NO_COLUMNAR=1";
   ValueSet s = FlatPairs(10);
   ASSERT_TRUE(s.BuildColumns());
   EXPECT_TRUE(s.columnar_built());
@@ -421,7 +405,6 @@ TEST(ValueSetColumnarTest, PromotionAndDemotionOnMutation) {
 }
 
 TEST(ValueSetColumnarTest, ColumnIndexProbesMatchRowLookups) {
-  if (!ColumnarStorageEnabled()) GTEST_SKIP() << "AWR_NO_COLUMNAR=1";
   ValueSet s = FlatPairs(64);
   const ValueSet::ColumnStore* store = s.columns();
   ASSERT_NE(store, nullptr);
@@ -454,7 +437,6 @@ TEST(ValueSetColumnarTest, ColumnIndexProbesMatchRowLookups) {
 }
 
 TEST(ValueSetColumnarTest, CopyDropsDerivedColumnsButKeepsContents) {
-  if (!ColumnarStorageEnabled()) GTEST_SKIP() << "AWR_NO_COLUMNAR=1";
   ValueSet s = FlatPairs(12);
   ASSERT_TRUE(s.BuildColumns());
   ValueSet copied(s);
