@@ -62,8 +62,18 @@ cmake --build build-asan -j"$(nproc)" \
   --target awr_eval_core_test --target awr_service_test \
   --target awr_service_chaos_test --target awr_storage_test \
   --target awr_powercut_test --target awr_vm_test \
-  --target awr_algebra_test --target awr_algebra_valid_test --target awrd
+  --target awr_algebra_test --target awr_algebra_valid_test \
+  --target awr_term_test --target awr_datalog_core_test \
+  --target awr_datalog_eval_test --target awr_parser_test \
+  --target awr_spec_test --target awrd
 (cd build-asan && ctest --output-on-failure -R Interruption)
+# The value layer under ASan/UBSan: a composite's record is one block
+# whose items are placement-constructed after the header and destroyed
+# by hand.  The value and render suites, the intern-vs-legacy
+# differentials (both representations), the term tests and the
+# known-fact filter build, compare and free composites on every path.
+(cd build-asan && ctest --output-on-failure \
+  -R 'ValueTest|ValueSet|ValueRender|InternVsLegacy|Term|FireRuleFacts')
 # The snapshot corruption fuzz runs under both value representations:
 # the decoder re-interns through the value factories, so both must
 # survive the same mutated byte streams.

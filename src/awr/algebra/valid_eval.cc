@@ -1,6 +1,5 @@
 #include "awr/algebra/valid_eval.h"
 
-#include <sstream>
 #include <utility>
 
 #include "awr/algebra/join.h"
@@ -9,19 +8,25 @@
 namespace awr::algebra {
 
 std::string ThreeValuedSet::ToString() const {
-  std::ostringstream os;
-  os << "certain " << lower.ToString();
+  std::string out = "certain ";
+  lower.AppendTo(&out);
   ValueSet undef = UndefinedElements();
-  if (!undef.empty()) os << ", undefined " << undef.ToString();
-  return os.str();
+  if (!undef.empty()) {
+    out += ", undefined ";
+    undef.AppendTo(&out);
+  }
+  return out;
 }
 
 std::string ValidAlgebraResult::ToString() const {
-  std::ostringstream os;
+  std::string out;
   for (const auto& [name, tvs] : sets_) {
-    os << name << " = " << tvs.ToString() << "\n";
+    out += name;
+    out += " = ";
+    out += tvs.ToString();
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 namespace {

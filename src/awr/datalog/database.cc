@@ -1,15 +1,16 @@
 #include "awr/datalog/database.h"
 
-#include <sstream>
-
 namespace awr::datalog {
 
 std::string Interpretation::ToString() const {
-  std::ostringstream os;
+  std::string out;
   for (const auto& [pred, extent] : relations_) {
-    os << pred << " = " << extent.ToString() << "\n";
+    out += pred;
+    out += " = ";
+    extent.AppendTo(&out);
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 std::string_view TruthToString(Truth t) {
@@ -35,13 +36,13 @@ Interpretation ThreeValuedInterp::UndefinedFacts() const {
 }
 
 std::string ThreeValuedInterp::ToString() const {
-  std::ostringstream os;
-  os << "certain:\n" << certain.ToString();
+  std::string out = "certain:\n" + certain.ToString();
   Interpretation undef = UndefinedFacts();
   if (undef.TotalFacts() > 0) {
-    os << "undefined:\n" << undef.ToString();
+    out += "undefined:\n";
+    out += undef.ToString();
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace awr::datalog

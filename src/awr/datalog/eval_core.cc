@@ -212,6 +212,7 @@ Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
       planned.rule, planned.plan, ctx, [&](const Env& env) -> Status {
         AWR_ASSIGN_OR_RETURN(Value fact,
                              EvalHead(planned.rule, env, *ctx.fns));
+        if (known != nullptr && known->Contains(fact)) return Status::OK();
         return on_fact(std::move(fact));
       });
 }

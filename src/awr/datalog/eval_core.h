@@ -72,8 +72,8 @@ struct BodyContext {
   /// column index, DESIGN.md §12) instead of row cursors (extent
   /// iteration and ValueSet::Probe buckets).  Both deliver the same fact
   /// set and poll the interrupt hook once per body match; false is the
-  /// differential oracle (EvalOptions::use_columnar), which also skips
-  /// the column-index probe of FireRuleFacts' `known`.
+  /// differential oracle (EvalOptions::use_columnar), which filters
+  /// FireRuleFacts' `known` without building its column index.
   bool use_columnar = true;
   /// When true, FireRuleFacts executes rules through compiled bytecode
   /// programs (src/awr/datalog/vm/, DESIGN.md §14) instead of the
@@ -119,18 +119,19 @@ Result<std::vector<PlannedRule>> PlanProgram(const Program& program);
 /// caller dedups).  For infallible rules the VM additionally suppresses
 /// duplicate head projections WITHIN the firing at the raw-word level,
 /// before any tuple is materialized.  Since every caller treats
-/// duplicate facts as no-ops (set insert / Holds check), the two
-/// deliveries are observationally equivalent.
+/// duplicate facts as no-ops (set insert), the two deliveries are
+/// observationally equivalent.
 ///
-/// `known` is an optional duplicate filter: an extent whose facts the
-/// caller treats as already derived (the set backing its Holds check,
-/// or any subset of it).  It MUST NOT change while the rule fires.  The
-/// VM's word-level emit path then skips known facts by probing that
-/// extent's full-arity column index — never materializing the tuple at
-/// all; the enumerator, and the VM when ctx.use_columnar is off, ignore
-/// it (their callers' Holds checks already dedup).  Since every skipped
-/// fact would have been a caller no-op, delivery with and without
-/// `known` is observationally equivalent.
+/// `known` is an optional filter of facts the caller already holds:
+/// when set, no fact in `known` is ever delivered, on any path.  It
+/// MUST NOT change while the rule fires.  The VM's word-level emit path
+/// probes the extent's full-arity column index on raw words, before any
+/// tuple is built; without that index (ctx.use_columnar off, which
+/// builds no column store, or a non-flat extent), the word path, the
+/// VM's tuple-emit path and the enumerator check each finished fact
+/// with known->Contains.  A skipped fact still polled its match, so
+/// charge counts do not depend on `known`; callers need no Holds check
+/// of their own.
 Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
                      const std::function<Status(Value)>& on_fact,
                      const ValueSet* known = nullptr);

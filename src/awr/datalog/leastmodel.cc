@@ -7,18 +7,18 @@ namespace awr::datalog {
 
 namespace {
 
-// Derives all heads of `rule` under `ctx` into `out` (skipping facts
-// already in `existing`); returns the number of new facts.  Dispatches
-// through FireRuleFacts, so compiled rules run on the VM and the rest
-// on the row enumerator — same fact set and poll sites either way.
+// Derives all heads of `rule` under `ctx` into `out`, skipping facts
+// already in `existing` (FireRuleFacts filters them through `known`);
+// returns the number of new facts.  Dispatches through FireRuleFacts,
+// so compiled rules run on the VM and the rest on the row enumerator —
+// same fact set and poll sites either way.
 Result<size_t> FireRule(const PlannedRule& pr, const BodyContext& ctx,
                         const Interpretation& existing, Interpretation* out) {
   size_t added = 0;
   AWR_RETURN_IF_ERROR(FireRuleFacts(
       pr, ctx,
       [&](Value fact) -> Status {
-        if (!existing.Holds(pr.rule.head.predicate, fact) &&
-            out->AddFactTuple(pr.rule.head.predicate, std::move(fact))) {
+        if (out->AddFactTuple(pr.rule.head.predicate, std::move(fact))) {
           ++added;
         }
         return Status::OK();

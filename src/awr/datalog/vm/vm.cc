@@ -1,6 +1,7 @@
 #include "awr/datalog/vm/vm.h"
 
 #include <atomic>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -64,11 +65,12 @@ struct ExecState {
   uint64_t word_opens = 0;
   uint64_t row_opens = 0;
   uint64_t facts = 0;
+  // The caller's `known` extent: no fact in it is delivered.
+  const ValueSet* known = nullptr;
   // Word-level emit filtering (infallible rules only): an
   // open-addressed table of the head projections already delivered
-  // this firing, plus the caller's `known` extent probed through its
-  // full-arity column index — both checked on raw words, before the
-  // head tuple is interned.
+  // this firing, plus `known` probed through its full-arity column
+  // index — both checked on raw words, before the head tuple is built.
   bool emit_dedup = false;
   std::vector<uintptr_t> dd_words = {};  ///< arity words per entry
   std::vector<int32_t> dd_table = {};    ///< open-addressed, -1 = empty
@@ -143,7 +145,7 @@ Result<Value> EvalCompiledTerm(const ExecState& s, uint32_t idx) {
 /// match; false otherwise, with `*st` non-OK iff an error occurred.
 bool MatchRowFact(ExecState& s, const CompiledRule::StepInfo& si,
                   const Value& fact, Status* st) {
-  const std::vector<Value>& items = fact.items();
+  const auto items = fact.items();
   for (const CompiledRule::FieldDesc& f : si.fields) {
     const Value& component = items[f.pos];
     switch (f.kind) {
@@ -408,7 +410,7 @@ size_t HandleCharge(ExecState& s, size_t pc, Status* st) {
 
 /// The word-level emit path: dedup the head projection against this
 /// firing's table and the caller's `known` extent on raw words, and
-/// only then intern the tuple.  Returns true when it handled the emit
+/// only then build the tuple.  Returns true when it handled the emit
 /// (delivered or skipped), false when a component is not word-sized —
 /// the caller falls back to the exact row-path delivery.  Only wired
 /// for infallible rules, where skipping a delivery cannot skip an
@@ -471,7 +473,13 @@ bool EmitDeduped(ExecState& s, Status* st, bool* delivered_ok) {
   for (size_t j = 0; j < arity; ++j) {
     s.head_buf[j] = Value::FromInlineBits(s.head_words[j]);
   }
-  Status delivered = s.on_fact(Value::Tuple(s.head_buf));
+  Value fact = Value::Tuple(std::span<const Value>(s.head_buf));
+  if (s.known_index == nullptr && s.known != nullptr &&
+      s.known->Contains(fact)) {
+    *delivered_ok = true;  // already known, checked on the tuple
+    return true;
+  }
+  Status delivered = s.on_fact(std::move(fact));
   if (!delivered.ok()) {
     *st = std::move(delivered);
     *delivered_ok = false;
@@ -508,7 +516,9 @@ size_t HandleEmit(ExecState& s, const Instr& in, Status* st) {
       }
     }
   }
-  Status delivered = s.on_fact(Value::Tuple(std::move(components)));
+  Value fact = Value::Tuple(std::move(components));
+  if (s.known != nullptr && s.known->Contains(fact)) return in.fail;
+  Status delivered = s.on_fact(std::move(fact));
   if (!delivered.ok()) {
     *st = std::move(delivered);
     return kPcError;
@@ -562,6 +572,7 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
                            const std::function<Status(Value)>& on_fact,
                            const ValueSet* known) {
   ExecState s{cr, ctx, on_fact};
+  s.known = known;
   s.regs.resize(cr.num_regs);
   s.cursors.resize(cr.num_loops);
   const size_t head_arity = cr.head.size();
@@ -572,7 +583,7 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
     s.dd_table.assign(16, -1);
     s.dd_mask = 15;
     // The row oracle (use_columnar off) builds no column store, not
-    // even for the known-fact filter; the caller's Holds check dedups.
+    // even for the known-fact filter; EmitDeduped checks the tuple.
     if (ctx.use_columnar) {
       s.known_index = KnownFactsIndex(known, head_arity, &s.known_store);
     }

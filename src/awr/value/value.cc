@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <charconv>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <ostream>
-#include <sstream>
 #include <unordered_set>
 #include <utility>
 
@@ -34,17 +36,28 @@ std::string_view ValueKindToString(ValueKind kind) {
 /// immortal (owned by the global interner; tag kTagInterned) or
 /// refcounted (tag kTagOwned, one record per Value chain of copies —
 /// the legacy representation kept as the differential oracle).
+///
+/// One allocation per record: the `size` tuple components / canonical
+/// set elements follow the header in the same block (NewRep places
+/// them, DeleteRep destroys them), so reading a component is one
+/// pointer hop from the Value word.
 struct Value::Rep {
-  ValueKind kind = ValueKind::kInt;
-  int64_t i = 0;                   // big-int payload
-  std::vector<Value> items;        // tuple components / canonical set elements
-  size_t hash = 0;
-  size_t approx_bytes = 0;         // cached structural ApproxBytes figure
   mutable std::atomic<uint32_t> refs{1};
+  ValueKind kind = ValueKind::kInt;
+  size_t size = 0;          // number of trailing items
+  int64_t i = 0;            // big-int payload
+  size_t hash = 0;
+  size_t approx_bytes = 0;  // cached structural ApproxBytes figure
+
+  Value* data() { return reinterpret_cast<Value*>(this + 1); }
+  const Value* data() const { return reinterpret_cast<const Value*>(this + 1); }
+  std::span<const Value> items() const { return {data(), size}; }
 };
 
 static_assert(alignof(Value::Rep) >= 8,
               "Rep pointers must leave the low 3 tag bits clear");
+static_assert(sizeof(Value::Rep) % alignof(Value) == 0,
+              "the trailing items must start aligned");
 
 namespace {
 
@@ -70,7 +83,7 @@ size_t HashInt(int64_t i) {
 }
 size_t HashAtom(uint32_t atom) { return HashCombine(kAtomSeed, atom); }
 
-size_t HashComposite(ValueKind kind, const std::vector<Value>& items) {
+size_t HashComposite(ValueKind kind, std::span<const Value> items) {
   size_t h = KindSeed(kind);
   for (const Value& item : items) h = HashCombine(h, item.hash());
   return HashCombine(h, items.size());
@@ -86,22 +99,35 @@ size_t HashComposite(ValueKind kind, const std::vector<Value>& items) {
 // the legacy per-instance representation and the interned default.
 
 constexpr size_t kScalarApproxBytes = 16;
-constexpr size_t kCompositeBaseBytes = sizeof(Value::Rep) + 2 * sizeof(void*);
+// A literal, not sizeof(Rep), so that memory charges, and with them
+// memory-trip statuses, do not move when the record's layout does; 80
+// is what the model has always charged per node.
+constexpr size_t kCompositeBaseBytes = 80;
 
-size_t CompositeApproxBytes(const std::vector<Value>& items) {
+size_t CompositeApproxBytes(std::span<const Value> items) {
   size_t bytes = kCompositeBaseBytes + sizeof(Value) * items.size();
   for (const Value& item : items) bytes += item.ApproxBytes();
   return bytes;
 }
 
-bool RepStructurallyEqual(const Value::Rep& a, const Value::Rep& b) {
-  if (a.kind != b.kind || a.hash != b.hash) return false;
-  if (a.kind == ValueKind::kInt) return a.i == b.i;
-  if (a.items.size() != b.items.size()) return false;
-  for (size_t k = 0; k < a.items.size(); ++k) {
-    if (a.items[k] != b.items[k]) return false;
-  }
-  return true;
+/// Allocates a record with copies of `items` placed after the header.
+Value::Rep* NewRep(ValueKind kind, std::span<const Value> items, size_t hash,
+                   size_t approx_bytes) {
+  void* mem = ::operator new(sizeof(Value::Rep) + items.size() * sizeof(Value));
+  auto* rep = new (mem) Value::Rep();
+  rep->kind = kind;
+  rep->size = items.size();
+  rep->hash = hash;
+  rep->approx_bytes = approx_bytes;
+  std::uninitialized_copy(items.begin(), items.end(), rep->data());
+  return rep;
+}
+
+void DeleteRep(const Value::Rep* rep) {
+  auto* r = const_cast<Value::Rep*>(rep);
+  std::destroy_n(r->data(), r->size);
+  r->~Rep();
+  ::operator delete(r);
 }
 
 // --- The global composite interner ---------------------------------
@@ -122,49 +148,39 @@ class ValueInterner {
 
   /// Returns the canonical immortal rep for (kind, items).  `hash` and
   /// `approx_bytes` are the precomputed structural figures for the
-  /// node.  On a hit the probe's items are simply dropped; no heap
-  /// record is allocated.
+  /// node.  On a hit no heap record is allocated; on a miss the items
+  /// are copied into a fresh one.
   ///
   /// A thread-local direct-mapped front cache absorbs the common case
   /// — fixpoint rounds rebuild the same candidate tuples over and over
   /// — without touching the shard mutex or the (cache-cold) shard
   /// table.  Entries are canonical reps, which are immortal, so a
   /// stale slot can only miss, never dangle.
-  const Value::Rep* Intern(ValueKind kind, std::vector<Value> items,
+  const Value::Rep* Intern(ValueKind kind, std::span<const Value> items,
                            size_t hash, size_t approx_bytes) {
     static thread_local const Value::Rep* front[kFrontCacheSize] = {};
     Shard& shard = shards_[hash & (kShardCount - 1)];
     const size_t slot = hash & (kFrontCacheSize - 1);
+    const Key key{kind, hash, items};
     const Value::Rep* cached = front[slot];
-    if (cached != nullptr && cached->hash == hash && cached->kind == kind &&
-        ItemsEqual(cached->items, items)) {
+    if (cached != nullptr && RepEq{}(cached, key)) {
       shard.hits.fetch_add(1, std::memory_order_relaxed);
       return cached;
     }
 
-    Value::Rep probe;
-    probe.kind = kind;
-    probe.items = std::move(items);
-    probe.hash = hash;
     const Value::Rep* rep = nullptr;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.reps.find(&probe);
+      auto it = shard.reps.find(key);
       if (it != shard.reps.end()) {
         shard.hits.fetch_add(1, std::memory_order_relaxed);
         rep = *it;
       } else {
-        auto* fresh = new Value::Rep();
-        fresh->kind = kind;
-        fresh->items = std::move(probe.items);
-        fresh->hash = hash;
-        fresh->approx_bytes = approx_bytes;
-        shard.reps.insert(fresh);
+        rep = NewRep(kind, items, hash, approx_bytes);
+        shard.reps.insert(rep);
         ++shard.misses;
-        shard.bytes += sizeof(Value::Rep) +
-                       sizeof(Value) * fresh->items.size() +
+        shard.bytes += sizeof(Value::Rep) + sizeof(Value) * rep->size +
                        2 * sizeof(void*);
-        rep = fresh;
       }
     }
     front[slot] = rep;
@@ -186,21 +202,32 @@ class ValueInterner {
  private:
   ValueInterner() = default;
 
-  static bool ItemsEqual(const std::vector<Value>& a,
-                         const std::vector<Value>& b) {
-    if (a.size() != b.size()) return false;
-    for (size_t k = 0; k < a.size(); ++k) {
-      if (a[k] != b[k]) return false;
-    }
-    return true;
-  }
-
-  struct RepPtrHash {
-    size_t operator()(const Value::Rep* rep) const { return rep->hash; }
+  /// A lookup key for a structure not (yet) held in a record, so
+  /// probing the table allocates nothing.
+  struct Key {
+    ValueKind kind;
+    size_t hash;
+    std::span<const Value> items;
   };
-  struct RepPtrEq {
+
+  struct RepHash {
+    using is_transparent = void;
+    size_t operator()(const Value::Rep* rep) const { return rep->hash; }
+    size_t operator()(const Key& key) const { return key.hash; }
+  };
+  struct RepEq {
+    using is_transparent = void;
+    bool operator()(const Value::Rep* a, const Key& b) const {
+      const std::span<const Value> items = a->items();
+      return a->hash == b.hash && a->kind == b.kind &&
+             std::equal(items.begin(), items.end(), b.items.begin(),
+                        b.items.end());
+    }
+    bool operator()(const Key& a, const Value::Rep* b) const {
+      return (*this)(b, a);
+    }
     bool operator()(const Value::Rep* a, const Value::Rep* b) const {
-      return RepStructurallyEqual(*a, *b);
+      return (*this)(a, Key{b->kind, b->hash, b->items()});
     }
   };
 
@@ -209,7 +236,7 @@ class ValueInterner {
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_set<const Value::Rep*, RepPtrHash, RepPtrEq> reps;
+    std::unordered_set<const Value::Rep*, RepHash, RepEq> reps;
     // Hit counting happens outside the mutex on the front-cache path.
     mutable std::atomic<size_t> hits{0};
     size_t misses = 0;
@@ -233,9 +260,7 @@ void Value::RetainSlow() {
 
 void Value::ReleaseSlow() {
   const Rep* r = rep();
-  if (r->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    delete r;
-  }
+  if (r->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) DeleteRep(r);
 }
 
 Value Value::BigInt(int64_t i) {
@@ -243,11 +268,9 @@ Value Value::BigInt(int64_t i) {
   // representation modes: they are scalars (no sharing semantics), and
   // keeping them out of the interner makes the two modes byte-identical
   // for every scalar.
-  auto* rep = new Rep();
-  rep->kind = ValueKind::kInt;
+  Rep* rep = NewRep(ValueKind::kInt, std::span<const Value>(), HashInt(i),
+                    kScalarApproxBytes);
   rep->i = i;
-  rep->hash = HashInt(i);
-  rep->approx_bytes = kScalarApproxBytes;
   return FromRep(rep, /*interned=*/false);
 }
 
@@ -257,11 +280,12 @@ Value Value::Atom(std::string_view name) {
 }
 
 Value Value::Tuple(std::vector<Value> items) {
-  return MakeComposite(ValueKind::kTuple, std::move(items));
+  return MakeComposite(ValueKind::kTuple, items);
 }
 
 Value Value::Pair(Value a, Value b) {
-  return Tuple({std::move(a), std::move(b)});
+  const Value items[] = {std::move(a), std::move(b)};
+  return MakeComposite(ValueKind::kTuple, items);
 }
 
 Value Value::Set(std::vector<Value> items) {
@@ -270,7 +294,7 @@ Value Value::Set(std::vector<Value> items) {
   items.erase(std::unique(items.begin(), items.end(),
                           [](const Value& a, const Value& b) { return a == b; }),
               items.end());
-  return MakeComposite(ValueKind::kSet, std::move(items));
+  return MakeComposite(ValueKind::kSet, items);
 }
 
 Value Value::EmptySet() { return Set({}); }
@@ -286,27 +310,17 @@ Value Value::EmptySet() { return Set({}); }
 // strict construction-path loss (~8x slower on fixpoint workloads,
 // measured in E18), so they keep the malloc-speed per-instance
 // representation in both modes.
-Value Value::MakeComposite(ValueKind kind, std::vector<Value> items) {
+Value Value::MakeComposite(ValueKind kind, std::span<const Value> items) {
   const size_t hash = HashComposite(kind, items);
   const size_t approx_bytes = CompositeApproxBytes(items);
-  bool nested = false;
-  for (const Value& item : items) {
-    if (item.is_heap()) {
-      nested = true;
-      break;
-    }
-  }
+  const bool nested = std::any_of(items.begin(), items.end(),
+                                  [](const Value& v) { return v.is_heap(); });
   if (nested && StructuralInterningEnabled()) {
-    const Rep* rep = ValueInterner::Global().Intern(kind, std::move(items),
-                                                    hash, approx_bytes);
-    return FromRep(rep, /*interned=*/true);
+    return FromRep(
+        ValueInterner::Global().Intern(kind, items, hash, approx_bytes),
+        /*interned=*/true);
   }
-  auto* rep = new Rep();
-  rep->kind = kind;
-  rep->items = std::move(items);
-  rep->hash = hash;
-  rep->approx_bytes = approx_bytes;
-  return FromRep(rep, /*interned=*/false);
+  return FromRep(NewRep(kind, items, hash, approx_bytes), /*interned=*/false);
 }
 
 ValueKind Value::kind() const {
@@ -344,9 +358,9 @@ uint32_t Value::atom_id() const {
 
 const std::string& Value::AtomName() const { return InternedString(atom_id()); }
 
-const std::vector<Value>& Value::items() const {
+std::span<const Value> Value::items() const {
   assert(is_tuple() || is_set());
-  return rep()->items;
+  return rep()->items();
 }
 
 size_t Value::ApproxBytes() const {
@@ -355,18 +369,19 @@ size_t Value::ApproxBytes() const {
 
 bool Value::SetContains(const Value& element) const {
   assert(is_set());
-  const auto& elems = rep()->items;
+  const std::span<const Value> elems = rep()->items();
   auto it = std::lower_bound(
       elems.begin(), elems.end(), element,
       [](const Value& a, const Value& b) { return Compare(a, b) < 0; });
   return it != elems.end() && *it == element;
 }
 
-int Value::CompareInlineBits(uintptr_t a, uintptr_t b) {
-  if (a == b) return 0;  // inline words are canonical: same word => equal
-  const Value va = FromInlineBits(a);
-  const Value vb = FromInlineBits(b);
-  return Compare(va, vb);
+int Value::CompareAtomIds(uintptr_t a, uintptr_t b) {
+  // Order atoms by spelling for deterministic, human-sensible output.
+  return InternedString(static_cast<uint32_t>(a)) <
+                 InternedString(static_cast<uint32_t>(b))
+             ? -1
+             : 1;
 }
 
 int Value::Compare(const Value& a, const Value& b) {
@@ -384,15 +399,12 @@ int Value::Compare(const Value& a, const Value& b) {
       const int64_t y = b.int_value();
       return x < y ? -1 : (x > y ? 1 : 0);
     }
-    case ValueKind::kAtom: {
-      if (a.atom_id() == b.atom_id()) return 0;
-      // Order atoms by spelling for deterministic, human-sensible output.
-      return a.AtomName() < b.AtomName() ? -1 : 1;
-    }
+    case ValueKind::kAtom:
+      return CompareAtomIds(a.atom_id(), b.atom_id());
     case ValueKind::kTuple:
     case ValueKind::kSet: {
-      const auto& xs = a.rep()->items;
-      const auto& ys = b.rep()->items;
+      const std::span<const Value> xs = a.rep()->items();
+      const std::span<const Value> ys = b.rep()->items();
       size_t n = std::min(xs.size(), ys.size());
       for (size_t k = 0; k < n; ++k) {
         int c = Compare(xs[k], ys[k]);
@@ -442,41 +454,44 @@ Value::InternerStats Value::interner_stats() {
 }
 
 std::string Value::ToString() const {
-  std::ostringstream os;
-  os << *this;
-  return os.str();
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
+  switch (kind()) {
+    case ValueKind::kBool:
+      out->append(bool_value() ? "true" : "false");
+      return;
+    case ValueKind::kInt: {
+      char buf[24];
+      const std::to_chars_result r =
+          std::to_chars(buf, buf + sizeof(buf), int_value());
+      out->append(buf, r.ptr);
+      return;
+    }
+    case ValueKind::kAtom:
+      out->append(AtomName());
+      return;
+    case ValueKind::kTuple:
+    case ValueKind::kSet: {
+      const bool tuple = kind() == ValueKind::kTuple;
+      out->push_back(tuple ? '<' : '{');
+      bool first = true;
+      for (const Value& item : items()) {
+        if (!first) out->append(", ");
+        first = false;
+        item.AppendTo(out);
+      }
+      out->push_back(tuple ? '>' : '}');
+      return;
+    }
+  }
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& v) {
-  switch (v.kind()) {
-    case ValueKind::kBool:
-      return os << (v.bool_value() ? "true" : "false");
-    case ValueKind::kInt:
-      return os << v.int_value();
-    case ValueKind::kAtom:
-      return os << v.AtomName();
-    case ValueKind::kTuple: {
-      os << "<";
-      bool first = true;
-      for (const Value& item : v.items()) {
-        if (!first) os << ", ";
-        first = false;
-        os << item;
-      }
-      return os << ">";
-    }
-    case ValueKind::kSet: {
-      os << "{";
-      bool first = true;
-      for (const Value& item : v.items()) {
-        if (!first) os << ", ";
-        first = false;
-        os << item;
-      }
-      return os << "}";
-    }
-  }
-  return os;
+  return os << v.ToString();
 }
 
 }  // namespace awr

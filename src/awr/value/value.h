@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,7 +38,8 @@ std::string_view ValueKindToString(ValueKind kind);
 ///    *inline* in the word — construction, copy, equality and hashing
 ///    of scalars never touch the heap;
 ///  * tuples, sets, and out-of-range integers point at an immutable
-///    heap record (`Rep`).  With structural interning enabled (the
+///    heap record (`Rep`): one allocation, a fixed header followed by
+///    the components.  With structural interning enabled (the
 ///    default; see StructuralInterningEnabled in common/intern.h),
 ///    tuples and sets are *hash-consed* through a global 16-way sharded
 ///    interner, so structurally equal composites share one canonical
@@ -97,6 +99,13 @@ class Value {
   static Value Atom(std::string_view name);
   /// Tuple of the given components (arity >= 0).
   static Value Tuple(std::vector<Value> items);
+  /// Tuple copying the components from `items` (no temporary vector).
+  /// A template only so that `Tuple({})` keeps meaning the vector
+  /// overload: N cannot be deduced from a braced list.
+  template <size_t N>
+  static Value Tuple(std::span<const Value, N> items) {
+    return MakeComposite(ValueKind::kTuple, items);
+  }
   /// Pair shorthand, the product constructor of the algebra.
   static Value Pair(Value a, Value b);
   /// Set of the given elements; duplicates are removed and the elements
@@ -120,7 +129,7 @@ class Value {
   uint32_t atom_id() const;
   const std::string& AtomName() const;
   /// Tuple components, or canonical set elements.
-  const std::vector<Value>& items() const;
+  std::span<const Value> items() const;
   /// Arity of a tuple / cardinality of a set.
   size_t size() const { return items().size(); }
 
@@ -159,6 +168,8 @@ class Value {
 
   /// Renders the value: `true`, `42`, `atom`, `<a, b>`, `{x, y}`.
   std::string ToString() const;
+  /// Appends ToString()'s text to `out`.
+  void AppendTo(std::string* out) const;
 
   /// Introspection ---------------------------------------------------
 
@@ -192,8 +203,18 @@ class Value {
 
   /// Compare(FromInlineBits(a), FromInlineBits(b)) without materializing
   /// the values: same kind rank and payload order as Compare, so sorts
-  /// over raw columns agree with sorts over Values.
-  static int CompareInlineBits(uintptr_t a, uintptr_t b);
+  /// over raw columns agree with sorts over Values.  Only two atoms need
+  /// their spellings; every other pair compares on the words alone.
+  static int CompareInlineBits(uintptr_t a, uintptr_t b) {
+    if (a == b) return 0;  // inline words are canonical
+    const uintptr_t ta = a & kTagMask;
+    const uintptr_t tb = b & kTagMask;
+    if (ta != tb) return ta < tb ? -1 : 1;  // tag order is kind rank
+    if (ta == kTagAtom) return CompareAtomIds(a >> kTagBits, b >> kTagBits);
+    // Bools and ints: the payload sits above equal tag bits, so the
+    // signed word order is the payload order.
+    return static_cast<intptr_t>(a) < static_cast<intptr_t>(b) ? -1 : 1;
+  }
 
   /// True iff this value shares the canonical interned Rep for its
   /// structure (inline scalars are trivially canonical).
@@ -229,6 +250,8 @@ class Value {
   static constexpr uintptr_t kTagInt = 3;       // payload: signed 61-bit
   static constexpr uintptr_t kTagAtom = 4;      // payload: interner id
   static constexpr uintptr_t kPayloadOne = uintptr_t{1} << kTagBits;
+  static_assert(kTagBool < kTagInt && kTagInt < kTagAtom,
+                "CompareInlineBits orders kinds by their tags");
 
   static bool FitsInline(int64_t i) {
     return (static_cast<int64_t>(static_cast<uint64_t>(i) << kTagBits) >>
@@ -236,7 +259,9 @@ class Value {
   }
 
   static Value BigInt(int64_t i);
-  static Value MakeComposite(ValueKind kind, std::vector<Value> items);
+  static Value MakeComposite(ValueKind kind, std::span<const Value> items);
+  /// Spelling order of two distinct atom ids (Compare's atom case).
+  static int CompareAtomIds(uintptr_t a, uintptr_t b);
 
   explicit Value(uintptr_t bits) : bits_(bits) {}
   static Value FromRep(const Rep* rep, bool interned);

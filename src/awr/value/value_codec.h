@@ -164,7 +164,7 @@ class ValueEncoder {
       case ValueKind::kSet: {
         // Set items() are already in canonical order, so the bytes are
         // deterministic for equal values.
-        const std::vector<Value>& items = v.items();
+        const auto items = v.items();
         out_->U32(static_cast<uint32_t>(items.size()));
         for (const Value& item : items) Encode(item);
         break;

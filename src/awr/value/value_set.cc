@@ -125,7 +125,7 @@ const ValueSet::ColumnStore* ValueSet::columns() const {
   for (auto& col : store->cols) col.reserve(items_.size());
   store->rows.reserve(items_.size());
   for (const Value& fact : items_) {
-    const std::vector<Value>& parts = fact.items();
+    const auto parts = fact.items();
     for (size_t c = 0; c < store->arity; ++c) {
       store->cols[c].push_back(parts[c].inline_bits());
     }
@@ -145,7 +145,7 @@ void ValueSet::ColumnsOnInsert(const Value& v) {
   }
   ColumnStore& store = *columns_;
   const size_t r = store.rows.size();
-  const std::vector<Value>& parts = v.items();
+  const auto parts = v.items();
   for (size_t c = 0; c < store.arity; ++c) {
     store.cols[c].push_back(parts[c].inline_bits());
   }
@@ -238,6 +238,23 @@ std::vector<Value> ValueSet::Sorted() const {
 
 Value ValueSet::ToValue() const {
   return Value::Set(std::vector<Value>(items_.begin(), items_.end()));
+}
+
+void ValueSet::AppendTo(std::string* out) const {
+  out->push_back('{');
+  bool first = true;
+  for (const Value& v : Sorted()) {
+    if (!first) out->append(", ");
+    first = false;
+    v.AppendTo(out);
+  }
+  out->push_back('}');
+}
+
+std::string ValueSet::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 ValueSet ValueSet::FromValue(const Value& v) {

@@ -5,6 +5,7 @@
 #include <deque>
 #include <initializer_list>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -248,8 +249,12 @@ class ValueSet {
   /// The extent of a set Value.  `v` must be a set.
   static ValueSet FromValue(const Value& v);
 
-  /// Deterministic rendering `{a, b, c}` in canonical order.
-  std::string ToString() const { return ToValue().ToString(); }
+  /// Deterministic rendering `{a, b, c}` in canonical order: the same
+  /// text as ToValue().ToString(), written straight from the extent
+  /// (no set Value is built, so nothing is interned).
+  std::string ToString() const;
+  /// Appends ToString()'s text to `out`.
+  void AppendTo(std::string* out) const;
 
  private:
   // Hash-table node + bucket share, on top of the element's own bytes.

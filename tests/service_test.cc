@@ -27,6 +27,7 @@
 #include "awr/service/wire.h"
 #include "awr/snapshot/state.h"
 #include "awr/storage/fs.h"
+#include "awr/value/value.h"
 
 #ifndef AWR_TEST_DATA_DIR
 #define AWR_TEST_DATA_DIR "tests/data"
@@ -445,6 +446,28 @@ TEST(ServiceExecutorTest, EvaluatesEverySemantics) {
   ASSERT_EQ(wf.code, StatusCode::kOk) << wf.message;
   EXPECT_NE(wf.model.find("certain:"), std::string::npos);
   EXPECT_NE(wf.model.find("undefined:"), std::string::npos);
+}
+
+// Rendering a reply's model interns nothing, so distinct requests do
+// not pin their models in the (immortal) value interner.
+TEST(ServiceExecutorTest, DistinctRequestsPinNoInternerEntries) {
+  ExecOptions opts;
+  const Semantics kSemantics[] = {Semantics::kMinimalModel,
+                                  Semantics::kInflationary,
+                                  Semantics::kStratified,
+                                  Semantics::kWellFounded};
+  auto run = [&](int k) {
+    SubmitRequest req = TcRequest("pin-" + std::to_string(k), 8 + k);
+    req.semantics = kSemantics[k % 4];
+    ResultRecord res = ExecuteRequest(req, nullptr, opts);
+    ASSERT_EQ(res.code, StatusCode::kOk) << res.message;
+    EXPECT_NE(res.model.find("<0, " + std::to_string(8 + k) + ">"),
+              std::string::npos);
+  };
+  for (int k = 0; k < 4; ++k) run(k);  // warm every engine once
+  const size_t before = Value::interner_stats().entries;
+  for (int k = 4; k < 54; ++k) run(k);
+  EXPECT_EQ(Value::interner_stats().entries, before);
 }
 
 TEST(ServiceExecutorTest, TerminalFailuresAreStoredTransientsAreNot) {

@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "awr/algebra/valid_eval.h"
 #include "awr/common/intern.h"
+#include "awr/datalog/database.h"
 #include "awr/value/value_set.h"
 #include "reference_configs.h"
 
@@ -202,6 +204,14 @@ TEST(ValueTest, ApproxBytesIsPerReferenceUpperBound) {
   // Scalars are flat.
   EXPECT_EQ(Value::Int(1).ApproxBytes(), Value::Atom("zzz").ApproxBytes());
   EXPECT_GT(Value::Int(1).ApproxBytes(), 0u);
+  // The per-node constant is a literal of the model, not the record's
+  // size: a pair of inline ints is 80 + 2 slots + 2 scalars.
+  const Value pair = Value::Pair(Value::Int(1), Value::Int(2));
+  EXPECT_EQ(pair.ApproxBytes(), 80u + 2 * 8 + 2 * 16);
+  EXPECT_EQ(Value::Set({pair, Value::Pair(Value::Int(3), Value::Int(4))})
+                .ApproxBytes(),
+            80u + 2 * 8 + 2 * pair.ApproxBytes());
+  EXPECT_EQ(Value::Int(int64_t{1} << 62).ApproxBytes(), 16u);
 }
 
 TEST(ValueTest, CompareOrderAndCanonicalizationAgreeAcrossModes) {
@@ -307,25 +317,42 @@ TEST(ValueSetTest, SubsetChecks) {
   EXPECT_TRUE(a.IsSubsetOf(a));
 }
 
+// Scalars whose words exercise every CompareInlineBits branch: both
+// bools, negative and boundary inline ints, and atoms interned in the
+// reverse of their spelling order (so id order and spelling order
+// disagree).
+std::vector<Value> InlineScalars() {
+  const Value zulu = Value::Atom("render_zulu");
+  const Value alpha = Value::Atom("render_alpha");
+  const Value mike = Value::Atom("render_mike");
+  return {Value::Boolean(false),
+          Value::Boolean(true),
+          Value::Int(-(int64_t{1} << 60)),
+          Value::Int(-7),
+          Value::Int(-1),
+          Value::Int(0),
+          Value::Int(3),
+          Value::Int((int64_t{1} << 60) - 1),
+          zulu,
+          alpha,
+          mike};
+}
+
 TEST(ValueTest, InlineBitsRoundTripAndCompare) {
-  const Value scalars[] = {Value::Boolean(false), Value::Boolean(true),
-                           Value::Int(-3), Value::Int(0), Value::Int(42),
-                           Value::Atom("a"), Value::Atom("b")};
+  const std::vector<Value> scalars = InlineScalars();
+  ASSERT_LT(Value::Atom("render_zulu").atom_id(),
+            Value::Atom("render_alpha").atom_id());
   for (const Value& v : scalars) {
     ASSERT_TRUE(v.is_inline()) << v.ToString();
     EXPECT_EQ(Value::FromInlineBits(v.inline_bits()), v);
   }
-  // CompareInlineBits must agree in sign with Value::Compare for every
-  // scalar pair — it is the comparator behind the columnar Sorted path.
+  // CompareInlineBits must agree with Value::Compare for every scalar
+  // pair — it is the comparator behind the columnar Sorted path.
   for (const Value& a : scalars) {
     for (const Value& b : scalars) {
-      const int expected = Value::Compare(a, b);
-      const int got = Value::CompareInlineBits(a.inline_bits(),
-                                               b.inline_bits());
-      EXPECT_EQ(got < 0, expected < 0) << a.ToString() << " vs "
-                                       << b.ToString();
-      EXPECT_EQ(got == 0, expected == 0) << a.ToString() << " vs "
-                                         << b.ToString();
+      EXPECT_EQ(Value::CompareInlineBits(a.inline_bits(), b.inline_bits()),
+                Value::Compare(a, b))
+          << a.ToString() << " vs " << b.ToString();
     }
   }
 }
@@ -447,6 +474,87 @@ TEST(ValueSetColumnarTest, CopyDropsDerivedColumnsButKeepsContents) {
   assigned = s;
   EXPECT_FALSE(assigned.columnar_built());
   EXPECT_EQ(assigned, s);
+}
+
+// ----------------------------------------------------------------------
+// Rendering straight from the extent.
+
+TEST(ValueRenderTest, FlatExtentRendersLikeItsSetValue) {
+  // Every ordered pair of the scalars plus a rotating third component,
+  // so each column mixes kinds and the sort must order on later columns
+  // when earlier ones tie.
+  const std::vector<Value> scalars = InlineScalars();
+  ValueSet extent;
+  size_t k = 0;
+  for (const Value& a : scalars) {
+    for (const Value& b : scalars) {
+      extent.Insert(Value::Tuple({a, b, scalars[k++ % scalars.size()]}));
+    }
+  }
+  const std::string expected = extent.ToValue().ToString();
+  ASSERT_FALSE(extent.columnar_built());
+  EXPECT_EQ(extent.ToString(), expected);  // row sort
+  ASSERT_TRUE(extent.BuildColumns());
+  EXPECT_EQ(extent.ToString(), expected);  // column sort
+}
+
+TEST(ValueRenderTest, MixedExtentRendersLikeItsSetValue) {
+  const int64_t kBig = int64_t{1} << 60;
+  std::vector<Value> parts = InlineScalars();
+  for (int64_t i : {kBig, -kBig - 1, std::numeric_limits<int64_t>::max(),
+                    std::numeric_limits<int64_t>::min()}) {
+    parts.push_back(Value::Int(i));
+  }
+  parts.push_back(Value::EmptySet());
+  parts.push_back(Value::Tuple({}));
+  parts.push_back(Value::Set({Value::Atom("render_zulu"),
+                              Value::Atom("render_alpha"), Value::Int(-2)}));
+  parts.push_back(Value::Tuple(
+      {Value::Pair(Value::Int(kBig), Value::Atom("render_mike")),
+       Value::Set({Value::EmptySet(), Value::Boolean(true)})}));
+  for (bool interning : {true, false}) {
+    ScopedInterning scope(interning);
+    ValueSet extent;
+    for (const Value& a : parts) {
+      extent.Insert(a);
+      for (const Value& b : parts) extent.Insert(Value::Pair(a, b));
+    }
+    EXPECT_FALSE(extent.BuildColumns());  // not flat: rows only
+    EXPECT_EQ(extent.ToString(), extent.ToValue().ToString());
+  }
+  EXPECT_EQ(ValueSet().ToString(), "{}");
+  EXPECT_EQ(ValueSet().ToString(), Value::EmptySet().ToString());
+}
+
+// Rendering builds no set Value, so it leaves no canonical entry behind
+// in the (immortal) interner: the facts are flat tuples, which are
+// never interned themselves, and a set of them would have been.
+TEST(ValueRenderTest, RenderingPinsNoInternerEntries) {
+  datalog::Interpretation interp;
+  for (int i = 0; i < 1000; ++i) {
+    interp.AddFact("p", {Value::Int(i), Value::Atom("render_pin")});
+  }
+  datalog::ThreeValuedInterp three;
+  three.certain = interp;
+  three.possible = interp;
+  three.possible.AddFact("p", {Value::Int(-1), Value::Atom("render_pin")});
+  algebra::ThreeValuedSet tvs;
+  for (int i = 0; i < 100; ++i) {
+    tvs.lower.Insert(Value::Pair(Value::Int(i), Value::Int(i + 1)));
+  }
+  tvs.upper = tvs.lower;
+  tvs.upper.Insert(Value::Pair(Value::Int(-1), Value::Int(0)));
+  algebra::ValidAlgebraResult algebra_result;
+  algebra_result.Set("WIN", tvs);
+
+  const size_t before = Value::interner_stats().entries;
+  const std::string a = interp.ToString();
+  const std::string b = three.ToString();
+  const std::string c = algebra_result.ToString();
+  EXPECT_EQ(Value::interner_stats().entries, before);
+  EXPECT_NE(a.find("<999, render_pin>"), std::string::npos);
+  EXPECT_NE(b.find("undefined:\np = {<-1, render_pin>}"), std::string::npos);
+  EXPECT_NE(c.find(", undefined {<-1, 0>}"), std::string::npos);
 }
 
 }  // namespace
