@@ -126,6 +126,29 @@ Status CheckIterVarsAt(const AlgebraExpr& e, size_t depth) {
 
 Status AlgebraExpr::CheckIterVars() const { return CheckIterVarsAt(*this, 0); }
 
+AlgebraExpr AlgebraExpr::WithChildren(std::vector<AlgebraExpr> children) const {
+  auto rep = std::make_shared<Rep>(*rep_);
+  rep->children = std::move(children);
+  return AlgebraExpr(std::move(rep));
+}
+
+namespace {
+// IterVars at or above `cutoff` are free in the subexpression walked.
+AlgebraExpr ShiftFrom(const AlgebraExpr& e, size_t delta, size_t cutoff) {
+  if (e.kind() == AlgebraExpr::Kind::kIterVar) {
+    return e.index() >= cutoff ? AlgebraExpr::IterVar(e.index() + delta) : e;
+  }
+  const size_t inner =
+      e.kind() == AlgebraExpr::Kind::kIfp ? cutoff + 1 : cutoff;
+  return e.MapChildren(
+      [&](const AlgebraExpr& c) { return ShiftFrom(c, delta, inner); });
+}
+}  // namespace
+
+AlgebraExpr AlgebraExpr::ShiftFreeIterVars(size_t delta) const {
+  return delta == 0 ? *this : ShiftFrom(*this, delta, 0);
+}
+
 std::string AlgebraExpr::ToString() const {
   switch (kind()) {
     case Kind::kRelation:

@@ -77,6 +77,25 @@ class AlgebraExpr {
   /// Checks that IterVar levels are within their enclosing IFP nesting.
   Status CheckIterVars() const;
 
+  /// This node with its children replaced by `children`: same kind,
+  /// name, index, literal and function.
+  AlgebraExpr WithChildren(std::vector<AlgebraExpr> children) const;
+
+  /// This node with each child `c` replaced by `f(c)`; a leaf as it is.
+  template <typename F>
+  AlgebraExpr MapChildren(const F& f) const {
+    if (children().empty()) return *this;
+    std::vector<AlgebraExpr> mapped;
+    mapped.reserve(children().size());
+    for (const AlgebraExpr& c : children()) mapped.push_back(f(c));
+    return WithChildren(std::move(mapped));
+  }
+
+  /// This expression with every *free* IterVar index raised by `delta`
+  /// (those bound by IFPs inside it are untouched): what splicing it in
+  /// under `delta` more IFPs needs so it still refers to the same ones.
+  AlgebraExpr ShiftFreeIterVars(size_t delta) const;
+
   std::string ToString() const;
 
   /// Opaque implementation record (public for the implementation file).

@@ -3,18 +3,21 @@
 
 #include <map>
 #include <string>
-#include <string_view>
 
 #include "awr/algebra/program.h"
 #include "awr/common/context.h"
 #include "awr/common/limits.h"
 #include "awr/common/result.h"
+#include "awr/datalog/database.h"  // for Truth
 #include "awr/datalog/functions.h"
 #include "awr/value/value_set.h"
 
 namespace awr::algebra {
 
-/// Evaluation configuration shared by the algebra evaluators.
+using datalog::Truth;
+
+/// Evaluation configuration of the algebra entry points (EvalAlgebra,
+/// EvalBounds, EvalAlgebraValid, EvalQueryValid).
 struct AlgebraEvalOptions {
   FunctionRegistry functions = FunctionRegistry::Default();
   EvalLimits limits = EvalLimits::Default();
@@ -54,26 +57,66 @@ Result<ValueSet> EvalAlgebra(const AlgebraExpr& query,
 Result<ValueSet> EvalAlgebra(const AlgebraExpr& query, const SetDb& db,
                              const AlgebraEvalOptions& opts = {});
 
-/// A binding of set constants to sets: the assignment a fixpoint over a
-/// normalized system iterates.
-using SetAssignment = std::map<std::string, ValueSet>;
+/// A 3-valued set: `lower` ⊆ `upper`.  Membership of v is true when
+/// v ∈ lower, false when v ∉ upper, undefined in between — the algebra
+/// counterpart of the paper's valid interpretation of MEM: "MEM returns
+/// T if x is in S, F when it can not be proved equal T" (§2.2), and
+/// undefined in cases like `S = {a} − S` (§3.2).
+struct ThreeValuedSet {
+  ValueSet lower;
+  ValueSet upper;
 
-/// The labels an evaluator entry point charges its `×` and its IFP
-/// rounds under, so a budget trip names the entry point that hit it.
-struct ChargeSites {
-  std::string_view product = "algebra ×";
-  std::string_view ifp = "IFP";
+  Truth Member(const Value& v) const {
+    if (lower.Contains(v)) return Truth::kTrue;
+    if (upper.Contains(v)) return Truth::kUndefined;
+    return Truth::kFalse;
+  }
+
+  /// True iff membership is totally defined — the executable notion of
+  /// the defining equations being *well-defined* (having an initial
+  /// valid model) on this database instance.
+  bool IsTwoValued() const { return lower.size() == upper.size(); }
+
+  /// Elements with undefined membership.
+  ValueSet UndefinedElements() const { return SetDifference(upper, lower); }
+
+  std::string ToString() const;
 };
 
-/// Evaluates the call-free expression `e` (see InlineCalls) with each
-/// name bound in `constants` denoting its set and every other name its
-/// database extent, charging `ctx` at `sites`.  EvalAlgebraValid runs a
-/// positive system's least fixpoint through it.
-Result<ValueSet> EvalWithConstants(const AlgebraExpr& e, const SetDb& db,
-                                   const SetAssignment& constants,
-                                   const AlgebraEvalOptions& opts,
-                                   ExecutionContext* ctx,
-                                   const ChargeSites& sites);
+/// The bounds of a 3-valued set that one evaluation pass computes.
+enum class Bounds { kLower, kUpper, kBoth };
+
+/// The two sets a set constant's occurrences read (borrowed).  While a
+/// fixpoint iterates one bound the other is frozen, so the pair need
+/// not be consistent.
+struct BoundSets {
+  const ValueSet* lower;
+  const ValueSet* upper;
+};
+using BoundAssignment = std::map<std::string, BoundSets>;
+
+/// Evaluates the call-free expression `e` (see InlineCalls) for
+/// `bounds`, each name bound in `constants` read by bound and every
+/// other name denoting its database extent; only the bounds asked for
+/// are filled in.  Charged to `ctx` at "valid-eval ×" and
+/// "valid-eval IFP".
+///
+/// One bound is computed from one bound of each operand, read by
+/// polarity: crossing the right operand of `−` swaps them, so
+///
+///   lower(A − B) = lower(A) − upper(B),  upper(A − B) = upper(A) − lower(B)
+///
+/// and `A − (B × C)` runs as lower(A) − (upper(B) × upper(C)) and its
+/// mirror.  Each `×` is charged with the size of the product of the
+/// bound it reads — the upper one when both are computed.  An IFP
+/// whose variable occurs only positively, in its body and in every IFP
+/// nested there, accumulates just the bounds asked for, since no other
+/// bound of its accumulator is read; any other IFP advances both
+/// bounds in lockstep.
+Result<ThreeValuedSet> EvalBounds(const AlgebraExpr& e, const SetDb& db,
+                                  const BoundAssignment& constants,
+                                  Bounds bounds, const AlgebraEvalOptions& opts,
+                                  ExecutionContext* ctx);
 
 }  // namespace awr::algebra
 

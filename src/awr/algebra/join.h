@@ -10,8 +10,8 @@
 
 namespace awr::algebra {
 
-/// Set-at-a-time operators shared by the 2-valued evaluator (eval.h) and
-/// the valid evaluator (valid_eval.h), which runs them once per bound.
+/// Set-at-a-time operators of the algebra evaluator (eval.h), which runs
+/// them once for each bound a pass computes.
 ///
 /// The two product shapes the Prop 6.1 / Prop 5.x translations emit are
 /// computed without building the product:

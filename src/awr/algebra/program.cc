@@ -120,80 +120,19 @@ std::string AlgebraProgram::ToString() const {
 
 namespace {
 
-// Shifts the *free* IterVar indices of `e` up by `delta` (indices bound
-// by IFPs inside `e` itself, i.e. below `cutoff`, are untouched).
-AlgebraExpr ShiftIterVars(const AlgebraExpr& e, size_t delta, size_t cutoff) {
-  if (delta == 0) return e;
-  switch (e.kind()) {
-    case AlgebraExpr::Kind::kIterVar:
-      return e.index() >= cutoff ? AlgebraExpr::IterVar(e.index() + delta) : e;
-    case AlgebraExpr::Kind::kIfp:
-      return AlgebraExpr::Ifp(ShiftIterVars(e.children()[0], delta, cutoff + 1));
-    case AlgebraExpr::Kind::kUnion:
-      return AlgebraExpr::Union(ShiftIterVars(e.children()[0], delta, cutoff),
-                                ShiftIterVars(e.children()[1], delta, cutoff));
-    case AlgebraExpr::Kind::kDiff:
-      return AlgebraExpr::Diff(ShiftIterVars(e.children()[0], delta, cutoff),
-                               ShiftIterVars(e.children()[1], delta, cutoff));
-    case AlgebraExpr::Kind::kProduct:
-      return AlgebraExpr::Product(ShiftIterVars(e.children()[0], delta, cutoff),
-                                  ShiftIterVars(e.children()[1], delta, cutoff));
-    case AlgebraExpr::Kind::kSelect:
-      return AlgebraExpr::Select(e.fn(),
-                                 ShiftIterVars(e.children()[0], delta, cutoff));
-    case AlgebraExpr::Kind::kMap:
-      return AlgebraExpr::Map(e.fn(),
-                              ShiftIterVars(e.children()[0], delta, cutoff));
-    case AlgebraExpr::Kind::kCall: {
-      std::vector<AlgebraExpr> args;
-      args.reserve(e.children().size());
-      for (const AlgebraExpr& a : e.children()) {
-        args.push_back(ShiftIterVars(a, delta, cutoff));
-      }
-      return AlgebraExpr::Call(e.name(), std::move(args));
-    }
-    default:
-      return e;  // Relation, Param, LiteralSet: no iter vars inside
-  }
-}
-
 // Substitutes `args` for the parameters of a definition body.  `depth`
 // counts IFPs entered inside the body so far: an argument spliced in at
 // that depth has its free IterVars shifted by `depth` so they still
 // refer to the IFPs enclosing the original call site.
 AlgebraExpr SubstParams(const AlgebraExpr& body,
                         const std::vector<AlgebraExpr>& args, size_t depth) {
-  switch (body.kind()) {
-    case AlgebraExpr::Kind::kParam:
-      return ShiftIterVars(args[body.index()], depth, 0);
-    case AlgebraExpr::Kind::kIfp:
-      return AlgebraExpr::Ifp(SubstParams(body.children()[0], args, depth + 1));
-    case AlgebraExpr::Kind::kUnion:
-      return AlgebraExpr::Union(SubstParams(body.children()[0], args, depth),
-                                SubstParams(body.children()[1], args, depth));
-    case AlgebraExpr::Kind::kDiff:
-      return AlgebraExpr::Diff(SubstParams(body.children()[0], args, depth),
-                               SubstParams(body.children()[1], args, depth));
-    case AlgebraExpr::Kind::kProduct:
-      return AlgebraExpr::Product(SubstParams(body.children()[0], args, depth),
-                                  SubstParams(body.children()[1], args, depth));
-    case AlgebraExpr::Kind::kSelect:
-      return AlgebraExpr::Select(body.fn(),
-                                 SubstParams(body.children()[0], args, depth));
-    case AlgebraExpr::Kind::kMap:
-      return AlgebraExpr::Map(body.fn(),
-                              SubstParams(body.children()[0], args, depth));
-    case AlgebraExpr::Kind::kCall: {
-      std::vector<AlgebraExpr> call_args;
-      call_args.reserve(body.children().size());
-      for (const AlgebraExpr& a : body.children()) {
-        call_args.push_back(SubstParams(a, args, depth));
-      }
-      return AlgebraExpr::Call(body.name(), std::move(call_args));
-    }
-    default:
-      return body;
+  if (body.kind() == AlgebraExpr::Kind::kParam) {
+    return args[body.index()].ShiftFreeIterVars(depth);
   }
+  const size_t inner =
+      body.kind() == AlgebraExpr::Kind::kIfp ? depth + 1 : depth;
+  return body.MapChildren(
+      [&](const AlgebraExpr& c) { return SubstParams(c, args, inner); });
 }
 
 class Inliner {
@@ -209,76 +148,45 @@ class Inliner {
           "definition inlining exceeded depth limit (deeply nested "
           "non-recursive calls?)");
     }
-    switch (e.kind()) {
-      case AlgebraExpr::Kind::kRelation: {
-        // A relation name may denote a defined set constant; kept
-        // constants stay as references, other 0-ary defs are expanded
-        // like calls.
-        const Definition* def = program_.FindDef(e.name());
-        if (def == nullptr || keep_.count(e.name()) > 0) return e;
-        if (def->n_params != 0) {
-          return Status::InvalidArgument(
-              "operation " + e.name() + " (with " +
-              std::to_string(def->n_params) +
-              " parameters) referenced as a set constant");
-        }
-        return Expand(def->body, fuel - 1);
+    if (e.kind() == AlgebraExpr::Kind::kRelation) {
+      // A relation name may denote a defined set constant; kept
+      // constants stay as references, other 0-ary defs are expanded
+      // like calls.
+      const Definition* def = program_.FindDef(e.name());
+      if (def == nullptr || keep_.count(e.name()) > 0) return e;
+      if (def->n_params != 0) {
+        return Status::InvalidArgument(
+            "operation " + e.name() + " (with " +
+            std::to_string(def->n_params) +
+            " parameters) referenced as a set constant");
       }
-      case AlgebraExpr::Kind::kCall: {
-        std::vector<AlgebraExpr> args;
-        args.reserve(e.children().size());
-        for (const AlgebraExpr& a : e.children()) {
-          AWR_ASSIGN_OR_RETURN(AlgebraExpr ea, Expand(a, fuel - 1));
-          args.push_back(std::move(ea));
-        }
-        if (keep_.count(e.name()) > 0) {
-          // A kept definition must be a set constant in the §6 normal
-          // form; its reference becomes a relation name.
-          if (!args.empty()) {
-            return Status::NotImplemented(
-                "recursive parameterized definition " + e.name() +
-                " is outside the supported §6 normal form (recursive "
-                "definitions must be set constants)");
-          }
-          return AlgebraExpr::Relation(e.name());
-        }
-        const Definition* def = program_.FindDef(e.name());
-        if (def == nullptr) {
-          return Status::NotFound("call of undefined operation " + e.name());
-        }
-        AlgebraExpr substituted = SubstParams(def->body, args, 0);
-        return Expand(substituted, fuel - 1);
-      }
-      case AlgebraExpr::Kind::kUnion: {
-        AWR_ASSIGN_OR_RETURN(AlgebraExpr l, Expand(e.children()[0], fuel - 1));
-        AWR_ASSIGN_OR_RETURN(AlgebraExpr r, Expand(e.children()[1], fuel - 1));
-        return AlgebraExpr::Union(std::move(l), std::move(r));
-      }
-      case AlgebraExpr::Kind::kDiff: {
-        AWR_ASSIGN_OR_RETURN(AlgebraExpr l, Expand(e.children()[0], fuel - 1));
-        AWR_ASSIGN_OR_RETURN(AlgebraExpr r, Expand(e.children()[1], fuel - 1));
-        return AlgebraExpr::Diff(std::move(l), std::move(r));
-      }
-      case AlgebraExpr::Kind::kProduct: {
-        AWR_ASSIGN_OR_RETURN(AlgebraExpr l, Expand(e.children()[0], fuel - 1));
-        AWR_ASSIGN_OR_RETURN(AlgebraExpr r, Expand(e.children()[1], fuel - 1));
-        return AlgebraExpr::Product(std::move(l), std::move(r));
-      }
-      case AlgebraExpr::Kind::kSelect: {
-        AWR_ASSIGN_OR_RETURN(AlgebraExpr s, Expand(e.children()[0], fuel - 1));
-        return AlgebraExpr::Select(e.fn(), std::move(s));
-      }
-      case AlgebraExpr::Kind::kMap: {
-        AWR_ASSIGN_OR_RETURN(AlgebraExpr s, Expand(e.children()[0], fuel - 1));
-        return AlgebraExpr::Map(e.fn(), std::move(s));
-      }
-      case AlgebraExpr::Kind::kIfp: {
-        AWR_ASSIGN_OR_RETURN(AlgebraExpr s, Expand(e.children()[0], fuel - 1));
-        return AlgebraExpr::Ifp(std::move(s));
-      }
-      default:
-        return e;
+      return Expand(def->body, fuel - 1);
     }
+    const bool call = e.kind() == AlgebraExpr::Kind::kCall;
+    if (!call && e.children().empty()) return e;
+    std::vector<AlgebraExpr> children;
+    children.reserve(e.children().size());
+    for (const AlgebraExpr& c : e.children()) {
+      AWR_ASSIGN_OR_RETURN(AlgebraExpr expanded, Expand(c, fuel - 1));
+      children.push_back(std::move(expanded));
+    }
+    if (!call) return e.WithChildren(std::move(children));
+    if (keep_.count(e.name()) > 0) {
+      // A kept definition must be a set constant in the §6 normal
+      // form; its reference becomes a relation name.
+      if (!children.empty()) {
+        return Status::NotImplemented(
+            "recursive parameterized definition " + e.name() +
+            " is outside the supported §6 normal form (recursive "
+            "definitions must be set constants)");
+      }
+      return AlgebraExpr::Relation(e.name());
+    }
+    const Definition* def = program_.FindDef(e.name());
+    if (def == nullptr) {
+      return Status::NotFound("call of undefined operation " + e.name());
+    }
+    return Expand(SubstParams(def->body, children, 0), fuel - 1);
   }
 
  private:

@@ -1,22 +1,11 @@
 #include "awr/algebra/valid_eval.h"
 
+#include <string_view>
 #include <utility>
 
-#include "awr/algebra/join.h"
 #include "awr/algebra/positivity.h"
 
 namespace awr::algebra {
-
-std::string ThreeValuedSet::ToString() const {
-  std::string out = "certain ";
-  lower.AppendTo(&out);
-  ValueSet undef = UndefinedElements();
-  if (!undef.empty()) {
-    out += ", undefined ";
-    undef.AppendTo(&out);
-  }
-  return out;
-}
 
 std::string ValidAlgebraResult::ToString() const {
   std::string out;
@@ -31,153 +20,48 @@ std::string ValidAlgebraResult::ToString() const {
 
 namespace {
 
-// Assignment of pair approximations to the recursive constants.
-using PairAssignment = std::map<std::string, ThreeValuedSet>;
+// One bound of every recursive constant.
+using SetAssignment = std::map<std::string, ValueSet>;
 
-class PairEvaluator {
- public:
-  PairEvaluator(const SetDb& db, const PairAssignment& unknowns,
-                const AlgebraEvalOptions& opts, ExecutionContext* ctx)
-      : db_(db), unknowns_(unknowns), opts_(opts), ctx_(ctx) {}
-
-  Result<ThreeValuedSet> Eval(const AlgebraExpr& e) {
-    switch (e.kind()) {
-      case AlgebraExpr::Kind::kRelation: {
-        auto it = unknowns_.find(e.name());
-        if (it != unknowns_.end()) return it->second;
-        // Undefined names denote the empty set (like an empty EDB
-        // predicate on the deductive side).
-        const ValueSet& ext = db_.Extent(e.name());
-        return ThreeValuedSet{ext, ext};
-      }
-      case AlgebraExpr::Kind::kLiteralSet:
-        return ThreeValuedSet{e.literal(), e.literal()};
-      case AlgebraExpr::Kind::kUnion: {
-        AWR_ASSIGN_OR_RETURN(ThreeValuedSet l, Eval(e.children()[0]));
-        AWR_ASSIGN_OR_RETURN(ThreeValuedSet r, Eval(e.children()[1]));
-        return ThreeValuedSet{SetUnion(l.lower, r.lower),
-                              SetUnion(l.upper, r.upper)};
-      }
-      case AlgebraExpr::Kind::kDiff: {
-        // Subtraction inverts membership, so it consumes the *opposite*
-        // approximation of its right operand.
-        AWR_ASSIGN_OR_RETURN(ThreeValuedSet l, Eval(e.children()[0]));
-        const AlgebraExpr& rhs = e.children()[1];
-        if (rhs.kind() == AlgebraExpr::Kind::kProduct) {
-          AWR_ASSIGN_OR_RETURN(auto factors, EvalFactors(rhs));
-          const auto& [b, c] = factors;
-          return ThreeValuedSet{DiffProduct(l.lower, b.upper, c.upper),
-                                DiffProduct(l.upper, b.lower, c.lower)};
-        }
-        AWR_ASSIGN_OR_RETURN(ThreeValuedSet r, Eval(rhs));
-        return ThreeValuedSet{SetDifference(l.lower, r.upper),
-                              SetDifference(l.upper, r.lower)};
-      }
-      case AlgebraExpr::Kind::kProduct: {
-        AWR_ASSIGN_OR_RETURN(auto factors, EvalFactors(e));
-        const auto& [l, r] = factors;
-        return ThreeValuedSet{SetProduct(l.lower, r.lower),
-                              SetProduct(l.upper, r.upper)};
-      }
-      case AlgebraExpr::Kind::kSelect: {
-        // The two bounds are filtered independently: during the
-        // alternating fixpoint an unknown's pair is transiently
-        // *inconsistent* (lower frozen at T_k while the upper is still
-        // climbing from ∅), so the lower bound must never be computed
-        // by filtering the upper one.
-        const AlgebraExpr& sub = e.children()[0];
-        ThreeValuedSet out;
-        if (sub.kind() == AlgebraExpr::Kind::kProduct) {
-          AWR_ASSIGN_OR_RETURN(auto factors, EvalFactors(sub));
-          const auto& [l, r] = factors;
-          const JoinKeys keys = EquiJoinKeys(e.fn());
-          const FunctionRegistry& fns = opts_.functions;
-          AWR_ASSIGN_OR_RETURN(
-              out.upper, SelectProduct(e.fn(), keys, l.upper, r.upper, fns));
-          AWR_ASSIGN_OR_RETURN(
-              out.lower, SelectProduct(e.fn(), keys, l.lower, r.lower, fns));
-          return out;
-        }
-        AWR_ASSIGN_OR_RETURN(ThreeValuedSet s, Eval(sub));
-        AWR_ASSIGN_OR_RETURN(out.upper,
-                             SelectSet(e.fn(), s.upper, opts_.functions));
-        AWR_ASSIGN_OR_RETURN(out.lower,
-                             SelectSet(e.fn(), s.lower, opts_.functions));
-        return out;
-      }
-      case AlgebraExpr::Kind::kMap: {
-        // Bounds mapped independently; see kSelect.
-        AWR_ASSIGN_OR_RETURN(ThreeValuedSet s, Eval(e.children()[0]));
-        ThreeValuedSet out;
-        AWR_ASSIGN_OR_RETURN(out.upper,
-                             MapSet(e.fn(), s.upper, opts_.functions));
-        AWR_ASSIGN_OR_RETURN(out.lower,
-                             MapSet(e.fn(), s.lower, opts_.functions));
-        return out;
-      }
-      case AlgebraExpr::Kind::kIfp: {
-        // Pairwise inflationary accumulation: sound, and exact whenever
-        // the IFP body does not consume undefined parts of the model.
-        ThreeValuedSet acc;
-        for (;;) {
-          AWR_RETURN_IF_ERROR(ctx_->ChargeRound("valid-eval IFP"));
-          AWR_RETURN_IF_ERROR(ctx_->ChargeMemory(
-              acc.lower.approx_bytes() + acc.upper.approx_bytes(),
-              "valid-eval IFP"));
-          iters_.push_back(&acc);
-          auto step = Eval(e.children()[0]);
-          iters_.pop_back();
-          AWR_RETURN_IF_ERROR(step.status());
-          size_t added = acc.lower.InsertAll(step->lower) +
-                         acc.upper.InsertAll(step->upper);
-          if (added == 0) break;
-          AWR_RETURN_IF_ERROR(ctx_->ChargeFacts(added, "valid-eval IFP"));
-        }
-        return acc;
-      }
-      case AlgebraExpr::Kind::kIterVar: {
-        if (e.index() >= iters_.size()) {
-          return Status::Internal("IterVar escapes IFP nesting");
-        }
-        return *iters_[iters_.size() - 1 - e.index()];
-      }
-      case AlgebraExpr::Kind::kParam:
-      case AlgebraExpr::Kind::kCall:
-        return Status::Internal(
-            "parameter/call survived normalization: " + e.ToString());
+// Iterates the `bound` of every constant from ∅ to its least fixpoint,
+// each body evaluated for that bound alone.  Reads of the other bound go
+// to `frozen`; a positive system passes none, since its constants occur
+// only positively and so are only read at the bound being iterated.
+Result<SetAssignment> LeastBound(const AlgebraProgram& normalized,
+                                 const SetDb& db, Bounds bound,
+                                 const SetAssignment* frozen,
+                                 std::string_view site,
+                                 const AlgebraEvalOptions& opts,
+                                 ExecutionContext* ctx) {
+  SetAssignment iter;
+  BoundAssignment reads;
+  for (const Definition& d : normalized.defs()) {
+    const ValueSet* mine = &iter[d.name];
+    const ValueSet* other = frozen != nullptr ? &frozen->at(d.name) : mine;
+    reads[d.name] = bound == Bounds::kUpper ? BoundSets{other, mine}
+                                            : BoundSets{mine, other};
+  }
+  for (;;) {
+    AWR_RETURN_IF_ERROR(ctx->ChargeRound(site));
+    size_t added = 0;
+    for (const Definition& d : normalized.defs()) {
+      AWR_ASSIGN_OR_RETURN(ThreeValuedSet result,
+                           EvalBounds(d.body, db, reads, bound, opts, ctx));
+      added += iter[d.name].InsertAll(bound == Bounds::kUpper ? result.upper
+                                                               : result.lower);
     }
-    return Status::Internal("unknown algebra expression kind");
+    if (added == 0) return iter;
+    AWR_RETURN_IF_ERROR(ctx->ChargeFacts(added, site));
   }
+}
 
- private:
-  // The two factors of a `×`, charged with the size of the upper
-  // product whether or not a product is then built.
-  Result<std::pair<ThreeValuedSet, ThreeValuedSet>> EvalFactors(
-      const AlgebraExpr& product) {
-    AWR_ASSIGN_OR_RETURN(ThreeValuedSet l, Eval(product.children()[0]));
-    AWR_ASSIGN_OR_RETURN(ThreeValuedSet r, Eval(product.children()[1]));
-    AWR_RETURN_IF_ERROR(
-        ctx_->ChargeFacts(l.upper.size() * r.upper.size(), "valid-eval ×"));
-    return std::make_pair(std::move(l), std::move(r));
+// The model with the given bounds, moved out of both assignments.
+ValidAlgebraResult Model(SetAssignment& lower, SetAssignment& upper) {
+  ValidAlgebraResult out;
+  for (auto& [name, set] : lower) {
+    out.Set(name, ThreeValuedSet{std::move(set), std::move(upper[name])});
   }
-
-  const SetDb& db_;
-  const PairAssignment& unknowns_;
-  const AlgebraEvalOptions& opts_;
-  ExecutionContext* ctx_;
-  std::vector<const ThreeValuedSet*> iters_;
-};
-
-bool SameAssignment(const PairAssignment& a, const PairAssignment& b) {
-  if (a.size() != b.size()) return false;
-  for (const auto& [name, tvs] : a) {
-    auto it = b.find(name);
-    if (it == b.end() || it->second.lower != tvs.lower ||
-        it->second.upper != tvs.upper) {
-      return false;
-    }
-  }
-  return true;
+  return out;
 }
 
 // The valid model of the normalized system by the alternating fixpoint.
@@ -185,84 +69,27 @@ Result<ValidAlgebraResult> Alternate(const AlgebraProgram& normalized,
                                      const SetDb& db,
                                      const AlgebraEvalOptions& opts,
                                      ExecutionContext* ctx) {
-  // T_k / U_k per unknown; T_0 = U_0 = ∅ assignments.
-  PairAssignment assignment;
+  // T_k and U_k; T_0 = U_0 = ∅.
+  SetAssignment lower;
+  SetAssignment upper;
   for (const Definition& d : normalized.defs()) {
-    assignment[d.name] = ThreeValuedSet{};
+    lower[d.name];
+    upper[d.name];
   }
-
   for (;;) {
     AWR_RETURN_IF_ERROR(ctx->ChargeRound("valid-eval(alternation)"));
-
-    // U_{k+1}: least fixpoint of the upper components, with the lower
-    // components frozen at T_k.
-    PairAssignment upper_iter = assignment;
-    for (auto& [name, tvs] : upper_iter) tvs.upper.Clear();
-    for (;;) {
-      AWR_RETURN_IF_ERROR(ctx->ChargeRound("valid-eval(upper lfp)"));
-      size_t added = 0;
-      for (const Definition& d : normalized.defs()) {
-        PairEvaluator eval(db, upper_iter, opts, ctx);
-        AWR_ASSIGN_OR_RETURN(ThreeValuedSet result, eval.Eval(d.body));
-        added += upper_iter[d.name].upper.InsertAll(result.upper);
-      }
-      if (added == 0) break;
-      AWR_RETURN_IF_ERROR(ctx->ChargeFacts(added, "valid-eval(upper lfp)"));
-    }
-
-    // T_{k+1}: least fixpoint of the lower components, with the upper
-    // components frozen at U_{k+1}.
-    PairAssignment lower_iter = upper_iter;
-    for (auto& [name, tvs] : lower_iter) tvs.lower.Clear();
-    for (;;) {
-      AWR_RETURN_IF_ERROR(ctx->ChargeRound("valid-eval(lower lfp)"));
-      size_t added = 0;
-      for (const Definition& d : normalized.defs()) {
-        PairEvaluator eval(db, lower_iter, opts, ctx);
-        AWR_ASSIGN_OR_RETURN(ThreeValuedSet result, eval.Eval(d.body));
-        added += lower_iter[d.name].lower.InsertAll(result.lower);
-      }
-      if (added == 0) break;
-      AWR_RETURN_IF_ERROR(ctx->ChargeFacts(added, "valid-eval(lower lfp)"));
-    }
-
-    if (SameAssignment(lower_iter, assignment)) {
-      ValidAlgebraResult out;
-      for (auto& [name, tvs] : lower_iter) out.Set(name, std::move(tvs));
-      return out;
-    }
-    assignment = std::move(lower_iter);
+    AWR_ASSIGN_OR_RETURN(SetAssignment next_upper,
+                         LeastBound(normalized, db, Bounds::kUpper, &lower,
+                                    "valid-eval(upper lfp)", opts, ctx));
+    AWR_ASSIGN_OR_RETURN(SetAssignment next_lower,
+                         LeastBound(normalized, db, Bounds::kLower,
+                                    &next_upper, "valid-eval(lower lfp)",
+                                    opts, ctx));
+    const bool repeated = next_lower == lower && next_upper == upper;
+    lower = std::move(next_lower);
+    upper = std::move(next_upper);
+    if (repeated) return Model(lower, upper);
   }
-}
-
-// The valid model of a positive system: by Prop 3.4 its declared and
-// inflationary fixpoints coincide, so one 2-valued least fixpoint is the
-// whole model.  Each round evaluates every body once, over one set per
-// constant; the alternation would compute this same fixpoint four times
-// (both bounds, two alternation steps).
-Result<ValidAlgebraResult> LeastFixpoint(const AlgebraProgram& normalized,
-                                         const SetDb& db,
-                                         const AlgebraEvalOptions& opts,
-                                         ExecutionContext* ctx) {
-  static constexpr ChargeSites kSites{"valid-eval ×", "valid-eval IFP"};
-  SetAssignment lfp;
-  for (const Definition& d : normalized.defs()) lfp[d.name];
-  for (;;) {
-    AWR_RETURN_IF_ERROR(ctx->ChargeRound("valid-eval(lfp)"));
-    size_t added = 0;
-    for (const Definition& d : normalized.defs()) {
-      AWR_ASSIGN_OR_RETURN(
-          ValueSet result, EvalWithConstants(d.body, db, lfp, opts, ctx, kSites));
-      added += lfp[d.name].InsertAll(result);
-    }
-    if (added == 0) break;
-    AWR_RETURN_IF_ERROR(ctx->ChargeFacts(added, "valid-eval(lfp)"));
-  }
-  ValidAlgebraResult out;
-  for (auto& [name, set] : lfp) {
-    out.Set(name, ThreeValuedSet{set, std::move(set)});
-  }
-  return out;
 }
 
 bool IsPositive(const AlgebraProgram& normalized) {
@@ -293,8 +120,15 @@ Result<ValidAlgebraResult> EvalValid(const AlgebraProgram& program,
       normalized.AddDef(d);
     }
   }
-  if (IsPositive(normalized)) return LeastFixpoint(normalized, db, opts, ctx);
-  return Alternate(normalized, db, opts, ctx);
+  if (!IsPositive(normalized)) return Alternate(normalized, db, opts, ctx);
+  // By Prop 3.4 a positive system's declared and inflationary fixpoints
+  // coincide, so one 2-valued least fixpoint is the whole model; the
+  // alternation would compute it four times (both bounds, two steps).
+  AWR_ASSIGN_OR_RETURN(SetAssignment lfp,
+                       LeastBound(normalized, db, Bounds::kUpper, nullptr,
+                                  "valid-eval(lfp)", opts, ctx));
+  SetAssignment lower = lfp;
+  return Model(lower, lfp);
 }
 
 }  // namespace
@@ -318,9 +152,9 @@ Result<ThreeValuedSet> EvalQueryValid(const AlgebraExpr& query,
   AWR_ASSIGN_OR_RETURN(ValidAlgebraResult model,
                        EvalValid(program, db, opts, ctx));
   AWR_ASSIGN_OR_RETURN(AlgebraExpr inlined, InlineCalls(query, program));
-  PairAssignment assignment(model.begin(), model.end());
-  PairEvaluator eval(db, assignment, opts, ctx);
-  return eval.Eval(inlined);
+  BoundAssignment reads;
+  for (const auto& [name, tvs] : model) reads[name] = {&tvs.lower, &tvs.upper};
+  return EvalBounds(inlined, db, reads, Bounds::kBoth, opts, ctx);
 }
 
 }  // namespace awr::algebra

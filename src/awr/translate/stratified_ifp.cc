@@ -20,68 +20,14 @@ namespace {
 // Substitutes `replacement` for every Relation(name) node, shifting the
 // replacement's free IterVars when the occurrence sits under IFPs.
 AlgebraExpr ReplaceRelation(const AlgebraExpr& e, const std::string& name,
-                            const AlgebraExpr& replacement, size_t depth);
-
-AlgebraExpr ShiftFreeIterVars(const AlgebraExpr& e, size_t delta,
-                              size_t cutoff) {
-  if (delta == 0) return e;
-  switch (e.kind()) {
-    case AlgebraExpr::Kind::kIterVar:
-      return e.index() >= cutoff ? AlgebraExpr::IterVar(e.index() + delta) : e;
-    case AlgebraExpr::Kind::kIfp:
-      return AlgebraExpr::Ifp(
-          ShiftFreeIterVars(e.children()[0], delta, cutoff + 1));
-    case AlgebraExpr::Kind::kUnion:
-      return AlgebraExpr::Union(ShiftFreeIterVars(e.children()[0], delta, cutoff),
-                                ShiftFreeIterVars(e.children()[1], delta, cutoff));
-    case AlgebraExpr::Kind::kDiff:
-      return AlgebraExpr::Diff(ShiftFreeIterVars(e.children()[0], delta, cutoff),
-                               ShiftFreeIterVars(e.children()[1], delta, cutoff));
-    case AlgebraExpr::Kind::kProduct:
-      return AlgebraExpr::Product(
-          ShiftFreeIterVars(e.children()[0], delta, cutoff),
-          ShiftFreeIterVars(e.children()[1], delta, cutoff));
-    case AlgebraExpr::Kind::kSelect:
-      return AlgebraExpr::Select(
-          e.fn(), ShiftFreeIterVars(e.children()[0], delta, cutoff));
-    case AlgebraExpr::Kind::kMap:
-      return AlgebraExpr::Map(e.fn(),
-                              ShiftFreeIterVars(e.children()[0], delta, cutoff));
-    default:
-      return e;
-  }
-}
-
-AlgebraExpr ReplaceRelation(const AlgebraExpr& e, const std::string& name,
                             const AlgebraExpr& replacement, size_t depth) {
-  switch (e.kind()) {
-    case AlgebraExpr::Kind::kRelation:
-      if (e.name() == name) return ShiftFreeIterVars(replacement, depth, 0);
-      return e;
-    case AlgebraExpr::Kind::kIfp:
-      return AlgebraExpr::Ifp(
-          ReplaceRelation(e.children()[0], name, replacement, depth + 1));
-    case AlgebraExpr::Kind::kUnion:
-      return AlgebraExpr::Union(
-          ReplaceRelation(e.children()[0], name, replacement, depth),
-          ReplaceRelation(e.children()[1], name, replacement, depth));
-    case AlgebraExpr::Kind::kDiff:
-      return AlgebraExpr::Diff(
-          ReplaceRelation(e.children()[0], name, replacement, depth),
-          ReplaceRelation(e.children()[1], name, replacement, depth));
-    case AlgebraExpr::Kind::kProduct:
-      return AlgebraExpr::Product(
-          ReplaceRelation(e.children()[0], name, replacement, depth),
-          ReplaceRelation(e.children()[1], name, replacement, depth));
-    case AlgebraExpr::Kind::kSelect:
-      return AlgebraExpr::Select(
-          e.fn(), ReplaceRelation(e.children()[0], name, replacement, depth));
-    case AlgebraExpr::Kind::kMap:
-      return AlgebraExpr::Map(
-          e.fn(), ReplaceRelation(e.children()[0], name, replacement, depth));
-    default:
-      return e;
+  if (e.kind() == AlgebraExpr::Kind::kRelation && e.name() == name) {
+    return replacement.ShiftFreeIterVars(depth);
   }
+  const size_t inner = e.kind() == AlgebraExpr::Kind::kIfp ? depth + 1 : depth;
+  return e.MapChildren([&](const AlgebraExpr& c) {
+    return ReplaceRelation(c, name, replacement, inner);
+  });
 }
 
 // Accessor for predicate Q's facts inside a tagged accumulator.

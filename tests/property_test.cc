@@ -444,7 +444,10 @@ Result<AlgebraPairs> AlgebraGlobalAlternation(
 
 // EvalAlgebraValid must compute the oracle's 3-valued sets; a system that
 // still alternates must also cost what the oracle costs, and a positive
-// one strictly less.
+// one strictly less.  (An IFP whose variable occurs only positively runs
+// in the engine until the one bound its pass computes converges, and in
+// the oracle until both do; the cases below that reach one converge in
+// the same round in both bounds.)
 void ExpectAlgebraValidMatchesOracle(const algebra::AlgebraProgram& program,
                                      const algebra::SetDb& db,
                                      const std::string& what) {
@@ -828,6 +831,163 @@ TEST(AlgebraValidOracleTest, PositiveConstantWithDatabaseExtent) {
   EXPECT_EQ(model->Get("S").lower,
             (ValueSet{Value::Int(3), Value::Int(4), Value::Int(5),
                       Value::Int(6), Value::Int(10), Value::Int(20)}));
+}
+
+// A game over positions 10..15 with a draw: 10 and 12 are won, 11 and
+// 13 lost, and 14 ⇄ 15 drawn (15 may also move to the won 10), so
+// WIN = π₁(MOVE − (π₁MOVE × WIN)) leaves 14 and 15 undefined.
+algebra::SetDb DrawnGameDb() {
+  algebra::SetDb db;
+  std::vector<std::pair<Value, Value>> moves;
+  for (auto [from, to] : std::vector<std::pair<int, int>>{
+           {10, 11}, {11, 12}, {12, 13}, {14, 15}, {15, 14}, {15, 10}}) {
+    moves.emplace_back(Value::Int(from), Value::Int(to));
+  }
+  db.DefinePairs("MOVE", moves);
+  return db;
+}
+
+algebra::AlgebraExpr MovePositions() {
+  return algebra::AlgebraExpr::Map(algebra::fn::Proj(0),
+                                   algebra::AlgebraExpr::Relation("MOVE"));
+}
+
+algebra::AlgebraProgram WinProgram() {
+  using E = algebra::AlgebraExpr;
+  algebra::AlgebraProgram prog;
+  prog.DefineConstant(
+      "WIN", E::Map(algebra::fn::Proj(0),
+                    E::Diff(E::Relation("MOVE"),
+                            E::Product(MovePositions(), E::Relation("WIN")))));
+  return prog;
+}
+
+TEST(AlgebraValidOracleTest, PositiveIfpSubtractingARecursiveConstant) {
+  // P = IFP(σ_{x<3}({0} ∪ MAP₊₁(x)) ∪ (π₁MOVE − WIN)) beside WIN: the
+  // IFP's variable occurs positively, so each pass accumulates only the
+  // bound it computes, while its body reads the other bound of WIN.
+  // Each bound takes four IFP rounds (round 1 adds 0 and π₁MOVE − WIN,
+  // rounds 2 and 3 add 1 and 2, round 4 nothing: the positions are at
+  // least 10, so MAP₊₁ of them never passes σ_{x<3}), as many as the
+  // oracle's pair of bounds, so the costs must agree too.
+  using E = algebra::AlgebraExpr;
+  using algebra::FnExpr;
+  algebra::AlgebraProgram prog = WinProgram();
+  prog.DefineConstant(
+      "P",
+      E::Ifp(E::Union(
+          E::Select(FnExpr::Lt(FnExpr::Arg(), FnExpr::Cst(Value::Int(3))),
+                    E::Union(E::Singleton(Value::Int(0)),
+                             E::Map(algebra::fn::AddConst(1), E::IterVar(0)))),
+          E::Diff(MovePositions(), E::Relation("WIN")))));
+  ASSERT_EQ(algebra::IterVarPolarity(prog.defs()[1].body.children()[0]),
+            algebra::Polarity::kPositive);
+  const algebra::SetDb db = DrawnGameDb();
+  ExpectAlgebraValidMatchesOracle(prog, db, prog.ToString());
+  auto model = algebra::EvalAlgebraValid(prog, db);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->Get("P").lower,
+            (ValueSet{Value::Int(0), Value::Int(1), Value::Int(2),
+                      Value::Int(11)}));
+  EXPECT_EQ(model->Get("P").UndefinedElements(),
+            (ValueSet{Value::Int(14), Value::Int(15)}));
+}
+
+TEST(AlgebraValidOracleTest, NestedIfpSubtractingTheOuterVariable) {
+  // P = IFP(σ_{x<13}({10} ∪ IFP((MAP₊₁(x₁) − MAP₊₂(x₁)) ∪ x₀))) beside
+  // WIN: the inner body subtracts the outer accumulator x₁, so the outer
+  // variable occurs negatively and both of its bounds advance in
+  // lockstep.  P stops at {10, 11}: 12 = 11 + 1 is blocked by
+  // 10 + 2 from the lower bound; were that bound left empty, P would
+  // gain 12.
+  using E = algebra::AlgebraExpr;
+  using algebra::FnExpr;
+  algebra::AlgebraProgram prog = WinProgram();
+  const E inner = E::Ifp(E::Union(
+      E::Diff(E::Map(algebra::fn::AddConst(1), E::IterVar(1)),
+              E::Map(algebra::fn::AddConst(2), E::IterVar(1))),
+      E::IterVar(0)));
+  prog.DefineConstant(
+      "P", E::Ifp(E::Select(
+               FnExpr::Lt(FnExpr::Arg(), FnExpr::Cst(Value::Int(13))),
+               E::Union(E::Singleton(Value::Int(10)), inner))));
+  ASSERT_EQ(algebra::IterVarPolarity(prog.defs()[1].body.children()[0]),
+            algebra::Polarity::kMixed);
+  const algebra::SetDb db = DrawnGameDb();
+  ExpectAlgebraValidMatchesOracle(prog, db, prog.ToString());
+  auto model = algebra::EvalAlgebraValid(prog, db);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->Get("P").upper, (ValueSet{Value::Int(10), Value::Int(11)}));
+}
+
+TEST(AlgebraValidOracleTest, NegativeIfpNestedInPositiveIfp) {
+  // P = IFP({10} ∪ IFP(σ_{x<13}(x₁ ∪ MAP₊₁(x₀)) − MAP₊₂(x₀))) beside
+  // WIN: the outer variable x₁ occurs only positively, but the inner IFP
+  // subtracts its own, so it advances both bounds and reads both bounds
+  // of x₁ — which must therefore advance both as well.  The inner IFP
+  // stops at {10, 11} because its lower bound holds 10 + 2 by the time
+  // 12 would enter its upper bound; with an empty lower bound of x₁ it
+  // would not, and P would gain 12.
+  using E = algebra::AlgebraExpr;
+  using algebra::FnExpr;
+  algebra::AlgebraProgram prog = WinProgram();
+  const E inner = E::Ifp(E::Diff(
+      E::Select(FnExpr::Lt(FnExpr::Arg(), FnExpr::Cst(Value::Int(13))),
+                E::Union(E::IterVar(1),
+                         E::Map(algebra::fn::AddConst(1), E::IterVar(0)))),
+      E::Map(algebra::fn::AddConst(2), E::IterVar(0))));
+  prog.DefineConstant("P",
+                      E::Ifp(E::Union(E::Singleton(Value::Int(10)), inner)));
+  ASSERT_EQ(algebra::IterVarPolarity(prog.defs()[1].body.children()[0]),
+            algebra::Polarity::kPositive);
+  ASSERT_FALSE(algebra::AllIfpsPositive(prog.defs()[1].body));
+  const algebra::SetDb db = DrawnGameDb();
+  ExpectAlgebraValidMatchesOracle(prog, db, prog.ToString());
+  auto model = algebra::EvalAlgebraValid(prog, db);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->Get("P").lower, (ValueSet{Value::Int(10), Value::Int(11)}));
+  EXPECT_EQ(model->Get("P").upper, (ValueSet{Value::Int(10), Value::Int(11)}));
+}
+
+TEST(AlgebraValidOracleTest, QueryWithNegativeIfpOverThreeValuedModel) {
+  // IFP((π₁MOVE − WIN) ∪ (σ_{x<14}(MAP₊₁(x)) − MAP₊₂(x))) over the drawn
+  // game's 3-valued WIN: the query's two bounds, computed in one lockstep
+  // pass, are the pair evaluator's on that model, and so are its rounds
+  // and charges.  Its upper bound is {11, 12, 14, 15}: 13 = 12 + 1 is
+  // blocked by 11 + 2 from the lower bound.
+  using E = algebra::AlgebraExpr;
+  using algebra::FnExpr;
+  const algebra::AlgebraProgram prog = WinProgram();
+  const algebra::SetDb db = DrawnGameDb();
+  const E query = E::Ifp(E::Union(
+      E::Diff(MovePositions(), E::Relation("WIN")),
+      E::Diff(E::Select(FnExpr::Lt(FnExpr::Arg(), FnExpr::Cst(Value::Int(14))),
+                        E::Map(algebra::fn::AddConst(1), E::IterVar(0))),
+              E::Map(algebra::fn::AddConst(2), E::IterVar(0)))));
+
+  ExecutionContext model_ctx(EvalLimits::Large());
+  algebra::AlgebraEvalOptions opts;
+  opts.context = &model_ctx;
+  auto model = algebra::EvalAlgebraValid(prog, db, opts);
+  ASSERT_TRUE(model.ok()) << model.status();
+  ASSERT_FALSE(model->IsTwoValued());
+  const AlgebraPairs model_pairs(model->begin(), model->end());
+  ExecutionContext oracle_ctx(EvalLimits::Large());
+  auto oracle = NaivePairEval(db, model_pairs, &oracle_ctx).Eval(query);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+
+  ExecutionContext ctx(EvalLimits::Large());
+  opts.context = &ctx;
+  auto answer = algebra::EvalQueryValid(query, prog, db, opts);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->lower, oracle->lower);
+  EXPECT_EQ(answer->upper, oracle->upper);
+  EXPECT_EQ(answer->upper, (ValueSet{Value::Int(11), Value::Int(12),
+                                     Value::Int(14), Value::Int(15)}));
+  EXPECT_FALSE(answer->IsTwoValued());
+  EXPECT_EQ(ctx.rounds() - model_ctx.rounds(), oracle_ctx.rounds());
+  EXPECT_EQ(ctx.total_charges() - model_ctx.total_charges(),
+            oracle_ctx.total_charges());
 }
 
 TEST(WellFoundedComponentTest, ThreeValuedLowerComponentFeedsUpperOnes) {
