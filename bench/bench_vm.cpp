@@ -12,8 +12,8 @@
 //   * the magic-set transform of the same closure under a bound query
 //     (tc(0, X)) — the demand-driven workload, where rounds are many
 //     and deltas are small, so per-firing overhead dominates;
-//   * compile-time (LowerRule latency) and the cross-round cache hit
-//     rate over the end-to-end run (the ISSUE's >= 90% bound).
+//   * compile-time: LowerRule latency, paid once per rule when
+//     PlanProgram plans it.
 //
 // Writes the measurements to a JSON file (default BENCH_vm.json in the
 // current directory; override with argv[1]).
@@ -27,7 +27,6 @@
 #include "awr/datalog/magic.h"
 #include "awr/datalog/parser.h"
 #include "awr/datalog/vm/bytecode.h"
-#include "awr/datalog/vm/cache.h"
 #include "awr/datalog/vm/vm.h"
 #include "workloads.h"
 
@@ -109,17 +108,15 @@ void DispatchMicro(int n_left, int n_right, double out[2], size_t* facts) {
   });
   *facts = count;
 
-  auto compiled = datalog::vm::LowerRule(planned->front().rule,
-                                         planned->front().plan, {});
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "lowering failed: %s\n",
-                 compiled.status().ToString().c_str());
+  const datalog::vm::CompiledRule* compiled = planned->front().compiled.get();
+  if (compiled == nullptr) {
+    std::fprintf(stderr, "lowering failed\n");
     return;
   }
   out[1] = BestMillis(5, [&] {
     size_t vm_count = 0;
     Status st = datalog::vm::ExecuteCompiledRule(
-        **compiled, ctx, [&vm_count](Value) -> Status {
+        *compiled, ctx, [&vm_count](Value) -> Status {
           ++vm_count;
           return Status::OK();
         });
@@ -174,28 +171,20 @@ int main(int argc, char** argv) {
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kLowerReps; ++i) {
     for (const datalog::PlannedRule& pr : *planned_tc) {
-      (void)datalog::vm::LowerRule(pr.rule, pr.plan, {});
+      (void)datalog::vm::LowerRule(pr.rule, pr.plan);
     }
   }
   const double lower_us = MillisSince(t0) * 1000.0 /
                           (kLowerReps * planned_tc->size());
   std::printf("compile: %.2f us per rule (LowerRule, tc rules)\n", lower_us);
 
-  // End-to-end workloads, with the cache hit rate measured over the
-  // headline run (cold cache, every fixpoint round after the first must
-  // hit).
+  // End-to-end workloads, with the VM counters of the headline run.
   std::vector<Row> rows;
   datalog::Database dense = RandomEdges(250, 2200, /*seed=*/42);
-  datalog::vm::CompiledPlanCache::Global().Clear();
   datalog::vm::ResetVmExecStats();
   rows.push_back(EndToEnd("tc_seminaive_random_2000", tc, dense,
                           dense.Extent("edge").size()));
   const datalog::vm::VmExecStats stats = datalog::vm::GetVmExecStats();
-  const double hit_rate =
-      stats.cache_hits + stats.cache_misses > 0
-          ? static_cast<double>(stats.cache_hits) /
-                static_cast<double>(stats.cache_hits + stats.cache_misses)
-          : 0;
 
   // Demand workload: the magic transform of the closure under tc(0, X).
   datalog::QuerySpec query{"tc", {Value::Int(0), std::nullopt}};
@@ -219,14 +208,10 @@ int main(int argc, char** argv) {
                 r.facts_in, r.facts_out, r.interp_ms, r.vm_ms, r.Speedup(),
                 r.models_equal ? "yes" : "NO");
   }
-  std::printf(
-      "vm: %llu compiled firings, %llu ops, cache %llu/%llu hits (%.1f%%), "
-      "%llu lowered\n",
-      static_cast<unsigned long long>(stats.vm_rules_fired),
-      static_cast<unsigned long long>(stats.ops_dispatched),
-      static_cast<unsigned long long>(stats.cache_hits),
-      static_cast<unsigned long long>(stats.cache_hits + stats.cache_misses),
-      hit_rate * 100.0, static_cast<unsigned long long>(stats.programs_lowered));
+  std::printf("vm: %llu compiled firings, %llu ops, %llu rules lowered\n",
+              static_cast<unsigned long long>(stats.vm_rules_fired),
+              static_cast<unsigned long long>(stats.ops_dispatched),
+              static_cast<unsigned long long>(stats.programs_lowered));
 
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -239,7 +224,6 @@ int main(int argc, char** argv) {
                "\"interpreted_ms\": %.3f, \"switch_ms\": %.3f},\n",
                micro_facts, micro[0], micro[1]);
   std::fprintf(out, "  \"lower_us_per_rule\": %.3f,\n", lower_us);
-  std::fprintf(out, "  \"cache_hit_rate\": %.4f,\n", hit_rate);
   std::fprintf(out, "  \"workloads\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -186,21 +186,13 @@ void ShowStats(const datalog::Interpretation& last_model) {
             << (preds - columnar_preds) << " row relation(s), ~"
             << column_bytes << " column bytes\n";
   const datalog::vm::VmExecStats vm = datalog::vm::GetVmExecStats();
-  const uint64_t lookups = vm.cache_hits + vm.cache_misses;
   std::cout << "bytecode vm:    " << vm.vm_rules_fired
             << " compiled firings, "
             << vm.ops_dispatched << " ops, " << vm.word_opens << " word / "
             << vm.row_opens << " row loop opens, " << vm.vm_facts
             << " facts emitted\n";
-  std::cout << "plan cache:     " << vm.cache_entries << " resident program(s), "
-            << vm.cache_hits << "/" << lookups << " hits ("
-            << std::fixed << std::setprecision(1)
-            << (lookups > 0 ? 100.0 * static_cast<double>(vm.cache_hits) /
-                                  static_cast<double>(lookups)
-                            : 0.0)
-            << "% hit rate), " << vm.cache_evictions << " evicted, "
-            << vm.programs_lowered << " lowered, " << vm.lower_failures
-            << " declined\n";
+  std::cout << "lowering:       " << vm.programs_lowered << " rule(s) lowered, "
+            << vm.lower_failures << " declined\n";
   for (const auto& [pred, extent] : last_model) {
     std::cout << "  " << pred << ": " << extent.size() << " fact(s), "
               << (extent.columnar_built() ? "columnar" : "row") << " storage";

@@ -10,8 +10,8 @@
 # Then the interruption tests again under AddressSanitizer/UBSan
 # (injected-fault unwinding is checked for leaks and UB) and the
 # concurrency suite under ThreadSanitizer (concurrent evaluations
-# sharing the sharded interners and the compiled-plan cache, the way
-# awrd sessions do).
+# sharing the sharded interners and the VM counters, the way awrd
+# sessions do).
 #
 # The snapshot-format suite (corruption fuzz: truncation, bit flips,
 # checksum-patched mutations, under both value representations) and the
@@ -38,10 +38,12 @@
 # simulated power cut at that op.  The plain ctest pass runs the full
 # stride-1 sweep (it is fast un-sanitized); the ASan pass reruns it
 # with AWR_POWER_CUT_STRIDE=3 to stay inside the budget.
-# Finally bench_service emits BENCH_service.json (QPS, p50/p99 latency,
-# shed rate under an undersized admission budget, restart-to-first-
-# result time) and bench_store_durability emits
-# BENCH_store_durability.json (the E21 fsync-cost table).
+# Finally bench_service writes build/BENCH_service.json (QPS, p50/p99
+# latency, shed rate under an undersized admission budget, restart-to-
+# first-result time) and bench_store_durability writes
+# build/BENCH_store_durability.json (the E21 fsync-cost table).  Both
+# go to the build tree, so a tier-1 run leaves the committed BENCH
+# files untouched.
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -96,11 +98,11 @@ cmake --build build-asan -j"$(nproc)" \
 # passes above already ran the exhaustive stride-1 sweep).
 (cd build-asan && AWR_POWER_CUT_STRIDE=3 \
   ctest --output-on-failure -R 'PowerCutOracle')
-# The bytecode VM under ASan/UBSan: the wire-codec corruption fuzz
-# (truncation, byte flips, cross-program splices) feeds the decoder +
-# verifier — the sole safety boundary before the bounds-check-free
-# dispatch loop — and the execution/verifier suites drive the loop over
-# handcrafted programs.
+# The bytecode VM under ASan/UBSan: the verifier — the sole safety
+# boundary before the bounds-check-free dispatch loop — rejects every
+# malformed mutation of a lowered program, and the execution suites
+# drive the loop over handcrafted programs under both join paths and
+# both cursor kinds.
 (cd build-asan && ctest --output-on-failure -R 'Vm')
 # The algebra evaluator under ASan/UBSan: the hash equi-join indexes
 # one side by pointers into its set and probes with the other, and a
@@ -117,9 +119,8 @@ cmake --build build-tsan -j"$(nproc)" \
   --target awr_service_chaos_test --target awrd
 # Concurrent evaluations under TSan: four threads run every fixpoint
 # engine at once on private contexts and databases, sharing the atom
-# and value interners and the global compiled-plan cache (lookup + LRU
-# mutation under its mutex, shared immutable programs executed
-# concurrently).
+# and value interners and the atomic VM counters; each evaluation
+# lowers and runs its own programs.
 (cd build-tsan && ctest --output-on-failure -R 'Concurrent')
 # Service + thinned chaos under TSan: concurrent sessions, the
 # in-flight dedup table, drain-vs-execute and deadline-vs-cancel races.
@@ -127,12 +128,12 @@ cmake --build build-tsan -j"$(nproc)" \
   ctest --output-on-failure -R 'Service|SocketServer')
 scripts/service_smoke.sh build-tsan/src/awr/service/awrd tsan
 
-# The service benchmark emits BENCH_service.json (QPS, p50/p99, shed
-# rate under an undersized budget, restart-to-first-result).
+# The service benchmark writes build/BENCH_service.json (QPS, p50/p99,
+# shed rate under an undersized budget, restart-to-first-result).
 cmake --build build -j"$(nproc)" --target bench_service
-./build/bench/bench_service BENCH_service.json
+./build/bench/bench_service build/BENCH_service.json
 
-# The durability benchmark emits BENCH_store_durability.json (E21:
-# fsync-discipline cost per write and on a checkpointing request).
+# The durability benchmark writes build/BENCH_store_durability.json
+# (E21: fsync-discipline cost per write and on a checkpointing request).
 cmake --build build -j"$(nproc)" --target bench_store_durability
-./build/bench/bench_store_durability BENCH_store_durability.json
+./build/bench/bench_store_durability build/BENCH_store_durability.json

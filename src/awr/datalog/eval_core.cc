@@ -3,7 +3,6 @@
 #include <cassert>
 #include <memory>
 
-#include "awr/datalog/vm/cache.h"
 #include "awr/datalog/vm/vm.h"
 
 namespace awr::datalog {
@@ -198,15 +197,8 @@ class BodyEnumerator {
 Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
                      const std::function<Status(Value)>& on_fact,
                      const ValueSet* known) {
-  // The compiled program is a cache hit after the first firing; rules
-  // the VM cannot lower (and every rule when ctx.use_bytecode is off)
-  // run on the tree-walking enumerator, with identical observables.
-  if (ctx.use_bytecode) {
-    std::shared_ptr<const vm::CompiledRule> compiled =
-        vm::CompiledPlanCache::Global().Get(planned, ctx.use_join_index);
-    if (compiled != nullptr) {
-      return vm::ExecuteCompiledRule(*compiled, ctx, on_fact, known);
-    }
+  if (ctx.use_bytecode && planned.compiled != nullptr) {
+    return vm::ExecuteCompiledRule(*planned.compiled, ctx, on_fact, known);
   }
   return ForEachBodyMatch(
       planned.rule, planned.plan, ctx, [&](const Env& env) -> Status {
@@ -240,9 +232,11 @@ Result<std::vector<PlannedRule>> PlanProgram(const Program& program) {
   out.reserve(program.rules.size());
   for (const Rule& rule : program.rules) {
     AWR_ASSIGN_OR_RETURN(RulePlan plan, PlanRule(rule));
-    PlannedRule planned{rule, std::move(plan)};
-    planned.cache_key = vm::PlanCacheFingerprint(planned.rule, planned.plan);
-    out.push_back(std::move(planned));
+    Result<std::shared_ptr<const vm::CompiledRule>> compiled =
+        vm::LowerRule(rule, plan);
+    vm::CountLowering(compiled.ok());
+    out.push_back(PlannedRule{rule, std::move(plan),
+                              compiled.ok() ? *std::move(compiled) : nullptr});
   }
   return out;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,24 +95,29 @@ Status ForEachBodyMatch(const Rule& rule, const RulePlan& plan,
 Result<Value> EvalHead(const Rule& rule, const Env& env,
                        const FunctionRegistry& fns);
 
-/// A rule paired with its precomputed evaluation plan.
+namespace vm {
+struct CompiledRule;
+}  // namespace vm
+
+/// A rule paired with its precomputed evaluation plan and the bytecode
+/// program lowered from them, which serves every round and both join
+/// paths of the evaluation.
 struct PlannedRule {
   Rule rule;
   RulePlan plan;
-  /// Compiled-plan cache fingerprint (vm::PlanCacheFingerprint), filled
-  /// in by PlanProgram; 0 means "not yet computed" and the cache
-  /// fingerprints on the fly.
-  uint64_t cache_key = 0;
+  /// Null when vm::LowerRule declines the rule.
+  std::shared_ptr<const vm::CompiledRule> compiled;
 };
 
-/// Plans every rule of `program`; fails if any rule is unsafe.
+/// Plans every rule of `program` and lowers each to bytecode; fails if
+/// any rule is unsafe.
 Result<std::vector<PlannedRule>> PlanProgram(const Program& program);
 
 /// Fires `rule` once: enumerates its body matches and delivers the
 /// derived head facts to `on_fact`.  The rule runs on its compiled
-/// bytecode program (vm::ExecuteCompiledRule); rules the VM cannot
-/// lower, and every rule when ctx.use_bytecode is off, run on the
-/// tree-walking enumerator (ForEachBodyMatch + EvalHead).  Both poll
+/// bytecode program (vm::ExecuteCompiledRule) when ctx.use_bytecode
+/// holds and it has one; otherwise it runs on the tree-walking
+/// enumerator (ForEachBodyMatch + EvalHead).  Both poll
 /// the context's interrupt hook once per body match, so models, charge
 /// counts, and fault/deadline/cancel statuses are identical.
 ///

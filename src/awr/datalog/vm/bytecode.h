@@ -39,18 +39,20 @@ namespace awr::datalog::vm {
 /// *infallible* rules — no function application anywhere in the body or
 /// head — where the poll count per firing equals the match count
 /// regardless of enumeration order.
+///
+/// One program serves both join paths: an open chooses probe or scan
+/// when it runs, by BodyEnumerator's condition (`ctx.use_join_index`
+/// and a non-empty bound-position set).
 enum class Op : uint8_t {
-  kOpenScanRow = 0,  ///< open loop: full row-extent scan
-  kOpenProbeRow,     ///< open loop: hash-index bucket probe (row level)
-  kOpenScanWord,     ///< open loop: columnar word scan (row fallback inside)
-  kOpenProbeWord,    ///< open loop: columnar word-chain probe (row fallback)
-  kNext,             ///< advance the loop's cursor to its next matching fact
-  kFilterNegate,     ///< negated-atom test over evaluated argument terms
-  kFilterCompare,    ///< comparison test (=, !=, <, <=) over two terms
-  kBind,             ///< assignment-form equality: compute a term into a register
-  kCharge,           ///< poll CheckInterrupt("body-match") — one per body match
-  kEmit,             ///< materialize the head tuple, deliver it, continue the loop
-  kHalt,             ///< enumeration complete
+  kOpenRow = 0,    ///< open loop on a row cursor: extent scan or Probe bucket
+  kOpenWord,       ///< open loop on a word cursor (row fallback inside)
+  kNext,           ///< advance the loop's cursor to its next matching fact
+  kFilterNegate,   ///< negated-atom test over evaluated argument terms
+  kFilterCompare,  ///< comparison test (=, !=, <, <=) over two terms
+  kBind,           ///< assignment-form equality: compute a term into a register
+  kCharge,         ///< poll CheckInterrupt("body-match") — one per body match
+  kEmit,           ///< build the head tuple, deliver it, continue the loop
+  kHalt,           ///< enumeration complete
 };
 inline constexpr uint8_t kNumOps = static_cast<uint8_t>(Op::kHalt) + 1;
 
@@ -70,25 +72,21 @@ struct Instr {
 };
 
 /// A rule lowered to bytecode, with the constant/descriptor pools the
-/// instructions index into.  Immutable after lowering; shared across
-/// rounds, evaluations and sessions via CompiledPlanCache.  The source
-/// Rule and RulePlan ride along host-side: error messages (arity
-/// mismatches render the offending atom), extent lookups (body-literal
-/// indexes) and the verifier's cross-checks all need them.
+/// instructions index into.  PlanProgram lowers each rule once and the
+/// PlannedRule holds the program, immutable, for every round of the
+/// evaluation.  The source Rule and RulePlan ride along host-side:
+/// error messages (arity mismatches render the offending atom), extent
+/// lookups (body-literal indexes) and the verifier's cross-checks all
+/// need them.
 struct CompiledRule {
   Rule rule;
   RulePlan plan;
-  /// The EvalOptions shape this program was lowered for: probe vs scan
-  /// selection is baked per step (mirroring BodyEnumerator's
-  /// `use_join_index && !bound_positions.empty()` condition).
-  bool use_join_index = true;
   uint32_t num_regs = 0;
   uint32_t num_loops = 0;
   /// No function application anywhere in the rule: poll count per
   /// firing equals match count independent of enumeration order, so
   /// word-level cursors are admissible.
   bool infallible = false;
-  uint64_t cache_key = 0;
 
   /// Per-argument-position unification action for a positive atom,
   /// processed in ascending position order (the interpreter's MatchFact
@@ -117,11 +115,11 @@ struct CompiledRule {
     uint32_t pos = 0;
     uint32_t first_pos = 0;
   };
-  /// One positive-atom plan step (one loop level).
+  /// One positive-atom plan step (one loop level).  A step with bound
+  /// positions probes under `ctx.use_join_index` and scans otherwise.
   struct StepInfo {
     uint32_t literal = 0;  ///< index into rule.body
     uint32_t arity = 0;
-    bool probe = false;         ///< lowered as index probe
     bool word_capable = false;  ///< word-level cursor admissible
     std::vector<size_t> bound_positions;
     std::vector<FieldDesc> fields;
@@ -165,39 +163,21 @@ struct CompiledRule {
   std::vector<HeadSrc> head;
 };
 
-struct LowerOptions {
-  bool use_join_index = true;
-};
-
 /// Lowers a planned rule to bytecode, verifying the result.  Fails when
-/// the rule uses a construct the VM does not cover (defensive: the
-/// planner's invariants make every safe rule lowerable; callers fall
-/// back to the interpreter on failure, preserving behavior).
-Result<std::shared_ptr<const CompiledRule>> LowerRule(
-    const Rule& rule, const RulePlan& plan, const LowerOptions& opts);
+/// the rule uses a construct the VM does not cover (more loop levels,
+/// steps, registers or descriptors than an instruction operand can
+/// address); callers then run the rule on the interpreter, with the
+/// same observable behavior.
+Result<std::shared_ptr<const CompiledRule>> LowerRule(const Rule& rule,
+                                                      const RulePlan& plan);
 
 /// Structural validation of a compiled program: every opcode known,
 /// every jump target inside the code, every register / constant / term /
 /// descriptor index inside its pool, every open paired with its next,
 /// the term pool acyclic, the code ending in halt.  The dispatch loop
 /// executes only verified programs and performs no bounds checks of its
-/// own, so this is the safety boundary for decoded bytes.
+/// own, so LowerRule runs this on every program it returns.
 Status VerifyCompiledRule(const CompiledRule& cr);
-
-/// Serializes the executable portion of a compiled program (code +
-/// pools + metadata; the host-side Rule/RulePlan travel separately —
-/// identity is the cache key).  Deterministic, little-endian.
-std::vector<uint8_t> EncodeProgram(const CompiledRule& cr);
-
-/// Decodes an EncodeProgram image against the rule/plan it was compiled
-/// from, re-running the verifier before returning.  Defensive like the
-/// snapshot codec: truncated input, unknown opcodes, out-of-range
-/// operands and oversized counts all yield a clean non-OK Status.
-Result<CompiledRule> DecodeProgram(const uint8_t* data, size_t size,
-                                   Rule rule, RulePlan plan);
-
-/// Human-readable listing, one instruction per line (tests, debugging).
-std::string Disassemble(const CompiledRule& cr);
 
 }  // namespace awr::datalog::vm
 

@@ -16,12 +16,11 @@ constexpr uint32_t kPatchHalt = 0xffffffffu;
 /// Builder state for one rule.  The lowering walk mirrors the planner's
 /// readiness analysis: the set of bound variables at each step is
 /// structural (every execution path binds exactly the variables of the
-/// preceding steps), so probe/scan selection, assignment-form detection
-/// and register allocation are all resolved statically.
+/// preceding steps), so probe keys, assignment-form detection and
+/// register allocation are all resolved statically.
 struct Lowerer {
   const Rule& rule;
   const RulePlan& plan;
-  const LowerOptions& opts;
   CompiledRule cr;
 
   std::unordered_map<uint32_t, uint32_t> var_regs;  // var id -> register
@@ -32,8 +31,7 @@ struct Lowerer {
   uint32_t current_fail = kPatchHalt;  // innermost enclosing next pc
   std::vector<size_t> word_candidates;  // step indices, pending infallibility
 
-  Lowerer(const Rule& r, const RulePlan& p, const LowerOptions& o)
-      : rule(r), plan(p), opts(o) {}
+  Lowerer(const Rule& r, const RulePlan& p) : rule(r), plan(p) {}
 
   uint32_t RegOf(Var v) {
     auto [it, inserted] = var_regs.try_emplace(v.id, cr.num_regs);
@@ -111,7 +109,6 @@ struct Lowerer {
     si.literal = static_cast<uint32_t>(step.literal);
     si.arity = static_cast<uint32_t>(lit.atom.arity());
     si.bound_positions = step.bound_positions;
-    si.probe = opts.use_join_index && !step.bound_positions.empty();
 
     bool atom_has_apply = false;
     bool consts_inline = true;
@@ -154,37 +151,36 @@ struct Lowerer {
       }
       si.fields.push_back(f);
     }
-    if (si.probe) {
-      for (size_t pos : step.bound_positions) {
-        if (pos >= si.arity) {
-          return Status::Internal("vm lowering: bound position out of range");
-        }
-        const TermExpr& arg = lit.atom.args[pos];
-        CompiledRule::KeySrc key;
-        if (arg.is_var()) {
-          if (bound.count(arg.var().id) == 0) {
-            return Status::Internal(
-                "vm lowering: unbound variable in probe key");
-          }
-          key.reg = static_cast<int32_t>(RegOf(arg.var()));
-        } else if (arg.is_const()) {
-          key.reg = -1;
-          key.const_idx = ConstOf(arg.constant());
-        } else {
-          return Status::Internal("vm lowering: application in probe key");
-        }
-        si.keys.push_back(key);
+    for (size_t pos : step.bound_positions) {
+      if (pos >= si.arity) {
+        return Status::Internal("vm lowering: bound position out of range");
       }
+      const TermExpr& arg = lit.atom.args[pos];
+      CompiledRule::KeySrc key;
+      if (arg.is_var()) {
+        if (bound.count(arg.var().id) == 0) {
+          return Status::Internal("vm lowering: unbound variable in probe key");
+        }
+        key.reg = static_cast<int32_t>(RegOf(arg.var()));
+      } else if (arg.is_const()) {
+        key.reg = -1;
+        key.const_idx = ConstOf(arg.constant());
+      } else {
+        return Status::Internal("vm lowering: application in probe key");
+      }
+      si.keys.push_back(key);
     }
     // Word-cursor candidacy (confirmed after the whole rule is walked:
     // the rule must be infallible): inline constants, at most 8 key
     // positions, and every bound-variable or constant position must be
     // part of the probe key, which holds exactly when the atom has no
-    // applications (no plan truncation) and the shape probes.  A scan
-    // step must have binds and within-atom repeats only: every field
-    // that is not a bind is one of the word dups.
+    // applications (no plan truncation) and the step has bound
+    // positions.  A step without them scans, so it must have binds and
+    // within-atom repeats only: every field that is not a bind is one of
+    // the word dups.  A keyed step run without the join index opens a
+    // row scan instead (vm.cc's HandleOpen).
     const bool covered =
-        si.probe ||
+        !si.bound_positions.empty() ||
         std::count_if(si.fields.begin(), si.fields.end(),
                       [](const CompiledRule::FieldDesc& f) {
                         return f.kind !=
@@ -203,7 +199,7 @@ struct Lowerer {
     cr.steps.push_back(std::move(si));
 
     Instr open;
-    open.op = cr.steps[step_idx].probe ? Op::kOpenProbeRow : Op::kOpenScanRow;
+    open.op = Op::kOpenRow;
     open.loop = loop;
     open.a = step_idx;
     open.fail = current_fail;
@@ -287,7 +283,6 @@ struct Lowerer {
     }
     cr.rule = rule;
     cr.plan = plan;
-    cr.use_join_index = opts.use_join_index;
 
     for (const PlanStep& step : plan.steps) {
       if (step.literal >= rule.body.size()) {
@@ -342,10 +337,8 @@ struct Lowerer {
         cr.steps[idx].word_capable = true;
       }
       for (Instr& in : cr.code) {
-        if ((in.op == Op::kOpenScanRow || in.op == Op::kOpenProbeRow) &&
-            cr.steps[in.a].word_capable) {
-          in.op = in.op == Op::kOpenScanRow ? Op::kOpenScanWord
-                                            : Op::kOpenProbeWord;
+        if (in.op == Op::kOpenRow && cr.steps[in.a].word_capable) {
+          in.op = Op::kOpenWord;
         }
       }
     }
@@ -357,9 +350,9 @@ struct Lowerer {
 
 }  // namespace
 
-Result<std::shared_ptr<const CompiledRule>> LowerRule(
-    const Rule& rule, const RulePlan& plan, const LowerOptions& opts) {
-  return Lowerer(rule, plan, opts).Run();
+Result<std::shared_ptr<const CompiledRule>> LowerRule(const Rule& rule,
+                                                      const RulePlan& plan) {
+  return Lowerer(rule, plan).Run();
 }
 
 }  // namespace awr::datalog::vm

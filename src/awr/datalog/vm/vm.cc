@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "awr/datalog/vm/cache.h"
 #include "awr/value/value_set.h"
 
 namespace awr::datalog::vm {
@@ -18,6 +17,8 @@ struct VmStatCounters {
   std::atomic<uint64_t> word_opens{0};
   std::atomic<uint64_t> row_opens{0};
   std::atomic<uint64_t> facts{0};
+  std::atomic<uint64_t> lowered{0};
+  std::atomic<uint64_t> declined{0};
 };
 
 VmStatCounters& VmCounters() {
@@ -37,13 +38,12 @@ using RowIter = decltype(std::declval<const ValueSet&>().begin());
 /// programs (see bytecode.h).
 struct Cursor {
   enum class Kind : uint8_t {
-    kNone,       ///< never opened (only reachable in decoded programs)
     kRowScan,    ///< full extent iteration
     kRowBucket,  ///< ValueSet::Probe bucket
     kWordScan,   ///< column-store row walk
     kWordChain,  ///< column-index bucket chain walk
   };
-  Kind kind = Kind::kNone;
+  Kind kind = Kind::kRowScan;
   RowIter it{};
   RowIter end{};
   const std::vector<Value>* bucket = nullptr;
@@ -191,10 +191,11 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
     }
   }
   Cursor& cur = s.cursors[in.loop];
-  const bool want_word = (in.op == Op::kOpenScanWord ||
-                          in.op == Op::kOpenProbeWord) &&
-                         s.ctx.use_columnar;
-  if (want_word && si.probe) {
+  // BodyEnumerator's probe condition.  A keyed step run without the
+  // join index scans rows: a word scan cannot check its bound positions.
+  const bool probe = s.ctx.use_join_index && !si.bound_positions.empty();
+  const bool want_word = in.op == Op::kOpenWord && s.ctx.use_columnar;
+  if (want_word && probe) {
     // Gather the key words first: a register bound by an outer row
     // loop may hold a non-inline value, which word probing cannot
     // represent — fall back to the row bucket below.
@@ -228,7 +229,7 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
         return pc + 1;
       }
     }
-  } else if (want_word) {
+  } else if (want_word && si.bound_positions.empty()) {
     const ValueSet::ColumnStore* store = extent.columns();
     if (store != nullptr) {
       cur.kind = Cursor::Kind::kWordScan;
@@ -239,7 +240,7 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
     }
   }
   ++s.row_opens;
-  if (si.probe) {
+  if (probe) {
     // The key terms are constants or bound variables, so building the
     // probe key cannot fail (the planner excludes applications from
     // bound positions) — same key Value as the interpreter's EvalTerm
@@ -327,11 +328,6 @@ size_t HandleNext(ExecState& s, const Instr& in, size_t pc, Status* st) {
       }
       return in.fail;
     }
-    case Cursor::Kind::kNone:
-      // Unreachable from lowered programs (an open always precedes its
-      // next); a decoded program's odd control flow degrades to an
-      // exhausted loop, never out-of-bounds state.
-      return in.fail;
   }
   return in.fail;
 }
@@ -535,10 +531,8 @@ Status RunSwitch(ExecState& s) {
     const Instr& in = code[pc];
     ++s.ops;
     switch (in.op) {
-      case Op::kOpenScanRow:
-      case Op::kOpenProbeRow:
-      case Op::kOpenScanWord:
-      case Op::kOpenProbeWord:
+      case Op::kOpenRow:
+      case Op::kOpenWord:
         pc = HandleOpen(s, in, pc, &st);
         break;
       case Op::kNext:
@@ -606,15 +600,17 @@ VmExecStats GetVmExecStats() {
   out.word_opens = counters.word_opens.load(std::memory_order_relaxed);
   out.row_opens = counters.row_opens.load(std::memory_order_relaxed);
   out.vm_facts = counters.facts.load(std::memory_order_relaxed);
-  const CompiledPlanCache::Counters cache =
-      CompiledPlanCache::Global().counters();
-  out.cache_hits = cache.hits;
-  out.cache_misses = cache.misses;
-  out.cache_evictions = cache.evictions;
-  out.cache_entries = cache.entries;
-  out.programs_lowered = cache.lowered;
-  out.lower_failures = cache.lower_failures;
+  out.cache_hits = out.vm_rules_fired;
+  out.programs_lowered = counters.lowered.load(std::memory_order_relaxed);
+  out.lower_failures = counters.declined.load(std::memory_order_relaxed);
+  out.cache_misses = out.programs_lowered + out.lower_failures;
   return out;
+}
+
+void CountLowering(bool lowered) {
+  VmStatCounters& counters = VmCounters();
+  (lowered ? counters.lowered : counters.declined)
+      .fetch_add(1, std::memory_order_relaxed);
 }
 
 void ResetVmExecStats() {
@@ -624,7 +620,8 @@ void ResetVmExecStats() {
   counters.word_opens.store(0, std::memory_order_relaxed);
   counters.row_opens.store(0, std::memory_order_relaxed);
   counters.facts.store(0, std::memory_order_relaxed);
-  CompiledPlanCache::Global().ResetCounters();
+  counters.lowered.store(0, std::memory_order_relaxed);
+  counters.declined.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace awr::datalog::vm

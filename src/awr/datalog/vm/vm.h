@@ -20,42 +20,46 @@ namespace awr::datalog::vm {
 /// match count in any order, and the caller's set semantics absorb the
 /// rest.
 ///
-/// `known` is the optional word-level duplicate filter with
-/// FireRuleFacts' contract: an extent whose facts the caller treats as
-/// already derived, immutable while the rule fires.  For infallible
-/// rules the emit handler suppresses duplicate head projections within
-/// the firing and skips facts already in `known` — at the raw word
-/// level, before the tuple is ever materialized.  Every skipped
-/// delivery would have been a caller no-op, and the per-match interrupt
-/// poll still fires.  `known` is consulted only when ctx.use_columnar
-/// holds, since the filter probes the extent's column store.
+/// `known` is the optional duplicate filter with FireRuleFacts'
+/// contract: an extent whose facts the caller treats as already
+/// derived, immutable while the rule fires.  No fact in it is
+/// delivered.  For infallible rules the emit handler also suppresses
+/// duplicate head projections within the firing, on raw words before
+/// the tuple is materialized, and under ctx.use_columnar it probes
+/// `known`'s full-arity column index the same way.  Without that index
+/// (use_columnar off, which builds no column store, or a non-flat
+/// extent) each finished tuple is checked with known->Contains.  Every
+/// skipped delivery would have been a caller no-op, and the per-match
+/// interrupt poll still fires.
 ///
-/// `cr` must have passed VerifyCompiledRule (LowerRule and
-/// DecodeProgram both guarantee it): the dispatch loop performs no
-/// bounds checks of its own.
+/// `cr` must have passed VerifyCompiledRule (LowerRule guarantees it):
+/// the dispatch loop performs no bounds checks of its own.
 Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
                            const std::function<Status(Value)>& on_fact,
                            const ValueSet* known = nullptr);
 
 /// Process-wide VM counters for the REPL's :stats, awrd stats and the
-/// benchmarks.  Execution counters are updated atomically (concurrent
-/// awrd sessions run compiled programs too); cache counters are snapshots of the global
-/// CompiledPlanCache.
+/// benchmarks, updated atomically (concurrent awrd sessions plan and
+/// run compiled programs too).  PlanProgram lowers each rule once per
+/// evaluation, so the lowering counters grow with the rules planned,
+/// not with the rounds run.  perfbench reads `cache_hits` and
+/// `cache_misses` by these names.
 struct VmExecStats {
-  uint64_t vm_rules_fired = 0;   ///< firings served by compiled programs
-  uint64_t ops_dispatched = 0;   ///< bytecode instructions executed
-  uint64_t word_opens = 0;       ///< loops opened on word-level cursors
-  uint64_t row_opens = 0;        ///< loops opened on row-level cursors
-  uint64_t vm_facts = 0;         ///< facts emitted by compiled programs
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_entries = 0;
-  uint64_t programs_lowered = 0;
-  uint64_t lower_failures = 0;
+  uint64_t vm_rules_fired = 0;    ///< firings served by compiled programs
+  uint64_t ops_dispatched = 0;    ///< bytecode instructions executed
+  uint64_t word_opens = 0;        ///< loops opened on word-level cursors
+  uint64_t row_opens = 0;         ///< loops opened on row-level cursors
+  uint64_t vm_facts = 0;          ///< facts emitted by compiled programs
+  uint64_t cache_hits = 0;        ///< compiled firings (= vm_rules_fired)
+  uint64_t cache_misses = 0;      ///< lowerings PlanProgram attempted
+  uint64_t programs_lowered = 0;  ///< lowerings that succeeded
+  uint64_t lower_failures = 0;    ///< rules LowerRule declined
 };
 VmExecStats GetVmExecStats();
 void ResetVmExecStats();
+
+/// Records one lowering PlanProgram attempted, and whether it succeeded.
+void CountLowering(bool lowered);
 
 }  // namespace awr::datalog::vm
 

@@ -261,17 +261,14 @@ StatsReply QueryService::Stats() const {
       {"reserved_bytes", admission_.reserved_bytes()},
       {"high_water_bytes", admission_.high_water_bytes()},
   };
-  // Bytecode VM counters (process-wide, so sessions sharing the
-  // compiled-plan cache see the cross-session hit rate the cache is
-  // there to provide): same numbers as the REPL's :stats VM section.
+  // Bytecode VM counters (process-wide, summed over every session):
+  // same numbers as the REPL's :stats VM section.
   const datalog::vm::VmExecStats vm = datalog::vm::GetVmExecStats();
   stats.counters.emplace_back("vm_rules_fired", vm.vm_rules_fired);
   stats.counters.emplace_back("vm_ops_dispatched", vm.ops_dispatched);
   stats.counters.emplace_back("vm_facts", vm.vm_facts);
   stats.counters.emplace_back("vm_cache_hits", vm.cache_hits);
   stats.counters.emplace_back("vm_cache_misses", vm.cache_misses);
-  stats.counters.emplace_back("vm_cache_evictions", vm.cache_evictions);
-  stats.counters.emplace_back("vm_cache_entries", vm.cache_entries);
   stats.counters.emplace_back("vm_programs_lowered", vm.programs_lowered);
   stats.counters.emplace_back("vm_lower_failures", vm.lower_failures);
   if (store_ != nullptr) {

@@ -1,8 +1,8 @@
 // Concurrency tests for the threads awr really runs: awrd evaluates
 // requests on concurrent sessions, each with its own ExecutionContext
 // and database, sharing the sharded atom interner, the structural value
-// interner, the global compiled-plan cache and the atomic executor
-// counters.  Every fixpoint engine runs one sequential round loop, so
+// interner and the atomic VM counters; each evaluation lowers its own
+// rule programs.  Every fixpoint engine runs one sequential round loop, so
 // these shared structures are the only state two evaluations touch at
 // once.  scripts/tier1.sh runs this
 // suite under ThreadSanitizer.
@@ -210,9 +210,9 @@ std::vector<Workload> Workloads() {
           {"inflationary", win, game}};
 }
 
-// One evaluation as an awrd session runs it: a private context and a
-// private database, shared interners and compiled-plan cache.  Returns
-// the rendered model and the context's total charges.
+// One evaluation as an awrd session runs it: a private context, a
+// private database and its own lowered programs, shared interners.
+// Returns the rendered model and the context's total charges.
 Result<Outcome> Evaluate(const Workload& w) {
   ExecutionContext ctx(EvalLimits::Large());
   datalog::EvalOptions opts;

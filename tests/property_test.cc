@@ -1266,7 +1266,7 @@ TEST(ScanVsIndexGovernance, PreCancelledAndExpiredDeadlineParity) {
 // Concurrent-sessions differential oracle.  Every engine runs one
 // sequential round loop; the concurrency that exists is awrd evaluating
 // independent requests on concurrent sessions, which share the
-// process-wide atom and value interners and the compiled-plan cache.
+// process-wide atom and value interners and the VM counters.
 // Here kSessions threads each evaluate the same program on their own
 // copy of it and of the database, under their own options and context,
 // and every result must equal the single-threaded run — over 100
