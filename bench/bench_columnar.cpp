@@ -78,7 +78,7 @@ Row MicroProbe(int n_left, int n_right) {
              std::to_string(n_right);
 
   auto program = datalog::ParseProgram("out(X, Z) :- e(X, Y), t(Y, Z).");
-  auto planned = datalog::PlanProgram(*program);
+  auto planned = datalog::PlanProgram(*program, /*lower=*/true);
   datalog::Interpretation interp;
   for (int i = 0; i < n_left; ++i) {
     interp.AddFact("e", {Value::Int(i % 512), Value::Int(i)});

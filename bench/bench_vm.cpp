@@ -76,7 +76,7 @@ datalog::EvalOptions Opts(bool bytecode) {
 // calls the executor directly.
 void DispatchMicro(int n_left, int n_right, double out[2], size_t* facts) {
   auto program = datalog::ParseProgram("out(X, Z) :- e(X, Y), t(Y, Z).");
-  auto planned = datalog::PlanProgram(*program);
+  auto planned = datalog::PlanProgram(*program, /*lower=*/true);
   datalog::Interpretation interp;
   for (int i = 0; i < n_left; ++i) {
     interp.AddFact("e", {Value::Int(i % 512), Value::Int(i)});
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
 
   // Compile time: LowerRule latency on the closure rules.
   auto tc = TcProgram();
-  auto planned_tc = datalog::PlanProgram(tc);
+  auto planned_tc = datalog::PlanProgram(tc, /*lower=*/false);
   const int kLowerReps = 2000;
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kLowerReps; ++i) {

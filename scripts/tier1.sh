@@ -44,6 +44,9 @@
 # build/BENCH_store_durability.json (the E21 fsync-cost table).  Both
 # go to the build tree, so a tier-1 run leaves the committed BENCH
 # files untouched.
+# Last, scripts/coverage.sh prints per-module gcov line coverage of the
+# library's .cc files from one ctest pass over a -O0 --coverage build
+# (build-cov).  It is a report, not a gate.
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -137,3 +140,6 @@ cmake --build build -j"$(nproc)" --target bench_service
 # (E21: fsync-discipline cost per write and on a checkpointing request).
 cmake --build build -j"$(nproc)" --target bench_store_durability
 ./build/bench/bench_store_durability build/BENCH_store_durability.json
+
+# Line coverage per module: a report, not a gate.
+scripts/coverage.sh

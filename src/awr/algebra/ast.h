@@ -108,6 +108,10 @@ class AlgebraExpr {
     std::vector<AlgebraExpr> children;
   };
 
+  /// This node's identity: shared by the copies of one node, distinct
+  /// for distinct nodes while both are alive.
+  const Rep* identity() const { return rep_.get(); }
+
  private:
   explicit AlgebraExpr(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
   std::shared_ptr<const Rep> rep_;

@@ -1,7 +1,6 @@
 #ifndef AWR_ALGEBRA_EVAL_H_
 #define AWR_ALGEBRA_EVAL_H_
 
-#include <map>
 #include <string>
 
 #include "awr/algebra/program.h"
@@ -17,7 +16,7 @@ namespace awr::algebra {
 using datalog::Truth;
 
 /// Evaluation configuration of the algebra entry points (EvalAlgebra,
-/// EvalBounds, EvalAlgebraValid, EvalQueryValid).
+/// EvalAlgebraValid, EvalQueryValid).
 struct AlgebraEvalOptions {
   FunctionRegistry functions = FunctionRegistry::Default();
   EvalLimits limits = EvalLimits::Default();
@@ -49,6 +48,15 @@ struct AlgebraEvalOptions {
 /// References to recursive set constants are rejected with
 /// FailedPrecondition: their meaning is the valid model, computed by
 /// EvalAlgebraValid (valid_eval.h).
+///
+/// Operands are borrowed, not copied: a relation's extent, a literal and
+/// an IFP's accumulator are read in place, and a copy is made only when
+/// the result itself is borrowed (a query that is just a relation).
+/// Under an IFP, each maximal subtree that reads no IterVar and holds no
+/// IFP is evaluated once per call and its set reused on later rounds.
+/// Each reuse charges the `×` sizes its first evaluation charged, in
+/// order, so charge counts, trip points and statuses are those of
+/// evaluating it every round.  The memo is freed when the call returns.
 Result<ValueSet> EvalAlgebra(const AlgebraExpr& query,
                              const AlgebraProgram& program, const SetDb& db,
                              const AlgebraEvalOptions& opts = {});
@@ -82,41 +90,6 @@ struct ThreeValuedSet {
 
   std::string ToString() const;
 };
-
-/// The bounds of a 3-valued set that one evaluation pass computes.
-enum class Bounds { kLower, kUpper, kBoth };
-
-/// The two sets a set constant's occurrences read (borrowed).  While a
-/// fixpoint iterates one bound the other is frozen, so the pair need
-/// not be consistent.
-struct BoundSets {
-  const ValueSet* lower;
-  const ValueSet* upper;
-};
-using BoundAssignment = std::map<std::string, BoundSets>;
-
-/// Evaluates the call-free expression `e` (see InlineCalls) for
-/// `bounds`, each name bound in `constants` read by bound and every
-/// other name denoting its database extent; only the bounds asked for
-/// are filled in.  Charged to `ctx` at "valid-eval ×" and
-/// "valid-eval IFP".
-///
-/// One bound is computed from one bound of each operand, read by
-/// polarity: crossing the right operand of `−` swaps them, so
-///
-///   lower(A − B) = lower(A) − upper(B),  upper(A − B) = upper(A) − lower(B)
-///
-/// and `A − (B × C)` runs as lower(A) − (upper(B) × upper(C)) and its
-/// mirror.  Each `×` is charged with the size of the product of the
-/// bound it reads — the upper one when both are computed.  An IFP
-/// whose variable occurs only positively, in its body and in every IFP
-/// nested there, accumulates just the bounds asked for, since no other
-/// bound of its accumulator is read; any other IFP advances both
-/// bounds in lockstep.
-Result<ThreeValuedSet> EvalBounds(const AlgebraExpr& e, const SetDb& db,
-                                  const BoundAssignment& constants,
-                                  Bounds bounds, const AlgebraEvalOptions& opts,
-                                  ExecutionContext* ctx);
 
 }  // namespace awr::algebra
 

@@ -1,6 +1,8 @@
 #include "awr/algebra/join.h"
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "awr/common/hash.h"
@@ -19,21 +21,26 @@ void Conjuncts(const FnExpr& test, std::vector<const FnExpr*>* out) {
   }
 }
 
-// Reads `e` as a Get chain rooted at Get(Arg, side), side 0 or 1; fills
-// `side` and the projections applied below the root, outermost last.
-bool ReadPath(const FnExpr& e, size_t* side, std::vector<size_t>* path) {
-  std::vector<size_t> reversed;
-  for (const FnExpr* cur = &e; cur->kind() == FnExpr::Kind::kGet;
-       cur = &cur->children()[0]) {
-    if (cur->children()[0].kind() == FnExpr::Kind::kArg) {
-      if (cur->index() > 1) return false;
-      *side = cur->index();
-      path->assign(reversed.rbegin(), reversed.rend());
-      return true;
-    }
-    reversed.push_back(cur->index());
+// Reads `e` as a Get chain rooted at Arg; fills `path` with the
+// projections it applies, innermost first.
+bool ArgPath(const FnExpr& e, std::vector<size_t>* path) {
+  path->clear();
+  const FnExpr* cur = &e;
+  for (; cur->kind() == FnExpr::Kind::kGet; cur = &cur->children()[0]) {
+    path->push_back(cur->index());
   }
-  return false;
+  if (cur->kind() != FnExpr::Kind::kArg) return false;
+  std::reverse(path->begin(), path->end());
+  return true;
+}
+
+// Reads `e` as a Get chain rooted at Get(Arg, side), side 0 or 1; fills
+// `side` and the projections applied below the root, innermost first.
+bool ReadPath(const FnExpr& e, size_t* side, std::vector<size_t>* path) {
+  if (!ArgPath(e, path) || path->empty() || path->front() > 1) return false;
+  *side = path->front();
+  path->erase(path->begin());
+  return true;
 }
 
 // The component of `v` reached along `path`, or null where a projection
@@ -160,8 +167,29 @@ Result<ValueSet> SelectSet(const FnExpr& test, const ValueSet& s,
 
 Result<ValueSet> MapSet(const FnExpr& f, const ValueSet& s,
                         const FunctionRegistry& fns) {
+  // `f` as component paths: one for a Get chain, one per item for a
+  // MkTuple of Get chains.
+  const bool tuple = f.kind() == FnExpr::Kind::kMkTuple;
+  std::vector<std::vector<size_t>> paths(tuple ? f.children().size() : 1);
+  bool by_path = true;
+  for (size_t i = 0; i < paths.size() && by_path; ++i) {
+    by_path = ArgPath(tuple ? f.children()[i] : f, &paths[i]);
+  }
   ValueSet out;
+  std::vector<const Value*> parts(paths.size());
+  std::vector<Value> items;
   for (const Value& v : s) {
+    if (by_path && ExtractKey(v, paths, &parts)) {
+      if (!tuple) {
+        out.Insert(*parts[0]);
+        continue;
+      }
+      items.clear();
+      for (const Value* part : parts) items.push_back(*part);
+      out.Insert(Value::Tuple(std::span<const Value>(items)));
+      continue;
+    }
+    // A path that fails on `v` fails in `f` too, with this status.
     AWR_ASSIGN_OR_RETURN(Value mapped, f.Eval(v, fns));
     out.Insert(std::move(mapped));
   }

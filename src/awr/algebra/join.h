@@ -57,9 +57,16 @@ Result<ValueSet> SelectProduct(const FnExpr& test, const JoinKeys& keys,
 /// `v.0 ∈ B` and `v.1 ∈ C`.
 ValueSet DiffProduct(const ValueSet& a, const ValueSet& b, const ValueSet& c);
 
-/// σ_test(S) and MAP_f(S), element by element.
+/// σ_test(S), element by element.
 Result<ValueSet> SelectSet(const FnExpr& test, const ValueSet& s,
                            const FunctionRegistry& fns);
+
+/// MAP_f(S), element by element.  When `f` is a Get chain rooted at Arg
+/// (π_i, x.i.j, …) or a MkTuple of such chains, each component is read
+/// along its path in place, as join keys are, without building and
+/// releasing a Value at every node of `f`.  An element on which a path
+/// fails (a non-tuple, or an index out of range) is evaluated by
+/// FnExpr::Eval, so the status is exactly the one the tree walk returns.
 Result<ValueSet> MapSet(const FnExpr& f, const ValueSet& s,
                         const FunctionRegistry& fns);
 

@@ -1,8 +1,10 @@
 #include "awr/algebra/valid_eval.h"
 
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 
+#include "awr/algebra/evaluator.h"
 #include "awr/algebra/positivity.h"
 
 namespace awr::algebra {
@@ -24,31 +26,31 @@ namespace {
 using SetAssignment = std::map<std::string, ValueSet>;
 
 // Iterates the `bound` of every constant from ∅ to its least fixpoint,
-// each body evaluated for that bound alone.  Reads of the other bound go
-// to `frozen`; a positive system passes none, since its constants occur
+// each body evaluated for that bound alone.  Points the evaluator's
+// constants at the sets it iterates and, for the other bound, at
+// `frozen`; a positive system passes none, since its constants occur
 // only positively and so are only read at the bound being iterated.
 Result<SetAssignment> LeastBound(const AlgebraProgram& normalized,
-                                 const SetDb& db, Bounds bound,
-                                 const SetAssignment* frozen,
-                                 std::string_view site,
-                                 const AlgebraEvalOptions& opts,
+                                 Bounds bound, const SetAssignment* frozen,
+                                 std::string_view site, Evaluator* evaluator,
                                  ExecutionContext* ctx) {
   SetAssignment iter;
-  BoundAssignment reads;
   for (const Definition& d : normalized.defs()) {
     const ValueSet* mine = &iter[d.name];
     const ValueSet* other = frozen != nullptr ? &frozen->at(d.name) : mine;
-    reads[d.name] = bound == Bounds::kUpper ? BoundSets{other, mine}
-                                            : BoundSets{mine, other};
+    evaluator->constants()[d.name] = bound == Bounds::kUpper
+                                         ? BoundSets{other, mine}
+                                         : BoundSets{mine, other};
   }
   for (;;) {
     AWR_RETURN_IF_ERROR(ctx->ChargeRound(site));
     size_t added = 0;
     for (const Definition& d : normalized.defs()) {
-      AWR_ASSIGN_OR_RETURN(ThreeValuedSet result,
-                           EvalBounds(d.body, db, reads, bound, opts, ctx));
-      added += iter[d.name].InsertAll(bound == Bounds::kUpper ? result.upper
-                                                               : result.lower);
+      AWR_ASSIGN_OR_RETURN(BoundRefs result,
+                           evaluator->EvalRepeated(d.body, bound));
+      added += Evaluator::Absorb(
+          &iter[d.name],
+          (bound == Bounds::kUpper ? result.upper : result.lower).get());
     }
     if (added == 0) return iter;
     AWR_RETURN_IF_ERROR(ctx->ChargeFacts(added, site));
@@ -66,8 +68,7 @@ ValidAlgebraResult Model(SetAssignment& lower, SetAssignment& upper) {
 
 // The valid model of the normalized system by the alternating fixpoint.
 Result<ValidAlgebraResult> Alternate(const AlgebraProgram& normalized,
-                                     const SetDb& db,
-                                     const AlgebraEvalOptions& opts,
+                                     Evaluator* evaluator,
                                      ExecutionContext* ctx) {
   // T_k and U_k; T_0 = U_0 = ∅.
   SetAssignment lower;
@@ -78,13 +79,14 @@ Result<ValidAlgebraResult> Alternate(const AlgebraProgram& normalized,
   }
   for (;;) {
     AWR_RETURN_IF_ERROR(ctx->ChargeRound("valid-eval(alternation)"));
-    AWR_ASSIGN_OR_RETURN(SetAssignment next_upper,
-                         LeastBound(normalized, db, Bounds::kUpper, &lower,
-                                    "valid-eval(upper lfp)", opts, ctx));
-    AWR_ASSIGN_OR_RETURN(SetAssignment next_lower,
-                         LeastBound(normalized, db, Bounds::kLower,
-                                    &next_upper, "valid-eval(lower lfp)",
-                                    opts, ctx));
+    AWR_ASSIGN_OR_RETURN(
+        SetAssignment next_upper,
+        LeastBound(normalized, Bounds::kUpper, &lower,
+                   "valid-eval(upper lfp)", evaluator, ctx));
+    AWR_ASSIGN_OR_RETURN(
+        SetAssignment next_lower,
+        LeastBound(normalized, Bounds::kLower, &next_upper,
+                   "valid-eval(lower lfp)", evaluator, ctx));
     const bool repeated = next_lower == lower && next_upper == upper;
     lower = std::move(next_lower);
     upper = std::move(next_upper);
@@ -100,16 +102,14 @@ bool IsPositive(const AlgebraProgram& normalized) {
   return true;
 }
 
-Result<ValidAlgebraResult> EvalValid(const AlgebraProgram& program,
-                                     const SetDb& db,
-                                     const AlgebraEvalOptions& opts,
-                                     ExecutionContext* ctx) {
+// The §6 normal form of `program`.  A constant that also has a database
+// extent means the database supplies base elements in addition to the
+// equation (exactly as a deductive predicate may have both facts and
+// rules): the equation becomes P = base ∪ exp_P.
+Result<AlgebraProgram> NormalizeOver(const AlgebraProgram& program,
+                                     const SetDb& db) {
   AWR_ASSIGN_OR_RETURN(AlgebraProgram orig_normalized,
                        NormalizeProgram(program));
-  // A constant that also has a database extent means the database
-  // supplies base elements in addition to the equation (exactly as a
-  // deductive predicate may have both facts and rules): the equation
-  // becomes P = base ∪ exp_P.
   AlgebraProgram normalized;
   for (const Definition& d : orig_normalized.defs()) {
     if (db.Has(d.name)) {
@@ -120,13 +120,19 @@ Result<ValidAlgebraResult> EvalValid(const AlgebraProgram& program,
       normalized.AddDef(d);
     }
   }
-  if (!IsPositive(normalized)) return Alternate(normalized, db, opts, ctx);
+  return normalized;
+}
+
+// The valid model of the normalized system.
+Result<ValidAlgebraResult> Solve(const AlgebraProgram& normalized,
+                                 Evaluator* evaluator, ExecutionContext* ctx) {
+  if (!IsPositive(normalized)) return Alternate(normalized, evaluator, ctx);
   // By Prop 3.4 a positive system's declared and inflationary fixpoints
   // coincide, so one 2-valued least fixpoint is the whole model; the
   // alternation would compute it four times (both bounds, two steps).
   AWR_ASSIGN_OR_RETURN(SetAssignment lfp,
-                       LeastBound(normalized, db, Bounds::kUpper, nullptr,
-                                  "valid-eval(lfp)", opts, ctx));
+                       LeastBound(normalized, Bounds::kUpper, nullptr,
+                                  "valid-eval(lfp)", evaluator, ctx));
   SetAssignment lower = lfp;
   return Model(lower, lfp);
 }
@@ -137,8 +143,11 @@ Result<ValidAlgebraResult> EvalAlgebraValid(const AlgebraProgram& program,
                                             const SetDb& db,
                                             const AlgebraEvalOptions& opts) {
   ExecutionContext local_ctx(opts.limits);
-  return EvalValid(program, db, opts,
-                   opts.context != nullptr ? opts.context : &local_ctx);
+  ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
+  AWR_ASSIGN_OR_RETURN(AlgebraProgram normalized, NormalizeOver(program, db));
+  const std::unordered_set<std::string> no_recursive;
+  Evaluator evaluator(db, no_recursive, /*two_valued=*/false, opts, ctx);
+  return Solve(normalized, &evaluator, ctx);
 }
 
 Result<ThreeValuedSet> EvalQueryValid(const AlgebraExpr& query,
@@ -146,15 +155,23 @@ Result<ThreeValuedSet> EvalQueryValid(const AlgebraExpr& query,
                                       const SetDb& db,
                                       const AlgebraEvalOptions& opts) {
   // One context governs both phases, so the call as a whole stays
-  // within opts.limits.
+  // within opts.limits; one evaluator serves both, so the query reuses
+  // what the model memoised.
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
+  AWR_ASSIGN_OR_RETURN(AlgebraProgram normalized, NormalizeOver(program, db));
+  const std::unordered_set<std::string> no_recursive;
+  Evaluator evaluator(db, no_recursive, /*two_valued=*/false, opts, ctx);
   AWR_ASSIGN_OR_RETURN(ValidAlgebraResult model,
-                       EvalValid(program, db, opts, ctx));
+                       Solve(normalized, &evaluator, ctx));
   AWR_ASSIGN_OR_RETURN(AlgebraExpr inlined, InlineCalls(query, program));
-  BoundAssignment reads;
-  for (const auto& [name, tvs] : model) reads[name] = {&tvs.lower, &tvs.upper};
-  return EvalBounds(inlined, db, reads, Bounds::kBoth, opts, ctx);
+  for (const auto& [name, tvs] : model) {
+    evaluator.constants()[name] = {&tvs.lower, &tvs.upper};
+  }
+  AWR_ASSIGN_OR_RETURN(BoundRefs result,
+                       evaluator.Eval(inlined, Bounds::kBoth));
+  return ThreeValuedSet{std::move(result.lower).Take(),
+                        std::move(result.upper).Take()};
 }
 
 }  // namespace awr::algebra

@@ -53,14 +53,22 @@ class ValidAlgebraResult {
 ///
 /// repeated until T and U repeat.  T grows, U shrinks, T ⊆ U.  Each
 /// inner least fixpoint is monotone in the bound it iterates, so it is
-/// a 2-valued fixpoint that EvalBounds (eval.h) computes one bound per
-/// pass: an occurrence of a constant reads the bound its polarity
+/// a 2-valued fixpoint that the algebra evaluator computes one bound
+/// per pass: an occurrence of a constant reads the bound its polarity
 /// selects — a subtraction consumes the opposite bound of its right
 /// operand, exactly as the paper's valid computation lets derivations
 /// "use negatively only facts not in T" / "only facts from F" (§2.2) —
 /// so positive occurrences read the bound being iterated and negative
 /// ones the frozen bound.  Each `×` is charged at "valid-eval ×" with
 /// the size of the product of the bound its pass reads.
+///
+/// Every pass of one call shares one evaluator, and with it one memo:
+/// each maximal subtree of a body that names no constant of the system,
+/// reads no IterVar and holds no IFP (WIN–MOVE's π₁MOVE) denotes one
+/// 2-valued set, so it is evaluated once per call and its set borrowed
+/// by every later round, bound and alternation step.  Each reuse charges
+/// the `×` sizes its first evaluation charged, in order, so charge
+/// counts, trip points and statuses are unchanged.
 ///
 /// A *positive* system — every constant occurs positively in every body
 /// (SystemIsPositive) and every IFP's variable occurs positively
@@ -79,10 +87,11 @@ Result<ValidAlgebraResult> EvalAlgebraValid(const AlgebraProgram& program,
 
 /// Evaluates `query` (which may reference the program's recursive
 /// constants and call its definitions) under the program's valid model,
-/// both bounds in one pass (EvalBounds), so each IFP in the query
+/// both bounds in one pass, so each IFP in the query
 /// advances its two bounds in lockstep.  The model and the query are
 /// charged to one context, so the whole call stays within `opts.limits`
-/// (or `opts.context`).
+/// (or `opts.context`), and evaluated by one evaluator, so the query
+/// reuses what the model's passes memoised.
 Result<ThreeValuedSet> EvalQueryValid(const AlgebraExpr& query,
                                       const AlgebraProgram& program,
                                       const SetDb& db,

@@ -227,16 +227,20 @@ Result<Value> EvalHead(const Rule& rule, const Env& env,
   return Value::Tuple(std::move(components));
 }
 
-Result<std::vector<PlannedRule>> PlanProgram(const Program& program) {
+Result<std::vector<PlannedRule>> PlanProgram(const Program& program,
+                                             bool lower) {
   std::vector<PlannedRule> out;
   out.reserve(program.rules.size());
   for (const Rule& rule : program.rules) {
     AWR_ASSIGN_OR_RETURN(RulePlan plan, PlanRule(rule));
-    Result<std::shared_ptr<const vm::CompiledRule>> compiled =
-        vm::LowerRule(rule, plan);
-    vm::CountLowering(compiled.ok());
-    out.push_back(PlannedRule{rule, std::move(plan),
-                              compiled.ok() ? *std::move(compiled) : nullptr});
+    std::shared_ptr<const vm::CompiledRule> compiled;
+    if (lower) {
+      Result<std::shared_ptr<const vm::CompiledRule>> lowered =
+          vm::LowerRule(rule, plan);
+      vm::CountLowering(lowered.ok());
+      if (lowered.ok()) compiled = *std::move(lowered);
+    }
+    out.push_back(PlannedRule{rule, std::move(plan), std::move(compiled)});
   }
   return out;
 }

@@ -105,13 +105,16 @@ struct CompiledRule;
 struct PlannedRule {
   Rule rule;
   RulePlan plan;
-  /// Null when vm::LowerRule declines the rule.
+  /// Null when the rule was not lowered, or vm::LowerRule declined it.
   std::shared_ptr<const vm::CompiledRule> compiled;
 };
 
-/// Plans every rule of `program` and lowers each to bytecode; fails if
-/// any rule is unsafe.
-Result<std::vector<PlannedRule>> PlanProgram(const Program& program);
+/// Plans every rule of `program`, and when `lower` holds lowers each to
+/// bytecode; fails if any rule is unsafe.  An evaluation passes its
+/// EvalOptions::use_bytecode, so one that runs only the interpreter
+/// lowers nothing.
+Result<std::vector<PlannedRule>> PlanProgram(const Program& program,
+                                             bool lower);
 
 /// Fires `rule` once: enumerates its body matches and delivers the
 /// derived head facts to `on_fact`.  The rule runs on its compiled

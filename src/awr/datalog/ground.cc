@@ -49,7 +49,10 @@ Result<GroundProgram> GroundProgramFor(const Program& program,
                                        const EvalOptions& opts) {
   AWR_ASSIGN_OR_RETURN(ThreeValuedInterp wfs,
                        EvalWellFounded(program, edb, opts));
-  AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> planned, PlanProgram(program));
+  // Grounding enumerates whole bindings with ForEachBodyMatch, which the
+  // VM does not deliver, so nothing is lowered.
+  AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> planned,
+                       PlanProgram(program, /*lower=*/false));
 
   GroundProgram ground;
   for (const auto& [pred, extent] : edb) {

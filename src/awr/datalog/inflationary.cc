@@ -7,7 +7,8 @@ namespace {
 Result<Interpretation> EvalInflationaryImpl(
     const Program& program, const Database& edb, const EvalOptions& opts,
     size_t* rounds_out, const snapshot::EvalSnapshot* resume) {
-  AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> rules, PlanProgram(program));
+  AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> rules,
+                       PlanProgram(program, opts.use_bytecode));
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
 

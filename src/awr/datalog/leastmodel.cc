@@ -217,7 +217,8 @@ Result<Interpretation> EvalMinimalModelImpl(
         "EvalMinimalModel requires a positive program; use EvalStratified, "
         "EvalInflationary or EvalWellFounded for programs with negation");
   }
-  AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> rules, PlanProgram(program));
+  AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> rules,
+                       PlanProgram(program, opts.use_bytecode));
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
   Interpretation empty;

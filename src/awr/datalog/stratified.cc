@@ -13,7 +13,8 @@ Result<Interpretation> EvalStratifiedImpl(
     const Program& program, const Database& edb, const EvalOptions& opts,
     const snapshot::EvalSnapshot* resume) {
   AWR_ASSIGN_OR_RETURN(auto strata, Stratify(program));
-  AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> planned, PlanProgram(program));
+  AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> planned,
+                       PlanProgram(program, opts.use_bytecode));
 
   std::unordered_map<std::string, size_t> stratum_of;
   for (size_t s = 0; s < strata.size(); ++s) {

@@ -41,8 +41,10 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
 /// Process-wide VM counters for the REPL's :stats, awrd stats and the
 /// benchmarks, updated atomically (concurrent awrd sessions plan and
 /// run compiled programs too).  PlanProgram lowers each rule once per
-/// evaluation, so the lowering counters grow with the rules planned,
-/// not with the rounds run.  perfbench reads `cache_hits` and
+/// evaluation that may run the VM (EvalOptions::use_bytecode); an
+/// interpreter-only evaluation and grounding lower nothing.  So the
+/// lowering counters grow with the rules those evaluations plan, not
+/// with the rounds run.  perfbench reads `cache_hits` and
 /// `cache_misses` by these names.
 struct VmExecStats {
   uint64_t vm_rules_fired = 0;    ///< firings served by compiled programs

@@ -237,6 +237,45 @@ TEST(AlgebraEvalTest, NestedIfpDeBruijn) {
   EXPECT_EQ(*r, (ValueSet{IV(0), IV(1), IV(2), IV(3)}));
 }
 
+TEST(AlgebraEvalTest, IfpEvaluatesInvariantSubtreeOnce) {
+  // IFP(MAP_{inv}(MAP_{x.0}(R × R)) ∪ MAP_{var}(σ_{x<5}(MAP₊₁(x)))) over
+  // R = {0}.  The left operand reads no IterVar, so it is evaluated once
+  // and its `×` charged again each round; the right one reads the
+  // accumulator {0..k-2} of round k and runs every round: 0, 1, 2, 3, 4
+  // and 4 calls over the six rounds.
+  size_t inv = 0;
+  size_t var = 0;
+  AlgebraEvalOptions opts;
+  for (auto [name, calls] : {std::pair{"inv", &inv}, std::pair{"var", &var}}) {
+    opts.functions.Register(
+        name, [calls](const std::vector<Value>& args) -> Result<Value> {
+          ++*calls;
+          return args[0];
+        });
+  }
+  const E invariant = E::Map(
+      FnExpr::Apply("inv", {FnExpr::Arg()}),
+      E::Map(fn::Proj(0), E::Product(E::Relation("R"), E::Relation("R"))));
+  const E variant = E::Map(
+      FnExpr::Apply("var", {FnExpr::Arg()}),
+      E::Select(FnExpr::Lt(FnExpr::Arg(), FnExpr::Cst(IV(5))),
+                E::Map(fn::AddConst(1), E::IterVar(0))));
+  SetDb db;
+  db.Define("R", ValueSet{IV(0)});
+  ExecutionContext ctx(EvalLimits::Default());
+  opts.context = &ctx;
+  auto r = EvalAlgebra(E::Ifp(E::Union(invariant, variant)), db, opts);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, (ValueSet{IV(0), IV(1), IV(2), IV(3), IV(4)}));
+  EXPECT_EQ(inv, 1u);
+  EXPECT_EQ(var, 14u);
+  // Each of the six rounds charges its round, its memory and the `×`;
+  // the five that add charge their facts.
+  EXPECT_EQ(ctx.rounds(), 6u);
+  EXPECT_EQ(ctx.total_charges(), 6u * 3 + 5);
+  EXPECT_EQ(ctx.facts(), 6u * 1 + 5);
+}
+
 TEST(AlgebraEvalTest, RecursiveConstantRejectedByTwoValuedEval) {
   AlgebraProgram prog;
   prog.DefineConstant("S", E::Diff(E::Singleton(AV("a")), E::Relation("S")));
@@ -500,6 +539,78 @@ TEST(AlgebraJoinTest, DiffProductMatchesMaterialisedDifference) {
     EXPECT_EQ(DiffProduct(a, b, c), SetDifference(a, SetProduct(b, c)))
         << "seed " << seed;
     EXPECT_EQ(DiffProduct(a, ValueSet{}, c), a) << "seed " << seed;
+  }
+}
+
+// MAP_f(S) by FnExpr::Eval on each element, failing with the status of
+// the first element `f` fails on: MapSet's contract.
+Result<ValueSet> ReferenceMap(const FnExpr& f, const ValueSet& s) {
+  ValueSet out;
+  for (const Value& v : s) {
+    AWR_ASSIGN_OR_RETURN(Value mapped, f.Eval(v, FunctionRegistry::Default()));
+    out.Insert(std::move(mapped));
+  }
+  return out;
+}
+
+void ExpectMapMatchesReference(const FnExpr& f, const ValueSet& s,
+                               const std::string& what) {
+  auto want = ReferenceMap(f, s);
+  auto got = MapSet(f, s, FunctionRegistry::Default());
+  ASSERT_EQ(got.status().code(), want.status().code())
+      << what << "\ngot:  " << got.status() << "\nwant: " << want.status();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().message(), want.status().message()) << what;
+    return;
+  }
+  EXPECT_EQ(*got, *want) << what;
+}
+
+TEST(AlgebraJoinTest, MapByPathFailsWithTheTreeWalksStatus) {
+  // Get chains are read by path; where a path fails, the element goes
+  // through FnExpr::Eval, so the status is its own.
+  const Value pair = Value::Pair(IV(1), IV(2));
+  const std::vector<std::pair<FnExpr, Value>> cases = {
+      {fn::Proj(0), IV(7)},
+      {fn::Proj(0), Value::Tuple({})},
+      {fn::Proj(2), pair},
+      {FnExpr::Get(fn::Proj(0), 1), pair},
+      {FnExpr::MkTuple({fn::Proj(1), fn::Proj(3)}),
+       Value::Tuple({IV(1), IV(2), IV(3)})},
+  };
+  for (const auto& [f, element] : cases) {
+    auto got = MapSet(f, ValueSet{element}, FunctionRegistry::Default());
+    auto want = f.Eval(element, FunctionRegistry::Default());
+    ASSERT_FALSE(want.ok()) << f.ToString();
+    EXPECT_TRUE(got.status().IsInvalidArgument()) << got.status();
+    EXPECT_EQ(got.status().message(), want.status().message()) << f.ToString();
+  }
+  EXPECT_EQ(MapSet(fn::Proj(0), ValueSet{IV(7)}, FunctionRegistry::Default())
+                .status()
+                .message(),
+            "projection applied to non-tuple 7");
+}
+
+TEST(AlgebraJoinTest, MapByPathMatchesTreeWalk) {
+  // Get chains and MkTuples of them over random nested tuples, some sets
+  // with elements a path fails on; the last map has an item that is no
+  // path, so it is walked as a tree throughout.
+  const std::vector<FnExpr> maps = {
+      FnExpr::Arg(),
+      fn::Proj(0),
+      Path(2, {1}),
+      FnExpr::MkTuple({Path(2, {1}), fn::Proj(0), fn::Proj(2)}),
+      FnExpr::MkTuple({fn::Proj(1), fn::Proj(1)}),
+      FnExpr::MkTuple({}),
+      FnExpr::MkTuple({fn::Proj(0), FnExpr::Cst(IV(9))}),
+  };
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    JoinGen gen(seed * 31);
+    const ValueSet s = gen.Set(30, seed % 4 == 0 ? 10 : 0);
+    for (const FnExpr& f : maps) {
+      ExpectMapMatchesReference(
+          f, s, f.ToString() + ", seed " + std::to_string(seed));
+    }
   }
 }
 

@@ -6,6 +6,8 @@
 #include "awr/algebra/eval.h"
 #include "awr/algebra/positivity.h"
 #include "awr/algebra/valid_eval.h"
+#include "awr/datalog/parser.h"
+#include "awr/translate/datalog_to_alg.h"
 
 namespace awr::algebra {
 namespace {
@@ -309,6 +311,171 @@ TEST(ValidEvalTest, QueryAndModelShareOneBudget) {
   auto enough = EvalQueryValid(query, prog, SetDb{}, opts);
   ASSERT_TRUE(enough.ok()) << enough.status();
   EXPECT_EQ(enough->lower.size(), 11u);
+}
+
+// Registers `name` as the identity function, counting its calls.
+void RegisterCounter(AlgebraEvalOptions* opts, const std::string& name,
+                     size_t* calls) {
+  opts->functions.Register(
+      name, [calls](const std::vector<Value>& args) -> Result<Value> {
+        ++*calls;
+        return args[0];
+      });
+}
+
+TEST(ValidEvalMemoTest, InvariantSubtreeRunsOncePerCall) {
+  // WIN = π₁(MOVE − (MAP_{count(x.0)}(MOVE) × WIN)): the MAP names no
+  // constant, so each EvalAlgebraValid call evaluates it once, however
+  // many rounds the alternation takes.  A second call starts afresh.
+  size_t calls = 0;
+  AlgebraEvalOptions opts;
+  RegisterCounter(&opts, "count", &calls);
+  const E pi1_move = E::Map(FnExpr::Apply("count", {fn::Proj(0)}),
+                            E::Relation("MOVE"));
+  AlgebraProgram prog;
+  prog.DefineConstant(
+      "WIN", E::Map(fn::Proj(0),
+                    E::Diff(E::Relation("MOVE"),
+                            E::Product(pi1_move, E::Relation("WIN")))));
+  const SetDb db = MoveDb(
+      {{"a", "b"}, {"b", "c"}, {"c", "d"}, {"e", "f"}, {"f", "e"}, {"f", "a"}});
+  ExecutionContext ctx(EvalLimits::Default());
+  opts.context = &ctx;
+  auto model = EvalAlgebraValid(prog, db, opts);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(calls, 6u);
+  // Charges and the model are those of the plain program.
+  EXPECT_EQ(ctx.rounds(), 15u);
+  EXPECT_EQ(ctx.total_charges(), 33u);
+  auto plain = EvalAlgebraValid(WinMoveProgram(), db);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_EQ(model->ToString(), plain->ToString());
+
+  opts.context = nullptr;
+  ASSERT_TRUE(EvalAlgebraValid(prog, db, opts).ok());
+  EXPECT_EQ(calls, 12u);
+}
+
+TEST(ValidEvalMemoTest, SubtreeReadingAConstantRunsEveryRound) {
+  // S = MAP_{inv}(R) ∪ MAP_{var}(σ_{x<5}(MAP₊₁(S))) over R = {0} is
+  // positive: one least fixpoint.  Round k reads S = {0..k-2} (∅ in
+  // round 1), so `var` runs 0, 1, 2, 3, 4 times in rounds 1–5 and 4
+  // times in round 6, which adds nothing: 14.  `inv` runs once per
+  // element of R.
+  size_t inv = 0;
+  size_t var = 0;
+  AlgebraEvalOptions opts;
+  RegisterCounter(&opts, "inv", &inv);
+  RegisterCounter(&opts, "var", &var);
+  const FnExpr below5 = FnExpr::Lt(FnExpr::Arg(), FnExpr::Cst(IV(5)));
+  AlgebraProgram prog;
+  prog.DefineConstant(
+      "S",
+      E::Union(E::Map(FnExpr::Apply("inv", {FnExpr::Arg()}), E::Relation("R")),
+               E::Map(FnExpr::Apply("var", {FnExpr::Arg()}),
+                      E::Select(below5, E::Map(fn::AddConst(1),
+                                               E::Relation("S"))))));
+  SetDb db;
+  db.Define("R", ValueSet{IV(0)});
+  auto model = EvalAlgebraValid(prog, db, opts);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->Get("S").lower, (ValueSet{IV(0), IV(1), IV(2), IV(3), IV(4)}));
+  EXPECT_EQ(inv, 1u);
+  EXPECT_EQ(var, 14u);
+}
+
+// The site each charge of `run` names, one letter per charge: every
+// charge is tripped in turn and the status it returns is read.
+std::string ChargeSites(const std::function<Status(ExecutionContext*)>& run) {
+  FaultInjector injector;
+  injector.Disarm();
+  ExecutionContext whole(EvalLimits::Default());
+  whole.set_fault_injector(&injector);
+  EXPECT_TRUE(run(&whole).ok());
+  const size_t n = injector.charges_seen();
+  const std::vector<std::pair<std::string, char>> codes = {
+      {"valid-eval(alternation): ", 'a'}, {"valid-eval(upper lfp): ", 'u'},
+      {"valid-eval(lower lfp): ", 'l'},   {"valid-eval(lfp): ", 'f'},
+      {"valid-eval ×: ", 'x'},            {"valid-eval IFP: ", 'i'}};
+  std::string sites;
+  for (size_t i = 1; i <= n; ++i) {
+    injector.TripAt(i);
+    ExecutionContext ctx(EvalLimits::Default());
+    ctx.set_fault_injector(&injector);
+    const Status st = run(&ctx);
+    const std::string suffix =
+        "injected fault (round " + std::to_string(ctx.rounds()) +
+        ", charge " + std::to_string(i) + ")";
+    char code = '?';
+    for (const auto& [site, letter] : codes) {
+      if (st.message() == site + suffix) code = letter;
+    }
+    EXPECT_NE(code, '?') << "charge " << i << ": " << st;
+    sites += code;
+  }
+  return sites;
+}
+
+// 60 positions: a path 0 → 1 → … → 47, six drawn two-cycles on 48–59,
+// a move from every sixth path position into a cycle, and a move from
+// each cycle back onto the path.
+SetDb SixtyPositionGame() {
+  std::vector<std::pair<Value, Value>> moves;
+  for (int64_t i = 0; i < 47; ++i) moves.emplace_back(IV(i), IV(i + 1));
+  for (int64_t c = 0; c < 6; ++c) {
+    const int64_t a = 48 + 2 * c;
+    moves.emplace_back(IV(a), IV(a + 1));
+    moves.emplace_back(IV(a + 1), IV(a));
+    moves.emplace_back(IV(6 * c + 5), IV(a));
+    moves.emplace_back(IV(a + 1), IV(40 + c));
+  }
+  SetDb db;
+  db.DefinePairs("MOVE", moves);
+  return db;
+}
+
+// The site sequences below were read by running ChargeSites on the two
+// programs with the evaluator that recomputed every subtree on every
+// round (before invariant subtrees were memoised); a memo hit replays
+// its charges, so the sequences must not move.
+TEST(ValidEvalMemoTest, ChargeSequenceIsThatOfTheRecomputingEvaluator) {
+  const SetDb game = SixtyPositionGame();
+  auto win_move = [&](ExecutionContext* ctx) {
+    AlgebraEvalOptions opts;
+    opts.context = ctx;
+    return EvalAlgebraValid(WinMoveProgram(), game, opts).status();
+  };
+  auto model = EvalAlgebraValid(WinMoveProgram(), game);
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_FALSE(model->IsTwoValued());
+  // Twelve alternation steps (a), each two rounds of the upper lfp (u)
+  // and two of the lower (l); every round charges its one `×` (x), and
+  // the first round of each lfp charges the facts it added.
+  EXPECT_EQ(ChargeSites(win_move),
+            "auxuuxlxllxauxuuxlxllxauxuuxlxllxauxuuxlxllxauxuuxlxllxauxuux"
+            "lxllxauxuuxlxllxauxuuxlxllxauxuuxlxllxauxuuxlxllxauxuuxlxllx"
+            "auxuuxlxllx");
+
+  auto program = datalog::ParseProgram(
+      "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n");
+  ASSERT_TRUE(program.ok()) << program.status();
+  auto system = translate::DatalogToAlgebra(*program);
+  ASSERT_TRUE(system.ok()) << system.status();
+  datalog::Database edb;
+  for (int64_t i = 0; i < 12; ++i) {
+    edb.AddFact("edge", {IV(i), IV((i + 1) % 12)});
+    if (i % 3 == 0) edb.AddFact("edge", {IV(i), IV((i + 5) % 12)});
+  }
+  const SetDb tc_db = translate::EdbToSetDb(edb);
+  auto tc = [&](ExecutionContext* ctx) {
+    AlgebraEvalOptions opts;
+    opts.context = ctx;
+    return EvalAlgebraValid(*system, tc_db, opts).status();
+  };
+  // The positive system's one least fixpoint (f): nine rounds of three
+  // `×` each, two of them the `{<>} × edge` inside invariant subtrees,
+  // and the facts of the eight rounds that add some.
+  EXPECT_EQ(ChargeSites(tc), "fxxxffxxxffxxxffxxxffxxxffxxxffxxxffxxxffxxx");
 }
 
 // Prop 3.4: for monotone (syntactically positive) bodies, the declared

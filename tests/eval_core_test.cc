@@ -199,7 +199,7 @@ TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
     tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).
   )");
   ASSERT_TRUE(program.ok());
-  auto planned = PlanProgram(*program);
+  auto planned = PlanProgram(*program, /*lower=*/true);
   ASSERT_TRUE(planned.ok());
   Interpretation interp;
   for (int i = 0; i < 12; ++i) {
@@ -224,7 +224,7 @@ TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
 
 TEST(FireRuleFactsTest, NonFlatExtentFallsBackToRowPath) {
   auto program = ParseProgram("out(X, Y) :- e(X, Y).");
-  auto planned = PlanProgram(*program);
+  auto planned = PlanProgram(*program, /*lower=*/true);
   ASSERT_TRUE(planned.ok());
   Interpretation interp;
   interp.AddFact("e", {Value::Int(1), Value::Int(2)});
@@ -244,7 +244,7 @@ TEST(FireRuleFactsTest, NonFlatExtentFallsBackToRowPath) {
 
 TEST(FireRuleFactsTest, CallbackErrorAbortsVmEmission) {
   auto program = ParseProgram("out(X, Y) :- e(X, Y).");
-  auto planned = PlanProgram(*program);
+  auto planned = PlanProgram(*program, /*lower=*/true);
   ASSERT_TRUE(planned.ok());
   Interpretation interp;
   for (int i = 0; i < 10; ++i) {
@@ -270,7 +270,7 @@ TEST(FireRuleFactsTest, CallbackErrorAbortsVmEmission) {
 TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
   auto program = ParseProgram("tc(X, Z) :- e(X, Y), tc(Y, Z).");
   ASSERT_TRUE(program.ok());
-  auto planned = PlanProgram(*program);
+  auto planned = PlanProgram(*program, /*lower=*/true);
   ASSERT_TRUE(planned.ok());
   Interpretation interp;
   for (int i = 0; i < 20; ++i) {

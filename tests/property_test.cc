@@ -207,7 +207,7 @@ Result<datalog::ThreeValuedInterp> GlobalAlternation(const Program& program,
                                                      const Database& edb,
                                                      ExecutionContext* ctx) {
   AWR_ASSIGN_OR_RETURN(std::vector<datalog::PlannedRule> rules,
-                       datalog::PlanProgram(program));
+                       datalog::PlanProgram(program, /*lower=*/true));
   datalog::Interpretation prev_prev;
   datalog::Interpretation prev;
   bool have_two = false;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "awr/datalog/eval_core.h"
+#include "awr/datalog/ground.h"
 #include "awr/datalog/leastmodel.h"
 #include "awr/datalog/magic.h"
 #include "awr/datalog/parser.h"
@@ -23,7 +24,7 @@ namespace {
 std::vector<PlannedRule> Planned(const std::string& text) {
   auto program = ParseProgram(text);
   EXPECT_TRUE(program.ok()) << program.status();
-  auto rules = PlanProgram(*program);
+  auto rules = PlanProgram(*program, /*lower=*/true);
   EXPECT_TRUE(rules.ok()) << rules.status();
   return *rules;
 }
@@ -425,6 +426,29 @@ TEST(VmPlanTest, TcEvaluationLowersItsTwoRulesOnce) {
   EXPECT_EQ(stats.cache_hits, stats.vm_rules_fired);
 }
 
+TEST(VmPlanTest, InterpreterAndGroundingLowerNothing) {
+  // Only an evaluation that may run the VM lowers its rules: one on the
+  // interpreter lowers none, and grounding, which enumerates bindings
+  // with ForEachBodyMatch, adds none to the well-founded evaluation it
+  // starts from.
+  auto program = ParseProgram(kTc);
+  ASSERT_TRUE(program.ok());
+  EvalOptions interpreter;
+  interpreter.use_bytecode = false;
+  ResetVmExecStats();
+  ASSERT_TRUE(EvalMinimalModel(*program, Chain(10), interpreter).ok());
+  ASSERT_TRUE(GroundProgramFor(*program, Chain(10), interpreter).ok());
+  VmExecStats stats = GetVmExecStats();
+  EXPECT_EQ(stats.programs_lowered, 0u);
+  EXPECT_EQ(stats.cache_misses, 0u);
+
+  ResetVmExecStats();
+  ASSERT_TRUE(GroundProgramFor(*program, Chain(10), EvalOptions{}).ok());
+  stats = GetVmExecStats();
+  EXPECT_EQ(stats.programs_lowered, 2u);
+  EXPECT_EQ(stats.cache_misses, 2u);
+}
+
 TEST(VmPlanTest, DeclinedRuleGetsNoProgramAndRunsOnTheInterpreter) {
   std::string text = "p(X) :- a(X)";
   for (int i = 0; i < 300; ++i) text += ", a(X)";
@@ -435,7 +459,7 @@ TEST(VmPlanTest, DeclinedRuleGetsNoProgramAndRunsOnTheInterpreter) {
   edb.AddFact("a", {Value::Int(1)});
   edb.AddFact("a", {Value::Int(2)});
   ResetVmExecStats();
-  auto planned = PlanProgram(*program);
+  auto planned = PlanProgram(*program, /*lower=*/true);
   ASSERT_TRUE(planned.ok()) << planned.status();
   EXPECT_EQ(planned->front().compiled, nullptr);
   VmExecStats stats = GetVmExecStats();
