@@ -71,9 +71,9 @@ datalog::EvalOptions Opts(bool bytecode) {
   return o;
 }
 
-// One two-atom probe join fired through both dispatchers.  The
-// interpreter column is FireRuleFacts with bytecode off; the VM column
-// calls the executor directly.
+// One two-atom probe join fired through both dispatchers into a fresh
+// extent.  The interpreter column is FireRuleFacts with bytecode off;
+// the VM column calls the executor directly.
 void DispatchMicro(int n_left, int n_right, double out[2], size_t* facts) {
   auto program = datalog::ParseProgram("out(X, Z) :- e(X, Y), t(Y, Z).");
   auto planned = datalog::PlanProgram(*program, /*lower=*/true);
@@ -98,13 +98,13 @@ void DispatchMicro(int n_left, int n_right, double out[2], size_t* facts) {
   interp_ctx.use_bytecode = false;
   size_t count = 0;
   out[0] = BestMillis(5, [&] {
-    count = 0;
-    Status st = datalog::FireRuleFacts(planned->front(), interp_ctx,
-                                       [&](Value) -> Status {
-                                         ++count;
-                                         return Status::OK();
-                                       });
-    if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    ValueSet derived;
+    Result<size_t> added =
+        datalog::FireRuleFacts(planned->front(), interp_ctx, &derived);
+    if (!added.ok()) {
+      std::fprintf(stderr, "%s\n", added.status().ToString().c_str());
+    }
+    count = added.ok() ? *added : 0;
   });
   *facts = count;
 
@@ -114,14 +114,15 @@ void DispatchMicro(int n_left, int n_right, double out[2], size_t* facts) {
     return;
   }
   out[1] = BestMillis(5, [&] {
-    size_t vm_count = 0;
-    Status st = datalog::vm::ExecuteCompiledRule(
-        *compiled, ctx, [&vm_count](Value) -> Status {
-          ++vm_count;
-          return Status::OK();
-        });
-    if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    if (vm_count != count) std::fprintf(stderr, "fact count mismatch\n");
+    ValueSet derived;
+    Result<size_t> added =
+        datalog::vm::ExecuteCompiledRule(*compiled, ctx, &derived);
+    if (!added.ok()) {
+      std::fprintf(stderr, "%s\n", added.status().ToString().c_str());
+    }
+    if (!added.ok() || *added != count) {
+      std::fprintf(stderr, "fact count mismatch\n");
+    }
   });
 }
 

@@ -165,39 +165,37 @@ void ShowStats(const datalog::Interpretation& last_model) {
   std::cout << "atom interner:  " << Interner::Global().size()
             << " interned symbols\n";
   size_t preds = 0, facts = 0, indexes = 0;
-  size_t columnar_preds = 0, column_bytes = 0;
+  size_t word_preds = 0, table_bytes = 0, values = 0;
   for (const auto& [pred, extent] : last_model) {
     ++preds;
     facts += extent.size();
     indexes += extent.index_count();
-    if (extent.columnar_eligible()) {
-      // Materialize the view so the report shows what evaluation (or a
-      // follow-up query) would pay for this relation.
-      extent.BuildColumns();
-    }
-    if (extent.columnar_built()) {
-      ++columnar_preds;
-      column_bytes += extent.column_bytes();
+    values += extent.materialized_rows();
+    if (extent.word_arity() != 0) {
+      ++word_preds;
+      table_bytes += extent.word_table_bytes();
     }
   }
   std::cout << "last model:     " << preds << " predicate(s), " << facts
             << " fact(s), " << indexes << " position-subset index(es)\n";
-  std::cout << "storage:        " << columnar_preds << " columnar / "
-            << (preds - columnar_preds) << " row relation(s), ~"
-            << column_bytes << " column bytes\n";
+  std::cout << "storage:        " << word_preds << " word-table / "
+            << (preds - word_preds) << " row relation(s), ~" << table_bytes
+            << " word-table bytes, " << values << " fact(s) held as values\n";
   const datalog::vm::VmExecStats vm = datalog::vm::GetVmExecStats();
   std::cout << "bytecode vm:    " << vm.vm_rules_fired
             << " compiled firings, "
             << vm.ops_dispatched << " ops, " << vm.word_opens << " word / "
             << vm.row_opens << " row loop opens, " << vm.vm_facts
-            << " facts emitted\n";
+            << " facts added\n";
   std::cout << "lowering:       " << vm.programs_lowered << " rule(s) lowered, "
             << vm.lower_failures << " declined\n";
   for (const auto& [pred, extent] : last_model) {
-    std::cout << "  " << pred << ": " << extent.size() << " fact(s), "
-              << (extent.columnar_built() ? "columnar" : "row") << " storage";
-    if (extent.columnar_built()) {
-      std::cout << ", ~" << extent.column_bytes() << " column bytes";
+    std::cout << "  " << pred << ": " << extent.size() << " fact(s), ";
+    if (extent.word_arity() != 0) {
+      std::cout << "word-table storage, ~" << extent.word_table_bytes()
+                << " bytes";
+    } else {
+      std::cout << "row storage";
     }
     std::cout << "\n";
   }

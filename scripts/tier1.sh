@@ -48,6 +48,9 @@
 # library's .cc files from one ctest pass over a -O0 --coverage build
 # (build-cov).  It is a report, not a gate.
 #
+# Every filtered ctest call (-R) passes --no-tests=error, so a renamed
+# suite fails the run instead of silently dropping out of its pass.
+#
 # Usage: scripts/tier1.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -71,48 +74,52 @@ cmake --build build-asan -j"$(nproc)" \
   --target awr_term_test --target awr_datalog_core_test \
   --target awr_datalog_eval_test --target awr_parser_test \
   --target awr_spec_test --target awrd
-(cd build-asan && ctest --output-on-failure -R Interruption)
+(cd build-asan && ctest --output-on-failure --no-tests=error -R Interruption)
 # The value layer under ASan/UBSan: a composite's record is one block
 # whose items are placement-constructed after the header and destroyed
 # by hand.  The value and render suites, the intern-vs-legacy
 # differentials (both representations), the term tests and the
 # known-fact filter build, compare and free composites on every path.
-(cd build-asan && ctest --output-on-failure \
+(cd build-asan && ctest --output-on-failure --no-tests=error \
   -R 'ValueTest|ValueSet|ValueRender|InternVsLegacy|Term|FireRuleFacts')
 # The snapshot corruption fuzz runs under both value representations:
 # the decoder re-interns through the value factories, so both must
 # survive the same mutated byte streams.
-(cd build-asan && ctest --output-on-failure -R 'Snapshot|ValueCodec')
+(cd build-asan && ctest --output-on-failure --no-tests=error \
+  -R 'Snapshot|ValueCodec')
 (cd build-asan && AWR_CRASH_SWEEP_STRIDE=7 \
-  ctest --output-on-failure -R CrashPointRecovery)
-# Columnar storage + VM word cursors under ASan/UBSan (columnar is on by
-# default): column-store maintenance across promotion/demotion and the
-# word-level scan/probe/emit loops are pointer-heavy by design.
-(cd build-asan && ctest --output-on-failure -R 'Columnar')
+  ctest --output-on-failure --no-tests=error -R CrashPointRecovery)
+# Word tables + VM word cursors under ASan/UBSan (columnar is on by
+# default): the word table's dedup index, its lazily materialized Value
+# view, demotion to rows, and the word-level scan/probe/emit loops are
+# pointer-heavy by design.
+(cd build-asan && ctest --output-on-failure --no-tests=error \
+  -R 'Columnar|WordTable')
 # Service + thinned chaos under ASan/UBSan: socket lifecycle, executor
 # unwinding and the durable store under injected faults.
 (cd build-asan && AWR_CHAOS_TRACES=12 \
-  ctest --output-on-failure -R 'Service|SocketServer')
+  ctest --output-on-failure --no-tests=error -R 'Service|SocketServer')
 # The storage seam under ASan/UBSan: PosixFs error-path unwinding,
 # FaultFs tear injection, and the scrub/quarantine paths.
 (cd build-asan && \
-  ctest --output-on-failure -R 'PosixFs|Storage|FaultFs|StoreScrub')
+  ctest --output-on-failure --no-tests=error \
+  -R 'PosixFs|Storage|FaultFs|StoreScrub')
 # The power-cut oracle, thinned to every 3rd filesystem op (the plain
 # passes above already ran the exhaustive stride-1 sweep).
 (cd build-asan && AWR_POWER_CUT_STRIDE=3 \
-  ctest --output-on-failure -R 'PowerCutOracle')
+  ctest --output-on-failure --no-tests=error -R 'PowerCutOracle')
 # The bytecode VM under ASan/UBSan: the verifier — the sole safety
 # boundary before the bounds-check-free dispatch loop — rejects every
 # malformed mutation of a lowered program, and the execution suites
 # drive the loop over handcrafted programs under both join paths and
 # both cursor kinds.
-(cd build-asan && ctest --output-on-failure -R 'Vm')
+(cd build-asan && ctest --output-on-failure --no-tests=error -R 'Vm')
 # The algebra evaluator under ASan/UBSan: the hash equi-join indexes
 # one side by pointers into its set and probes with the other, and a
 # valid-model pass reads each constant's bounds through borrowed
 # pointers while it iterates one of them.  The oracle suites drive the
 # alternating, lockstep-IFP and query paths.
-(cd build-asan && ctest --output-on-failure \
+(cd build-asan && ctest --output-on-failure --no-tests=error \
   -R 'AlgebraEval|ValidEval|AlgebraJoin|AlgebraValidOracle|AlgebraValidMatchesGlobalAlternation')
 scripts/service_smoke.sh build-asan/src/awr/service/awrd asan
 
@@ -124,11 +131,11 @@ cmake --build build-tsan -j"$(nproc)" \
 # engine at once on private contexts and databases, sharing the atom
 # and value interners and the atomic VM counters; each evaluation
 # lowers and runs its own programs.
-(cd build-tsan && ctest --output-on-failure -R 'Concurrent')
+(cd build-tsan && ctest --output-on-failure --no-tests=error -R 'Concurrent')
 # Service + thinned chaos under TSan: concurrent sessions, the
 # in-flight dedup table, drain-vs-execute and deadline-vs-cancel races.
 (cd build-tsan && AWR_CHAOS_TRACES=12 \
-  ctest --output-on-failure -R 'Service|SocketServer')
+  ctest --output-on-failure --no-tests=error -R 'Service|SocketServer')
 scripts/service_smoke.sh build-tsan/src/awr/service/awrd tsan
 
 # The service benchmark writes build/BENCH_service.json (QPS, p50/p99,

@@ -33,6 +33,14 @@ class Interpretation {
     return relations_[predicate];
   }
 
+  /// Removes the extent of `predicate` if it holds no fact: a caller
+  /// that took a MutableExtent and added nothing leaves no entry behind
+  /// for rendering and ApproxBytes to see.
+  void EraseIfEmpty(const std::string& predicate) {
+    auto it = relations_.find(predicate);
+    if (it != relations_.end() && it->second.empty()) relations_.erase(it);
+  }
+
   /// Adds the fact `predicate(args...)`; returns true if new.
   bool AddFact(const std::string& predicate, std::vector<Value> args) {
     return relations_[predicate].Insert(Value::Tuple(std::move(args)));
@@ -73,12 +81,13 @@ class Interpretation {
   }
 
   /// Approximate heap footprint across all extents (see
-  /// ValueSet::approx_bytes).  O(#predicates): engines report this to
+  /// ValueSet::approx_bytes) plus a fixed per-predicate cost.
+  /// O(#predicates): engines report this to
   /// ExecutionContext::ChargeMemory once per fixpoint round.
   size_t ApproxBytes() const {
     size_t n = 0;
     for (const auto& [pred, extent] : relations_) {
-      n += extent.approx_bytes() + pred.size() + sizeof(ValueSet);
+      n += extent.approx_bytes() + pred.size() + kExtentBytes;
     }
     return n;
   }
@@ -98,6 +107,11 @@ class Interpretation {
   std::string ToString() const;
 
  private:
+  // A literal, not sizeof(ValueSet), so that memory charges, and with
+  // them memory-trip statuses, do not move when the extent's layout
+  // does; 168 is what the model has always charged per predicate.
+  static constexpr size_t kExtentBytes = 168;
+
   std::map<std::string, ValueSet> relations_;
 };
 

@@ -194,19 +194,33 @@ class BodyEnumerator {
 
 }  // namespace
 
-Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
-                     const std::function<Status(Value)>& on_fact,
-                     const ValueSet* known) {
+Result<size_t> FireRuleFacts(const PlannedRule& planned,
+                             const BodyContext& ctx, ValueSet* out,
+                             const ValueSet* known) {
   if (ctx.use_bytecode && planned.compiled != nullptr) {
-    return vm::ExecuteCompiledRule(*planned.compiled, ctx, on_fact, known);
+    return vm::ExecuteCompiledRule(*planned.compiled, ctx, out, known);
   }
-  return ForEachBodyMatch(
+  size_t added = 0;
+  AWR_RETURN_IF_ERROR(ForEachBodyMatch(
       planned.rule, planned.plan, ctx, [&](const Env& env) -> Status {
         AWR_ASSIGN_OR_RETURN(Value fact,
                              EvalHead(planned.rule, env, *ctx.fns));
         if (known != nullptr && known->Contains(fact)) return Status::OK();
-        return on_fact(std::move(fact));
-      });
+        if (out->Insert(std::move(fact))) ++added;
+        return Status::OK();
+      }));
+  return added;
+}
+
+Result<size_t> FireRuleInto(const PlannedRule& planned,
+                            const BodyContext& ctx,
+                            const Interpretation& existing,
+                            Interpretation* delta) {
+  const std::string& head = planned.rule.head.predicate;
+  Result<size_t> added = FireRuleFacts(
+      planned, ctx, &delta->MutableExtent(head), &existing.Extent(head));
+  delta->EraseIfEmpty(head);
+  return added;
 }
 
 Status ForEachBodyMatch(const Rule& rule, const RulePlan& plan,

@@ -116,34 +116,37 @@ struct PlannedRule {
 Result<std::vector<PlannedRule>> PlanProgram(const Program& program,
                                              bool lower);
 
-/// Fires `rule` once: enumerates its body matches and delivers the
-/// derived head facts to `on_fact`.  The rule runs on its compiled
-/// bytecode program (vm::ExecuteCompiledRule) when ctx.use_bytecode
-/// holds and it has one; otherwise it runs on the tree-walking
-/// enumerator (ForEachBodyMatch + EvalHead).  Both poll
-/// the context's interrupt hook once per body match, so models, charge
-/// counts, and fault/deadline/cancel statuses are identical.
+/// Fires `rule` once: enumerates its body matches and adds each derived
+/// head fact that is not in `known` to `out`; returns the number of
+/// facts added.  The rule runs on its compiled bytecode program
+/// (vm::ExecuteCompiledRule) when ctx.use_bytecode holds and it has
+/// one; otherwise it runs on the tree-walking enumerator
+/// (ForEachBodyMatch + EvalHead).  Both poll the context's interrupt
+/// hook once per body match, so models, charge counts, and
+/// fault/deadline/cancel statuses are identical.
 ///
-/// The enumerator delivers one fact per match, duplicates included (the
-/// caller dedups).  For infallible rules the VM additionally suppresses
-/// duplicate head projections WITHIN the firing at the raw-word level,
-/// before any tuple is materialized.  Since every caller treats
-/// duplicate facts as no-ops (set insert), the two deliveries are
-/// observationally equivalent.
-///
-/// `known` is an optional filter of facts the caller already holds:
-/// when set, no fact in `known` is ever delivered, on any path.  It
-/// MUST NOT change while the rule fires.  The VM's word-level emit path
-/// probes the extent's full-arity column index on raw words, before any
-/// tuple is built; without that index (ctx.use_columnar off, which
-/// builds no column store, or a non-flat extent), the word path, the
-/// VM's tuple-emit path and the enumerator check each finished fact
-/// with known->Contains.  A skipped fact still polled its match, so
-/// charge counts do not depend on `known`; callers need no Holds check
-/// of their own.
-Status FireRuleFacts(const PlannedRule& planned, const BodyContext& ctx,
-                     const std::function<Status(Value)>& on_fact,
-                     const ValueSet* known = nullptr);
+/// `out` is a set: a fact already in it (derived by an earlier firing
+/// of this round, say) is not added again, and the count excludes it.
+/// `known` is an optional filter of facts the caller already holds: no
+/// fact in it is added.  Neither may change while the rule fires other
+/// than through this call, and the rule's body must not read `out`.
+/// The VM's word path hashes a head once, probes `known`'s dedup index
+/// and appends to `out`'s word table (ValueSet::InsertWords); every
+/// other path builds the tuple, checks known->Contains and inserts it.
+/// A skipped fact still polled its match, so charge counts depend
+/// neither on `known` nor on what `out` already holds.  On an error
+/// `out` keeps the facts added before it.
+Result<size_t> FireRuleFacts(const PlannedRule& planned,
+                             const BodyContext& ctx, ValueSet* out,
+                             const ValueSet* known = nullptr);
+
+/// One rule's share of a fixpoint round: FireRuleFacts into `delta`'s
+/// extent of the head predicate, filtered by `existing`'s.  A predicate
+/// that gains no fact gets no entry in `delta`.
+Result<size_t> FireRuleInto(const PlannedRule& planned,
+                            const BodyContext& ctx,
+                            const Interpretation& existing,
+                            Interpretation* delta);
 
 }  // namespace awr::datalog
 

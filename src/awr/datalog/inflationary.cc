@@ -54,47 +54,38 @@ Result<Interpretation> EvalInflationaryImpl(
       driver.OnInterrupt([&] { return build(interp, rounds); });
       return st;
     }
-    // All rules fire simultaneously against the frozen pre-round state:
-    // both positive and negative literals read the facts derived so
-    // far.  The copy is also the barrier state for interrupt capture —
-    // the loop below inserts into `interp` mid-round.
-    const Interpretation frozen = interp;
+    // All rules fire simultaneously against the pre-round state: both
+    // positive and negative literals read the facts derived so far, and
+    // the round's new facts go to `delta`, so `interp` stays the barrier
+    // state for interrupt capture until the round is merged.
     BodyContext body_ctx{
         &opts.functions,
-        [&frozen](const std::string& pred, size_t) -> const ValueSet& {
-          return frozen.Extent(pred);
+        [&interp](const std::string& pred, size_t) -> const ValueSet& {
+          return interp.Extent(pred);
         },
-        [&frozen](const std::string& pred, const Value& fact) {
-          return !frozen.Holds(pred, fact);
+        [&interp](const std::string& pred, const Value& fact) {
+          return !interp.Holds(pred, fact);
         },
         ctx, opts.use_join_index};
     body_ctx.use_columnar = opts.use_columnar;
     body_ctx.use_bytecode = opts.use_bytecode;
+    Interpretation delta;
     size_t added = 0;
     for (const PlannedRule& pr : rules) {
-      // The dedup filter must stay frozen while the rule fires, so it
-      // is the pre-round snapshot — facts added to `interp` this
-      // round pass through and AddFactTuple dedups them.
-      Status fired = FireRuleFacts(
-          pr, body_ctx,
-          [&](Value fact) -> Status {
-            if (interp.AddFactTuple(pr.rule.head.predicate, std::move(fact))) {
-              ++added;
-            }
-            return Status::OK();
-          },
-          /*known=*/&frozen.Extent(pr.rule.head.predicate));
+      Result<size_t> fired = FireRuleInto(pr, body_ctx, interp, &delta);
       if (!fired.ok()) {
-        driver.OnInterrupt([&] { return build(frozen, rounds); });
-        return fired;
+        driver.OnInterrupt([&] { return build(interp, rounds); });
+        return fired.status();
       }
+      added += *fired;
     }
     if (added == 0) break;
     st = ctx->ChargeFacts(added, "inflationary");
     if (!st.ok()) {
-      driver.OnInterrupt([&] { return build(frozen, rounds); });
+      driver.OnInterrupt([&] { return build(interp, rounds); });
       return st;
     }
+    interp.InsertAll(delta);
     ++rounds;
     barrier_charges = ctx->total_charges();
     driver.AtBarrier([&] { return build(interp, rounds); });

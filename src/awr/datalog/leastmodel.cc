@@ -7,26 +7,6 @@ namespace awr::datalog {
 
 namespace {
 
-// Derives all heads of `rule` under `ctx` into `out`, skipping facts
-// already in `existing` (FireRuleFacts filters them through `known`);
-// returns the number of new facts.  Dispatches through FireRuleFacts,
-// so compiled rules run on the VM and the rest on the row enumerator —
-// same fact set and poll sites either way.
-Result<size_t> FireRule(const PlannedRule& pr, const BodyContext& ctx,
-                        const Interpretation& existing, Interpretation* out) {
-  size_t added = 0;
-  AWR_RETURN_IF_ERROR(FireRuleFacts(
-      pr, ctx,
-      [&](Value fact) -> Status {
-        if (out->AddFactTuple(pr.rule.head.predicate, std::move(fact))) {
-          ++added;
-        }
-        return Status::OK();
-      },
-      /*known=*/&existing.Extent(pr.rule.head.predicate)));
-  return added;
-}
-
 // Checkpoint plumbing shared by the naive and semi-naive loops: the
 // frame view aliases the loop's live state, `interrupted` reports the
 // last completed barrier to the owner just before a non-OK return, and
@@ -104,7 +84,7 @@ Result<Interpretation> LeastModelWithFrozenNegation(
       body_ctx.use_bytecode = opts.use_bytecode;
       size_t added = 0;
       for (const PlannedRule& pr : rules) {
-        auto n = FireRule(pr, body_ctx, interp, &delta);
+        auto n = FireRuleInto(pr, body_ctx, interp, &delta);
         if (!n.ok()) return bar.Interrupted(n.status());
         added += *n;
       }
@@ -153,7 +133,7 @@ Result<Interpretation> LeastModelWithFrozenNegation(
     body_ctx.use_bytecode = opts.use_bytecode;
     size_t added = 0;
     for (const PlannedRule& pr : rules) {
-      auto n = FireRule(pr, body_ctx, interp, &delta);
+      auto n = FireRuleInto(pr, body_ctx, interp, &delta);
       if (!n.ok()) return bar.Interrupted(n.status());
       added += *n;
     }
@@ -193,7 +173,7 @@ Result<Interpretation> LeastModelWithFrozenNegation(
             neg_holds, ctx, opts.use_join_index};
         body_ctx.use_columnar = opts.use_columnar;
         body_ctx.use_bytecode = opts.use_bytecode;
-        auto n = FireRule(pr, body_ctx, interp, &next_delta);
+        auto n = FireRuleInto(pr, body_ctx, interp, &next_delta);
         if (!n.ok()) return bar.Interrupted(n.status());
         added += *n;
       }

@@ -1,7 +1,6 @@
 #include "awr/datalog/vm/vm.h"
 
 #include <atomic>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,22 +33,24 @@ using RowIter = decltype(std::declval<const ValueSet&>().begin());
 
 /// Per-loop enumeration state.  Row-level kinds draw candidates from
 /// exactly the interpreter's sources (extent iteration, Probe buckets);
-/// word-level kinds walk raw column words and exist only in infallible
-/// programs (see bytecode.h).
+/// word-level kinds walk the extent's word table and exist only in
+/// infallible programs (see bytecode.h).
 struct Cursor {
   enum class Kind : uint8_t {
     kRowScan,    ///< full extent iteration
     kRowBucket,  ///< ValueSet::Probe bucket
-    kWordScan,   ///< column-store row walk
-    kWordChain,  ///< column-index bucket chain walk
+    kWordScan,   ///< word-table row walk
+    kWordChain,  ///< word-index bucket chain walk
   };
   Kind kind = Kind::kRowScan;
   RowIter it{};
   RowIter end{};
   const std::vector<Value>* bucket = nullptr;
   size_t idx = 0;
-  const ValueSet::ColumnStore* store = nullptr;
-  const ValueSet::ColumnStore::Index* index = nullptr;
+  const uintptr_t* words = nullptr;  ///< word table, row-major
+  size_t arity = 0;
+  int64_t rows = 0;
+  const ValueSet::WordIndex* index = nullptr;
   int64_t row = -1;     ///< word scan: last row examined; chain: next link
   uintptr_t kw[8] = {};  ///< gathered probe-key words (chain)
   size_t nk = 0;
@@ -58,63 +59,19 @@ struct Cursor {
 struct ExecState {
   const CompiledRule& cr;
   const BodyContext& ctx;
-  const std::function<Status(Value)>& on_fact;
+  ValueSet& out;
+  // The caller's `known` extent: no fact in it is added to `out`.
+  const ValueSet* known = nullptr;
   std::vector<Value> regs = {};
   std::vector<Cursor> cursors = {};
   uint64_t ops = 0;
   uint64_t word_opens = 0;
   uint64_t row_opens = 0;
   uint64_t facts = 0;
-  // The caller's `known` extent: no fact in it is delivered.
-  const ValueSet* known = nullptr;
-  // Word-level emit filtering (infallible rules only): an
-  // open-addressed table of the head projections already delivered
-  // this firing, plus `known` probed through its full-arity column
-  // index — both checked on raw words, before the head tuple is built.
-  bool emit_dedup = false;
-  std::vector<uintptr_t> dd_words = {};  ///< arity words per entry
-  std::vector<int32_t> dd_table = {};    ///< open-addressed, -1 = empty
-  size_t dd_mask = 0;
-  const ValueSet::ColumnStore* known_store = nullptr;
-  const ValueSet::ColumnStore::Index* known_index = nullptr;
+  // Infallible rules under ctx.use_columnar emit on words.
+  bool emit_words = false;
   std::vector<uintptr_t> head_words = {};
-  std::vector<Value> head_buf = {};
 };
-
-/// Resolves the word-level duplicate filter over `known` for a head of
-/// `arity` all-inline components: the extent's full-arity column index,
-/// or nullptr when unavailable (non-flat extent, arity mismatch, >8
-/// positions).
-const ValueSet::ColumnStore::Index* KnownFactsIndex(
-    const ValueSet* known, size_t arity,
-    const ValueSet::ColumnStore** store_out) {
-  if (known == nullptr || arity == 0 || arity > 8) return nullptr;
-  const ValueSet::ColumnStore* store = known->columns();
-  if (store == nullptr || store->arity != arity) return nullptr;
-  std::vector<size_t> all_positions(arity);
-  for (size_t i = 0; i < arity; ++i) all_positions[i] = i;
-  const ValueSet::ColumnStore::Index* index = known->ColumnIndex(all_positions);
-  if (index == nullptr) return nullptr;
-  *store_out = store;
-  return index;
-}
-
-/// Doubles the emit-dedup table and re-seats every recorded projection.
-void GrowEmitTable(ExecState& s, size_t arity) {
-  const size_t cap = s.dd_table.size() * 2;
-  std::vector<int32_t> table(cap, -1);
-  const size_t mask = cap - 1;
-  const size_t entries = s.dd_words.size() / arity;
-  for (size_t e = 0; e < entries; ++e) {
-    size_t slot = ValueSet::ColumnStore::HashWords(&s.dd_words[e * arity],
-                                                   arity) &
-                  mask;
-    while (table[slot] >= 0) slot = (slot + 1) & mask;
-    table[slot] = static_cast<int32_t>(e);
-  }
-  s.dd_table = std::move(table);
-  s.dd_mask = mask;
-}
 
 Result<Value> EvalCompiledTerm(const ExecState& s, uint32_t idx) {
   const CompiledRule::TermNode& n = s.cr.terms[idx];
@@ -215,25 +172,25 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
       }
     }
     if (inline_keys) {
-      const ValueSet::ColumnStore::Index* index =
-          extent.ColumnIndex(si.bound_positions);
+      const ValueSet::WordIndex* index = extent.WordIndexOn(si.bound_positions);
       if (index != nullptr) {
         cur.kind = Cursor::Kind::kWordChain;
-        cur.store = extent.columns();
+        cur.words = extent.words();
+        cur.arity = si.arity;
         cur.index = index;
         cur.nk = nk;
-        const size_t h =
-            ValueSet::ColumnStore::HashWords(cur.kw, nk);
+        const size_t h = ValueSet::HashWords(cur.kw, nk);
         cur.row = index->heads[h & index->mask];
         ++s.word_opens;
         return pc + 1;
       }
     }
   } else if (want_word && si.bound_positions.empty()) {
-    const ValueSet::ColumnStore* store = extent.columns();
-    if (store != nullptr) {
+    if (extent.word_arity() != 0) {
       cur.kind = Cursor::Kind::kWordScan;
-      cur.store = store;
+      cur.words = extent.words();
+      cur.arity = si.arity;
+      cur.rows = static_cast<int64_t>(extent.size());
       cur.row = -1;
       ++s.word_opens;
       return pc + 1;
@@ -283,12 +240,11 @@ size_t HandleNext(ExecState& s, const Instr& in, size_t pc, Status* st) {
       }
       return in.fail;
     case Cursor::Kind::kWordScan: {
-      const std::vector<std::vector<uintptr_t>>& cols = cur.store->cols;
-      const int64_t n = static_cast<int64_t>(cur.store->row_count());
-      for (int64_t r = cur.row + 1; r < n; ++r) {
+      for (int64_t r = cur.row + 1; r < cur.rows; ++r) {
+        const uintptr_t* row = cur.words + r * cur.arity;
         bool match = true;
         for (const CompiledRule::WordDup& wd : si.word_dups) {
-          if (cols[wd.pos][r] != cols[wd.first_pos][r]) {
+          if (row[wd.pos] != row[wd.first_pos]) {
             match = false;
             break;
           }
@@ -296,33 +252,32 @@ size_t HandleNext(ExecState& s, const Instr& in, size_t pc, Status* st) {
         if (!match) continue;
         cur.row = r;
         for (const CompiledRule::WordBind& wb : si.word_binds) {
-          s.regs[wb.reg] = Value::FromInlineBits(cols[wb.pos][r]);
+          s.regs[wb.reg] = Value::FromInlineBits(row[wb.pos]);
         }
         return pc + 1;
       }
-      cur.row = n;
+      cur.row = cur.rows;
       return in.fail;
     }
     case Cursor::Kind::kWordChain: {
-      const std::vector<std::vector<uintptr_t>>& cols = cur.store->cols;
       const std::vector<int32_t>& next = cur.index->next;
       while (cur.row >= 0) {
-        const int64_t r = cur.row;
-        cur.row = next[r];
+        const uintptr_t* row = cur.words + cur.row * cur.arity;
+        cur.row = next[cur.row];
         bool match = true;
         for (size_t j = 0; j < cur.nk; ++j) {
-          if (cols[si.bound_positions[j]][r] != cur.kw[j]) {
+          if (row[si.bound_positions[j]] != cur.kw[j]) {
             match = false;
             break;
           }
         }
         for (size_t j = 0; match && j < si.word_dups.size(); ++j) {
           const CompiledRule::WordDup& wd = si.word_dups[j];
-          if (cols[wd.pos][r] != cols[wd.first_pos][r]) match = false;
+          if (row[wd.pos] != row[wd.first_pos]) match = false;
         }
         if (!match) continue;
         for (const CompiledRule::WordBind& wb : si.word_binds) {
-          s.regs[wb.reg] = Value::FromInlineBits(cols[wb.pos][r]);
+          s.regs[wb.reg] = Value::FromInlineBits(row[wb.pos]);
         }
         return pc + 1;
       }
@@ -404,93 +359,35 @@ size_t HandleCharge(ExecState& s, size_t pc, Status* st) {
   return pc + 1;
 }
 
-/// The word-level emit path: dedup the head projection against this
-/// firing's table and the caller's `known` extent on raw words, and
-/// only then build the tuple.  Returns true when it handled the emit
-/// (delivered or skipped), false when a component is not word-sized —
-/// the caller falls back to the exact row-path delivery.  Only wired
-/// for infallible rules, where skipping a delivery cannot skip an
-/// error: the match's interrupt poll already happened (kCharge), head
-/// applications do not exist, and every suppressed fact would have been
-/// a no-op for the caller (FireRuleFacts' `known` contract).
-bool EmitDeduped(ExecState& s, Status* st, bool* delivered_ok) {
+/// The word-level emit path: gathers the head's words, hashes them
+/// once, and with that hash probes `known`'s dedup index and then
+/// appends to `out` (ValueSet::InsertWords), which dedups against the
+/// facts already there — including those of earlier firings this
+/// round.  No Value is built.  Returns false, having done nothing, when
+/// a component is not an inline scalar: the caller then emits the
+/// tuple.  Only wired for infallible rules, where the head has no
+/// application and so cannot fail.
+bool EmitWords(ExecState& s) {
   const size_t arity = s.cr.head.size();
   for (size_t j = 0; j < arity; ++j) {
     const CompiledRule::HeadSrc& h = s.cr.head[j];
-    if (h.kind == CompiledRule::HeadSrc::Kind::kApply) return false;
     const Value& v = h.kind == CompiledRule::HeadSrc::Kind::kReg
                          ? s.regs[h.x]
                          : s.cr.consts[h.x];
     if (!v.is_inline()) return false;
     s.head_words[j] = v.inline_bits();
   }
-  size_t slot = ValueSet::ColumnStore::HashWords(s.head_words.data(), arity) &
-                s.dd_mask;
-  while (s.dd_table[slot] >= 0) {
-    const uintptr_t* entry =
-        &s.dd_words[static_cast<size_t>(s.dd_table[slot]) * arity];
-    bool equal = true;
-    for (size_t j = 0; j < arity; ++j) {
-      if (entry[j] != s.head_words[j]) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) {
-      *delivered_ok = true;  // duplicate within the firing: skip
-      return true;
-    }
-    slot = (slot + 1) & s.dd_mask;
-  }
-  s.dd_table[slot] = static_cast<int32_t>(s.dd_words.size() / arity);
-  s.dd_words.insert(s.dd_words.end(), s.head_words.begin(),
-                    s.head_words.end());
-  if ((s.dd_words.size() / arity) * 2 >= s.dd_table.size()) {
-    GrowEmitTable(s, arity);
-  }
-  if (s.known_index != nullptr) {
-    const size_t h =
-        ValueSet::ColumnStore::HashWords(s.head_words.data(), arity);
-    for (int32_t r = s.known_index->heads[h & s.known_index->mask]; r >= 0;
-         r = s.known_index->next[r]) {
-      bool match = true;
-      for (size_t j = 0; j < arity; ++j) {
-        if (s.known_store->cols[j][r] != s.head_words[j]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
-        *delivered_ok = true;  // already known: caller no-op, skip
-        return true;
-      }
-    }
-  }
-  for (size_t j = 0; j < arity; ++j) {
-    s.head_buf[j] = Value::FromInlineBits(s.head_words[j]);
-  }
-  Value fact = Value::Tuple(std::span<const Value>(s.head_buf));
-  if (s.known_index == nullptr && s.known != nullptr &&
-      s.known->Contains(fact)) {
-    *delivered_ok = true;  // already known, checked on the tuple
+  const uintptr_t* words = s.head_words.data();
+  const size_t hash = ValueSet::HashWords(words, arity);
+  if (s.known != nullptr && s.known->ContainsWords(words, arity, hash)) {
     return true;
   }
-  Status delivered = s.on_fact(std::move(fact));
-  if (!delivered.ok()) {
-    *st = std::move(delivered);
-    *delivered_ok = false;
-    return true;
-  }
-  ++s.facts;
-  *delivered_ok = true;
+  if (s.out.InsertWords(words, arity, hash)) ++s.facts;
   return true;
 }
 
 size_t HandleEmit(ExecState& s, const Instr& in, Status* st) {
-  if (s.emit_dedup) {
-    bool ok = false;
-    if (EmitDeduped(s, st, &ok)) return ok ? in.fail : kPcError;
-  }
+  if (s.emit_words && EmitWords(s)) return in.fail;
   std::vector<Value> components;
   components.reserve(s.cr.head.size());
   for (const CompiledRule::HeadSrc& h : s.cr.head) {
@@ -514,12 +411,7 @@ size_t HandleEmit(ExecState& s, const Instr& in, Status* st) {
   }
   Value fact = Value::Tuple(std::move(components));
   if (s.known != nullptr && s.known->Contains(fact)) return in.fail;
-  Status delivered = s.on_fact(std::move(fact));
-  if (!delivered.ok()) {
-    *st = std::move(delivered);
-    return kPcError;
-  }
-  ++s.facts;
+  if (s.out.Insert(std::move(fact))) ++s.facts;
   return in.fail;  // resume the innermost loop (or halt)
 }
 
@@ -562,25 +454,19 @@ Status RunSwitch(ExecState& s) {
 
 }  // namespace
 
-Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
-                           const std::function<Status(Value)>& on_fact,
-                           const ValueSet* known) {
-  ExecState s{cr, ctx, on_fact};
-  s.known = known;
+Result<size_t> ExecuteCompiledRule(const CompiledRule& cr,
+                                   const BodyContext& ctx, ValueSet* out,
+                                   const ValueSet* known) {
+  ExecState s{cr, ctx, *out, known};
   s.regs.resize(cr.num_regs);
   s.cursors.resize(cr.num_loops);
   const size_t head_arity = cr.head.size();
-  if (cr.infallible && head_arity > 0 && head_arity <= 8) {
-    s.emit_dedup = true;
+  // The row oracle (use_columnar off) emits tuples, so the two paths
+  // stay each other's differential.
+  if (cr.infallible && ctx.use_columnar && head_arity > 0 &&
+      head_arity <= ValueSet::kMaxFlatArity) {
+    s.emit_words = true;
     s.head_words.resize(head_arity);
-    s.head_buf.resize(head_arity);
-    s.dd_table.assign(16, -1);
-    s.dd_mask = 15;
-    // The row oracle (use_columnar off) builds no column store, not
-    // even for the known-fact filter; EmitDeduped checks the tuple.
-    if (ctx.use_columnar) {
-      s.known_index = KnownFactsIndex(known, head_arity, &s.known_store);
-    }
   }
   Status st = RunSwitch(s);
   VmStatCounters& counters = VmCounters();
@@ -589,7 +475,8 @@ Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
   counters.word_opens.fetch_add(s.word_opens, std::memory_order_relaxed);
   counters.row_opens.fetch_add(s.row_opens, std::memory_order_relaxed);
   counters.facts.fetch_add(s.facts, std::memory_order_relaxed);
-  return st;
+  if (!st.ok()) return st;
+  return static_cast<size_t>(s.facts);
 }
 
 VmExecStats GetVmExecStats() {

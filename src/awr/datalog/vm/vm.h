@@ -2,7 +2,6 @@
 #define AWR_DATALOG_VM_VM_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "awr/datalog/eval_core.h"
 #include "awr/datalog/vm/bytecode.h"
@@ -11,32 +10,24 @@ namespace awr::datalog::vm {
 
 /// Executes one firing of a compiled rule under `ctx`: enumerates every
 /// body match, polling CheckInterrupt("body-match") once per match, and
-/// delivers each derived head fact to `on_fact`.  This is the
-/// production executor behind FireRuleFacts, with exactly the row
-/// enumerator's observable behavior (see the parity contract in
-/// bytecode.h).  Infallible rules may open word-level cursors over
-/// column stores (when ctx.use_columnar), which can reorder deliveries:
-/// with no function application, the poll count per firing equals the
-/// match count in any order, and the caller's set semantics absorb the
-/// rest.
-///
-/// `known` is the optional duplicate filter with FireRuleFacts'
-/// contract: an extent whose facts the caller treats as already
-/// derived, immutable while the rule fires.  No fact in it is
-/// delivered.  For infallible rules the emit handler also suppresses
-/// duplicate head projections within the firing, on raw words before
-/// the tuple is materialized, and under ctx.use_columnar it probes
-/// `known`'s full-arity column index the same way.  Without that index
-/// (use_columnar off, which builds no column store, or a non-flat
-/// extent) each finished tuple is checked with known->Contains.  Every
-/// skipped delivery would have been a caller no-op, and the per-match
-/// interrupt poll still fires.
+/// adds each derived head fact that is not in `known` to `out`.
+/// Returns the number of facts added.  This is the production executor
+/// behind FireRuleFacts, with exactly the row enumerator's observable
+/// behavior (see the parity contract in bytecode.h and FireRuleFacts'
+/// contract for `out` and `known`).  Infallible rules may open
+/// word-level cursors over word tables (when ctx.use_columnar), which
+/// can reorder matches: with no function application, the poll count
+/// per firing equals the match count in any order, and the set
+/// semantics of `out` absorb the rest.  Under ctx.use_columnar an
+/// infallible rule also emits on words: the head's words are hashed
+/// once, probed against `known` and appended to `out`
+/// (ValueSet::InsertWords) without building a Value.
 ///
 /// `cr` must have passed VerifyCompiledRule (LowerRule guarantees it):
 /// the dispatch loop performs no bounds checks of its own.
-Status ExecuteCompiledRule(const CompiledRule& cr, const BodyContext& ctx,
-                           const std::function<Status(Value)>& on_fact,
-                           const ValueSet* known = nullptr);
+Result<size_t> ExecuteCompiledRule(const CompiledRule& cr,
+                                   const BodyContext& ctx, ValueSet* out,
+                                   const ValueSet* known = nullptr);
 
 /// Process-wide VM counters for the REPL's :stats, awrd stats and the
 /// benchmarks, updated atomically (concurrent awrd sessions plan and
@@ -51,7 +42,7 @@ struct VmExecStats {
   uint64_t ops_dispatched = 0;    ///< bytecode instructions executed
   uint64_t word_opens = 0;        ///< loops opened on word-level cursors
   uint64_t row_opens = 0;         ///< loops opened on row-level cursors
-  uint64_t vm_facts = 0;          ///< facts emitted by compiled programs
+  uint64_t vm_facts = 0;          ///< facts compiled programs added
   uint64_t cache_hits = 0;        ///< compiled firings (= vm_rules_fired)
   uint64_t cache_misses = 0;      ///< lowerings PlanProgram attempted
   uint64_t programs_lowered = 0;  ///< lowerings that succeeded

@@ -367,6 +367,10 @@ size_t Value::ApproxBytes() const {
   return is_heap() ? rep()->approx_bytes : kScalarApproxBytes;
 }
 
+size_t Value::FlatTupleApproxBytes(size_t arity) {
+  return kCompositeBaseBytes + (sizeof(Value) + kScalarApproxBytes) * arity;
+}
+
 bool Value::SetContains(const Value& element) const {
   assert(is_set());
   const std::span<const Value> elems = rep()->items();

@@ -165,6 +165,9 @@ class Value {
   /// (pinned by ValueTest.ApproxBytesIsPerReferenceUpperBound).
   /// O(1): composites cache the figure at construction.
   size_t ApproxBytes() const;
+  /// ApproxBytes() of a tuple of `arity` inline scalars, without one:
+  /// what a word-table row of that arity charges (value_set.h).
+  static size_t FlatTupleApproxBytes(size_t arity);
 
   /// Renders the value: `true`, `42`, `atom`, `<a, b>`, `{x, y}`.
   std::string ToString() const;

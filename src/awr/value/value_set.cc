@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
+#include <utility>
 
 #include "awr/common/hash.h"
 
@@ -25,7 +27,381 @@ bool ExtractKey(const Value& fact, const std::vector<size_t>& positions,
   return true;
 }
 
+size_t NextPow2(size_t n) {
+  size_t p = 16;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+constexpr uint64_t kRowMask = 0xffffffffULL;
+
+// Hash of the words at `positions` of `row` (a word index's key).
+size_t HashKey(const std::vector<size_t>& positions, const uintptr_t* row) {
+  uintptr_t words[8];
+  const size_t n = positions.size();
+  assert(n <= 8 && "word index keys are capped at 8 positions");
+  for (size_t j = 0; j < n; ++j) words[j] = row[positions[j]];
+  return ValueSet::HashWords(words, n);
+}
+
+void Chain(ValueSet::WordIndex& index, size_t hash, size_t r) {
+  const size_t b = hash & index.mask;
+  index.next[r] = index.heads[b];
+  index.heads[b] = static_cast<int32_t>(r);
+}
+
 }  // namespace
+
+// ----------------------------------------------------------------------
+// Copy, move, clear
+
+ValueSet::ValueSet(const ValueSet& other)
+    : layout_(other.layout_),
+      arity_(other.arity_),
+      rows_(other.rows_),
+      words_(other.words_),
+      slots_(other.slots_),
+      view_(other.view_),
+      unviewed_(other.unviewed_),
+      items_(other.items_),
+      non_tuple_count_(other.non_tuple_count_),
+      tuple_arity_counts_(other.tuple_arity_counts_),
+      bytes_(other.bytes_) {}
+
+ValueSet& ValueSet::operator=(const ValueSet& other) {
+  if (this != &other) *this = ValueSet(other);
+  return *this;
+}
+
+ValueSet::ValueSet(ValueSet&& other) noexcept
+    : layout_(std::exchange(other.layout_, Layout::kEmpty)),
+      arity_(std::exchange(other.arity_, 0)),
+      rows_(std::exchange(other.rows_, 0)),
+      words_(std::move(other.words_)),
+      slots_(std::move(other.slots_)),
+      view_(std::move(other.view_)),
+      unviewed_(std::exchange(other.unviewed_, 0)),
+      items_(std::move(other.items_)),
+      non_tuple_count_(std::exchange(other.non_tuple_count_, 0)),
+      tuple_arity_counts_(std::move(other.tuple_arity_counts_)),
+      bytes_(std::exchange(other.bytes_, 0)),
+      indexes_(std::move(other.indexes_)),
+      word_indexes_(std::move(other.word_indexes_)) {}
+
+ValueSet& ValueSet::operator=(ValueSet&& other) noexcept {
+  if (this != &other) {
+    layout_ = std::exchange(other.layout_, Layout::kEmpty);
+    arity_ = std::exchange(other.arity_, 0);
+    rows_ = std::exchange(other.rows_, 0);
+    words_ = std::move(other.words_);
+    slots_ = std::move(other.slots_);
+    view_ = std::move(other.view_);
+    unviewed_ = std::exchange(other.unviewed_, 0);
+    items_ = std::move(other.items_);
+    non_tuple_count_ = std::exchange(other.non_tuple_count_, 0);
+    tuple_arity_counts_ = std::move(other.tuple_arity_counts_);
+    bytes_ = std::exchange(other.bytes_, 0);
+    indexes_ = std::move(other.indexes_);
+    word_indexes_ = std::move(other.word_indexes_);
+  }
+  return *this;
+}
+
+void ValueSet::Clear() {
+  layout_ = Layout::kEmpty;
+  arity_ = 0;
+  rows_ = 0;
+  words_.clear();
+  slots_.clear();
+  view_.clear();
+  unviewed_ = 0;
+  items_.clear();
+  non_tuple_count_ = 0;
+  tuple_arity_counts_.clear();
+  bytes_ = 0;
+  indexes_.clear();
+  word_indexes_.clear();
+}
+
+// ----------------------------------------------------------------------
+// Words and rows
+
+size_t ValueSet::HashWords(const uintptr_t* words, size_t n) {
+  size_t h = 0x9e3779b97f4a7c15ULL;
+  for (size_t i = 0; i < n; ++i) h = HashCombine(h, words[i]);
+  // splitmix64 finalizer: the power-of-two masks keep only the low
+  // bits, so spread the entropy down before masking.
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
+
+size_t ValueSet::FlatWords(const Value& v, uintptr_t* out) {
+  if (!v.is_tuple()) return 0;
+  const std::span<const Value> items = v.items();
+  if (items.empty() || items.size() > kMaxFlatArity) return 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (!items[i].is_inline()) return 0;
+    out[i] = items[i].inline_bits();
+  }
+  return items.size();
+}
+
+Value ValueSet::TupleOfWords(const uintptr_t* row, size_t n) {
+  assert(n <= kMaxFlatArity);
+  Value parts[kMaxFlatArity];
+  for (size_t i = 0; i < n; ++i) parts[i] = Value::FromInlineBits(row[i]);
+  return Value::Tuple(std::span<const Value>(parts, n));
+}
+
+Value ValueSet::RowValue(size_t r) const {
+  if (r < view_.size() && !view_[r].is_inline()) return view_[r];
+  return TupleOfWords(Row(r), arity_);
+}
+
+const Value& ValueSet::ViewRow(size_t r) const {
+  if (view_.size() <= r) view_.resize(r + 1);
+  if (view_[r].is_inline()) {
+    view_[r] = TupleOfWords(Row(r), arity_);
+    --unviewed_;
+  }
+  return view_[r];
+}
+
+void ValueSet::MaterializeView() const {
+  if (unviewed_ == 0) return;
+  view_.resize(rows_);
+  for (size_t r = 0; r < rows_; ++r) {
+    if (view_[r].is_inline()) view_[r] = TupleOfWords(Row(r), arity_);
+  }
+  unviewed_ = 0;
+}
+
+bool ValueSet::FindRow(const uintptr_t* row, size_t hash) const {
+  if (slots_.empty()) return false;
+  const uint64_t tag = static_cast<uint32_t>(hash);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint64_t slot = slots_[i];
+    if (slot == 0) return false;
+    if ((slot >> 32) == tag &&
+        std::equal(row, row + arity_, Row((slot & kRowMask) - 1))) {
+      return true;
+    }
+  }
+}
+
+bool ValueSet::ClaimSlot(const uintptr_t* row, size_t hash) {
+  if ((rows_ + 1) * 2 > slots_.size()) GrowSlots();
+  const uint64_t tag = static_cast<uint32_t>(hash);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint64_t slot = slots_[i];
+    if (slot == 0) {
+      slots_[i] = (tag << 32) | (rows_ + 1);
+      return true;
+    }
+    if ((slot >> 32) == tag &&
+        std::equal(row, row + arity_, Row((slot & kRowMask) - 1))) {
+      return false;
+    }
+  }
+}
+
+void ValueSet::GrowSlots() {
+  assert(rows_ < kRowMask);
+  std::vector<uint64_t> grown(slots_.empty() ? 16 : slots_.size() * 2, 0);
+  const size_t mask = grown.size() - 1;
+  for (uint64_t slot : slots_) {
+    if (slot == 0) continue;
+    size_t i = (slot >> 32) & mask;
+    while (grown[i] != 0) i = (i + 1) & mask;
+    grown[i] = slot;
+  }
+  slots_ = std::move(grown);
+}
+
+void ValueSet::AppendRow(const uintptr_t* row, Value value) {
+  const size_t r = rows_++;
+  words_.insert(words_.end(), row, row + arity_);
+  bytes_ += Value::FlatTupleApproxBytes(arity_) + kSlotOverhead;
+  if (value.is_inline()) {
+    ++unviewed_;
+  } else {
+    if (view_.size() < r) view_.resize(r);  // rows appended as words
+    view_.push_back(std::move(value));
+  }
+  for (const std::unique_ptr<WordIndex>& owned : word_indexes_) {
+    WordIndex& index = *owned;
+    if ((r + 1) * 4 > index.heads.size() * 3) {
+      // Grow and rehash: chains stay short below 3/4 load.
+      const size_t buckets = NextPow2((r + 1) * 2);
+      index.heads.assign(buckets, -1);
+      index.mask = buckets - 1;
+      index.next.resize(r + 1);
+      for (size_t row_i = 0; row_i <= r; ++row_i) {
+        Chain(index, HashKey(index.positions, Row(row_i)), row_i);
+      }
+    } else {
+      index.next.push_back(-1);
+      Chain(index, HashKey(index.positions, Row(r)), r);
+    }
+  }
+  if (!indexes_.empty()) {
+    const Value& fact = ViewRow(r);
+    for (PositionIndex& index : indexes_) IndexInsert(index, fact);
+  }
+}
+
+void ValueSet::Demote() {
+  for (size_t r = 0; r < rows_; ++r) items_.insert(RowValue(r));
+  if (rows_ > 0) tuple_arity_counts_[arity_] = rows_;
+  layout_ = Layout::kRows;
+  arity_ = 0;
+  rows_ = 0;
+  words_ = {};
+  slots_ = {};
+  view_ = {};
+  unviewed_ = 0;
+  word_indexes_.clear();
+}
+
+// ----------------------------------------------------------------------
+// Insert and lookup
+
+bool ValueSet::Insert(Value v) {
+  if (layout_ != Layout::kRows) {
+    uintptr_t row[kMaxFlatArity];
+    const size_t n = FlatWords(v, row);
+    if (n != 0 && layout_ == Layout::kEmpty) StartWords(n);
+    if (n != 0 && n == arity_) {
+      if (!ClaimSlot(row, HashWords(row, n))) return false;
+      AppendRow(row, std::move(v));
+      return true;
+    }
+    if (layout_ == Layout::kWords) {
+      Demote();
+    } else {
+      layout_ = Layout::kRows;
+    }
+  }
+  return InsertRow(std::move(v));
+}
+
+bool ValueSet::InsertRow(Value v) {
+  auto [it, added] = items_.insert(std::move(v));
+  if (!added) return false;
+  const Value& fact = *it;
+  bytes_ += fact.ApproxBytes() + kSlotOverhead;
+  if (fact.is_tuple()) {
+    ++tuple_arity_counts_[fact.size()];
+  } else {
+    ++non_tuple_count_;
+  }
+  for (PositionIndex& index : indexes_) IndexInsert(index, fact);
+  return true;
+}
+
+bool ValueSet::InsertWords(const uintptr_t* row, size_t n, size_t hash) {
+  if (layout_ == Layout::kEmpty && n >= 1 && n <= kMaxFlatArity) {
+    StartWords(n);
+  }
+  if (layout_ != Layout::kWords || n != arity_) {
+    return Insert(TupleOfWords(row, n));
+  }
+  if (!ClaimSlot(row, hash)) return false;
+  AppendRow(row, Value());
+  return true;
+}
+
+bool ValueSet::Contains(const Value& v) const {
+  switch (layout_) {
+    case Layout::kEmpty:
+      return false;
+    case Layout::kWords: {
+      uintptr_t row[kMaxFlatArity];
+      const size_t n = FlatWords(v, row);
+      return n == arity_ && FindRow(row, HashWords(row, n));
+    }
+    case Layout::kRows:
+      break;
+  }
+  return items_.count(v) > 0;
+}
+
+bool ValueSet::ContainsWords(const uintptr_t* row, size_t n,
+                             size_t hash) const {
+  switch (layout_) {
+    case Layout::kEmpty:
+      return false;
+    case Layout::kWords:
+      return n == arity_ && FindRow(row, hash);
+    case Layout::kRows:
+      break;
+  }
+  return items_.count(TupleOfWords(row, n)) > 0;
+}
+
+size_t ValueSet::InsertAll(const ValueSet& other) {
+  if (other.layout_ == Layout::kWords && layout_ == Layout::kEmpty) {
+    StartWords(other.arity_);
+  }
+  if (other.layout_ == Layout::kWords && layout_ == Layout::kWords &&
+      other.arity_ == arity_) {
+    size_t added = 0;
+    for (size_t r = 0; r < other.rows_; ++r) {
+      const uintptr_t* row = other.Row(r);
+      if (!ClaimSlot(row, HashWords(row, arity_))) continue;
+      AppendRow(row, r < other.view_.size() ? other.view_[r] : Value());
+      ++added;
+    }
+    return added;
+  }
+  size_t added = 0;
+  if (other.layout_ == Layout::kWords) {
+    for (size_t r = 0; r < other.rows_; ++r) {
+      added += Insert(other.RowValue(r)) ? 1 : 0;
+    }
+  } else {
+    for (const Value& v : other.items_) added += Insert(v) ? 1 : 0;
+  }
+  return added;
+}
+
+bool ValueSet::IsSubsetOf(const ValueSet& other) const {
+  if (size() > other.size()) return false;
+  if (layout_ == Layout::kWords) {
+    for (size_t r = 0; r < rows_; ++r) {
+      const uintptr_t* row = Row(r);
+      if (!other.ContainsWords(row, arity_, HashWords(row, arity_))) {
+        return false;
+      }
+    }
+    return true;
+  }
+  for (const Value& v : items_) {
+    if (!other.Contains(v)) return false;
+  }
+  return true;
+}
+
+ValueSet::const_iterator ValueSet::begin() const {
+  if (layout_ != Layout::kWords) return const_iterator(items_.begin());
+  MaterializeView();
+  return const_iterator(view_.data());
+}
+
+ValueSet::const_iterator ValueSet::end() const {
+  if (layout_ != Layout::kWords) return const_iterator(items_.end());
+  MaterializeView();  // whichever of begin() and end() runs first
+  return const_iterator(view_.data() + rows_);
+}
+
+// ----------------------------------------------------------------------
+// Derived indexes
 
 const ValueSet::PositionIndex& ValueSet::EnsureIndex(
     const std::vector<size_t>& positions) const {
@@ -34,7 +410,7 @@ const ValueSet::PositionIndex& ValueSet::EnsureIndex(
   }
   indexes_.push_back(PositionIndex{positions, {}});
   PositionIndex& index = indexes_.back();
-  for (const Value& fact : items_) IndexInsert(index, fact);
+  for (const Value& fact : *this) IndexInsert(index, fact);
   return index;
 }
 
@@ -53,183 +429,74 @@ void ValueSet::IndexInsert(PositionIndex& index, const Value& fact) {
   }
 }
 
-void ValueSet::IndexErase(PositionIndex& index, const Value& fact) {
-  Value key;
-  if (!ExtractKey(fact, index.positions, &key)) return;
-  auto it = index.buckets.find(key);
-  if (it == index.buckets.end()) return;
-  std::vector<Value>& bucket = it->second;
-  for (size_t i = 0; i < bucket.size(); ++i) {
-    if (bucket[i] == fact) {
-      bucket[i] = std::move(bucket.back());
-      bucket.pop_back();
-      break;
-    }
-  }
-  if (bucket.empty()) index.buckets.erase(it);
-}
-
-// ----------------------------------------------------------------------
-// Columnar layout
-
-namespace {
-
-// Grow-and-rehash threshold: chains stay short below 3/4 load.
-bool ColumnIndexNeedsGrowth(const ValueSet::ColumnStore::Index& index,
-                            size_t rows) {
-  return rows * 4 > index.heads.size() * 3;
-}
-
-size_t NextPow2(size_t n) {
-  size_t p = 16;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-size_t ValueSet::ColumnStore::HashWords(const uintptr_t* words, size_t n) {
-  size_t h = 0x9e3779b97f4a7c15ULL;
-  for (size_t i = 0; i < n; ++i) h = HashCombine(h, words[i]);
-  // splitmix64 finalizer: the power-of-two bucket mask keeps only the
-  // low bits, so spread the entropy down before masking.
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
-size_t ValueSet::ColumnStore::HashRow(const std::vector<size_t>& positions,
-                                      size_t r) const {
-  uintptr_t words[8];
-  size_t n = positions.size();
-  assert(n <= 8 && "column index keys are capped at 8 positions");
-  for (size_t j = 0; j < n; ++j) words[j] = cols[positions[j]][r];
-  return HashWords(words, n);
-}
-
-bool ValueSet::columnar_eligible() const {
-  if (non_tuple_count_ != 0 || tuple_arity_counts_.size() != 1) return false;
-  if (flat_tuple_count_ != items_.size()) return false;
-  return tuple_arity_counts_.begin()->first >= 1;
-}
-
-const ValueSet::ColumnStore* ValueSet::columns() const {
-  if (columns_ != nullptr) return columns_.get();
-  if (!columnar_eligible()) return nullptr;
-  auto store = std::make_unique<ColumnStore>();
-  store->arity = tuple_arity_counts_.begin()->first;
-  store->cols.resize(store->arity);
-  for (auto& col : store->cols) col.reserve(items_.size());
-  store->rows.reserve(items_.size());
-  for (const Value& fact : items_) {
-    const auto parts = fact.items();
-    for (size_t c = 0; c < store->arity; ++c) {
-      store->cols[c].push_back(parts[c].inline_bits());
-    }
-    store->rows.push_back(fact);
-  }
-  columns_ = std::move(store);
-  return columns_.get();
-}
-
-void ValueSet::ColumnsOnInsert(const Value& v) {
-  // Counters already reflect the insert, so eligibility is the new
-  // extent's; a fact of another shape (non-flat, wrong arity) demotes
-  // the whole store.
-  if (!columnar_eligible() || v.size() != columns_->arity) {
-    columns_.reset();
-    return;
-  }
-  ColumnStore& store = *columns_;
-  const size_t r = store.rows.size();
-  const auto parts = v.items();
-  for (size_t c = 0; c < store.arity; ++c) {
-    store.cols[c].push_back(parts[c].inline_bits());
-  }
-  store.rows.push_back(v);
-  for (ColumnStore::Index& index : store.indexes) {
-    if (ColumnIndexNeedsGrowth(index, r + 1)) {
-      const size_t buckets = NextPow2((r + 1) * 2);
-      index.heads.assign(buckets, -1);
-      index.mask = buckets - 1;
-      index.next.resize(r + 1);
-      for (size_t row = 0; row <= r; ++row) {
-        const size_t b = store.HashRow(index.positions, row) & index.mask;
-        index.next[row] = index.heads[b];
-        index.heads[b] = static_cast<int32_t>(row);
-      }
-    } else {
-      const size_t b = store.HashRow(index.positions, r) & index.mask;
-      index.next.push_back(index.heads[b]);
-      index.heads[b] = static_cast<int32_t>(r);
-    }
-  }
-}
-
-const ValueSet::ColumnStore::Index* ValueSet::ColumnIndex(
+const ValueSet::WordIndex* ValueSet::WordIndexOn(
     const std::vector<size_t>& positions) const {
-  const ColumnStore* cs = columns();
-  if (cs == nullptr) return nullptr;
-  for (const ColumnStore::Index& index : columns_->indexes) {
-    if (index.positions == positions) return &index;
+  if (layout_ != Layout::kWords) return nullptr;
+  for (const std::unique_ptr<WordIndex>& index : word_indexes_) {
+    if (index->positions == positions) return index.get();
   }
   assert(positions.size() <= 8);
-  ColumnStore& store = *columns_;
-  const size_t n = store.row_count();
-  assert(n <= static_cast<size_t>(INT32_MAX));
-  store.indexes.push_back(ColumnStore::Index{});
-  ColumnStore::Index& index = store.indexes.back();
+  assert(rows_ <= static_cast<size_t>(INT32_MAX));
+  WordIndex& index = *word_indexes_.emplace_back(std::make_unique<WordIndex>());
   index.positions = positions;
-  const size_t buckets = NextPow2(n < 12 ? 16 : n * 4 / 3);
+  const size_t buckets = NextPow2(rows_ < 12 ? 16 : rows_ * 4 / 3);
   index.heads.assign(buckets, -1);
   index.mask = buckets - 1;
-  index.next.resize(n);
-  for (size_t r = 0; r < n; ++r) {
-    const size_t b = store.HashRow(positions, r) & index.mask;
-    index.next[r] = index.heads[b];
-    index.heads[b] = static_cast<int32_t>(r);
+  index.next.resize(rows_);
+  for (size_t r = 0; r < rows_; ++r) {
+    Chain(index, HashKey(positions, Row(r)), r);
   }
   return &index;
 }
 
-size_t ValueSet::column_bytes() const {
-  if (columns_ == nullptr) return 0;
-  size_t bytes = sizeof(ColumnStore) + columns_->rows.size() * sizeof(Value);
-  for (const auto& col : columns_->cols) {
-    bytes += col.size() * sizeof(uintptr_t);
-  }
-  for (const ColumnStore::Index& index : columns_->indexes) {
-    bytes += (index.heads.size() + index.next.size()) * sizeof(int32_t) +
-             index.positions.size() * sizeof(size_t);
+size_t ValueSet::word_table_bytes() const {
+  if (layout_ != Layout::kWords) return 0;
+  size_t bytes = words_.capacity() * sizeof(uintptr_t) +
+                 slots_.capacity() * sizeof(uint64_t);
+  for (const std::unique_ptr<WordIndex>& index : word_indexes_) {
+    bytes += (index->heads.capacity() + index->next.capacity()) *
+                 sizeof(int32_t) +
+             index->positions.capacity() * sizeof(size_t);
   }
   return bytes;
 }
 
+// ----------------------------------------------------------------------
+// Ordered reads
+
+namespace {
+
+// Row numbers of a word table in canonical order: a lexicographic
+// comparison of the rows' words with CompareInlineBits, which agrees
+// with Value::Compare on flat tuples of one arity.
+std::vector<uint32_t> SortedRows(const uintptr_t* words, size_t arity,
+                                 size_t rows) {
+  std::vector<uint32_t> perm(rows);
+  for (uint32_t i = 0; i < perm.size(); ++i) perm[i] = i;
+  std::sort(perm.begin(), perm.end(), [words, arity](uint32_t a, uint32_t b) {
+    const uintptr_t* x = words + a * arity;
+    const uintptr_t* y = words + b * arity;
+    for (size_t c = 0; c < arity; ++c) {
+      const int cmp = Value::CompareInlineBits(x[c], y[c]);
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  });
+  return perm;
+}
+
+}  // namespace
+
 std::vector<Value> ValueSet::Sorted() const {
-  if (const ColumnStore* cs = columns_.get()) {
-    // Column-aware sort: order row indices by columnwise comparison of
-    // the raw inline words, which agrees with Value::Compare on flat
-    // tuples of uniform arity (lexicographic by components), then
-    // materialize rows in that order.  Same sequence as the row sort,
-    // so rendered output and the v1 snapshot bytes are unchanged.
-    std::vector<uint32_t> perm(cs->row_count());
-    for (uint32_t i = 0; i < perm.size(); ++i) perm[i] = i;
-    std::sort(perm.begin(), perm.end(), [cs](uint32_t a, uint32_t b) {
-      for (size_t c = 0; c < cs->arity; ++c) {
-        const int cmp = Value::CompareInlineBits(cs->cols[c][a], cs->cols[c][b]);
-        if (cmp != 0) return cmp < 0;
-      }
-      return false;
-    });
-    std::vector<Value> out;
-    out.reserve(perm.size());
-    for (uint32_t r : perm) out.push_back(cs->rows[r]);
+  std::vector<Value> out;
+  if (layout_ == Layout::kWords) {
+    out.reserve(rows_);
+    for (uint32_t r : SortedRows(words_.data(), arity_, rows_)) {
+      out.push_back(RowValue(r));
+    }
     return out;
   }
-  std::vector<Value> out(items_.begin(), items_.end());
+  out.assign(items_.begin(), items_.end());
   std::sort(out.begin(), out.end(), [](const Value& a, const Value& b) {
     return Value::Compare(a, b) < 0;
   });
@@ -237,16 +504,38 @@ std::vector<Value> ValueSet::Sorted() const {
 }
 
 Value ValueSet::ToValue() const {
-  return Value::Set(std::vector<Value>(items_.begin(), items_.end()));
+  if (layout_ != Layout::kWords) {
+    return Value::Set(std::vector<Value>(items_.begin(), items_.end()));
+  }
+  std::vector<Value> facts;
+  facts.reserve(rows_);
+  for (size_t r = 0; r < rows_; ++r) facts.push_back(RowValue(r));
+  return Value::Set(std::move(facts));
 }
 
 void ValueSet::AppendTo(std::string* out) const {
   out->push_back('{');
-  bool first = true;
-  for (const Value& v : Sorted()) {
-    if (!first) out->append(", ");
-    first = false;
-    v.AppendTo(out);
+  if (layout_ == Layout::kWords) {
+    // The text of each row's tuple, rendered from its words.
+    bool first = true;
+    for (uint32_t r : SortedRows(words_.data(), arity_, rows_)) {
+      if (!first) out->append(", ");
+      first = false;
+      out->push_back('<');
+      const uintptr_t* row = Row(r);
+      for (size_t c = 0; c < arity_; ++c) {
+        if (c > 0) out->append(", ");
+        Value::FromInlineBits(row[c]).AppendTo(out);
+      }
+      out->push_back('>');
+    }
+  } else {
+    bool first = true;
+    for (const Value& v : Sorted()) {
+      if (!first) out->append(", ");
+      first = false;
+      v.AppendTo(out);
+    }
   }
   out->push_back('}');
 }

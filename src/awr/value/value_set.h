@@ -1,9 +1,10 @@
 #ifndef AWR_VALUE_VALUE_SET_H_
 #define AWR_VALUE_VALUE_SET_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -14,39 +15,82 @@
 
 namespace awr {
 
-/// A mutable extent of values: the working representation of a database
-/// relation, an algebra set, or a predicate's derived facts.
+/// A mutable, append-only extent of values: the working representation
+/// of a database relation, an algebra set, or a predicate's derived
+/// facts.  Convert to/from the immutable set Value with ToValue() /
+/// FromValue(); use Sorted() for deterministic output.
 ///
-/// Iteration order is unspecified (hash order); use Sorted() for
-/// deterministic output.  Convert to/from the immutable set Value with
-/// ToValue() / FromValue().
+/// Two layouts (DESIGN.md §12), chosen by the first fact and left at
+/// most once:
 ///
-/// Extents additionally carry lazily-built hash indexes keyed on
-/// argument-position subsets (see Probe), used by the join planner in
-/// datalog/eval_core to replace full-extent scans with bucket probes.
-/// Indexes are derived state: built on first probe, maintained
-/// incrementally by Insert/Erase, dropped on copy (a copied snapshot
-/// rebuilds its own on demand), and excluded from approx_bytes so that
-/// memory governance observes identical figures on the indexed and
-/// scan evaluation paths.
+///  * **Word table.**  While every fact is a *flat* tuple of one arity
+///    (1 to kMaxFlatArity components, each an inline scalar, value.h),
+///    the facts are rows of raw inline words, row-major, deduplicated
+///    by an open-addressing index over the whole row.  Inline words are
+///    canonical, so word equality is value equality.  This is the
+///    authoritative storage: the bytecode VM reads it through word
+///    cursors and appends derived facts to it as words
+///    (InsertWords), so a derived fact never becomes a Value unless
+///    something asks for one.  The Value view that iteration and
+///    Probe hand out is derived state: materialized row by row on
+///    first demand and kept from then on; a Value passed to Insert is
+///    kept as its row's view, not rebuilt.  Iteration is in insertion
+///    order.
+///  * **Rows.**  Any other fact (a scalar, a nested or long tuple, a
+///    second arity) demotes the extent to an unordered_set of Values,
+///    one way.  Iteration is in hash order.
 ///
-/// Columnar acceleration (DESIGN.md §12).  An extent whose facts are
-/// all *flat* tuples of one arity — every component an inline tagged
-/// scalar (value.h) — can additionally materialize a structure-of-
-/// arrays ColumnStore: one contiguous word column per argument
-/// position, plus chained hash indexes over raw words for the VM's word-level
-/// join probes.  Like the position indexes this is derived state: selected
-/// adaptively (eligibility is tracked by the shape histogram), built
-/// lazily on the evaluating thread, appended to on flat Insert,
-/// dropped whenever the extent leaves the flat regime (promotion /
-/// demotion is automatic), never copied, and excluded from
-/// approx_bytes so memory charges are identical whether or not an
-/// evaluation uses it (EvalOptions::use_columnar).  The row structures
-/// (items_) stay authoritative, which is what keeps hashing, iteration
-/// order, set equality, and snapshot bytes byte-identical across the
-/// two layouts.
+/// Derived indexes, on either layout: Probe's position-subset hash
+/// indexes over Values, and on the word table the chained word indexes
+/// (WordIndexOn) the VM probes.  Both are built on first use, extended
+/// on insert, dropped on copy, and excluded from approx_bytes, which is
+/// the per-fact ApproxBytes() + slot sum on both layouts — so memory
+/// charges do not depend on the layout or on which indexes an
+/// evaluation built.  The lazy builds mutate derived state, so even
+/// const reads of one ValueSet must not run concurrently.
 class ValueSet {
  public:
+  /// Longest tuple the word table holds.
+  static constexpr size_t kMaxFlatArity = 16;
+
+  /// Forward iterator over the facts as Values.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Value;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Value*;
+    using reference = const Value&;
+
+    const_iterator() = default;
+    reference operator*() const { return row_ != nullptr ? *row_ : *node_; }
+    pointer operator->() const { return &**this; }
+    const_iterator& operator++() {
+      if (row_ != nullptr) {
+        ++row_;
+      } else {
+        ++node_;
+      }
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const const_iterator& other) const {
+      return row_ == other.row_ && node_ == other.node_;
+    }
+
+   private:
+    friend class ValueSet;
+    using Node = std::unordered_set<Value>::const_iterator;
+    explicit const_iterator(const Value* row) : row_(row) {}
+    explicit const_iterator(Node node) : node_(node) {}
+    const Value* row_ = nullptr;  // word table: position in the view
+    Node node_{};                 // rows
+  };
+
   ValueSet() = default;
   ValueSet(std::initializer_list<Value> items) {
     for (const Value& v : items) Insert(v);
@@ -55,108 +99,61 @@ class ValueSet {
     for (const Value& v : items) Insert(v);
   }
 
-  // Copies carry the elements but not the derived indexes; moves keep
-  // everything.
-  ValueSet(const ValueSet& other)
-      : items_(other.items_),
-        bytes_(other.bytes_),
-        non_tuple_count_(other.non_tuple_count_),
-        flat_tuple_count_(other.flat_tuple_count_),
-        tuple_arity_counts_(other.tuple_arity_counts_) {}
-  ValueSet& operator=(const ValueSet& other) {
-    if (this != &other) {
-      items_ = other.items_;
-      bytes_ = other.bytes_;
-      non_tuple_count_ = other.non_tuple_count_;
-      flat_tuple_count_ = other.flat_tuple_count_;
-      tuple_arity_counts_ = other.tuple_arity_counts_;
-      indexes_.clear();
-      columns_.reset();
-    }
-    return *this;
-  }
-  ValueSet(ValueSet&&) = default;
-  ValueSet& operator=(ValueSet&&) = default;
+  // Copies carry the facts (and the materialized Value view) but not
+  // the derived indexes; moves keep everything and leave `other` empty.
+  ValueSet(const ValueSet& other);
+  ValueSet& operator=(const ValueSet& other);
+  ValueSet(ValueSet&& other) noexcept;
+  ValueSet& operator=(ValueSet&& other) noexcept;
 
   /// Inserts `v`; returns true if it was not already present.
-  bool Insert(const Value& v) {
-    if (!items_.insert(v).second) return false;
-    bytes_ += v.ApproxBytes() + kSlotOverhead;
-    if (v.is_tuple()) {
-      ++tuple_arity_counts_[v.size()];
-      if (IsFlatTuple(v)) ++flat_tuple_count_;
-    } else {
-      ++non_tuple_count_;
-    }
-    for (PositionIndex& index : indexes_) IndexInsert(index, v);
-    if (columns_ != nullptr) ColumnsOnInsert(v);
-    return true;
-  }
+  bool Insert(Value v);
 
-  /// Removes `v`; returns true if it was present.
-  bool Erase(const Value& v) {
-    if (items_.erase(v) == 0) return false;
-    bytes_ -= v.ApproxBytes() + kSlotOverhead;
-    if (v.is_tuple()) {
-      auto it = tuple_arity_counts_.find(v.size());
-      if (--it->second == 0) tuple_arity_counts_.erase(it);
-      if (IsFlatTuple(v)) --flat_tuple_count_;
-    } else {
-      --non_tuple_count_;
-    }
-    for (PositionIndex& index : indexes_) IndexErase(index, v);
-    // Columns are append-only; deletion invalidates row numbering, so
-    // the store rebuilds on next demand (erase is off the hot path).
-    columns_.reset();
-    return true;
+  bool Contains(const Value& v) const;
+  size_t size() const {
+    return layout_ == Layout::kRows ? items_.size() : rows_;
   }
+  bool empty() const { return size() == 0; }
+  void Clear();
 
-  bool Contains(const Value& v) const { return items_.count(v) > 0; }
-  size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-  void Clear() {
-    items_.clear();
-    bytes_ = 0;
-    non_tuple_count_ = 0;
-    flat_tuple_count_ = 0;
-    tuple_arity_counts_.clear();
-    indexes_.clear();
-    columns_.reset();
-  }
-
-  /// Approximate heap footprint of the extent (element values plus a
-  /// per-slot hash-table overhead).  Maintained incrementally on
-  /// Insert/Erase; feeds ExecutionContext::ChargeMemory.  Derived join
-  /// indexes are deliberately excluded (see class comment).
+  /// Approximate heap footprint of the extent: per fact, its
+  /// ApproxBytes() plus a per-slot overhead.  Maintained incrementally
+  /// on insert (a word-table row counts as the flat tuple it stands
+  /// for); feeds ExecutionContext::ChargeMemory.  Derived indexes and
+  /// the Value view are deliberately excluded (see class comment).
   size_t approx_bytes() const { return bytes_; }
 
-  auto begin() const { return items_.begin(); }
-  auto end() const { return items_.end(); }
+  /// Either end materializes the word table's Value view first; the
+  /// iterators stay valid until the next insert.
+  const_iterator begin() const;
+  const_iterator end() const;
 
   /// Inserts every element of `other`; returns the number newly added.
-  size_t InsertAll(const ValueSet& other) {
-    size_t added = 0;
-    for (const Value& v : other) added += Insert(v) ? 1 : 0;
-    return added;
-  }
+  /// Between word tables of one arity this copies words.
+  size_t InsertAll(const ValueSet& other);
 
   /// Returns true iff every element of this set is in `other`.
-  bool IsSubsetOf(const ValueSet& other) const {
-    if (size() > other.size()) return false;
-    for (const Value& v : *this) {
-      if (!other.Contains(v)) return false;
-    }
-    return true;
-  }
+  bool IsSubsetOf(const ValueSet& other) const;
 
-  bool operator==(const ValueSet& other) const { return items_ == other.items_; }
+  bool operator==(const ValueSet& other) const {
+    return size() == other.size() && IsSubsetOf(other);
+  }
   bool operator!=(const ValueSet& other) const { return !(*this == other); }
 
   /// True iff every element is a tuple of arity `arity` (vacuously true
-  /// for the empty extent).  O(1): the shape histogram is maintained on
-  /// Insert/Erase, so body matching validates an extent's arity once
-  /// per probe instead of once per fact.
+  /// for the empty extent).  O(1): the word table has one arity, and
+  /// the row layout keeps a shape histogram, so body matching
+  /// validates an extent's arity once per probe instead of once per
+  /// fact.
   bool UniformTupleArity(size_t arity) const {
+    switch (layout_) {
+      case Layout::kEmpty:
+        return true;
+      case Layout::kWords:
+        return arity_ == arity;
+      case Layout::kRows:
+        break;
+    }
     if (non_tuple_count_ != 0) return false;
     if (tuple_arity_counts_.empty()) return true;
     return tuple_arity_counts_.size() == 1 &&
@@ -169,76 +166,70 @@ class ValueSet {
   /// probe and maintained incrementally afterwards.  Elements that are
   /// not tuples or are too short for `positions` are never indexed —
   /// they cannot equal `key` at those positions.  Returns an empty
-  /// bucket on a miss.  The lazy build mutates a derived cache, so even
-  /// const reads of one ValueSet must not run concurrently.
+  /// bucket on a miss.
   const std::vector<Value>& Probe(const std::vector<size_t>& positions,
                                   const Value& key) const;
 
-  /// Number of distinct position-subset indexes currently built
-  /// (introspection for tests and benchmarks).
+  /// Number of Probe indexes currently built (introspection for tests
+  /// and the REPL).
   size_t index_count() const { return indexes_.size(); }
 
-  /// Columnar layout ---------------------------------------------------
+  /// Word table ---------------------------------------------------------
 
-  /// Structure-of-arrays view of a flat-tuple extent: `cols[c][r]` is
-  /// the raw inline word (Value::inline_bits) of component c of row r,
-  /// and `rows[r]` is the original tuple Value (shared Rep, so
-  /// materializing a match result is a refcount bump, not a rebuild).
-  /// Row order is the items_ iteration order at build time; appends
-  /// keep the two in sync.
-  struct ColumnStore {
-    /// Chained hash index over the raw words at `positions`: bucket
-    /// heads (power-of-two table, -1 empty) and per-row chain links.
-    /// Probing is gather → HashWords → walk chain with word equality —
-    /// valid because inline words are canonical (equal scalars have
-    /// equal words), and allocation-free unlike the row-path Probe,
-    /// which packs each key into a fresh tuple Value.
-    struct Index {
-      std::vector<size_t> positions;
-      std::vector<int32_t> heads;
-      std::vector<int32_t> next;
-      size_t mask = 0;
-    };
+  /// Components per row while the word table holds the facts; 0 when
+  /// there is no fact yet or the extent is in the row layout.
+  size_t word_arity() const {
+    return layout_ == Layout::kWords ? arity_ : 0;
+  }
 
-    size_t arity = 0;
-    std::vector<std::vector<uintptr_t>> cols;
-    std::vector<Value> rows;
-    // Deque for pointer stability: building one index must not move
-    // the others (the VM's word cursors hold Index* across a firing).
-    std::deque<Index> indexes;
+  /// The table: row r is the word_arity() words at
+  /// words() + r * word_arity(), in insertion order.
+  const uintptr_t* words() const { return words_.data(); }
 
-    size_t row_count() const { return rows.size(); }
-    /// Hash of the words at `positions` in row `r` (the build side of
-    /// the probe's HashWords over gathered key words).
-    size_t HashRow(const std::vector<size_t>& positions, size_t r) const;
-    static size_t HashWords(const uintptr_t* words, size_t n);
+  /// Hash of `n` words: the dedup index's hash of a whole row, and the
+  /// word indexes' hash of gathered key words.
+  static size_t HashWords(const uintptr_t* words, size_t n);
+
+  /// True iff the tuple of the `n` inline words at `row` is a fact;
+  /// `hash` is HashWords(row, n), and `n` is 1 to kMaxFlatArity (also
+  /// for InsertWords).  On a word table of arity `n` this is
+  /// one dedup-index probe; otherwise the tuple is checked as a Value.
+  bool ContainsWords(const uintptr_t* row, size_t n, size_t hash) const;
+
+  /// Inserts the tuple of the `n` inline words at `row`, as words when
+  /// the extent is (or, empty, becomes) a word table of arity `n` —
+  /// no Value is built — and as a Value otherwise; `hash` is
+  /// HashWords(row, n).  Returns true if it was not already present.
+  bool InsertWords(const uintptr_t* row, size_t n, size_t hash);
+
+  /// Chained hash index over the words at `positions` (at most 8): the
+  /// bucket heads (power-of-two table, -1 empty) and per-row chain
+  /// links.  Probing is gather → HashWords → walk the chain comparing
+  /// words, with no allocation.
+  struct WordIndex {
+    std::vector<size_t> positions;
+    std::vector<int32_t> heads;
+    std::vector<int32_t> next;
+    size_t mask = 0;
   };
 
-  /// True iff this extent currently qualifies for the columnar layout:
-  /// at least one fact, every fact a flat tuple (all components inline
-  /// scalars) of one shared arity >= 1.  O(1) from the shape histogram.
-  bool columnar_eligible() const;
+  /// The word index over `positions`, built on first demand and
+  /// extended on insert; nullptr unless the extent is a word table.
+  /// Indexes never move once built (the VM's cursors hold them across
+  /// a firing).
+  const WordIndex* WordIndexOn(const std::vector<size_t>& positions) const;
 
-  /// The columnar view, built on first demand; nullptr when the extent
-  /// is ineligible.  Same thread contract as Probe.
-  const ColumnStore* columns() const;
+  /// Facts currently held as Values: every fact in the row layout; in
+  /// the word table, those inserted as Values or read through the
+  /// Value view.  (REPL :stats, tests.)
+  size_t materialized_rows() const {
+    return layout_ == Layout::kRows ? items_.size() : rows_ - unviewed_;
+  }
 
-  /// The column index over `positions`, built on demand (building the
-  /// store first if needed); nullptr when the extent is ineligible.
-  const ColumnStore::Index* ColumnIndex(
-      const std::vector<size_t>& positions) const;
-
-  /// Force-builds the columnar view (REPL :stats, tests).
-  /// Returns false when the extent is ineligible.
-  bool BuildColumns() const { return columns() != nullptr; }
-
-  /// True iff the columnar view is currently materialized.
-  bool columnar_built() const { return columns_ != nullptr; }
-
-  /// Heap bytes held by the columnar view and its indexes (0 when not
-  /// built).  Reported by the REPL's :stats; excluded from
-  /// approx_bytes like the position indexes.
-  size_t column_bytes() const;
+  /// Heap bytes of the word table itself: the words, the dedup index
+  /// and the word indexes (0 in the row layout).  Reported by the
+  /// REPL's :stats; not part of approx_bytes.
+  size_t word_table_bytes() const;
 
   /// Elements in the canonical total order.
   std::vector<Value> Sorted() const;
@@ -251,7 +242,8 @@ class ValueSet {
 
   /// Deterministic rendering `{a, b, c}` in canonical order: the same
   /// text as ToValue().ToString(), written straight from the extent
-  /// (no set Value is built, so nothing is interned).
+  /// (from the words, for a word table; no set Value is built, so
+  /// nothing is interned).
   std::string ToString() const;
   /// Appends ToString()'s text to `out`.
   void AppendTo(std::string* out) const;
@@ -260,7 +252,9 @@ class ValueSet {
   // Hash-table node + bucket share, on top of the element's own bytes.
   static constexpr size_t kSlotOverhead = 4 * sizeof(void*);
 
-  /// One hash index: buckets of facts sharing the key extracted at
+  enum class Layout : uint8_t { kEmpty, kWords, kRows };
+
+  /// One Probe index: buckets of facts sharing the key extracted at
   /// `positions` (the key is packed as a tuple Value).
   struct PositionIndex {
     std::vector<size_t> positions;
@@ -268,37 +262,65 @@ class ValueSet {
   };
 
   static void IndexInsert(PositionIndex& index, const Value& fact);
-  static void IndexErase(PositionIndex& index, const Value& fact);
 
-  /// True iff `v` is a tuple whose components are all inline scalars.
-  static bool IsFlatTuple(const Value& v) {
-    if (!v.is_tuple()) return false;
-    for (const Value& item : v.items()) {
-      if (!item.is_inline()) return false;
-    }
-    return true;
+  /// Writes the words of `v` to `out` and returns its arity if `v` is a
+  /// tuple the word table can hold; returns 0 otherwise.
+  static size_t FlatWords(const Value& v, uintptr_t* out);
+  /// The tuple Value of `n` words.
+  static Value TupleOfWords(const uintptr_t* row, size_t n);
+
+  const uintptr_t* Row(size_t r) const { return &words_[r * arity_]; }
+  /// Row r as a Value: its view entry if materialized, else a new tuple.
+  Value RowValue(size_t r) const;
+  /// Row r's view entry, materializing it first.
+  const Value& ViewRow(size_t r) const;
+  /// Materializes every row's view entry.
+  void MaterializeView() const;
+
+  /// Dedup index.  Slots hold (low 32 hash bits << 32) | (row + 1), 0
+  /// empty; the slot position is the hash masked, so growing needs no
+  /// rehash of the words.
+  bool FindRow(const uintptr_t* row, size_t hash) const;
+  /// Records row `rows_` under `hash` unless an equal row is present;
+  /// returns false on a duplicate.
+  bool ClaimSlot(const uintptr_t* row, size_t hash);
+  void GrowSlots();
+  /// Appends a row whose slot ClaimSlot just claimed, keeping `value`
+  /// as its view entry unless it is an inline placeholder, and extends
+  /// the derived indexes.
+  void AppendRow(const uintptr_t* row, Value value);
+
+  /// The first fact of a fresh extent chooses the layout.
+  void StartWords(size_t arity) {
+    layout_ = Layout::kWords;
+    arity_ = arity;
   }
+  /// Moves the word table's facts to the row layout, for good.
+  void Demote();
+  bool InsertRow(Value v);
 
-  /// Insert-side column maintenance: append the new fact if it keeps
-  /// the extent flat, otherwise drop the store (demotion).
-  void ColumnsOnInsert(const Value& v);
-
-  /// Returns the index for `positions`, building it if absent.
+  /// Returns the Probe index for `positions`, building it if absent.
   const PositionIndex& EnsureIndex(const std::vector<size_t>& positions) const;
 
+  Layout layout_ = Layout::kEmpty;
+  size_t arity_ = 0;  // word table: components per row
+  size_t rows_ = 0;   // word table: row count
+  std::vector<uintptr_t> words_;
+  std::vector<uint64_t> slots_;
+  // Value view: view_[r] is row r's tuple once materialized; shorter
+  // than rows_, or an inline placeholder, where it is not.  `unviewed_`
+  // counts the rows without one.
+  mutable std::vector<Value> view_;
+  mutable size_t unviewed_ = 0;
+  // Row layout and its shape histogram (UniformTupleArity).
   std::unordered_set<Value> items_;
-  size_t bytes_ = 0;
-  // Shape histogram for UniformTupleArity / columnar_eligible.
   size_t non_tuple_count_ = 0;
-  size_t flat_tuple_count_ = 0;
   std::unordered_map<size_t, size_t> tuple_arity_counts_;
-  // Built lazily in the const Probe.
+  size_t bytes_ = 0;
+  // Derived, built lazily in const reads.  Word indexes are held by
+  // pointer, so a new one does not move the others.
   mutable std::vector<PositionIndex> indexes_;
-  // Columnar view; invariant: columns_ != nullptr implies the extent
-  // is eligible and the store mirrors items_ exactly (appends keep it
-  // in sync, any other mutation resets it).  Built lazily, like
-  // indexes_.
-  mutable std::unique_ptr<ColumnStore> columns_;
+  mutable std::vector<std::unique_ptr<WordIndex>> word_indexes_;
 };
 
 /// Set-algebra primitives, the semantics of the paper's operators.

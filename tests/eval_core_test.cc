@@ -161,8 +161,8 @@ TEST(BodyMatchTest, ArityMismatchMessageIdenticalOnBothJoinPaths) {
 
 // ----------------------------------------------------------------------
 // FireRuleFacts: the VM's word-level cursors against its row cursors.
-// Both must deliver the same fact set; the VM counters prove which
-// cursors actually ran (when the VM and column stores are enabled).
+// Both must add the same fact set; the VM counters prove which cursors
+// actually ran (when the VM and word cursors are enabled).
 
 BodyContext PlainContext(const Interpretation& interp,
                          const FunctionRegistry& fns, bool use_columnar) {
@@ -178,16 +178,12 @@ BodyContext PlainContext(const Interpretation& interp,
 }
 
 Result<ValueSet> CollectFacts(const PlannedRule& pr, const BodyContext& ctx,
-                              size_t* delivered = nullptr) {
+                              size_t* added = nullptr) {
   ValueSet facts;
-  size_t calls = 0;
-  Status st = FireRuleFacts(pr, ctx, [&](Value fact) -> Status {
-    ++calls;
-    facts.Insert(std::move(fact));
-    return Status::OK();
-  });
-  if (!st.ok()) return st;
-  if (delivered != nullptr) *delivered = calls;
+  Result<size_t> n = FireRuleFacts(pr, ctx, &facts);
+  if (!n.ok()) return n.status();
+  EXPECT_EQ(*n, facts.size());
+  if (added != nullptr) *added = *n;
   return facts;
 }
 
@@ -210,15 +206,15 @@ TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
   for (const PlannedRule& pr : *planned) {
     auto row = CollectFacts(pr, PlainContext(interp, fns, false));
     vm::ResetVmExecStats();
-    size_t delivered = 0;
-    auto word = CollectFacts(pr, PlainContext(interp, fns, true), &delivered);
+    size_t added = 0;
+    auto word = CollectFacts(pr, PlainContext(interp, fns, true), &added);
     ASSERT_TRUE(row.ok() && word.ok())
         << pr.rule.head.predicate << "\nrow:  " << row.status()
         << "\nword: " << word.status();
     EXPECT_EQ(*row, *word) << pr.rule.head.predicate;
     const vm::VmExecStats stats = vm::GetVmExecStats();
     EXPECT_GT(stats.word_opens, 0u) << pr.rule.head.predicate;
-    EXPECT_EQ(stats.vm_facts, delivered) << pr.rule.head.predicate;
+    EXPECT_EQ(stats.vm_facts, added) << pr.rule.head.predicate;
   }
 }
 
@@ -242,7 +238,9 @@ TEST(FireRuleFactsTest, NonFlatExtentFallsBackToRowPath) {
   EXPECT_GT(stats.row_opens, 0u);
 }
 
-TEST(FireRuleFactsTest, CallbackErrorAbortsVmEmission) {
+// An interrupt mid-firing stops the VM's word emission at once: `out`
+// keeps exactly the facts of the matches polled before the trip.
+TEST(FireRuleFactsTest, InterruptAbortsVmEmission) {
   auto program = ParseProgram("out(X, Y) :- e(X, Y).");
   auto planned = PlanProgram(*program, /*lower=*/true);
   ASSERT_TRUE(planned.ok());
@@ -251,22 +249,124 @@ TEST(FireRuleFactsTest, CallbackErrorAbortsVmEmission) {
     interp.AddFact("e", {Value::Int(i), Value::Int(i + 1)});
   }
   FunctionRegistry fns = FunctionRegistry::Default();
-  size_t calls = 0;
-  Status st = FireRuleFacts(planned->front(),
-                            PlainContext(interp, fns, true),
-                            [&](Value) -> Status {
-                              if (++calls == 3) return Status::Internal("stop");
-                              return Status::OK();
-                            });
-  EXPECT_TRUE(st.IsInternal());
-  EXPECT_EQ(calls, 3u);
+  FaultInjector injector;
+  injector.TripAt(3, Status::Internal("stop"));
+  ExecutionContext governed;
+  governed.set_fault_injector(&injector);
+  BodyContext ctx = PlainContext(interp, fns, true);
+  ctx.context = &governed;
+  vm::ResetVmExecStats();
+  ValueSet out;
+  Result<size_t> added = FireRuleFacts(planned->front(), ctx, &out);
+  EXPECT_TRUE(added.status().IsInternal()) << added.status();
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.word_arity(), 2u);
+  EXPECT_EQ(vm::GetVmExecStats().vm_facts, 2u);
+  for (const Value& fact : out) EXPECT_TRUE(interp.Holds("e", fact));
+}
+
+// `out` is a set across firings: a fact an earlier firing of the round
+// added is not added again, on any path, and each firing's count is
+// what it added.
+TEST(FireRuleFactsTest, DedupsAcrossFiringsAndCountsAdds) {
+  auto program = ParseProgram(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- f(X, Y).
+  )");
+  ASSERT_TRUE(program.ok());
+  auto planned = PlanProgram(*program, /*lower=*/true);
+  ASSERT_TRUE(planned.ok());
+  Interpretation interp;
+  for (int i = 0; i < 30; ++i) {
+    interp.AddFact("e", {Value::Int(i), Value::Int(i + 1)});
+    // f repeats every third e fact and adds ten of its own.
+    if (i % 3 == 0) interp.AddFact("f", {Value::Int(i), Value::Int(i + 1)});
+  }
+  for (int i = 0; i < 10; ++i) {
+    interp.AddFact("f", {Value::Int(100 + i), Value::Int(i)});
+  }
+  ValueSet known;
+  known.Insert(Value::Pair(Value::Int(100), Value::Int(0)));
+  FunctionRegistry fns = FunctionRegistry::Default();
+  for (bool bytecode : {false, true}) {
+    for (bool columnar : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "bytecode=" << bytecode
+                                      << " columnar=" << columnar);
+      ExecutionContext governed;
+      BodyContext ctx = PlainContext(interp, fns, columnar);
+      ctx.context = &governed;
+      ctx.use_bytecode = bytecode;
+      vm::ResetVmExecStats();
+      ValueSet out;
+      Result<size_t> first = FireRuleFacts((*planned)[0], ctx, &out, &known);
+      Result<size_t> second = FireRuleFacts((*planned)[1], ctx, &out, &known);
+      ASSERT_TRUE(first.ok() && second.ok());
+      EXPECT_EQ(*first, 30u);
+      EXPECT_EQ(*second, 9u);  // 10 of its own, one of them known
+      EXPECT_EQ(out.size(), 39u);
+      EXPECT_EQ(governed.total_charges(), 30u + 20u);
+      EXPECT_EQ(vm::GetVmExecStats().vm_facts, bytecode ? 39u : 0u);
+      // Firing again adds nothing and still polls every match.
+      Result<size_t> again = FireRuleFacts((*planned)[1], ctx, &out, &known);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(*again, 0u);
+      EXPECT_EQ(governed.total_charges(), 30u + 20u + 20u);
+    }
+  }
+}
+
+// A word table the VM filled with words reads, through every Value
+// interface, like one built from Values.
+TEST(FireRuleFactsTest, WordEmittedExtentReadsLikeOneBuiltFromValues) {
+  auto program = ParseProgram("tc(X, Z) :- e(X, Y), e(Y, Z).");
+  ASSERT_TRUE(program.ok());
+  auto planned = PlanProgram(*program, /*lower=*/true);
+  ASSERT_TRUE(planned.ok());
+  Interpretation interp;
+  for (int i = 0; i < 40; ++i) {
+    interp.AddFact("e", {Value::Int(i % 13), Value::Atom(i % 2 ? "wt_a" : "wt_b")});
+    interp.AddFact("e", {Value::Atom(i % 2 ? "wt_a" : "wt_b"), Value::Int(i % 7)});
+  }
+  FunctionRegistry fns = FunctionRegistry::Default();
+  ValueSet words;
+  Result<size_t> added = FireRuleFacts(planned->front(),
+                                       PlainContext(interp, fns, true), &words);
+  ASSERT_TRUE(added.ok()) << added.status();
+  ASSERT_GT(*added, 20u);
+  ASSERT_EQ(words.word_arity(), 2u);
+  EXPECT_EQ(words.materialized_rows(), 0u);  // no derived fact is a Value
+
+  // The oracle: the same join by nested loops, inserted as Values.
+  ValueSet values;
+  for (const Value& a : interp.Extent("e")) {
+    for (const Value& b : interp.Extent("e")) {
+      if (a.items()[1] == b.items()[0]) {
+        values.Insert(Value::Pair(a.items()[0], b.items()[1]));
+      }
+    }
+  }
+  EXPECT_EQ(words.size(), values.size());
+  EXPECT_TRUE(words == values);
+  EXPECT_TRUE(values == words);
+  EXPECT_EQ(words.approx_bytes(), values.approx_bytes());
+  EXPECT_EQ(words.Sorted(), values.Sorted());
+  EXPECT_EQ(words.ToString(), values.ToString());
+  EXPECT_EQ(words.ToValue(), values.ToValue());
+  for (const Value& fact : values) {
+    EXPECT_TRUE(words.Contains(fact)) << fact;
+    EXPECT_EQ(words.Probe({1}, Value::Tuple({fact.items()[1]})).size(),
+              values.Probe({1}, Value::Tuple({fact.items()[1]})).size());
+  }
+  EXPECT_FALSE(words.Contains(Value::Pair(Value::Int(99), Value::Int(99))));
+  ValueSet iterated;
+  for (const Value& fact : words) iterated.Insert(fact);
+  EXPECT_EQ(iterated, values);
+  EXPECT_EQ(words.materialized_rows(), words.size());
 }
 
 // The `known` filter of FireRuleFacts, on a flat recursive rule: no
-// fact in `known` is delivered on any path, yet every raw body match
-// still polls.  The VM (word path with and without the column index)
-// delivers each unknown head projection once; the enumerator delivers
-// one fact per unknown match.
+// fact in `known` is added on any path, yet every raw body match still
+// polls.
 TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
   auto program = ParseProgram("tc(X, Z) :- e(X, Y), tc(Y, Z).");
   ASSERT_TRUE(program.ok());
@@ -305,6 +405,7 @@ TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
   for (const Value& head : matched_heads) {
     if (unknown.Contains(head)) ++unknown_matches;
   }
+  ASSERT_GT(unknown_matches, unknown.size());  // unknown facts repeat too
 
   FunctionRegistry fns = FunctionRegistry::Default();
   for (bool bytecode : {false, true}) {
@@ -315,23 +416,20 @@ TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
       BodyContext ctx = PlainContext(interp, fns, columnar);
       ctx.context = &governed;
       ctx.use_bytecode = bytecode;
-      std::vector<Value> delivered;
-      Status st = FireRuleFacts(
-          planned->front(), ctx,
-          [&](Value fact) -> Status {
-            delivered.push_back(std::move(fact));
-            return Status::OK();
-          },
-          &known);
-      ASSERT_TRUE(st.ok()) << st;
+      vm::ResetVmExecStats();
+      ValueSet out;
+      Result<size_t> added = FireRuleFacts(planned->front(), ctx, &out, &known);
+      ASSERT_TRUE(added.ok()) << added.status();
       EXPECT_EQ(governed.total_charges(), raw_matches);
-      ValueSet delivered_set;
-      for (const Value& fact : delivered) delivered_set.Insert(fact);
-      EXPECT_EQ(delivered_set, unknown);
-      // The VM dedups within the firing; the enumerator does not.
-      EXPECT_EQ(delivered.size(), bytecode ? unknown.size() : unknown_matches);
-      // Only the columnar VM reads `known` through a column store.
-      EXPECT_EQ(known.columnar_built(), bytecode && columnar);
+      EXPECT_EQ(out, unknown);
+      EXPECT_EQ(*added, unknown.size());
+      // Each path adds each unknown projection once, whichever of its
+      // matches comes first.
+      EXPECT_EQ(vm::GetVmExecStats().vm_facts, bytecode ? unknown.size() : 0u);
+      // Only the columnar VM emits on words; the other paths insert the
+      // tuple Values they build.
+      EXPECT_EQ(out.materialized_rows(),
+                bytecode && columnar ? 0u : unknown.size());
     }
   }
 }

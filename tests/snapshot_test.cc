@@ -229,10 +229,9 @@ AWR_TEST_BOTH_REPRS(SnapshotFormatTest, SerializationIsDeterministic) {
 AWR_TEST_BOTH_REPRS(SnapshotFormatTest,
                     ColumnarAndRowStorageSerializeIdentically) {
   // The same model evaluated with and without the VM's word-level
-  // cursors — and serialized with and without the column stores
-  // materialized — must produce the exact same snapshot bytes: the
-  // encoder goes through the canonical Sorted() order, and the columnar
-  // permutation sort is byte-equivalent to the row sort.
+  // cursors and word emission must produce the exact same snapshot
+  // bytes: the encoder goes through the canonical Sorted() order, which
+  // a word table computes by sorting its rows on their words.
   Program tc = TcProgram();
   Database edges = ChainEdges(30);
   EvalOptions row_opts;
@@ -252,11 +251,12 @@ AWR_TEST_BOTH_REPRS(SnapshotFormatTest,
   EvalSnapshot col;
   col.engine = EngineKind::kLeastModel;
   col.inner.interp = *col_model;
-  // Force the columnar view (and a probe index) on every serialized
-  // extent, so encoding exercises the columnar Sorted fast path.
+  // The columnar model's derived facts are words only, so encoding
+  // sorts them from the word table and builds their Values there; a
+  // word index on every serialized extent must not change the bytes.
   for (const auto& [pred, extent] : col.inner.interp) {
-    extent.BuildColumns();
-    extent.ColumnIndex({0});
+    ASSERT_EQ(extent.word_arity(), 2u) << pred;
+    extent.WordIndexOn({0});
   }
 
   auto row_bytes = snapshot::Serialize(row);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -282,14 +283,17 @@ TEST(ValueTest, InternerStatsCountTraffic) {
   EXPECT_LE(after.HitRate(), 1.0);
 }
 
-TEST(ValueSetTest, InsertContainsErase) {
+TEST(ValueSetTest, InsertContains) {
   ValueSet s;
+  EXPECT_TRUE(s.empty());
   EXPECT_TRUE(s.Insert(Value::Int(1)));
   EXPECT_FALSE(s.Insert(Value::Int(1)));
   EXPECT_TRUE(s.Contains(Value::Int(1)));
-  EXPECT_TRUE(s.Erase(Value::Int(1)));
-  EXPECT_FALSE(s.Erase(Value::Int(1)));
+  EXPECT_FALSE(s.Contains(Value::Int(2)));
+  EXPECT_EQ(s.size(), 1u);
+  s.Clear();
   EXPECT_TRUE(s.empty());
+  EXPECT_FALSE(s.Contains(Value::Int(1)));
 }
 
 TEST(ValueSetTest, SetAlgebra) {
@@ -367,113 +371,242 @@ ValueSet FlatPairs(int n) {
 
 TEST(ValueSetColumnarTest, EligibilityTracksShapeHistogram) {
   ValueSet s;
-  EXPECT_FALSE(s.columnar_eligible());  // empty: nothing to lay out
+  EXPECT_EQ(s.word_arity(), 0u);  // empty: no layout chosen yet
   s.Insert(Value::Pair(Value::Int(1), Value::Int(2)));
-  EXPECT_TRUE(s.columnar_eligible());  // uniform flat pairs
+  EXPECT_EQ(s.word_arity(), 2u);  // uniform flat pairs
+  EXPECT_TRUE(s.UniformTupleArity(2));
   s.Insert(Value::Tuple({Value::Int(1), Value::Int(2), Value::Int(3)}));
-  EXPECT_FALSE(s.columnar_eligible());  // mixed arity
+  EXPECT_EQ(s.word_arity(), 0u);  // mixed arity
+  EXPECT_FALSE(s.UniformTupleArity(2));
   ValueSet scalars{Value::Int(1)};
-  EXPECT_FALSE(scalars.columnar_eligible());  // non-tuple member
+  EXPECT_EQ(scalars.word_arity(), 0u);  // non-tuple member
   ValueSet nested{Value::Pair(Value::Int(1),
                               Value::Tuple({Value::Int(2), Value::Int(3)}))};
-  EXPECT_FALSE(nested.columnar_eligible());  // non-inline argument
+  EXPECT_EQ(nested.word_arity(), 0u);  // non-inline argument
+  EXPECT_TRUE(nested.UniformTupleArity(2));
+  ValueSet nullary{Value::Tuple({})};
+  EXPECT_EQ(nullary.word_arity(), 0u);  // no component to lay out
+  std::vector<Value> long_parts(ValueSet::kMaxFlatArity + 1, Value::Int(0));
+  ValueSet wide{Value::Tuple(long_parts)};
+  EXPECT_EQ(wide.word_arity(), 0u);  // longer than a table row
+  long_parts.pop_back();
+  ValueSet widest{Value::Tuple(long_parts)};
+  EXPECT_EQ(widest.word_arity(), ValueSet::kMaxFlatArity);
 }
 
+// A word table and a row-layout set compare by their facts, whichever
+// side holds which layout.
 TEST(ValueSetColumnarTest, ColumnarAndRowSetsCompareEqual) {
-  ValueSet columnar = FlatPairs(20);
-  ValueSet row = FlatPairs(20);
-  ASSERT_TRUE(columnar.BuildColumns());
-  EXPECT_EQ(columnar, row);
-  EXPECT_EQ(row, columnar);
-  EXPECT_TRUE(columnar.IsSubsetOf(row) && row.IsSubsetOf(columnar));
-  // Building the view never changes the set's size or membership.
-  EXPECT_EQ(columnar.size(), 20u);
-  EXPECT_TRUE(columnar.Contains(Value::Pair(Value::Int(7), Value::Int(8))));
+  ValueSet words = FlatPairs(20);
+  ValueSet rows = FlatPairs(20);
+  rows.Insert(Value::Int(7));
+  ASSERT_EQ(words.word_arity(), 2u);
+  ASSERT_EQ(rows.word_arity(), 0u);
+  EXPECT_NE(words, rows);
+  EXPECT_NE(rows, words);
+  EXPECT_TRUE(words.IsSubsetOf(rows));
+  EXPECT_FALSE(rows.IsSubsetOf(words));
+  words.Insert(Value::Int(7));  // demotes: now both are row sets
+  EXPECT_EQ(words, rows);
+  EXPECT_EQ(words.size(), 21u);
+  EXPECT_TRUE(words.Contains(Value::Pair(Value::Int(7), Value::Int(8))));
+  // Word tables of different arity never share a fact.
+  ValueSet triples{Value::Tuple({Value::Int(0), Value::Int(1), Value::Int(2)})};
+  EXPECT_FALSE(triples.IsSubsetOf(FlatPairs(3)));
+  EXPECT_FALSE(FlatPairs(1).Contains(
+      Value::Tuple({Value::Int(0), Value::Int(1), Value::Int(2)})));
 }
 
+// A word table iterates in insertion order, and neither building its
+// indexes nor materializing its Value view moves that order.
 TEST(ValueSetColumnarTest, IterationOrderUnchangedByBuild) {
-  ValueSet s = FlatPairs(50);
-  std::vector<Value> before(s.begin(), s.end());
-  s.BuildColumns();
-  std::vector<Value> after(s.begin(), s.end());
-  EXPECT_EQ(before, after);
-  // Sorted() must also agree byte-for-byte with the row sort — the
-  // columnar path sorts a permutation over the word columns.
-  ValueSet plain = FlatPairs(50);
-  EXPECT_EQ(s.Sorted(), plain.Sorted());
+  std::vector<Value> inserted;
+  ValueSet s;
+  for (int i = 0; i < 50; ++i) {
+    inserted.push_back(Value::Pair(Value::Int((i * 37) % 50), Value::Int(i)));
+    s.Insert(inserted.back());
+  }
+  EXPECT_EQ(std::vector<Value>(s.begin(), s.end()), inserted);
+  ASSERT_NE(s.WordIndexOn({1}), nullptr);
+  s.Probe({0}, Value::Tuple({Value::Int(3)}));
+  EXPECT_EQ(std::vector<Value>(s.begin(), s.end()), inserted);
+  // Sorted() sorts rows on their words; it must agree with the Value
+  // sort of the same facts.
+  std::vector<Value> expected = inserted;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(s.Sorted(), expected);
 }
 
+// The word table grows by appending; a fact it cannot hold demotes the
+// extent to rows for good.
 TEST(ValueSetColumnarTest, PromotionAndDemotionOnMutation) {
   ValueSet s = FlatPairs(10);
-  ASSERT_TRUE(s.BuildColumns());
-  EXPECT_TRUE(s.columnar_built());
-  EXPECT_GT(s.column_bytes(), 0u);
+  ASSERT_EQ(s.word_arity(), 2u);
+  const ValueSet::WordIndex* index = s.WordIndexOn({0});
+  ASSERT_NE(index, nullptr);
+  EXPECT_GT(s.word_table_bytes(), 0u);
 
-  // Flat inserts append to the live columns.
+  // Flat inserts append to the table and its live index.
   s.Insert(Value::Pair(Value::Int(100), Value::Int(101)));
-  EXPECT_TRUE(s.columnar_built());
-  EXPECT_EQ(s.columns()->row_count(), 11u);
+  EXPECT_EQ(s.word_arity(), 2u);
+  EXPECT_EQ(s.size(), 11u);
+  EXPECT_EQ(s.WordIndexOn({0}), index);
+  EXPECT_EQ(index->next.size(), 11u);
 
-  // A non-flat insert demotes the extent back to row storage.
+  // A non-flat insert demotes the extent to row storage.
+  const std::vector<Value> probed = s.Probe({1}, Value::Tuple({Value::Int(5)}));
   s.Insert(Value::Int(7));
-  EXPECT_FALSE(s.columnar_built());
-  EXPECT_EQ(s.column_bytes(), 0u);
-  EXPECT_FALSE(s.columnar_eligible());
+  EXPECT_EQ(s.word_arity(), 0u);
+  EXPECT_EQ(s.word_table_bytes(), 0u);
+  EXPECT_EQ(s.WordIndexOn({0}), nullptr);
+  EXPECT_EQ(s.size(), 12u);
+  EXPECT_EQ(s.materialized_rows(), 12u);
+  // The Value-level indexes survive the move.
+  EXPECT_EQ(s.Probe({1}, Value::Tuple({Value::Int(5)})), probed);
 
-  // Removing the offender restores eligibility; a fresh build works.
-  s.Erase(Value::Int(7));
-  EXPECT_TRUE(s.columnar_eligible());
-  ASSERT_TRUE(s.BuildColumns());
-  EXPECT_EQ(s.columns()->row_count(), 11u);
-
-  // Erase always resets the derived view (rows are append-only).
-  s.Erase(Value::Pair(Value::Int(0), Value::Int(1)));
-  EXPECT_FALSE(s.columnar_built());
+  // Demotion is one way: flat facts now go to the rows.
+  s.Insert(Value::Pair(Value::Int(200), Value::Int(201)));
+  EXPECT_EQ(s.word_arity(), 0u);
+  EXPECT_TRUE(s.Contains(Value::Pair(Value::Int(200), Value::Int(201))));
+  EXPECT_TRUE(s.Contains(Value::Pair(Value::Int(0), Value::Int(1))));
+  // Clear starts over.
+  s.Clear();
+  s.Insert(Value::Pair(Value::Int(1), Value::Int(2)));
+  EXPECT_EQ(s.word_arity(), 2u);
 }
 
 TEST(ValueSetColumnarTest, ColumnIndexProbesMatchRowLookups) {
   ValueSet s = FlatPairs(64);
-  const ValueSet::ColumnStore* store = s.columns();
-  ASSERT_NE(store, nullptr);
-  const ValueSet::ColumnStore::Index* index = s.ColumnIndex({0});
+  const ValueSet::WordIndex* index = s.WordIndexOn({0});
   ASSERT_NE(index, nullptr);
-  EXPECT_EQ(s.ColumnIndex({0}), index);  // built once, then reused
+  EXPECT_EQ(s.WordIndexOn({0}), index);  // built once, then reused
+  const uintptr_t* words = s.words();
   // Every key present: exactly one chain hit whose row decodes back to
-  // the original tuple.
+  // the original tuple, the one Probe finds.
   for (int i = 0; i < 64; ++i) {
     const uintptr_t key = Value::Int(i).inline_bits();
-    const size_t h = ValueSet::ColumnStore::HashWords(&key, 1);
+    const size_t h = ValueSet::HashWords(&key, 1);
     size_t hits = 0;
     for (int32_t row = index->heads[h & index->mask]; row >= 0;
          row = index->next[row]) {
-      if (store->cols[0][row] == key) {
+      if (words[row * 2] == key) {
         ++hits;
-        EXPECT_EQ(store->rows[row],
-                  Value::Pair(Value::Int(i), Value::Int(i + 1)));
+        const Value fact = Value::Pair(Value::FromInlineBits(words[row * 2]),
+                                       Value::FromInlineBits(words[row * 2 + 1]));
+        EXPECT_EQ(fact, Value::Pair(Value::Int(i), Value::Int(i + 1)));
+        EXPECT_EQ(s.Probe({0}, Value::Tuple({Value::Int(i)})),
+                  std::vector<Value>{fact});
       }
     }
     EXPECT_EQ(hits, 1u) << "key " << i;
   }
   // Absent keys find no chain entry with a matching word.
   const uintptr_t missing = Value::Int(999).inline_bits();
-  const size_t h = ValueSet::ColumnStore::HashWords(&missing, 1);
+  const size_t h = ValueSet::HashWords(&missing, 1);
   for (int32_t row = index->heads[h & index->mask]; row >= 0;
        row = index->next[row]) {
-    EXPECT_NE(store->cols[0][row], missing);
+    EXPECT_NE(words[row * 2], missing);
   }
+  EXPECT_TRUE(s.Probe({0}, Value::Tuple({Value::Int(999)})).empty());
 }
 
-TEST(ValueSetColumnarTest, CopyDropsDerivedColumnsButKeepsContents) {
+// A copy carries the facts — the word table, its dedup index and the
+// Value view — but none of the derived indexes.
+TEST(ValueSetColumnarTest, CopyCarriesWordsButNotDerivedIndexes) {
   ValueSet s = FlatPairs(12);
-  ASSERT_TRUE(s.BuildColumns());
+  uintptr_t row[2] = {Value::Int(50).inline_bits(),
+                      Value::Int(51).inline_bits()};
+  ASSERT_TRUE(s.InsertWords(row, 2, ValueSet::HashWords(row, 2)));
+  ASSERT_NE(s.WordIndexOn({0}), nullptr);
+  s.Probe({0}, Value::Tuple({Value::Int(1)}));
+  ASSERT_EQ(s.index_count(), 1u);
+  const size_t table_bytes = s.word_table_bytes();
+
   ValueSet copied(s);
-  EXPECT_FALSE(copied.columnar_built());  // derived cache is not copied
   EXPECT_EQ(copied, s);
-  EXPECT_TRUE(copied.columnar_eligible());
+  EXPECT_EQ(copied.word_arity(), 2u);
+  EXPECT_EQ(copied.index_count(), 0u);
+  EXPECT_LT(copied.word_table_bytes(), table_bytes);  // no word index
+  EXPECT_EQ(copied.materialized_rows(), s.materialized_rows());
+  EXPECT_FALSE(copied.InsertWords(row, 2, ValueSet::HashWords(row, 2)));
+  EXPECT_EQ(std::vector<Value>(copied.begin(), copied.end()),
+            std::vector<Value>(s.begin(), s.end()));
   ValueSet assigned;
   assigned = s;
-  EXPECT_FALSE(assigned.columnar_built());
+  EXPECT_EQ(assigned.index_count(), 0u);
   EXPECT_EQ(assigned, s);
+  // A move keeps everything and leaves the source empty and usable.
+  ValueSet moved(std::move(assigned));
+  EXPECT_EQ(moved, s);
+  EXPECT_TRUE(assigned.empty());
+  EXPECT_EQ(assigned.word_arity(), 0u);
+  assigned.Insert(Value::Int(1));
+  EXPECT_EQ(assigned.size(), 1u);
+}
+
+// ----------------------------------------------------------------------
+// The word table's contract.
+
+// approx_bytes is the per-fact ApproxBytes() + slot sum whichever way a
+// fact arrives: as a Value, as words, merged from another table, or
+// moved to the rows by demotion.
+TEST(ValueSetWordTableTest, ApproxBytesIsThePerFactSum) {
+  const Value pair = Value::Pair(Value::Int(1), Value::Atom("wt_bytes"));
+  ASSERT_EQ(Value::FlatTupleApproxBytes(2), pair.ApproxBytes());
+  ASSERT_EQ(Value::FlatTupleApproxBytes(5),
+            Value::Tuple(std::vector<Value>(5, Value::Int(-3))).ApproxBytes());
+  ValueSet values;
+  ValueSet words;
+  ValueSet row_layout{Value::Int(0)};
+  size_t expected = 0;
+  for (int i = 0; i < 40; ++i) {
+    const Value fact = Value::Pair(Value::Int(i), Value::Int(-i));
+    const uintptr_t row[2] = {fact.items()[0].inline_bits(),
+                              fact.items()[1].inline_bits()};
+    values.Insert(fact);
+    words.InsertWords(row, 2, ValueSet::HashWords(row, 2));
+    words.InsertWords(row, 2, ValueSet::HashWords(row, 2));  // duplicate
+    row_layout.Insert(fact);
+    expected += fact.ApproxBytes() + 4 * sizeof(void*);
+  }
+  EXPECT_EQ(values.approx_bytes(), expected);
+  EXPECT_EQ(words.approx_bytes(), expected);
+  const size_t scalar = Value::Int(0).ApproxBytes() + 4 * sizeof(void*);
+  EXPECT_EQ(row_layout.approx_bytes(), expected + scalar);
+  ValueSet merged;
+  merged.InsertAll(words);
+  merged.InsertAll(values);
+  EXPECT_EQ(merged.approx_bytes(), expected);
+  words.Insert(Value::Int(0));  // demotion keeps every fact's charge
+  EXPECT_EQ(words.word_arity(), 0u);
+  EXPECT_EQ(words.approx_bytes(), expected + scalar);
+  EXPECT_EQ(words, row_layout);
+}
+
+// Rows appended as words hold no Value until something reads one; a
+// Value passed to Insert is kept as its row's view.
+TEST(ValueSetWordTableTest, ValueViewIsMaterializedOnDemand) {
+  ValueSet s;
+  const Value kept = Value::Pair(Value::Int(1), Value::Int(2));
+  s.Insert(kept);
+  for (int i = 10; i < 20; ++i) {
+    const uintptr_t row[2] = {Value::Int(i).inline_bits(),
+                              Value::Int(i).inline_bits()};
+    s.InsertWords(row, 2, ValueSet::HashWords(row, 2));
+  }
+  EXPECT_EQ(s.size(), 11u);
+  EXPECT_EQ(s.materialized_rows(), 1u);
+  // Word-level reads build no Value.
+  EXPECT_TRUE(s.Contains(Value::Pair(Value::Int(15), Value::Int(15))));
+  EXPECT_EQ(s.ToString().substr(0, 17), "{<1, 2>, <10, 10>");
+  EXPECT_EQ(s.Sorted().size(), 11u);
+  EXPECT_EQ(s.materialized_rows(), 1u);
+  // Iteration materializes the view; the inserted Value is the one kept.
+  EXPECT_EQ(s.begin()->identity(), kept.identity());
+  EXPECT_EQ(s.materialized_rows(), 11u);
+  size_t n = 0;
+  for (const Value& fact : s) n += fact.is_tuple() ? 1 : 0;
+  EXPECT_EQ(n, 11u);
 }
 
 // ----------------------------------------------------------------------
@@ -492,10 +625,12 @@ TEST(ValueRenderTest, FlatExtentRendersLikeItsSetValue) {
     }
   }
   const std::string expected = extent.ToValue().ToString();
-  ASSERT_FALSE(extent.columnar_built());
-  EXPECT_EQ(extent.ToString(), expected);  // row sort
-  ASSERT_TRUE(extent.BuildColumns());
-  EXPECT_EQ(extent.ToString(), expected);  // column sort
+  ASSERT_EQ(extent.word_arity(), 3u);
+  EXPECT_EQ(extent.ToString(), expected);  // rendered from the words
+  ValueSet rows = extent;
+  rows.Insert(Value::Int(0));  // demoted: the Value sort renders it
+  ASSERT_EQ(rows.word_arity(), 0u);
+  EXPECT_EQ(rows.ToString(), "{0, " + expected.substr(1));
 }
 
 TEST(ValueRenderTest, MixedExtentRendersLikeItsSetValue) {
@@ -519,7 +654,7 @@ TEST(ValueRenderTest, MixedExtentRendersLikeItsSetValue) {
       extent.Insert(a);
       for (const Value& b : parts) extent.Insert(Value::Pair(a, b));
     }
-    EXPECT_FALSE(extent.BuildColumns());  // not flat: rows only
+    EXPECT_EQ(extent.word_arity(), 0u);  // not flat: rows only
     EXPECT_EQ(extent.ToString(), extent.ToValue().ToString());
   }
   EXPECT_EQ(ValueSet().ToString(), "{}");
