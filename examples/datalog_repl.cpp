@@ -187,8 +187,8 @@ void ShowStats(const datalog::Interpretation& last_model) {
             << vm.ops_dispatched << " ops, " << vm.word_opens << " word / "
             << vm.row_opens << " row loop opens, " << vm.vm_facts
             << " facts added\n";
-  std::cout << "lowering:       " << vm.programs_lowered << " rule(s) lowered, "
-            << vm.lower_failures << " declined\n";
+  std::cout << "lowering:       " << vm.programs_lowered
+            << " rule(s) lowered\n";
   for (const auto& [pred, extent] : last_model) {
     std::cout << "  " << pred << ": " << extent.size() << " fact(s), ";
     if (extent.word_arity() != 0) {

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build, then the test suite once.  No
 # environment variable selects an evaluation path: each reference path
-# (scan joins, row cursors, the tree-walking interpreter, the legacy
-# per-instance value representation) is checked against production per
-# call, by the differential suites and by the checks that rerun under
-# every reference in-process (tests/reference_configs.h: the
-# crash-point sweep, the golden snapshots, the snapshot corruption fuzz,
-# the term and rewrite tests).
+# (scan joins, the legacy per-instance value representation) is checked
+# against production per call, by the differential suites and by the
+# checks that rerun under every reference in-process
+# (tests/reference_configs.h: the crash-point sweep, the golden
+# snapshots, the snapshot corruption fuzz, the term and rewrite tests),
+# and every engine is checked against the naive reference evaluator
+# (tests/reference_eval.h, ReferenceEvaluatorDifferential).
 # Then the interruption tests again under AddressSanitizer/UBSan
 # (injected-fault unwinding is checked for leaks and UB) and the
 # concurrency suite under ThreadSanitizer (concurrent evaluations
@@ -89,12 +90,18 @@ cmake --build build-asan -j"$(nproc)" \
   -R 'Snapshot|ValueCodec')
 (cd build-asan && AWR_CRASH_SWEEP_STRIDE=7 \
   ctest --output-on-failure --no-tests=error -R CrashPointRecovery)
-# Word tables + VM word cursors under ASan/UBSan (columnar is on by
-# default): the word table's dedup index, its lazily materialized Value
-# view, demotion to rows, and the word-level scan/probe/emit loops are
-# pointer-heavy by design.
+# Word tables + VM word cursors under ASan/UBSan: the word table's
+# dedup index, its lazily materialized Value view, demotion to rows,
+# and the word-level scan/probe/emit loops are pointer-heavy by design.
+# The seed sweeps kept under the ColumnarVsRow name run the reference
+# check on the scan path, where keyed steps open row cursors.
 (cd build-asan && ctest --output-on-failure --no-tests=error \
   -R 'Columnar|WordTable')
+# Every engine against the naive reference evaluator under ASan/UBSan:
+# production word cursors, word emission and grounding's per-match head
+# callback on 400 random programs.
+(cd build-asan && ctest --output-on-failure --no-tests=error \
+  -R 'ReferenceEvaluatorDifferential')
 # Service + thinned chaos under ASan/UBSan: socket lifecycle, executor
 # unwinding and the durable store under injected faults.
 (cd build-asan && AWR_CHAOS_TRACES=12 \
@@ -112,7 +119,7 @@ cmake --build build-asan -j"$(nproc)" \
 # boundary before the bounds-check-free dispatch loop — rejects every
 # malformed mutation of a lowered program, and the execution suites
 # drive the loop over handcrafted programs under both join paths and
-# both cursor kinds.
+# both cursor kinds, a 301-atom rule and grounding.
 (cd build-asan && ctest --output-on-failure --no-tests=error -R 'Vm')
 # The algebra evaluator under ASan/UBSan: the hash equi-join indexes
 # one side by pointers into its set and probes with the other, and a

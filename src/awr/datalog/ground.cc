@@ -44,15 +44,34 @@ std::string GroundProgram::ToString() const {
   return os.str();
 }
 
+namespace {
+
+/// The rule grounding fires for `rule`: the same body, and a head that
+/// lists the whole instance — the head's arguments, then every body
+/// atom's, in body order.
+Rule InstanceRule(const Rule& rule) {
+  Rule instance = rule;
+  for (const Literal& lit : rule.body) {
+    if (!lit.is_atom()) continue;  // comparisons hold by matching
+    instance.head.args.insert(instance.head.args.end(), lit.atom.args.begin(),
+                              lit.atom.args.end());
+  }
+  return instance;
+}
+
+}  // namespace
+
 Result<GroundProgram> GroundProgramFor(const Program& program,
                                        const Database& edb,
                                        const EvalOptions& opts) {
   AWR_ASSIGN_OR_RETURN(ThreeValuedInterp wfs,
                        EvalWellFounded(program, edb, opts));
-  // Grounding enumerates whole bindings with ForEachBodyMatch, which the
-  // VM does not deliver, so nothing is lowered.
+  Program instances;
+  for (const Rule& rule : program.rules) {
+    instances.rules.push_back(InstanceRule(rule));
+  }
   AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> planned,
-                       PlanProgram(program, /*lower=*/false));
+                       PlanProgram(instances));
 
   GroundProgram ground;
   for (const auto& [pred, extent] : edb) {
@@ -63,34 +82,36 @@ Result<GroundProgram> GroundProgramFor(const Program& program,
 
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
-  for (const PlannedRule& pr : planned) {
-    BodyContext body_ctx{
-        &opts.functions,
-        // Positive atoms range over everything possibly true.
-        [&wfs](const std::string& pred, size_t) -> const ValueSet& {
-          return wfs.possible.Extent(pred);
-        },
-        // Keep an instance unless its negative literal certainly fails.
-        [&wfs](const std::string& pred, const Value& fact) {
-          return !wfs.certain.Holds(pred, fact);
-        },
-        ctx, opts.use_join_index};
-    AWR_RETURN_IF_ERROR(ForEachBodyMatch(
-        pr.rule, pr.plan, body_ctx, [&](const Env& env) -> Status {
+  BodyContext body_ctx{
+      &opts.functions,
+      // Positive atoms range over everything possibly true.
+      [&wfs](const std::string& pred, size_t) -> const ValueSet& {
+        return wfs.possible.Extent(pred);
+      },
+      // Keep an instance unless its negative literal certainly fails.
+      [&wfs](const std::string& pred, const Value& fact) {
+        return !wfs.certain.Holds(pred, fact);
+      },
+      ctx, opts.use_join_index};
+  for (size_t r = 0; r < planned.size(); ++r) {
+    const Rule& rule = program.rules[r];
+    AWR_RETURN_IF_ERROR(ForEachRuleHead(
+        planned[r], body_ctx, [&](Value instance_args) -> Status {
           AWR_RETURN_IF_ERROR(ctx->ChargeFacts(1, "grounding"));
+          const auto items = instance_args.items();
+          size_t next = 0;
+          auto take = [&](size_t n) {
+            Value args = Value::Tuple(std::vector<Value>(
+                items.begin() + next, items.begin() + next + n));
+            next += n;
+            return args;
+          };
           GroundRule instance;
-          AWR_ASSIGN_OR_RETURN(Value head,
-                               EvalHead(pr.rule, env, opts.functions));
-          instance.head = GroundAtom{pr.rule.head.predicate, std::move(head)};
-          for (const Literal& lit : pr.rule.body) {
-            if (!lit.is_atom()) continue;  // comparisons hold by matching
-            std::vector<Value> args;
-            args.reserve(lit.atom.args.size());
-            for (const TermExpr& t : lit.atom.args) {
-              AWR_ASSIGN_OR_RETURN(Value v, EvalTerm(t, env, opts.functions));
-              args.push_back(std::move(v));
-            }
-            GroundAtom atom{lit.atom.predicate, Value::Tuple(std::move(args))};
+          instance.head = GroundAtom{rule.head.predicate,
+                                     take(rule.head.args.size())};
+          for (const Literal& lit : rule.body) {
+            if (!lit.is_atom()) continue;
+            GroundAtom atom{lit.atom.predicate, take(lit.atom.arity())};
             if (lit.positive) {
               instance.pos.push_back(std::move(atom));
             } else if (wfs.possible.Holds(atom.predicate, atom.args)) {

@@ -8,7 +8,7 @@ Result<Interpretation> EvalInflationaryImpl(
     const Program& program, const Database& edb, const EvalOptions& opts,
     size_t* rounds_out, const snapshot::EvalSnapshot* resume) {
   AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> rules,
-                       PlanProgram(program, opts.use_bytecode));
+                       PlanProgram(program));
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
 
@@ -67,8 +67,6 @@ Result<Interpretation> EvalInflationaryImpl(
           return !interp.Holds(pred, fact);
         },
         ctx, opts.use_join_index};
-    body_ctx.use_columnar = opts.use_columnar;
-    body_ctx.use_bytecode = opts.use_bytecode;
     Interpretation delta;
     size_t added = 0;
     for (const PlannedRule& pr : rules) {

@@ -80,8 +80,6 @@ Result<Interpretation> LeastModelWithFrozenNegation(
             return interp.Extent(pred);
           },
           neg_holds, ctx, opts.use_join_index};
-      body_ctx.use_columnar = opts.use_columnar;
-      body_ctx.use_bytecode = opts.use_bytecode;
       size_t added = 0;
       for (const PlannedRule& pr : rules) {
         auto n = FireRuleInto(pr, body_ctx, interp, &delta);
@@ -129,8 +127,6 @@ Result<Interpretation> LeastModelWithFrozenNegation(
           return interp.Extent(pred);
         },
         neg_holds, ctx, opts.use_join_index};
-    body_ctx.use_columnar = opts.use_columnar;
-    body_ctx.use_bytecode = opts.use_bytecode;
     size_t added = 0;
     for (const PlannedRule& pr : rules) {
       auto n = FireRuleInto(pr, body_ctx, interp, &delta);
@@ -171,8 +167,6 @@ Result<Interpretation> LeastModelWithFrozenNegation(
                                        : interp.Extent(pred);
             },
             neg_holds, ctx, opts.use_join_index};
-        body_ctx.use_columnar = opts.use_columnar;
-        body_ctx.use_bytecode = opts.use_bytecode;
         auto n = FireRuleInto(pr, body_ctx, interp, &next_delta);
         if (!n.ok()) return bar.Interrupted(n.status());
         added += *n;
@@ -198,7 +192,7 @@ Result<Interpretation> EvalMinimalModelImpl(
         "EvalInflationary or EvalWellFounded for programs with negation");
   }
   AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> rules,
-                       PlanProgram(program, opts.use_bytecode));
+                       PlanProgram(program));
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;
   Interpretation empty;

@@ -21,24 +21,12 @@ struct EvalOptions {
   /// computations; naive iteration otherwise.  Both compute the same
   /// model — the flag exists for benchmarking (bench_tc_scaling).
   bool seminaive = true;
-  /// Probe per-predicate hash indexes (ValueSet::Probe) for positive
-  /// atoms with bound argument positions instead of scanning the full
-  /// extent.  Both paths compute the same model with identical
-  /// governance charge points; the scan path (false) is the
+  /// Probe per-predicate indexes (word indexes, or ValueSet::Probe)
+  /// for positive atoms with bound argument positions instead of
+  /// scanning the full extent.  Both paths compute the same model with
+  /// identical governance charge points; the scan path (false) is the
   /// differential-test oracle.
   bool use_join_index = true;
-  /// Let the VM open word-level cursors (DESIGN.md §12) over flat
-  /// scalar relations; row cursors handle everything else and remain
-  /// the differential-test oracle.  Models, charge counts and interrupt
-  /// statuses are identical either way.  False also keeps the VM from
-  /// building or probing column stores for its known-fact filter, so
-  /// the oracle runs on rows only.
-  bool use_columnar = true;
-  /// Execute rules through compiled bytecode programs (DESIGN.md §14)
-  /// instead of the tree-walking enumerator; the interpreter remains
-  /// the differential-test oracle.  Models, charge counts and interrupt
-  /// statuses are identical either way.
-  bool use_bytecode = true;
   /// Optional resource governance (borrowed, may outlive the call but
   /// not vice versa).  When set, the evaluator charges this context —
   /// deadline, cancellation, fault injection and memory accounting all

@@ -14,7 +14,7 @@ Result<Interpretation> EvalStratifiedImpl(
     const snapshot::EvalSnapshot* resume) {
   AWR_ASSIGN_OR_RETURN(auto strata, Stratify(program));
   AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> planned,
-                       PlanProgram(program, opts.use_bytecode));
+                       PlanProgram(program));
 
   std::unordered_map<std::string, size_t> stratum_of;
   for (size_t s = 0; s < strata.size(); ++s) {

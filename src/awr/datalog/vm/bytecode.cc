@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "awr/datalog/vm/bytecode.h"
 
@@ -21,7 +23,6 @@ Status VerifyTermRef(const CompiledRule& cr, uint32_t idx,
 Status VerifyCompiledRule(const CompiledRule& cr) {
   if (cr.code.empty()) return Bad("empty code");
   if (cr.code.back().op != Op::kHalt) return Bad("code does not end in halt");
-  if (cr.num_loops != cr.steps.size()) return Bad("loop/step count mismatch");
 
   // Term pool: apply children strictly precede their parent, so term
   // evaluation terminates on any verified program.
@@ -148,6 +149,9 @@ Status VerifyCompiledRule(const CompiledRule& cr) {
   // Instruction stream: known opcodes, in-range operands, jump targets
   // inside the code, every open immediately followed by its next.
   bool saw_charge = false;
+  // A step's index is also its loop's cursor index, so each step is
+  // opened exactly once.
+  std::vector<bool> opened(cr.steps.size(), false);
   for (size_t pc = 0; pc < cr.code.size(); ++pc) {
     const Instr& in = cr.code[pc];
     if (static_cast<uint8_t>(in.op) >= kNumOps) return Bad("unknown opcode");
@@ -155,23 +159,25 @@ Status VerifyCompiledRule(const CompiledRule& cr) {
       case Op::kOpenRow:
       case Op::kOpenWord: {
         if (in.a >= cr.steps.size()) return Bad("open step range");
-        if (in.loop >= cr.num_loops) return Bad("open loop range");
         if (in.fail >= cr.code.size()) return Bad("open fail target");
         if (pc + 1 >= cr.code.size() || cr.code[pc + 1].op != Op::kNext ||
-            cr.code[pc + 1].a != in.a || cr.code[pc + 1].loop != in.loop) {
+            cr.code[pc + 1].a != in.a) {
           return Bad("open not followed by its next");
         }
         if (in.op == Op::kOpenWord && !cr.steps[in.a].word_capable) {
           return Bad("word open on a row-only step");
         }
+        if (opened[in.a]) return Bad("step opened twice");
+        opened[in.a] = true;
         break;
       }
       case Op::kNext:
         if (in.a >= cr.steps.size()) return Bad("next step range");
-        if (in.loop >= cr.num_loops) return Bad("next loop range");
         if (in.fail >= cr.code.size()) return Bad("next fail target");
-        if (pc == 0 || cr.code[pc - 1].a != in.a ||
-            cr.code[pc - 1].loop != in.loop) {
+        if (pc == 0 ||
+            (cr.code[pc - 1].op != Op::kOpenRow &&
+             cr.code[pc - 1].op != Op::kOpenWord) ||
+            cr.code[pc - 1].a != in.a) {
           return Bad("next not preceded by its open");
         }
         break;
@@ -201,6 +207,9 @@ Status VerifyCompiledRule(const CompiledRule& cr) {
     }
   }
   if (!saw_charge) return Bad("no charge instruction");
+  if (std::find(opened.begin(), opened.end(), false) != opened.end()) {
+    return Bad("step never opened");
+  }
   return Status::OK();
 }
 

@@ -27,22 +27,21 @@ namespace awr::datalog::vm {
 /// only read by instructions downstream of its binding instruction, and
 /// re-entering a loop level rewrites it before any read.
 ///
-/// The parity contract with the tree-walking interpreter
-/// (eval_core.cc's BodyEnumerator) is strict: row-level cursors draw
-/// candidate facts from exactly the interpreter's enumeration sources
-/// (extent iteration order, ValueSet::Probe buckets) and unify argument
-/// positions in the same left-to-right order, so models, charge counts
-/// (one CheckInterrupt("body-match") per complete body match), error
-/// statuses and their order of occurrence are byte-identical.
-/// Word-level cursors (columnar scans/probes over raw inline words) may
+/// The row-cursor contract: row-level cursors draw candidate facts
+/// from the extent's iteration order or its ValueSet::Probe bucket and
+/// unify argument positions left to right, stopping at the first
+/// mismatch, so a fallible rule evaluates its function applications —
+/// and fails — at the same match on every run and on both join paths,
+/// with one CheckInterrupt("body-match") per complete body match.
+/// Word-level cursors (scans/probes over raw inline words) may
 /// enumerate in a different order and are therefore only lowered for
 /// *infallible* rules — no function application anywhere in the body or
 /// head — where the poll count per firing equals the match count
 /// regardless of enumeration order.
 ///
 /// One program serves both join paths: an open chooses probe or scan
-/// when it runs, by BodyEnumerator's condition (`ctx.use_join_index`
-/// and a non-empty bound-position set).
+/// when it runs, by `ctx.use_join_index` and a non-empty
+/// bound-position set.
 enum class Op : uint8_t {
   kOpenRow = 0,    ///< open loop on a row cursor: extent scan or Probe bucket
   kOpenWord,       ///< open loop on a word cursor (row fallback inside)
@@ -56,17 +55,17 @@ enum class Op : uint8_t {
 };
 inline constexpr uint8_t kNumOps = static_cast<uint8_t>(Op::kHalt) + 1;
 
-/// One fixed-width instruction.  Operand use by op:
-///  * open*/next: `loop` = loop index, `a` = step-info index, `fail` =
-///    jump target on empty/exhausted extent;
+/// One fixed-width instruction.  Every operand is 32 bits wide, so any
+/// rule that plans lowers.  Operand use by op:
+///  * open*/next: `a` = step-info index, which is also the loop's cursor
+///    index, `fail` = jump target on empty/exhausted extent;
 ///  * filter-negate: `a` = NegDesc index, `fail` = jump on holds-false;
 ///  * filter-compare: `a` = CmpDesc index, `fail` = jump on test-false;
 ///  * bind: `a` = destination register, `b` = term index;
 ///  * emit: `fail` = continue target (the innermost `next`, or `halt`).
 struct Instr {
   Op op = Op::kHalt;
-  uint8_t loop = 0;
-  uint16_t a = 0;
+  uint32_t a = 0;
   uint32_t b = 0;
   uint32_t fail = 0;
 };
@@ -82,15 +81,14 @@ struct CompiledRule {
   Rule rule;
   RulePlan plan;
   uint32_t num_regs = 0;
-  uint32_t num_loops = 0;
   /// No function application anywhere in the rule: poll count per
   /// firing equals match count independent of enumeration order, so
   /// word-level cursors are admissible.
   bool infallible = false;
 
   /// Per-argument-position unification action for a positive atom,
-  /// processed in ascending position order (the interpreter's MatchFact
-  /// order, which errors and short-circuits identically).
+  /// processed in ascending position order, stopping at the first
+  /// mismatch.
   struct FieldDesc {
     enum class Kind : uint8_t {
       kBindReg,     ///< first use of a variable: write the component
@@ -163,17 +161,16 @@ struct CompiledRule {
   std::vector<HeadSrc> head;
 };
 
-/// Lowers a planned rule to bytecode, verifying the result.  Fails when
-/// the rule uses a construct the VM does not cover (more loop levels,
-/// steps, registers or descriptors than an instruction operand can
-/// address); callers then run the rule on the interpreter, with the
-/// same observable behavior.
+/// Lowers a planned rule to bytecode, verifying the result.  Total on
+/// planned rules: a failure is an internal error (a plan that does not
+/// match its rule).
 Result<std::shared_ptr<const CompiledRule>> LowerRule(const Rule& rule,
                                                       const RulePlan& plan);
 
 /// Structural validation of a compiled program: every opcode known,
 /// every jump target inside the code, every register / constant / term /
-/// descriptor index inside its pool, every open paired with its next,
+/// descriptor index inside its pool, every open paired with its next
+/// and every step opened exactly once,
 /// the term pool acyclic, the code ending in halt.  The dispatch loop
 /// executes only verified programs and performs no bounds checks of its
 /// own, so LowerRule runs this on every program it returns.

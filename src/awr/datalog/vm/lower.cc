@@ -58,8 +58,8 @@ struct Lowerer {
     switch (term.kind()) {
       case TermExpr::Kind::kVar: {
         if (bound.count(term.var().id) == 0) {
-          return Status::FailedPrecondition(
-              "vm lowering: unbound variable " + term.var().name());
+          return Status::Internal("vm lowering: unbound variable " +
+                                  term.var().name());
         }
         CompiledRule::TermNode n;
         n.kind = CompiledRule::TermNode::Kind::kReg;
@@ -99,12 +99,6 @@ struct Lowerer {
   }
 
   Status LowerPositive(const PlanStep& step, const Literal& lit) {
-    if (cr.num_loops >= 255) {
-      return Status::FailedPrecondition("vm lowering: too many loop levels");
-    }
-    if (cr.steps.size() >= 0xffff) {
-      return Status::FailedPrecondition("vm lowering: too many steps");
-    }
     CompiledRule::StepInfo si;
     si.literal = static_cast<uint32_t>(step.literal);
     si.arity = static_cast<uint32_t>(lit.atom.arity());
@@ -194,50 +188,33 @@ struct Lowerer {
     // Newly bound variables are in scope for every later step.
     for (const auto& [id, pos] : first_pos_here) bound.insert(id);
 
-    const uint8_t loop = static_cast<uint8_t>(cr.num_loops++);
-    const uint16_t step_idx = static_cast<uint16_t>(cr.steps.size());
+    const uint32_t step_idx = static_cast<uint32_t>(cr.steps.size());
     cr.steps.push_back(std::move(si));
 
-    Instr open;
-    open.op = Op::kOpenRow;
-    open.loop = loop;
-    open.a = step_idx;
-    open.fail = current_fail;
-    cr.code.push_back(open);
-    Instr next;
-    next.op = Op::kNext;
-    next.loop = loop;
-    next.a = step_idx;
-    next.fail = current_fail;
-    current_fail = static_cast<uint32_t>(cr.code.size());
-    cr.code.push_back(next);
+    cr.code.push_back(Instr{Op::kOpenRow, step_idx, 0, current_fail});
+    const uint32_t next_pc = static_cast<uint32_t>(cr.code.size());
+    cr.code.push_back(Instr{Op::kNext, step_idx, 0, current_fail});
+    current_fail = next_pc;
     return Status::OK();
   }
 
   Status LowerNegative(const PlanStep& step, const Literal& lit) {
-    if (cr.negs.size() >= 0xffff) {
-      return Status::FailedPrecondition("vm lowering: too many negations");
-    }
     CompiledRule::NegDesc nd;
     nd.literal = static_cast<uint32_t>(step.literal);
     for (const TermExpr& arg : lit.atom.args) {
       AWR_ASSIGN_OR_RETURN(uint32_t t, CompileTerm(arg));
       nd.arg_terms.push_back(t);
     }
-    const uint16_t idx = static_cast<uint16_t>(cr.negs.size());
+    const uint32_t idx = static_cast<uint32_t>(cr.negs.size());
     cr.negs.push_back(std::move(nd));
-    Instr in;
-    in.op = Op::kFilterNegate;
-    in.a = idx;
-    in.fail = current_fail;
-    cr.code.push_back(in);
+    cr.code.push_back(Instr{Op::kFilterNegate, idx, 0, current_fail});
     return Status::OK();
   }
 
   Status LowerCompare(const Literal& lit) {
-    // Assignment form: exactly one side an unbound variable (the
-    // static bound set equals the interpreter's dynamic one, so this
-    // reproduces HandleCompare's runtime test).
+    // Assignment form: exactly one side an unbound variable.  Every
+    // execution path reaching this step has bound exactly the variables
+    // in `bound`, so the test is static.
     if (lit.op == CmpOp::kEq) {
       const bool lhs_unbound =
           lit.lhs.is_var() && bound.count(lit.lhs.var().id) == 0;
@@ -249,31 +226,17 @@ struct Lowerer {
         AWR_ASSIGN_OR_RETURN(uint32_t t, CompileTerm(val_side));
         const uint32_t reg = RegOf(var_side.var());
         bound.insert(var_side.var().id);
-        if (reg > 0xffff) {
-          return Status::FailedPrecondition("vm lowering: too many registers");
-        }
-        Instr in;
-        in.op = Op::kBind;
-        in.a = static_cast<uint16_t>(reg);
-        in.b = t;
-        cr.code.push_back(in);
+        cr.code.push_back(Instr{Op::kBind, reg, t, 0});
         return Status::OK();
       }
-    }
-    if (cr.cmps.size() >= 0xffff) {
-      return Status::FailedPrecondition("vm lowering: too many comparisons");
     }
     CompiledRule::CmpDesc cd;
     cd.op = lit.op;
     AWR_ASSIGN_OR_RETURN(cd.lhs, CompileTerm(lit.lhs));
     AWR_ASSIGN_OR_RETURN(cd.rhs, CompileTerm(lit.rhs));
-    const uint16_t idx = static_cast<uint16_t>(cr.cmps.size());
+    const uint32_t idx = static_cast<uint32_t>(cr.cmps.size());
     cr.cmps.push_back(cd);
-    Instr in;
-    in.op = Op::kFilterCompare;
-    in.a = idx;
-    in.fail = current_fail;
-    cr.code.push_back(in);
+    cr.code.push_back(Instr{Op::kFilterCompare, idx, 0, current_fail});
     return Status::OK();
   }
 
@@ -300,17 +263,15 @@ struct Lowerer {
       }
     }
 
-    cr.code.push_back(Instr{Op::kCharge, 0, 0, 0, 0});
-    Instr emit;
-    emit.op = Op::kEmit;
-    emit.fail = current_fail;  // continue the innermost loop (or halt)
-    cr.code.push_back(emit);
+    cr.code.push_back(Instr{Op::kCharge, 0, 0, 0});
+    // Emit continues the innermost loop (or halts).
+    cr.code.push_back(Instr{Op::kEmit, 0, 0, current_fail});
     for (const TermExpr& arg : rule.head.args) {
       CompiledRule::HeadSrc h;
       if (arg.is_var()) {
         if (bound.count(arg.var().id) == 0) {
-          return Status::FailedPrecondition(
-              "vm lowering: unbound head variable " + arg.var().name());
+          return Status::Internal("vm lowering: unbound head variable " +
+                                  arg.var().name());
         }
         h.kind = CompiledRule::HeadSrc::Kind::kReg;
         h.x = RegOf(arg.var());
@@ -326,7 +287,7 @@ struct Lowerer {
     }
 
     const uint32_t halt_pc = static_cast<uint32_t>(cr.code.size());
-    cr.code.push_back(Instr{Op::kHalt, 0, 0, 0, 0});
+    cr.code.push_back(Instr{Op::kHalt, 0, 0, 0});
     for (Instr& in : cr.code) {
       if (in.fail == kPatchHalt) in.fail = halt_pc;
     }

@@ -17,7 +17,6 @@ struct VmStatCounters {
   std::atomic<uint64_t> row_opens{0};
   std::atomic<uint64_t> facts{0};
   std::atomic<uint64_t> lowered{0};
-  std::atomic<uint64_t> declined{0};
 };
 
 VmStatCounters& VmCounters() {
@@ -32,9 +31,9 @@ constexpr size_t kPcError = static_cast<size_t>(-1);
 using RowIter = decltype(std::declval<const ValueSet&>().begin());
 
 /// Per-loop enumeration state.  Row-level kinds draw candidates from
-/// exactly the interpreter's sources (extent iteration, Probe buckets);
-/// word-level kinds walk the extent's word table and exist only in
-/// infallible programs (see bytecode.h).
+/// extent iteration or a Probe bucket; word-level kinds walk the
+/// extent's word table and exist only in infallible programs (see
+/// bytecode.h).
 struct Cursor {
   enum class Kind : uint8_t {
     kRowScan,    ///< full extent iteration
@@ -59,7 +58,10 @@ struct Cursor {
 struct ExecState {
   const CompiledRule& cr;
   const BodyContext& ctx;
-  ValueSet& out;
+  // Exactly one of `out` and `on_head` is set: emission either adds the
+  // head fact to `out` or hands the head tuple to `on_head`.
+  ValueSet* out = nullptr;
+  const std::function<Status(Value)>* on_head = nullptr;
   // The caller's `known` extent: no fact in it is added to `out`.
   const ValueSet* known = nullptr;
   std::vector<Value> regs = {};
@@ -68,7 +70,7 @@ struct ExecState {
   uint64_t word_opens = 0;
   uint64_t row_opens = 0;
   uint64_t facts = 0;
-  // Infallible rules under ctx.use_columnar emit on words.
+  // Infallible rules with a flat-sized head emit to `out` on words.
   bool emit_words = false;
   std::vector<uintptr_t> head_words = {};
 };
@@ -95,11 +97,11 @@ Result<Value> EvalCompiledTerm(const ExecState& s, uint32_t idx) {
 }
 
 /// Unifies `fact` against the step's argument descriptors, processed in
-/// ascending position order with the interpreter's short-circuit: a
-/// mismatch stops before later positions are examined (so a fallible
-/// application after the mismatch is never evaluated), and an
-/// application error aborts the whole firing.  Returns true on a full
-/// match; false otherwise, with `*st` non-OK iff an error occurred.
+/// ascending position order: a mismatch stops before later positions
+/// are examined (so a fallible application after the mismatch is never
+/// evaluated), and an application error aborts the whole firing.
+/// Returns true on a full match; false otherwise, with `*st` non-OK iff
+/// an error occurred.
 bool MatchRowFact(ExecState& s, const CompiledRule::StepInfo& si,
                   const Value& fact, Status* st) {
   const auto items = fact.items();
@@ -135,8 +137,9 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
   const ValueSet& extent =
       s.ctx.positive_extent(lit.atom.predicate, si.literal);
   if (extent.empty()) return in.fail;
-  // Same hoisted arity validation (and identical error rendering) as
-  // the interpreter's MatchPositive.
+  // Arity validation, hoisted out of the per-fact loop: the extent's
+  // shape answers the uniform case in O(1); only a malformed extent is
+  // scanned for the offending fact.
   if (!extent.UniformTupleArity(si.arity)) {
     for (const Value& fact : extent) {
       if (!fact.is_tuple() || fact.size() != si.arity) {
@@ -147,11 +150,11 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
       }
     }
   }
-  Cursor& cur = s.cursors[in.loop];
-  // BodyEnumerator's probe condition.  A keyed step run without the
-  // join index scans rows: a word scan cannot check its bound positions.
+  Cursor& cur = s.cursors[in.a];
+  // A keyed step run without the join index scans rows: a word scan
+  // cannot check its bound positions.
   const bool probe = s.ctx.use_join_index && !si.bound_positions.empty();
-  const bool want_word = in.op == Op::kOpenWord && s.ctx.use_columnar;
+  const bool want_word = in.op == Op::kOpenWord;
   if (want_word && probe) {
     // Gather the key words first: a register bound by an outer row
     // loop may hold a non-inline value, which word probing cannot
@@ -200,8 +203,7 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
   if (probe) {
     // The key terms are constants or bound variables, so building the
     // probe key cannot fail (the planner excludes applications from
-    // bound positions) — same key Value as the interpreter's EvalTerm
-    // walk, same Probe call, same bucket order.
+    // bound positions).
     std::vector<Value> key_parts;
     key_parts.reserve(si.keys.size());
     for (const CompiledRule::KeySrc& key : si.keys) {
@@ -221,7 +223,7 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
 }
 
 size_t HandleNext(ExecState& s, const Instr& in, size_t pc, Status* st) {
-  Cursor& cur = s.cursors[in.loop];
+  Cursor& cur = s.cursors[in.a];
   const CompiledRule::StepInfo& si = s.cr.steps[in.a];
   switch (cur.kind) {
     case Cursor::Kind::kRowScan:
@@ -382,7 +384,7 @@ bool EmitWords(ExecState& s) {
   if (s.known != nullptr && s.known->ContainsWords(words, arity, hash)) {
     return true;
   }
-  if (s.out.InsertWords(words, arity, hash)) ++s.facts;
+  if (s.out->InsertWords(words, arity, hash)) ++s.facts;
   return true;
 }
 
@@ -410,8 +412,16 @@ size_t HandleEmit(ExecState& s, const Instr& in, Status* st) {
     }
   }
   Value fact = Value::Tuple(std::move(components));
+  if (s.on_head != nullptr) {
+    Status delivered = (*s.on_head)(std::move(fact));
+    if (!delivered.ok()) {
+      *st = std::move(delivered);
+      return kPcError;
+    }
+    return in.fail;
+  }
   if (s.known != nullptr && s.known->Contains(fact)) return in.fail;
-  if (s.out.Insert(std::move(fact))) ++s.facts;
+  if (s.out->Insert(std::move(fact))) ++s.facts;
   return in.fail;  // resume the innermost loop (or halt)
 }
 
@@ -452,22 +462,10 @@ Status RunSwitch(ExecState& s) {
   }
 }
 
-}  // namespace
-
-Result<size_t> ExecuteCompiledRule(const CompiledRule& cr,
-                                   const BodyContext& ctx, ValueSet* out,
-                                   const ValueSet* known) {
-  ExecState s{cr, ctx, *out, known};
-  s.regs.resize(cr.num_regs);
-  s.cursors.resize(cr.num_loops);
-  const size_t head_arity = cr.head.size();
-  // The row oracle (use_columnar off) emits tuples, so the two paths
-  // stay each other's differential.
-  if (cr.infallible && ctx.use_columnar && head_arity > 0 &&
-      head_arity <= ValueSet::kMaxFlatArity) {
-    s.emit_words = true;
-    s.head_words.resize(head_arity);
-  }
+/// Runs `s` to completion and adds its work to the process counters.
+Status Execute(ExecState& s) {
+  s.regs.resize(s.cr.num_regs);
+  s.cursors.resize(s.cr.steps.size());
   Status st = RunSwitch(s);
   VmStatCounters& counters = VmCounters();
   counters.rules.fetch_add(1, std::memory_order_relaxed);
@@ -475,8 +473,29 @@ Result<size_t> ExecuteCompiledRule(const CompiledRule& cr,
   counters.word_opens.fetch_add(s.word_opens, std::memory_order_relaxed);
   counters.row_opens.fetch_add(s.row_opens, std::memory_order_relaxed);
   counters.facts.fetch_add(s.facts, std::memory_order_relaxed);
-  if (!st.ok()) return st;
+  return st;
+}
+
+}  // namespace
+
+Result<size_t> ExecuteCompiledRule(const CompiledRule& cr,
+                                   const BodyContext& ctx, ValueSet* out,
+                                   const ValueSet* known) {
+  ExecState s{cr, ctx, out, nullptr, known};
+  const size_t head_arity = cr.head.size();
+  if (cr.infallible && head_arity > 0 &&
+      head_arity <= ValueSet::kMaxFlatArity) {
+    s.emit_words = true;
+    s.head_words.resize(head_arity);
+  }
+  AWR_RETURN_IF_ERROR(Execute(s));
   return static_cast<size_t>(s.facts);
+}
+
+Status ExecuteCompiledRuleHeads(const CompiledRule& cr, const BodyContext& ctx,
+                                const std::function<Status(Value)>& on_head) {
+  ExecState s{cr, ctx, nullptr, &on_head};
+  return Execute(s);
 }
 
 VmExecStats GetVmExecStats() {
@@ -489,15 +508,12 @@ VmExecStats GetVmExecStats() {
   out.vm_facts = counters.facts.load(std::memory_order_relaxed);
   out.cache_hits = out.vm_rules_fired;
   out.programs_lowered = counters.lowered.load(std::memory_order_relaxed);
-  out.lower_failures = counters.declined.load(std::memory_order_relaxed);
-  out.cache_misses = out.programs_lowered + out.lower_failures;
+  out.cache_misses = out.programs_lowered;
   return out;
 }
 
-void CountLowering(bool lowered) {
-  VmStatCounters& counters = VmCounters();
-  (lowered ? counters.lowered : counters.declined)
-      .fetch_add(1, std::memory_order_relaxed);
+void CountLowering() {
+  VmCounters().lowered.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ResetVmExecStats() {
@@ -508,7 +524,6 @@ void ResetVmExecStats() {
   counters.row_opens.store(0, std::memory_order_relaxed);
   counters.facts.store(0, std::memory_order_relaxed);
   counters.lowered.store(0, std::memory_order_relaxed);
-  counters.declined.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace awr::datalog::vm

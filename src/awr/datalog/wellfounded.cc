@@ -80,7 +80,7 @@ Result<ThreeValuedInterp> EvalWellFoundedImpl(
     const Program& program, const Database& edb, const EvalOptions& opts,
     const snapshot::EvalSnapshot* resume) {
   AWR_ASSIGN_OR_RETURN(std::vector<PlannedRule> planned,
-                       PlanProgram(program, opts.use_bytecode));
+                       PlanProgram(program));
   const std::vector<WalkStep> steps = PlanWalk(program, planned);
   ExecutionContext local_ctx(opts.limits);
   ExecutionContext* ctx = opts.context != nullptr ? opts.context : &local_ctx;

@@ -270,7 +270,6 @@ StatsReply QueryService::Stats() const {
   stats.counters.emplace_back("vm_cache_hits", vm.cache_hits);
   stats.counters.emplace_back("vm_cache_misses", vm.cache_misses);
   stats.counters.emplace_back("vm_programs_lowered", vm.programs_lowered);
-  stats.counters.emplace_back("vm_lower_failures", vm.lower_failures);
   if (store_ != nullptr) {
     stats.counters.emplace_back("store_scrub_tmp_removed",
                                 store_->scrub_tmp_removed());

@@ -4,6 +4,8 @@
 // instead of diverging or crashing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "awr/datalog/builders.h"
 #include "awr/datalog/eval_core.h"
 #include "awr/datalog/inflationary.h"
@@ -19,162 +21,30 @@ namespace {
 
 using namespace awr::datalog::build;  // NOLINT
 
-TEST(EvalTermTest, VariableConstantApply) {
-  FunctionRegistry fns = FunctionRegistry::Default();
-  Env env;
-  env.Bind(Var("x"), Value::Int(4));
-  EXPECT_EQ(*EvalTerm(V("x"), env, fns), Value::Int(4));
-  EXPECT_EQ(*EvalTerm(I(9), env, fns), Value::Int(9));
-  EXPECT_EQ(*EvalTerm(F("add", {V("x"), I(1)}), env, fns), Value::Int(5));
-  // Unbound variable is an internal error (the planner must prevent it).
-  EXPECT_TRUE(EvalTerm(V("zzz"), env, fns).status().IsInternal());
-  // Unknown function surfaces NotFound.
-  EXPECT_TRUE(EvalTerm(F("frobnicate", {I(1)}), env, fns).status().IsNotFound());
-}
-
-TEST(BodyMatchTest, EnumeratesJoinBindings) {
-  Rule rule = R(H("out", V("x"), V("z")),
-                {B("e", V("x"), V("y")), B("e", V("y"), V("z"))});
-  auto plan = PlanRule(rule);
-  ASSERT_TRUE(plan.ok());
-
-  Interpretation interp;
-  interp.AddFact("e", {Value::Int(1), Value::Int(2)});
-  interp.AddFact("e", {Value::Int(2), Value::Int(3)});
-  interp.AddFact("e", {Value::Int(2), Value::Int(4)});
-
-  FunctionRegistry fns = FunctionRegistry::Default();
-  BodyContext ctx{
-      &fns,
-      [&interp](const std::string& p, size_t) -> const ValueSet& {
-        return interp.Extent(p);
-      },
-      [](const std::string&, const Value&) { return true; }};
-
-  ValueSet heads;
-  Status st = ForEachBodyMatch(rule, *plan, ctx, [&](const Env& env) -> Status {
-    AWR_ASSIGN_OR_RETURN(Value head, EvalHead(rule, env, fns));
-    heads.Insert(std::move(head));
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(heads, (ValueSet{Value::Tuple({Value::Int(1), Value::Int(3)}),
-                             Value::Tuple({Value::Int(1), Value::Int(4)})}));
-}
-
-TEST(BodyMatchTest, NegationFiltersViaContext) {
-  Rule rule = R(H("p", V("x")), {B("b", V("x")), N("blocked", V("x"))});
-  auto plan = PlanRule(rule);
-  ASSERT_TRUE(plan.ok());
-  Interpretation interp;
-  interp.AddFact("b", {Value::Int(1)});
-  interp.AddFact("b", {Value::Int(2)});
-  FunctionRegistry fns = FunctionRegistry::Default();
-  BodyContext ctx{
-      &fns,
-      [&interp](const std::string& p, size_t) -> const ValueSet& {
-        return interp.Extent(p);
-      },
-      // blocked(1) "holds", so not blocked(1) fails.
-      [](const std::string&, const Value& fact) {
-        return fact != Value::Tuple({Value::Int(1)});
-      }};
-  size_t matches = 0;
-  ASSERT_TRUE(ForEachBodyMatch(rule, *plan, ctx, [&](const Env&) -> Status {
-                ++matches;
-                return Status::OK();
-              }).ok());
-  EXPECT_EQ(matches, 1u);
-}
-
-TEST(BodyMatchTest, CallbackErrorAbortsEnumeration) {
-  Rule rule = R(H("p", V("x")), {B("b", V("x"))});
-  auto plan = PlanRule(rule);
-  Interpretation interp;
-  for (int i = 0; i < 10; ++i) interp.AddFact("b", {Value::Int(i)});
-  FunctionRegistry fns = FunctionRegistry::Default();
-  BodyContext ctx{
-      &fns,
-      [&interp](const std::string& p, size_t) -> const ValueSet& {
-        return interp.Extent(p);
-      },
-      [](const std::string&, const Value&) { return true; }};
-  size_t calls = 0;
-  Status st = ForEachBodyMatch(rule, *plan, ctx, [&](const Env&) -> Status {
-    if (++calls == 3) return Status::Internal("stop");
-    return Status::OK();
-  });
-  EXPECT_TRUE(st.IsInternal());
-  EXPECT_EQ(calls, 3u);
-}
-
-TEST(BodyMatchTest, ArityMismatchIsReported) {
-  Rule rule = R(H("p", V("x")), {B("b", V("x"))});  // b used unary
-  auto plan = PlanRule(rule);
-  Interpretation interp;
-  interp.AddFact("b", {Value::Int(1), Value::Int(2)});  // binary fact
-  FunctionRegistry fns = FunctionRegistry::Default();
-  BodyContext ctx{
-      &fns,
-      [&interp](const std::string& p, size_t) -> const ValueSet& {
-        return interp.Extent(p);
-      },
-      [](const std::string&, const Value&) { return true; }};
-  Status st = ForEachBodyMatch(rule, *plan, ctx,
-                               [](const Env&) { return Status::OK(); });
-  EXPECT_TRUE(st.IsInvalidArgument());
-}
-
-TEST(BodyMatchTest, ArityMismatchMessageIdenticalOnBothJoinPaths) {
-  // The arity check is hoisted out of the per-fact match loop (it runs
-  // once per extent via the shape histogram); this guards that the
-  // original per-fact InvalidArgument, message included, still
-  // surfaces on the indexed path, the scan path, and an indexed probe
-  // with a bound position.
-  Rule rule = R(H("p", V("x"), V("y")),
-                {B("b", V("x")), B("e", V("x"), V("y"))});
-  auto plan = PlanRule(rule);
-  ASSERT_TRUE(plan.ok());
-  Interpretation interp;
-  interp.AddFact("b", {Value::Int(1)});
-  interp.AddFact("e", {Value::Int(1), Value::Int(2)});
-  interp.AddFact("e", {Value::Int(7)});  // wrong arity for e(x, y)
-  FunctionRegistry fns = FunctionRegistry::Default();
-  ExecutionContext exec(EvalLimits::Default());
-  std::string messages[2];
-  for (bool use_index : {true, false}) {
-    BodyContext ctx{
-        &fns,
-        [&interp](const std::string& p, size_t) -> const ValueSet& {
-          return interp.Extent(p);
-        },
-        [](const std::string&, const Value&) { return true; },
-        &exec, use_index};
-    Status st = ForEachBodyMatch(rule, *plan, ctx,
-                                 [](const Env&) { return Status::OK(); });
-    ASSERT_TRUE(st.IsInvalidArgument()) << st;
-    messages[use_index ? 0 : 1] = st.message();
-  }
-  EXPECT_EQ(messages[0], messages[1]);
-  EXPECT_EQ(messages[0], "arity mismatch: atom e(x, y) vs fact <7>");
-}
-
-// ----------------------------------------------------------------------
-// FireRuleFacts: the VM's word-level cursors against its row cursors.
-// Both must add the same fact set; the VM counters prove which cursors
-// actually ran (when the VM and word cursors are enabled).
-
 BodyContext PlainContext(const Interpretation& interp,
-                         const FunctionRegistry& fns, bool use_columnar) {
-  BodyContext ctx{
+                         const FunctionRegistry& fns,
+                         bool use_join_index = true) {
+  return BodyContext{
       &fns,
       [&interp](const std::string& p, size_t) -> const ValueSet& {
         return interp.Extent(p);
       },
       [](const std::string&, const Value&) { return true; },
-      nullptr, /*use_join_index=*/true};
-  ctx.use_columnar = use_columnar;
-  return ctx;
+      nullptr, use_join_index};
+}
+
+PlannedRule PlanOne(const Rule& rule) {
+  Program program;
+  program.rules.push_back(rule);
+  auto planned = PlanProgram(program);
+  EXPECT_TRUE(planned.ok()) << planned.status();
+  return planned->front();
+}
+
+PlannedRule PlanText(const std::string& text) {
+  auto program = ParseProgram(text);
+  EXPECT_TRUE(program.ok()) << program.status();
+  return PlanOne(program->rules.front());
 }
 
 Result<ValueSet> CollectFacts(const PlannedRule& pr, const BodyContext& ctx,
@@ -187,6 +57,109 @@ Result<ValueSet> CollectFacts(const PlannedRule& pr, const BodyContext& ctx,
   return facts;
 }
 
+// Terms evaluate on the VM: a variable, a constant and an application
+// in the head; an unknown function surfaces NotFound, and the planner
+// refuses a rule whose head variable nothing binds.
+TEST(EvalTermTest, VariableConstantApply) {
+  Interpretation interp;
+  interp.AddFact("in", {Value::Int(4)});
+  FunctionRegistry fns = FunctionRegistry::Default();
+  auto facts = CollectFacts(PlanText("out(X, 9, add(X, 1)) :- in(X)."),
+                            PlainContext(interp, fns));
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  EXPECT_EQ(*facts, (ValueSet{Value::Tuple(
+                        {Value::Int(4), Value::Int(9), Value::Int(5)})}));
+  auto unknown = CollectFacts(PlanText("out(Y) :- in(X), Y = frobnicate(X)."),
+                              PlainContext(interp, fns));
+  EXPECT_TRUE(unknown.status().IsNotFound()) << unknown.status();
+  auto unsafe = ParseProgram("out(Z) :- in(X).");
+  ASSERT_TRUE(unsafe.ok());
+  EXPECT_TRUE(PlanProgram(*unsafe).status().IsFailedPrecondition());
+}
+
+TEST(BodyMatchTest, EnumeratesJoinBindings) {
+  Rule rule = R(H("out", V("x"), V("z")),
+                {B("e", V("x"), V("y")), B("e", V("y"), V("z"))});
+  Interpretation interp;
+  interp.AddFact("e", {Value::Int(1), Value::Int(2)});
+  interp.AddFact("e", {Value::Int(2), Value::Int(3)});
+  interp.AddFact("e", {Value::Int(2), Value::Int(4)});
+  FunctionRegistry fns = FunctionRegistry::Default();
+  auto heads = CollectFacts(PlanOne(rule), PlainContext(interp, fns));
+  ASSERT_TRUE(heads.ok()) << heads.status();
+  EXPECT_EQ(*heads, (ValueSet{Value::Tuple({Value::Int(1), Value::Int(3)}),
+                              Value::Tuple({Value::Int(1), Value::Int(4)})}));
+}
+
+TEST(BodyMatchTest, NegationFiltersViaContext) {
+  Rule rule = R(H("p", V("x")), {B("b", V("x")), N("blocked", V("x"))});
+  Interpretation interp;
+  interp.AddFact("b", {Value::Int(1)});
+  interp.AddFact("b", {Value::Int(2)});
+  FunctionRegistry fns = FunctionRegistry::Default();
+  BodyContext ctx = PlainContext(interp, fns);
+  // blocked(1) "holds", so not blocked(1) fails.
+  ctx.negation_holds = [](const std::string&, const Value& fact) {
+    return fact != Value::Tuple({Value::Int(1)});
+  };
+  auto facts = CollectFacts(PlanOne(rule), ctx);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  EXPECT_EQ(*facts, (ValueSet{Value::Tuple({Value::Int(2)})}));
+}
+
+TEST(BodyMatchTest, CallbackErrorAbortsEnumeration) {
+  Rule rule = R(H("p", V("x")), {B("b", V("x"))});
+  Interpretation interp;
+  for (int i = 0; i < 10; ++i) interp.AddFact("b", {Value::Int(i)});
+  FunctionRegistry fns = FunctionRegistry::Default();
+  size_t calls = 0;
+  Status st = ForEachRuleHead(
+      PlanOne(rule), PlainContext(interp, fns), [&](Value) -> Status {
+        if (++calls == 3) return Status::Internal("stop");
+        return Status::OK();
+      });
+  EXPECT_TRUE(st.IsInternal());
+  EXPECT_EQ(calls, 3u);
+}
+
+TEST(BodyMatchTest, ArityMismatchIsReported) {
+  Rule rule = R(H("p", V("x")), {B("b", V("x"))});  // b used unary
+  Interpretation interp;
+  interp.AddFact("b", {Value::Int(1), Value::Int(2)});  // binary fact
+  FunctionRegistry fns = FunctionRegistry::Default();
+  auto facts = CollectFacts(PlanOne(rule), PlainContext(interp, fns));
+  EXPECT_TRUE(facts.status().IsInvalidArgument()) << facts.status();
+}
+
+TEST(BodyMatchTest, ArityMismatchMessageIdenticalOnBothJoinPaths) {
+  // The arity check is hoisted out of the per-fact match loop (it runs
+  // once per extent via the shape histogram); this guards that the
+  // original per-fact InvalidArgument, message included, still
+  // surfaces on the indexed path, the scan path, and an indexed probe
+  // with a bound position.
+  Rule rule = R(H("p", V("x"), V("y")),
+                {B("b", V("x")), B("e", V("x"), V("y"))});
+  const PlannedRule planned = PlanOne(rule);
+  Interpretation interp;
+  interp.AddFact("b", {Value::Int(1)});
+  interp.AddFact("e", {Value::Int(1), Value::Int(2)});
+  interp.AddFact("e", {Value::Int(7)});  // wrong arity for e(x, y)
+  FunctionRegistry fns = FunctionRegistry::Default();
+  std::string messages[2];
+  for (bool use_index : {true, false}) {
+    auto facts = CollectFacts(planned, PlainContext(interp, fns, use_index));
+    ASSERT_TRUE(facts.status().IsInvalidArgument()) << facts.status();
+    messages[use_index ? 0 : 1] = facts.status().message();
+  }
+  EXPECT_EQ(messages[0], messages[1]);
+  EXPECT_EQ(messages[0], "arity mismatch: atom e(x, y) vs fact <7>");
+}
+
+// ----------------------------------------------------------------------
+// FireRuleFacts: the VM's word-level cursors against its row cursors,
+// which a keyed step opens when the join index is off.  Both must add
+// the same fact set; the VM counters prove which cursors ran.
+
 TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
   auto program = ParseProgram(R"(
     out(X, Z) :- e(X, Y), e(Y, Z).
@@ -195,7 +168,7 @@ TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
     tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).
   )");
   ASSERT_TRUE(program.ok());
-  auto planned = PlanProgram(*program, /*lower=*/true);
+  auto planned = PlanProgram(*program);
   ASSERT_TRUE(planned.ok());
   Interpretation interp;
   for (int i = 0; i < 12; ++i) {
@@ -204,10 +177,16 @@ TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
   interp.AddFact("e", {Value::Int(5), Value::Int(5)});
   FunctionRegistry fns = FunctionRegistry::Default();
   for (const PlannedRule& pr : *planned) {
+    vm::ResetVmExecStats();
     auto row = CollectFacts(pr, PlainContext(interp, fns, false));
+    const bool keyed = std::any_of(
+        pr.plan.steps.begin(), pr.plan.steps.end(),
+        [](const PlanStep& step) { return !step.bound_positions.empty(); });
+    EXPECT_EQ(vm::GetVmExecStats().row_opens > 0, keyed)
+        << pr.rule.head.predicate;
     vm::ResetVmExecStats();
     size_t added = 0;
-    auto word = CollectFacts(pr, PlainContext(interp, fns, true), &added);
+    auto word = CollectFacts(pr, PlainContext(interp, fns), &added);
     ASSERT_TRUE(row.ok() && word.ok())
         << pr.rule.head.predicate << "\nrow:  " << row.status()
         << "\nword: " << word.status();
@@ -220,7 +199,7 @@ TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
 
 TEST(FireRuleFactsTest, NonFlatExtentFallsBackToRowPath) {
   auto program = ParseProgram("out(X, Y) :- e(X, Y).");
-  auto planned = PlanProgram(*program, /*lower=*/true);
+  auto planned = PlanProgram(*program);
   ASSERT_TRUE(planned.ok());
   Interpretation interp;
   interp.AddFact("e", {Value::Int(1), Value::Int(2)});
@@ -228,7 +207,7 @@ TEST(FireRuleFactsTest, NonFlatExtentFallsBackToRowPath) {
                  {Value::Int(3), Value::Pair(Value::Int(4), Value::Int(5))});
   FunctionRegistry fns = FunctionRegistry::Default();
   vm::ResetVmExecStats();
-  auto facts = CollectFacts(planned->front(), PlainContext(interp, fns, true));
+  auto facts = CollectFacts(planned->front(), PlainContext(interp, fns));
   ASSERT_TRUE(facts.ok()) << facts.status();
   EXPECT_EQ(facts->size(), 2u);
   EXPECT_TRUE(facts->Contains(
@@ -242,7 +221,7 @@ TEST(FireRuleFactsTest, NonFlatExtentFallsBackToRowPath) {
 // keeps exactly the facts of the matches polled before the trip.
 TEST(FireRuleFactsTest, InterruptAbortsVmEmission) {
   auto program = ParseProgram("out(X, Y) :- e(X, Y).");
-  auto planned = PlanProgram(*program, /*lower=*/true);
+  auto planned = PlanProgram(*program);
   ASSERT_TRUE(planned.ok());
   Interpretation interp;
   for (int i = 0; i < 10; ++i) {
@@ -253,7 +232,7 @@ TEST(FireRuleFactsTest, InterruptAbortsVmEmission) {
   injector.TripAt(3, Status::Internal("stop"));
   ExecutionContext governed;
   governed.set_fault_injector(&injector);
-  BodyContext ctx = PlainContext(interp, fns, true);
+  BodyContext ctx = PlainContext(interp, fns);
   ctx.context = &governed;
   vm::ResetVmExecStats();
   ValueSet out;
@@ -274,7 +253,7 @@ TEST(FireRuleFactsTest, DedupsAcrossFiringsAndCountsAdds) {
     p(X, Y) :- f(X, Y).
   )");
   ASSERT_TRUE(program.ok());
-  auto planned = PlanProgram(*program, /*lower=*/true);
+  auto planned = PlanProgram(*program);
   ASSERT_TRUE(planned.ok());
   Interpretation interp;
   for (int i = 0; i < 30; ++i) {
@@ -288,30 +267,26 @@ TEST(FireRuleFactsTest, DedupsAcrossFiringsAndCountsAdds) {
   ValueSet known;
   known.Insert(Value::Pair(Value::Int(100), Value::Int(0)));
   FunctionRegistry fns = FunctionRegistry::Default();
-  for (bool bytecode : {false, true}) {
-    for (bool columnar : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "bytecode=" << bytecode
-                                      << " columnar=" << columnar);
-      ExecutionContext governed;
-      BodyContext ctx = PlainContext(interp, fns, columnar);
-      ctx.context = &governed;
-      ctx.use_bytecode = bytecode;
-      vm::ResetVmExecStats();
-      ValueSet out;
-      Result<size_t> first = FireRuleFacts((*planned)[0], ctx, &out, &known);
-      Result<size_t> second = FireRuleFacts((*planned)[1], ctx, &out, &known);
-      ASSERT_TRUE(first.ok() && second.ok());
-      EXPECT_EQ(*first, 30u);
-      EXPECT_EQ(*second, 9u);  // 10 of its own, one of them known
-      EXPECT_EQ(out.size(), 39u);
-      EXPECT_EQ(governed.total_charges(), 30u + 20u);
-      EXPECT_EQ(vm::GetVmExecStats().vm_facts, bytecode ? 39u : 0u);
-      // Firing again adds nothing and still polls every match.
-      Result<size_t> again = FireRuleFacts((*planned)[1], ctx, &out, &known);
-      ASSERT_TRUE(again.ok());
-      EXPECT_EQ(*again, 0u);
-      EXPECT_EQ(governed.total_charges(), 30u + 20u + 20u);
-    }
+  for (bool join_index : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "join_index=" << join_index);
+    ExecutionContext governed;
+    BodyContext ctx = PlainContext(interp, fns, join_index);
+    ctx.context = &governed;
+    vm::ResetVmExecStats();
+    ValueSet out;
+    Result<size_t> first = FireRuleFacts((*planned)[0], ctx, &out, &known);
+    Result<size_t> second = FireRuleFacts((*planned)[1], ctx, &out, &known);
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_EQ(*first, 30u);
+    EXPECT_EQ(*second, 9u);  // 10 of its own, one of them known
+    EXPECT_EQ(out.size(), 39u);
+    EXPECT_EQ(governed.total_charges(), 30u + 20u);
+    EXPECT_EQ(vm::GetVmExecStats().vm_facts, 39u);
+    // Firing again adds nothing and still polls every match.
+    Result<size_t> again = FireRuleFacts((*planned)[1], ctx, &out, &known);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, 0u);
+    EXPECT_EQ(governed.total_charges(), 30u + 20u + 20u);
   }
 }
 
@@ -320,7 +295,7 @@ TEST(FireRuleFactsTest, DedupsAcrossFiringsAndCountsAdds) {
 TEST(FireRuleFactsTest, WordEmittedExtentReadsLikeOneBuiltFromValues) {
   auto program = ParseProgram("tc(X, Z) :- e(X, Y), e(Y, Z).");
   ASSERT_TRUE(program.ok());
-  auto planned = PlanProgram(*program, /*lower=*/true);
+  auto planned = PlanProgram(*program);
   ASSERT_TRUE(planned.ok());
   Interpretation interp;
   for (int i = 0; i < 40; ++i) {
@@ -330,7 +305,7 @@ TEST(FireRuleFactsTest, WordEmittedExtentReadsLikeOneBuiltFromValues) {
   FunctionRegistry fns = FunctionRegistry::Default();
   ValueSet words;
   Result<size_t> added = FireRuleFacts(planned->front(),
-                                       PlainContext(interp, fns, true), &words);
+                                       PlainContext(interp, fns), &words);
   ASSERT_TRUE(added.ok()) << added.status();
   ASSERT_GT(*added, 20u);
   ASSERT_EQ(words.word_arity(), 2u);
@@ -370,7 +345,7 @@ TEST(FireRuleFactsTest, WordEmittedExtentReadsLikeOneBuiltFromValues) {
 TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
   auto program = ParseProgram("tc(X, Z) :- e(X, Y), tc(Y, Z).");
   ASSERT_TRUE(program.ok());
-  auto planned = PlanProgram(*program, /*lower=*/true);
+  auto planned = PlanProgram(*program);
   ASSERT_TRUE(planned.ok());
   Interpretation interp;
   for (int i = 0; i < 20; ++i) {
@@ -408,29 +383,22 @@ TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
   ASSERT_GT(unknown_matches, unknown.size());  // unknown facts repeat too
 
   FunctionRegistry fns = FunctionRegistry::Default();
-  for (bool bytecode : {false, true}) {
-    for (bool columnar : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "bytecode=" << bytecode
-                                      << " columnar=" << columnar);
-      ExecutionContext governed;
-      BodyContext ctx = PlainContext(interp, fns, columnar);
-      ctx.context = &governed;
-      ctx.use_bytecode = bytecode;
-      vm::ResetVmExecStats();
-      ValueSet out;
-      Result<size_t> added = FireRuleFacts(planned->front(), ctx, &out, &known);
-      ASSERT_TRUE(added.ok()) << added.status();
-      EXPECT_EQ(governed.total_charges(), raw_matches);
-      EXPECT_EQ(out, unknown);
-      EXPECT_EQ(*added, unknown.size());
-      // Each path adds each unknown projection once, whichever of its
-      // matches comes first.
-      EXPECT_EQ(vm::GetVmExecStats().vm_facts, bytecode ? unknown.size() : 0u);
-      // Only the columnar VM emits on words; the other paths insert the
-      // tuple Values they build.
-      EXPECT_EQ(out.materialized_rows(),
-                bytecode && columnar ? 0u : unknown.size());
-    }
+  for (bool join_index : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "join_index=" << join_index);
+    ExecutionContext governed;
+    BodyContext ctx = PlainContext(interp, fns, join_index);
+    ctx.context = &governed;
+    vm::ResetVmExecStats();
+    ValueSet out;
+    Result<size_t> added = FireRuleFacts(planned->front(), ctx, &out, &known);
+    ASSERT_TRUE(added.ok()) << added.status();
+    EXPECT_EQ(governed.total_charges(), raw_matches);
+    EXPECT_EQ(out, unknown);
+    EXPECT_EQ(*added, unknown.size());
+    // Each path adds each unknown projection once, whichever of its
+    // matches comes first, and emits it on words.
+    EXPECT_EQ(vm::GetVmExecStats().vm_facts, unknown.size());
+    EXPECT_EQ(out.materialized_rows(), 0u);
   }
 }
 

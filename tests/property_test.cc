@@ -21,6 +21,8 @@
 // oracle to 200 random programs per semantics, and the governance
 // parity tests check that deadline/cancel/fault interruptions surface
 // the same statuses at the same charge points on both paths.
+// ReferenceEvaluatorDifferential checks every engine against the naive
+// reference evaluator of reference_eval.h on 400 more programs.
 //
 // Programs are generated safe *by construction* (head variables are
 // drawn from variables bound by positive body atoms).
@@ -59,6 +61,7 @@
 #include "awr/translate/datalog_to_alg.h"
 #include "awr/translate/step_index.h"
 #include "reference_configs.h"
+#include "reference_eval.h"
 
 namespace awr {
 namespace {
@@ -207,7 +210,7 @@ Result<datalog::ThreeValuedInterp> GlobalAlternation(const Program& program,
                                                      const Database& edb,
                                                      ExecutionContext* ctx) {
   AWR_ASSIGN_OR_RETURN(std::vector<datalog::PlannedRule> rules,
-                       datalog::PlanProgram(program, /*lower=*/true));
+                       datalog::PlanProgram(program));
   datalog::Interpretation prev_prev;
   datalog::Interpretation prev;
   bool have_two = false;
@@ -2069,216 +2072,156 @@ TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {
 }
 
 // ----------------------------------------------------------------------
-// Columnar-vs-row differential oracle.  EvalOptions::use_columnar =
-// false keeps the VM on row cursors (extent iteration and Probe
-// buckets, the oracle); its word-level cursors over column stores must
-// produce the identical model, charge sequence, and interruption
-// statuses for every program and semantics — the column store is a
-// derived cache and the word cursors enumerate the same match multiset
-// in an order the set-valued model cannot observe.
+// Reference-evaluator differential.  tests/reference_eval.h computes
+// every semantics from its definition — S(J), the inflationary stages,
+// the alternating fixpoint, ground instances and the Gelfond–Lifschitz
+// check — by nested loops over sorted fact sets, with no planner, VM,
+// index or word table; every engine must agree with it exactly:
+//  * EvalMinimalModel (naive and seminaive), EvalInflationary and
+//    EvalWellFounded (certain and possible) equal the reference;
+//  * wherever Stratify succeeds, EvalStratified equals the reference
+//    well-founded model, which is 2-valued;
+//  * GroundProgramFor equals the reference grounding as sorted lines;
+//  * every stable model passes the reference S(M) == M check, and when
+//    at most kMaxUndefined atoms are undefined and the search was not
+//    capped, the engine finds exactly the reference's stable models.
 
-datalog::EvalOptions StorageOpts(bool columnar) {
-  datalog::EvalOptions o;
-  o.use_columnar = columnar;
-  return o;
+constexpr size_t kMaxUndefined = 12;
+
+void ExpectSameFacts(const datalog::Interpretation& engine,
+                     const reference::Model& ref, const std::string& what) {
+  const reference::Model got = reference::FromInterpretation(engine);
+  EXPECT_TRUE(got == ref) << what << "\nengine only:\n"
+                          << reference::Difference(ref, got)
+                          << "reference only:\n"
+                          << reference::Difference(got, ref);
 }
 
-/// Runs one engine on row cursors (oracle) and then on the VM's word
-/// cursors, requiring identical status codes and — on success —
-/// identical results.  Returns the columnar-run result.
-template <typename Fn>
-auto EvalBothStorage(const Fn& eval, const std::string& what) {
-  auto row = eval(StorageOpts(false));
-  auto columnar = eval(StorageOpts(true));
-  EXPECT_EQ(row.status().code(), columnar.status().code())
-      << what << "\nrow:      " << row.status()
-      << "\ncolumnar: " << columnar.status();
-  if (row.ok() && columnar.ok()) {
-    ExpectSameResult(*columnar, *row, what);
+void ExpectMatchesReference(const Result<datalog::Interpretation>& engine,
+                            const Result<reference::Model>& ref,
+                            const std::string& what) {
+  ASSERT_TRUE(ref.ok()) << what << "\nreference: " << ref.status();
+  ASSERT_TRUE(engine.ok()) << what << "\nengine: " << engine.status();
+  ExpectSameFacts(*engine, *ref, what);
+}
+
+void CheckAgainstReference(const Generated& g,
+                           const datalog::EvalOptions& opts) {
+  const std::string what = g.program.ToString();
+  const datalog::FunctionRegistry& fns = opts.functions;
+  const reference::Model edb = reference::FromInterpretation(g.edb);
+
+  if (!g.program.UsesNegation()) {
+    const auto least = reference::MinimalModel(g.program, edb, fns);
+    for (bool seminaive : {true, false}) {
+      datalog::EvalOptions o = opts;
+      o.seminaive = seminaive;
+      ExpectMatchesReference(datalog::EvalMinimalModel(g.program, g.edb, o),
+                             least,
+                             what + (seminaive ? "(seminaive)" : "(naive)"));
+    }
   }
-  return columnar;
+  ExpectMatchesReference(datalog::EvalInflationary(g.program, g.edb, opts),
+                         reference::Inflationary(g.program, edb, fns),
+                         what + "(inflationary)");
+
+  const auto wfs = reference::WellFounded(g.program, edb, fns);
+  ASSERT_TRUE(wfs.ok()) << what << wfs.status();
+  const auto engine_wfs = datalog::EvalWellFounded(g.program, g.edb, opts);
+  ASSERT_TRUE(engine_wfs.ok()) << what << engine_wfs.status();
+  ExpectSameFacts(engine_wfs->certain, wfs->certain,
+                  what + "(well-founded certain)");
+  ExpectSameFacts(engine_wfs->possible, wfs->possible,
+                  what + "(well-founded possible)");
+
+  if (datalog::Stratify(g.program).ok()) {
+    EXPECT_TRUE(wfs->certain == wfs->possible) << what;
+    ExpectMatchesReference(datalog::EvalStratified(g.program, g.edb, opts),
+                           wfs->certain, what + "(stratified)");
+  }
+
+  const auto ground = datalog::GroundProgramFor(g.program, g.edb, opts);
+  ASSERT_TRUE(ground.ok()) << what << ground.status();
+  std::vector<std::string> lines;
+  for (const auto& f : ground->facts) lines.push_back(f.ToString() + ".");
+  for (const auto& r : ground->rules) lines.push_back(r.ToString());
+  std::sort(lines.begin(), lines.end());
+  const auto ref_lines = reference::GroundLines(g.program, edb, *wfs, fns);
+  ASSERT_TRUE(ref_lines.ok()) << what << ref_lines.status();
+  EXPECT_EQ(lines, *ref_lines) << what << "(grounding)";
+
+  const datalog::StableOptions stable_opts;
+  const auto stable =
+      datalog::EvalStableModels(g.program, g.edb, opts, stable_opts);
+  ASSERT_TRUE(stable.ok()) << what << stable.status();
+  std::set<reference::Model> found;
+  for (const datalog::Interpretation& m : *stable) {
+    reference::Model model = reference::FromInterpretation(m);
+    const auto is_stable = reference::IsStable(g.program, edb, model, fns);
+    ASSERT_TRUE(is_stable.ok()) << what << is_stable.status();
+    EXPECT_TRUE(*is_stable) << what << "(not stable)\n"
+                            << reference::Render(model);
+    found.insert(std::move(model));
+  }
+  EXPECT_EQ(found.size(), stable->size()) << what << "(duplicate models)";
+  if (reference::UndefinedCount(*wfs) <= kMaxUndefined &&
+      stable->size() < stable_opts.max_models) {
+    const auto all =
+        reference::StableModels(g.program, edb, *wfs, fns, kMaxUndefined);
+    ASSERT_TRUE(all.ok()) << what << all.status();
+    EXPECT_TRUE(found == *all)
+        << what << "(stable models) engine " << found.size()
+        << ", reference " << all->size();
+  }
 }
+
+class ReferenceEvaluatorDifferential
+    : public ::testing::TestWithParam<uint64_t> {};
+
+// Each seed draws one program per seed formula of the executor
+// differentials this suite replaced.
+TEST_P(ReferenceEvaluatorDifferential, PositivePrograms) {
+  GenOptions gen;
+  gen.allow_negation = false;
+  for (uint64_t seed : {GetParam() * 48271 + 19, GetParam() * 16807 + 37}) {
+    SCOPED_TRACE(seed);
+    CheckAgainstReference(GenerateProgram(seed, gen), {});
+  }
+}
+
+TEST_P(ReferenceEvaluatorDifferential, GeneralPrograms) {
+  for (uint64_t seed : {GetParam() * 69621 + 59, GetParam() * 22695477 + 41}) {
+    SCOPED_TRACE(seed);
+    CheckAgainstReference(GenerateProgram(seed, GenOptions{}), {});
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceEvaluatorDifferential,
+                         ::testing::Range<uint64_t>(1, 201));
+
+// The seed sweeps of the two executor differentials the reference
+// evaluator replaced keep their test ids.  They run the same reference
+// check, each on its own seed formula, with the join index off: every
+// keyed step then opens a row cursor, so the scan path and the VM's row
+// cursors are checked against the reference on every seed.
 
 class ColumnarVsRowDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ColumnarVsRowDifferential, PositiveSemanticsAgreeAcrossStorage) {
   GenOptions gen;
   gen.allow_negation = false;
-  Generated g = GenerateProgram(GetParam() * 16807 + 37, gen);
-  const std::string what = g.program.ToString();
-  EvalBothStorage(
-      [&](datalog::EvalOptions o) {
-        o.seminaive = false;
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
-      },
-      what);
-  EvalBothStorage(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
-      },
-      what);
+  CheckAgainstReference(GenerateProgram(GetParam() * 16807 + 37, gen),
+                        IndexOpts(false));
 }
 
 TEST_P(ColumnarVsRowDifferential, GeneralSemanticsAgreeAcrossStorage) {
-  // Random general programs may be unstratifiable or have no stable
-  // model; EvalBothStorage still checks that both storage modes fail
-  // (or succeed) identically.
-  Generated g = GenerateProgram(GetParam() * 22695477 + 41, GenOptions{});
-  const std::string what = g.program.ToString();
-  EvalBothStorage(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalInflationary(g.program, g.edb, o);
-      },
-      what);
-  EvalBothStorage(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalWellFounded(g.program, g.edb, o);
-      },
-      what);
-  EvalBothStorage(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStratified(g.program, g.edb, o);
-      },
-      what);
-  EvalBothStorage(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStableModels(g.program, g.edb, o);
-      },
-      what);
-  EvalBothStorage(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::GroundProgramFor(g.program, g.edb, o);
-      },
-      what);
+  CheckAgainstReference(
+      GenerateProgram(GetParam() * 22695477 + 41, GenOptions{}),
+      IndexOpts(false));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarVsRowDifferential,
                          ::testing::Range<uint64_t>(1, 201));
-
-// The rendered model text must be byte-identical across storage modes:
-// canonical ordering goes through ValueSet::Sorted, whose columnar
-// permutation sort must agree with the row sort exactly.
-TEST(ColumnarVsRowDifferential, RenderedModelsAreByteIdentical) {
-  for (const CpEngine& engine : CrashPointEngines()) {
-    ExecutionContext row_ctx(EvalLimits::Default());
-    auto row = engine.run(&row_ctx, StorageOpts(false));
-    ExecutionContext col_ctx(EvalLimits::Default());
-    auto columnar = engine.run(&col_ctx, StorageOpts(true));
-    ASSERT_TRUE(row.ok() && columnar.ok())
-        << engine.name << "\nrow:      " << row.status()
-        << "\ncolumnar: " << columnar.status();
-    EXPECT_EQ(*row, *columnar) << engine.name;
-  }
-}
-
-// Governance charge sequences are storage-independent: word cursors
-// poll CheckInterrupt("body-match") once per complete body match,
-// exactly like row cursors, so disarmed charge counts match for every
-// engine.
-TEST(ColumnarVsRowGovernance, ChargeCountsIdenticalBothStorage) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    size_t counts[2] = {0, 0};
-    int slot = 0;
-    for (bool columnar : {false, true}) {
-      FaultInjector injector;
-      injector.Disarm();
-      ExecutionContext ctx(EvalLimits::Default());
-      ctx.set_fault_injector(&injector);
-      ASSERT_TRUE(engine.run_with(&ctx, StorageOpts(columnar)).ok())
-          << engine.name;
-      counts[slot++] = injector.charges_seen();
-    }
-    EXPECT_EQ(counts[0], counts[1])
-        << engine.name << ": row charges=" << counts[0]
-        << " columnar charges=" << counts[1];
-  }
-}
-
-// A fault tripped at charge i surfaces the identical status (code and
-// message, which embeds the trip coordinates) in both storage modes.
-TEST(ColumnarVsRowGovernance, FaultTripStatusesIdenticalBothStorage) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    // Learn the charge count with columnar on; the previous test proves
-    // it is the same number in row mode.
-    FaultInjector probe;
-    probe.Disarm();
-    ExecutionContext probe_ctx(EvalLimits::Default());
-    probe_ctx.set_fault_injector(&probe);
-    ASSERT_TRUE(engine.run_with(&probe_ctx, StorageOpts(true)).ok())
-        << engine.name;
-    const size_t n = probe.charges_seen();
-    ASSERT_GT(n, 0u) << engine.name;
-
-    for (size_t k : {size_t{1}, (n + 1) / 2, n}) {
-      Status statuses[2];
-      int slot = 0;
-      for (bool columnar : {false, true}) {
-        FaultInjector injector;
-        injector.TripAt(k, Status::Internal("injected fault"));
-        ExecutionContext ctx(EvalLimits::Default());
-        ctx.set_fault_injector(&injector);
-        statuses[slot++] = engine.run_with(&ctx, StorageOpts(columnar));
-      }
-      EXPECT_EQ(statuses[0].code(), statuses[1].code())
-          << engine.name << " trip at " << k << "/" << n;
-      EXPECT_EQ(statuses[0].ToString(), statuses[1].ToString())
-          << engine.name << " trip at " << k << "/" << n;
-    }
-  }
-}
-
-// Pre-cancelled contexts and already-expired deadlines surface the same
-// terminal statuses whichever storage mode enumerates the bodies.
-TEST(ColumnarVsRowGovernance, PreCancelledAndExpiredDeadlineParity) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    for (bool columnar : {false, true}) {
-      CancelSource source;
-      source.RequestCancel();
-      ExecutionContext cancelled;
-      cancelled.set_cancel_token(source.token());
-      EXPECT_TRUE(
-          engine.run_with(&cancelled, StorageOpts(columnar)).IsCancelled())
-          << engine.name << " columnar=" << columnar;
-
-      ExecutionContext expired;
-      expired.set_deadline(ExecutionContext::Clock::now() -
-                           std::chrono::milliseconds(1));
-      EXPECT_TRUE(engine.run_with(&expired, StorageOpts(columnar))
-                      .IsDeadlineExceeded())
-          << engine.name << " columnar=" << columnar;
-    }
-  }
-}
-
-// ----------------------------------------------------------------------
-// Bytecode-vs-interpreter differential oracle.  EvalOptions::use_bytecode
-// = false is the tree-walking enumerator (the oracle); the compiled
-// register-VM path (DESIGN.md §14) must produce the identical model,
-// charge sequence and interruption statuses for every program, engine
-// and storage mode — a compiled program is just the plan
-// flattened, drawing candidate facts from the same enumeration sources.
-
-datalog::EvalOptions EngineOpts(bool columnar, bool bytecode) {
-  datalog::EvalOptions o;
-  o.use_columnar = columnar;
-  o.use_bytecode = bytecode;
-  return o;
-}
-
-/// Runs one evaluation with the interpreter (oracle) and then the
-/// bytecode VM, requiring identical status codes and — on success —
-/// identical results.
-template <typename Fn>
-void EvalBothExecutors(const Fn& eval, bool columnar, const std::string& what) {
-  auto interpreted = eval(EngineOpts(columnar, false));
-  auto compiled = eval(EngineOpts(columnar, true));
-  EXPECT_EQ(interpreted.status().code(), compiled.status().code())
-      << what << "\ninterpreter: " << interpreted.status()
-      << "\nbytecode:    " << compiled.status();
-  if (interpreted.ok() && compiled.ok()) {
-    ExpectSameResult(*compiled, *interpreted, what);
-  }
-}
 
 class BytecodeVsInterpreterDifferential
     : public ::testing::TestWithParam<uint64_t> {};
@@ -2286,212 +2229,17 @@ class BytecodeVsInterpreterDifferential
 TEST_P(BytecodeVsInterpreterDifferential, PositiveSemanticsAgree) {
   GenOptions gen;
   gen.allow_negation = false;
-  Generated g = GenerateProgram(GetParam() * 48271 + 19, gen);
-  const std::string what = g.program.ToString();
-  for (bool columnar : {false, true}) {
-    const std::string where =
-        what + "\n(columnar=" + std::to_string(columnar) + ")";
-    EvalBothExecutors(
-        [&](datalog::EvalOptions o) {
-          o.seminaive = false;
-          return datalog::EvalMinimalModel(g.program, g.edb, o);
-        },
-        columnar, where);
-    EvalBothExecutors(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalMinimalModel(g.program, g.edb, o);
-        },
-        columnar, where);
-  }
+  CheckAgainstReference(GenerateProgram(GetParam() * 48271 + 19, gen),
+                        IndexOpts(false));
 }
 
 TEST_P(BytecodeVsInterpreterDifferential, GeneralSemanticsAgree) {
-  // Random general programs may be unstratifiable or have no stable
-  // model; both executors must then fail (or succeed) identically.
-  Generated g = GenerateProgram(GetParam() * 69621 + 59, GenOptions{});
-  const std::string what = g.program.ToString();
-  for (bool columnar : {false, true}) {
-    const std::string where =
-        what + "\n(columnar=" + std::to_string(columnar) + ")";
-    EvalBothExecutors(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalInflationary(g.program, g.edb, o);
-        },
-        columnar, where);
-    EvalBothExecutors(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalWellFounded(g.program, g.edb, o);
-        },
-        columnar, where);
-    EvalBothExecutors(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalStratified(g.program, g.edb, o);
-        },
-        columnar, where);
-    EvalBothExecutors(
-        [&](const datalog::EvalOptions& o) {
-          return datalog::EvalStableModels(g.program, g.edb, o);
-        },
-        columnar, where);
-  }
+  CheckAgainstReference(
+      GenerateProgram(GetParam() * 69621 + 59, GenOptions{}), IndexOpts(false));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BytecodeVsInterpreterDifferential,
                          ::testing::Range<uint64_t>(1, 201));
-
-// The rendered model text must be byte-identical across executors for
-// the crash-point engines, in both storage modes.
-TEST(BytecodeVsInterpreterDifferential, RenderedModelsAreByteIdentical) {
-  for (const CpEngine& engine : CrashPointEngines()) {
-    for (bool columnar : {false, true}) {
-      ExecutionContext interp_ctx(EvalLimits::Default());
-      auto interpreted =
-          engine.run(&interp_ctx, EngineOpts(columnar, false));
-      ExecutionContext vm_ctx(EvalLimits::Default());
-      auto compiled =
-          engine.run(&vm_ctx, EngineOpts(columnar, true));
-      ASSERT_TRUE(interpreted.ok() && compiled.ok())
-          << engine.name << "\ninterpreter: " << interpreted.status()
-          << "\nbytecode:    " << compiled.status();
-      EXPECT_EQ(*interpreted, *compiled)
-          << engine.name << " columnar=" << columnar;
-    }
-  }
-}
-
-// Charge sequences are executor-independent: compiled programs poll
-// CheckInterrupt("body-match") once per complete body match, exactly
-// like the enumerator, so disarmed charge counts match everywhere.
-TEST(BytecodeVsInterpreterGovernance, ChargeCountsIdentical) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    for (bool columnar : {false, true}) {
-      size_t counts[2] = {0, 0};
-      int slot = 0;
-      for (bool bytecode : {false, true}) {
-        FaultInjector injector;
-        injector.Disarm();
-        ExecutionContext ctx(EvalLimits::Default());
-        ctx.set_fault_injector(&injector);
-        ASSERT_TRUE(
-            engine.run_with(&ctx, EngineOpts(columnar, bytecode))
-                .ok())
-            << engine.name;
-        counts[slot++] = injector.charges_seen();
-      }
-      EXPECT_EQ(counts[0], counts[1])
-          << engine.name << " columnar=" << columnar
-          << ": interpreter charges=" << counts[0]
-          << " bytecode charges=" << counts[1];
-    }
-  }
-}
-
-// A fault tripped at charge i surfaces the identical status (code and
-// message, which embeds the trip coordinates) under both executors.
-TEST(BytecodeVsInterpreterGovernance, FaultTripStatusesIdentical) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    FaultInjector probe;
-    probe.Disarm();
-    ExecutionContext probe_ctx(EvalLimits::Default());
-    probe_ctx.set_fault_injector(&probe);
-    ASSERT_TRUE(engine.run_with(&probe_ctx, EngineOpts(true, true)).ok())
-        << engine.name;
-    const size_t n = probe.charges_seen();
-    ASSERT_GT(n, 0u) << engine.name;
-
-    for (size_t k : {size_t{1}, (n + 1) / 2, n}) {
-      Status statuses[2];
-      int slot = 0;
-      for (bool bytecode : {false, true}) {
-        FaultInjector injector;
-        injector.TripAt(k, Status::Internal("injected fault"));
-        ExecutionContext ctx(EvalLimits::Default());
-        ctx.set_fault_injector(&injector);
-        statuses[slot++] = engine.run_with(&ctx, EngineOpts(true, bytecode));
-      }
-      EXPECT_EQ(statuses[0].code(), statuses[1].code())
-          << engine.name << " trip at " << k << "/" << n;
-      EXPECT_EQ(statuses[0].ToString(), statuses[1].ToString())
-          << engine.name << " trip at " << k << "/" << n;
-    }
-  }
-}
-
-// Pre-cancelled contexts and already-expired deadlines surface the same
-// terminal statuses whichever executor enumerates the bodies.
-TEST(BytecodeVsInterpreterGovernance, PreCancelledAndExpiredDeadlineParity) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    for (bool bytecode : {false, true}) {
-      CancelSource source;
-      source.RequestCancel();
-      ExecutionContext cancelled;
-      cancelled.set_cancel_token(source.token());
-      EXPECT_TRUE(
-          engine.run_with(&cancelled, EngineOpts(true, bytecode))
-              .IsCancelled())
-          << engine.name << " bytecode=" << bytecode;
-
-      ExecutionContext expired;
-      expired.set_deadline(ExecutionContext::Clock::now() -
-                           std::chrono::milliseconds(1));
-      EXPECT_TRUE(
-          engine.run_with(&expired, EngineOpts(true, bytecode))
-              .IsDeadlineExceeded())
-          << engine.name << " bytecode=" << bytecode;
-    }
-  }
-}
-
-// On-interrupt snapshots capture the identical bytes under both
-// executors: a fault tripped at the same charge interrupts the same
-// barrier state, and the snapshot stores structure the executor choice
-// cannot reach.
-TEST(BytecodeVsInterpreterSnapshot, SnapshotBytesIdentical) {
-  for (const CpEngine& engine : CrashPointEngines()) {
-    FaultInjector probe;
-    probe.Disarm();
-    ExecutionContext probe_ctx(EvalLimits::Default());
-    probe_ctx.set_fault_injector(&probe);
-    auto oracle = engine.run(&probe_ctx, EngineOpts(true, true));
-    ASSERT_TRUE(oracle.ok()) << engine.name << ": " << oracle.status();
-    const size_t n = probe.charges_seen();
-    ASSERT_GT(n, 1u) << engine.name;
-    const size_t k = (n + 1) / 2;
-
-    std::vector<uint8_t> captured_bytes[2];
-    int slot = 0;
-    for (bool bytecode : {false, true}) {
-      SCOPED_TRACE(engine.name + (bytecode ? " bytecode" : " interpreter") +
-                   " crash at charge " + std::to_string(k) + "/" +
-                   std::to_string(n));
-      FaultInjector injector;
-      injector.TripAt(k, Status::Internal("injected fault"));
-      ExecutionContext ctx(EvalLimits::Default());
-      ctx.set_fault_injector(&injector);
-      snapshot::CheckpointSink sink;
-      datalog::EvalOptions opts = EngineOpts(true, bytecode);
-      opts.checkpoint.sink = &sink;
-      opts.checkpoint.on_interrupt = true;
-      opts.checkpoint.every_n_rounds = 0;
-      auto crashed = engine.run(&ctx, opts);
-      ASSERT_FALSE(crashed.ok());
-      ASSERT_TRUE(sink.latest.has_value());
-      auto bytes = snapshot::Serialize(*sink.latest);
-      ASSERT_TRUE(bytes.ok()) << bytes.status();
-      captured_bytes[slot++] = *bytes;
-
-      // Resume under the OPPOSITE executor; the final model must match
-      // the oracle rendering byte for byte.
-      auto loaded = snapshot::Deserialize(*bytes);
-      ASSERT_TRUE(loaded.ok()) << loaded.status();
-      auto resumed = engine.resume(*loaded, EngineOpts(true, !bytecode));
-      ASSERT_TRUE(resumed.ok()) << resumed.status();
-      EXPECT_EQ(*resumed, *oracle);
-    }
-    EXPECT_EQ(captured_bytes[0], captured_bytes[1])
-        << engine.name << ": snapshot bytes differ between executors";
-  }
-}
 
 }  // namespace
 }  // namespace awr

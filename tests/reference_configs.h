@@ -1,13 +1,13 @@
 // Runs a check under each reference evaluation path, in-process.
 //
-// Every fast path keeps the path it replaced alive as a test reference,
-// selected per call: EvalOptions::use_join_index (scan joins),
-// use_columnar (row cursors), use_bytecode (the tree-walking
-// interpreter), and SetStructuralInterningForTesting (the legacy
-// per-instance value and term representation).  The differential suites
-// compare each pair directly; these helpers rerun whole checks — crash
-// resume, golden snapshot bytes, the corruption fuzz, the term and
-// rewrite tests — under every reference.
+// Two fast paths keep the path they replaced alive as a test
+// reference, selected per call: EvalOptions::use_join_index (scan
+// joins) and SetStructuralInterningForTesting (the legacy per-instance
+// value and term representation).  The differential suites compare
+// each pair directly, and every engine against the naive reference
+// evaluator (reference_eval.h); these helpers rerun whole checks —
+// crash resume, golden snapshot bytes, the corruption fuzz, the term
+// and rewrite tests — under every reference.
 #ifndef AWR_TESTS_REFERENCE_CONFIGS_H_
 #define AWR_TESTS_REFERENCE_CONFIGS_H_
 
@@ -41,14 +41,10 @@ class ScopedInterning {
 struct ReferenceConfig {
   const char* name;
   bool use_join_index = true;
-  bool use_columnar = true;
-  bool use_bytecode = true;
   bool structural_interning = true;
 
   datalog::EvalOptions Apply(datalog::EvalOptions opts) const {
     opts.use_join_index = use_join_index;
-    opts.use_columnar = use_columnar;
-    opts.use_bytecode = use_bytecode;
     return opts;
   }
 };
@@ -58,10 +54,7 @@ inline std::vector<ReferenceConfig> ReferenceConfigs() {
   return {
       {"production"},
       {"scan joins", /*use_join_index=*/false},
-      {"row cursors", true, /*use_columnar=*/false},
-      {"interpreter", true, true, /*use_bytecode=*/false},
-      {"legacy representation", true, true, true,
-       /*structural_interning=*/false},
+      {"legacy representation", true, /*structural_interning=*/false},
   };
 }
 

@@ -228,25 +228,27 @@ AWR_TEST_BOTH_REPRS(SnapshotFormatTest, SerializationIsDeterministic) {
 
 AWR_TEST_BOTH_REPRS(SnapshotFormatTest,
                     ColumnarAndRowStorageSerializeIdentically) {
-  // The same model evaluated with and without the VM's word-level
-  // cursors and word emission must produce the exact same snapshot
-  // bytes: the encoder goes through the canonical Sorted() order, which
-  // a word table computes by sorting its rows on their words.
+  // The same model held two ways must produce the exact same snapshot
+  // bytes: as the VM emitted it, its derived facts words only, and
+  // rebuilt by inserting each fact as a Value.  The encoder goes through
+  // the canonical Sorted() order, which a word table computes by
+  // sorting its rows on their words.
   Program tc = TcProgram();
   Database edges = ChainEdges(30);
-  EvalOptions row_opts;
-  row_opts.limits = EvalLimits::Large();
-  row_opts.use_columnar = false;
-  auto row_model = datalog::EvalMinimalModel(tc, edges, row_opts);
-  ASSERT_TRUE(row_model.ok()) << row_model.status();
-  EvalOptions col_opts = row_opts;
-  col_opts.use_columnar = true;
-  auto col_model = datalog::EvalMinimalModel(tc, edges, col_opts);
+  EvalOptions opts;
+  opts.limits = EvalLimits::Large();
+  auto col_model = datalog::EvalMinimalModel(tc, edges, opts);
   ASSERT_TRUE(col_model.ok()) << col_model.status();
+  auto copy = datalog::EvalMinimalModel(tc, edges, opts);
+  ASSERT_TRUE(copy.ok()) << copy.status();
+  datalog::Interpretation row_model;
+  for (const auto& [pred, extent] : *copy) {
+    for (const Value& fact : extent) row_model.AddFactTuple(pred, fact);
+  }
 
   EvalSnapshot row;
   row.engine = EngineKind::kLeastModel;
-  row.inner.interp = *row_model;
+  row.inner.interp = row_model;
 
   EvalSnapshot col;
   col.engine = EngineKind::kLeastModel;
@@ -268,7 +270,7 @@ AWR_TEST_BOTH_REPRS(SnapshotFormatTest,
   // And the columnar-built snapshot still round-trips.
   auto back = snapshot::Deserialize(*col_bytes);
   ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back->inner.interp.ToString(), row_model->ToString());
+  EXPECT_EQ(back->inner.interp.ToString(), row_model.ToString());
 }
 
 AWR_TEST_BOTH_REPRS(SnapshotFormatTest, FileRoundTrip) {

@@ -8,6 +8,7 @@
 #include "awr/algebra/valid_eval.h"
 #include "awr/datalog/builders.h"
 #include "awr/datalog/inflationary.h"
+#include "awr/datalog/leastmodel.h"
 #include "awr/datalog/depgraph.h"
 #include "awr/datalog/stratified.h"
 #include "awr/datalog/wellfounded.h"
@@ -34,12 +35,17 @@ Value Fact1(std::string_view a) { return Value::Tuple({Value::Atom(a)}); }
 // ---------------------------------------------------------------------
 // CompileFnExpr.
 
+// Each compiled term is run on the VM as the one rule
+// `out(Y) :- in(X), Y = <term>.` over in(<3, 4>).
 TEST(CompileFnTest, RoundTripsThroughInterpretedFunctions) {
   datalog::FunctionRegistry fns = datalog::FunctionRegistry::Default();
-  datalog::Env env;
-  datalog::Var x("x");
-  env.Bind(x, Value::Pair(IV(3), IV(4)));
+  datalog::Var x("X");
+  datalog::Var y("Y");
   datalog::TermExpr arg = datalog::TermExpr::Variable(x);
+  datalog::Interpretation in;
+  in.AddFact("in", {Value::Pair(IV(3), IV(4))});
+  datalog::EvalOptions opts;
+  opts.functions = fns;
 
   struct Case {
     FnExpr fn;
@@ -60,13 +66,25 @@ TEST(CompileFnTest, RoundTripsThroughInterpretedFunctions) {
   for (const Case& c : cases) {
     auto term = CompileFnExpr(c.fn, arg);
     ASSERT_TRUE(term.ok()) << term.status();
-    auto value = datalog::EvalTerm(*term, env, fns);
-    ASSERT_TRUE(value.ok()) << value.status();
+    datalog::Rule rule;
+    rule.head.predicate = "out";
+    rule.head.args.push_back(datalog::TermExpr::Variable(y));
+    rule.body.push_back(datalog::Literal::Positive(
+        datalog::Atom{"in", {datalog::TermExpr::Variable(x)}}));
+    rule.body.push_back(datalog::Literal::Compare(
+        datalog::CmpOp::kEq, datalog::TermExpr::Variable(y), *term));
+    datalog::Program program;
+    program.rules.push_back(std::move(rule));
+    auto model = datalog::EvalMinimalModel(program, in, opts);
+    ASSERT_TRUE(model.ok()) << model.status();
+    const ValueSet& out = model->Extent("out");
+    ASSERT_EQ(out.size(), 1u) << c.fn.ToString();
+    const Value value = out.begin()->items()[0];
     // Must agree with direct FnExpr evaluation.
     auto direct = c.fn.Eval(Value::Pair(IV(3), IV(4)), fns);
     ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(*value, *direct);
-    EXPECT_EQ(*value, c.expected) << c.fn.ToString();
+    EXPECT_EQ(value, *direct);
+    EXPECT_EQ(value, c.expected) << c.fn.ToString();
   }
 }
 

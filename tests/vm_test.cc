@@ -1,7 +1,7 @@
 // Tests for the register bytecode VM (DESIGN.md §14): lowering
 // invariants, the structural verifier, lowering once per rule at plan
-// time, one program serving both join paths, and execution parity with
-// the tree-walking interpreter on handcrafted rules.
+// time, one program serving both join paths, grounding on the VM, and
+// agreement with the naive reference evaluator on handcrafted rules.
 #include "awr/datalog/vm/vm.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,8 @@
 #include "awr/datalog/magic.h"
 #include "awr/datalog/parser.h"
 #include "awr/datalog/vm/bytecode.h"
+#include "awr/datalog/wellfounded.h"
+#include "reference_eval.h"
 
 namespace awr::datalog::vm {
 namespace {
@@ -24,7 +26,7 @@ namespace {
 std::vector<PlannedRule> Planned(const std::string& text) {
   auto program = ParseProgram(text);
   EXPECT_TRUE(program.ok()) << program.status();
-  auto rules = PlanProgram(*program, /*lower=*/true);
+  auto rules = PlanProgram(*program);
   EXPECT_TRUE(rules.ok()) << rules.status();
   return *rules;
 }
@@ -54,7 +56,6 @@ TEST(VmLoweringTest, RecursiveRuleBakesProbeUnderJoinIndex) {
   ASSERT_EQ(rules.size(), 2u);
   auto cr = Lower(rules[1]);
   ASSERT_EQ(cr->steps.size(), 2u);
-  EXPECT_EQ(cr->num_loops, 2u);
   // First atom: nothing bound yet.  Second: joins through Y, with the
   // probe key it reads when the join index is on.
   EXPECT_TRUE(cr->steps[0].bound_positions.empty());
@@ -79,8 +80,7 @@ struct Firing {
 };
 
 Firing FireEach(const std::vector<PlannedRule>& rules,
-                const Interpretation& interp, bool use_join_index,
-                bool use_columnar) {
+                const Interpretation& interp, bool use_join_index) {
   FunctionRegistry fns = FunctionRegistry::Default();
   ExecutionContext exec(EvalLimits::Large());
   BodyContext ctx{
@@ -90,7 +90,6 @@ Firing FireEach(const std::vector<PlannedRule>& rules,
       },
       [](const std::string&, const Value&) { return true; },
       &exec, use_join_index};
-  ctx.use_columnar = use_columnar;
   Firing out;
   ResetVmExecStats();
   for (const PlannedRule& pr : rules) {
@@ -115,10 +114,10 @@ TEST(VmLoweringTest, ScanShapeUnderNoJoinIndex) {
     interp.AddFact("edge", {Value::Int(i), Value::Int(i + 1)});
     interp.AddFact("tc", {Value::Int(i), Value::Int(i + 1)});
   }
-  const Firing scan = FireEach(recursive, interp, false, true);
+  const Firing scan = FireEach(recursive, interp, false);
   EXPECT_EQ(scan.stats.word_opens, 1u);
   EXPECT_EQ(scan.stats.row_opens, 6u);
-  const Firing probe = FireEach(recursive, interp, true, true);
+  const Firing probe = FireEach(recursive, interp, true);
   EXPECT_EQ(probe.stats.word_opens, 7u);
   EXPECT_EQ(probe.stats.row_opens, 0u);
   EXPECT_EQ(scan.facts, probe.facts);
@@ -156,20 +155,26 @@ TEST(VmLoweringTest, NegationAndComparisonLowerToFilters) {
 TEST(VmLoweringTest, EmptyBodyRuleLowers) {
   std::vector<PlannedRule> rules = Planned("start(0).");
   auto cr = Lower(rules[0]);
-  EXPECT_EQ(cr->num_loops, 0u);
+  EXPECT_TRUE(cr->steps.empty());
   EXPECT_EQ(CountOp(*cr, Op::kCharge), 1u);
   EXPECT_EQ(CountOp(*cr, Op::kEmit), 1u);
 }
 
-TEST(VmLoweringTest, OversizedRuleDeclinesCleanly) {
-  // More loop levels than the uint8_t loop operand can address: the
-  // lowerer must refuse (the caller falls back to the interpreter).
+/// A rule of 301 body atoms: more loop levels than an 8-bit operand
+/// could address.
+std::string OversizedRule() {
   std::string text = "p(X) :- a(X)";
   for (int i = 0; i < 300; ++i) text += ", a(X)";
-  text += ".";
-  std::vector<PlannedRule> rules = Planned(text);
-  auto cr = LowerRule(rules[0].rule, rules[0].plan);
-  EXPECT_FALSE(cr.ok());
+  return text + ".";
+}
+
+TEST(VmLoweringTest, OversizedRuleLowers) {
+  std::vector<PlannedRule> rules = Planned(OversizedRule());
+  ASSERT_NE(rules[0].compiled, nullptr);
+  const CompiledRule& cr = *rules[0].compiled;
+  EXPECT_EQ(cr.steps.size(), 301u);
+  EXPECT_EQ(CountOp(cr, Op::kOpenWord) + CountOp(cr, Op::kOpenRow), 301u);
+  EXPECT_TRUE(VerifyCompiledRule(cr).ok());
 }
 
 // ----------------------------------------------------------------------
@@ -233,7 +238,7 @@ TEST(VmVerifierTest, RejectsMissingHalt) {
 TEST(VmVerifierTest, RejectsOpenWithoutPairedNext) {
   CompiledRule cr = ValidProgram();
   ASSERT_EQ(cr.code[1].op, Op::kNext);
-  cr.code[1] = Instr{Op::kHalt, 0, 0, 0, 0};
+  cr.code[1] = Instr{Op::kHalt, 0, 0, 0};
   EXPECT_FALSE(VerifyCompiledRule(cr).ok());
 }
 
@@ -244,14 +249,20 @@ TEST(VmVerifierTest, RejectsEmitWithoutPrecedingCharge) {
   });
   ASSERT_NE(emit, cr.code.end());
   ASSERT_EQ((emit - 1)->op, Op::kCharge);
-  *(emit - 1) = Instr{Op::kBind, 0, 0, 0, 0};
+  *(emit - 1) = Instr{Op::kBind, 0, 0, 0};
   EXPECT_FALSE(VerifyCompiledRule(cr).ok());
 }
 
-TEST(VmVerifierTest, RejectsLoopCountMismatch) {
+// The step index doubles as the loop's cursor index, so a second open
+// of one step would share its cursor with the enclosing loop.
+TEST(VmVerifierTest, RejectsStepOpenedTwice) {
   CompiledRule cr = ValidProgram();
-  ++cr.num_loops;
-  EXPECT_FALSE(VerifyCompiledRule(cr).ok());
+  ASSERT_EQ(cr.code[2].op, Op::kOpenWord);
+  ASSERT_EQ(cr.code[3].op, Op::kNext);
+  cr.code[2].a = cr.code[0].a;
+  cr.code[3].a = cr.code[0].a;
+  const Status st = VerifyCompiledRule(cr);
+  EXPECT_NE(st.message().find("step opened twice"), std::string::npos) << st;
 }
 
 TEST(VmVerifierTest, RejectsTermPoolCycle) {
@@ -276,7 +287,7 @@ TEST(VmVerifierTest, RejectsWordOpenOnNonWordCapableStep) {
 }
 
 // ----------------------------------------------------------------------
-// Execution parity on handcrafted rules.
+// Execution on handcrafted rules, against the reference evaluator.
 
 Database Chain(int n) {
   Database db;
@@ -286,50 +297,50 @@ Database Chain(int n) {
   return db;
 }
 
-EvalOptions Opts(bool bytecode) {
-  EvalOptions o;
-  o.use_bytecode = bytecode;
-  return o;
-}
-
-void ExpectSameModel(const std::string& program_text, const Database& edb) {
+void ExpectReferenceModel(const std::string& program_text,
+                          const Database& edb) {
   auto program = ParseProgram(program_text);
   ASSERT_TRUE(program.ok()) << program.status();
-  auto interpreted = EvalMinimalModel(*program, edb, Opts(false));
-  auto compiled = EvalMinimalModel(*program, edb, Opts(true));
-  ASSERT_EQ(interpreted.status().code(), compiled.status().code())
-      << program_text;
-  if (interpreted.ok()) {
-    EXPECT_TRUE(*interpreted == *compiled)
-        << program_text << "\ninterpreter: " << interpreted->ToString()
-        << "\nbytecode:    " << compiled->ToString();
+  const FunctionRegistry fns = FunctionRegistry::Default();
+  auto expected = reference::MinimalModel(
+      *program, reference::FromInterpretation(edb), fns);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  for (bool join_index : {true, false}) {
+    EvalOptions opts;
+    opts.use_join_index = join_index;
+    auto model = EvalMinimalModel(*program, edb, opts);
+    ASSERT_TRUE(model.ok()) << program_text << ": " << model.status();
+    EXPECT_TRUE(reference::FromInterpretation(*model) == *expected)
+        << program_text << " join_index=" << join_index
+        << "\nvm:        " << model->ToString()
+        << "\nreference: " << reference::Render(*expected);
   }
 }
 
-TEST(VmExecutionTest, HandcraftedRulesMatchInterpreter) {
-  ExpectSameModel(kTc, Chain(20));
+TEST(VmExecutionTest, HandcraftedRulesMatchReference) {
+  ExpectReferenceModel(kTc, Chain(20));
   // Duplicate variables within an atom.
   {
     Database db = Chain(3);
     db.AddFact("edge", {Value::Int(7), Value::Int(7)});
-    ExpectSameModel("self(X) :- edge(X, X).", db);
+    ExpectReferenceModel("self(X) :- edge(X, X).", db);
   }
   // Constants in body atoms, bound and checked positions.
-  ExpectSameModel("from0(Y) :- edge(0, Y). hop(Z) :- from0(Y), edge(Y, Z).",
-                  Chain(5));
+  ExpectReferenceModel(
+      "from0(Y) :- edge(0, Y). hop(Z) :- from0(Y), edge(Y, Z).", Chain(5));
   // Comparisons, assignment form, and function application.
-  ExpectSameModel(
+  ExpectReferenceModel(
       "small(X) :- edge(X, Y), X < 3, X != 2.\n"
       "bumped(W) :- small(X), W = add(X, 100).\n"
       "sum(S) :- edge(X, Y), S = add(X, Y).",
       Chain(6));
-  // Stratified negation.
-  ExpectSameModel(
-      "reach(0).\nreach(Y) :- reach(X), edge(X, Y).\n"
-      "blocked(X) :- edge(X, Y), not reach(X).",
+  // Function applications in body atoms and the head.
+  ExpectReferenceModel(
+      "next(X, Y) :- edge(X, add(X, 1)), edge(X, Y).\n"
+      "double(X, mul(X, 2)) :- edge(X, Y).",
       Chain(4));
   // Empty-body facts and an empty extent in mid-body.
-  ExpectSameModel("start(42).\np(X) :- start(X), nothing(X).", Chain(2));
+  ExpectReferenceModel("start(42).\np(X) :- start(X), nothing(X).", Chain(2));
 }
 
 TEST(VmExecutionTest, ArityMismatchErrorsAreIdentical) {
@@ -337,21 +348,22 @@ TEST(VmExecutionTest, ArityMismatchErrorsAreIdentical) {
   db.AddFact("edge", {Value::Int(1)});  // unary fact, binary atom
   auto program = ParseProgram("p(X) :- edge(X, Y).");
   ASSERT_TRUE(program.ok());
-  auto interpreted = EvalMinimalModel(*program, db, Opts(false));
-  auto compiled = EvalMinimalModel(*program, db, Opts(true));
-  ASSERT_FALSE(interpreted.ok());
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_EQ(interpreted.status().code(), compiled.status().code());
-  EXPECT_EQ(interpreted.status().ToString(), compiled.status().ToString());
+  for (bool join_index : {true, false}) {
+    EvalOptions opts;
+    opts.use_join_index = join_index;
+    auto model = EvalMinimalModel(*program, db, opts);
+    ASSERT_FALSE(model.ok());
+    EXPECT_TRUE(model.status().IsInvalidArgument()) << model.status();
+    EXPECT_EQ(model.status().message(),
+              "arity mismatch: atom edge(X, Y) vs fact <1>");
+  }
 }
 
 TEST(VmExecutionTest, StatsCountCompiledWork) {
   ResetVmExecStats();
   auto program = ParseProgram(kTc);
   ASSERT_TRUE(program.ok());
-  EvalOptions opts = Opts(true);
-  opts.use_columnar = false;
-  auto model = EvalMinimalModel(*program, Chain(40), opts);
+  auto model = EvalMinimalModel(*program, Chain(40), EvalOptions{});
   ASSERT_TRUE(model.ok()) << model.status();
   VmExecStats stats = GetVmExecStats();
   EXPECT_GT(stats.vm_rules_fired, 0u);
@@ -361,31 +373,22 @@ TEST(VmExecutionTest, StatsCountCompiledWork) {
   EXPECT_GT(stats.cache_hits, 9 * stats.cache_misses);
 }
 
-// The row oracle emits tuples, so every fact of its model is held as a
-// Value; production emits words, so no fact the VM derived is.  The
-// model is the same either way.
-TEST(VmExecutionTest, RowOracleHoldsEveryFactAsAValue) {
+// The VM emits derived flat facts as words, so no fact it derived is
+// held as a Value; the EDB, parsed as Values, is.
+TEST(VmExecutionTest, DerivedFactsAreHeldAsWords) {
   auto program = ParseProgram(kTc);
   ASSERT_TRUE(program.ok());
-  Interpretation models[2];
-  for (bool columnar : {false, true}) {
-    EvalOptions opts = Opts(true);
-    opts.use_columnar = columnar;
-    auto model = EvalMinimalModel(*program, Chain(12), opts);
-    ASSERT_TRUE(model.ok()) << model.status();
-    const ValueSet& tc = model->Extent("tc");
-    ASSERT_GT(tc.size(), 12u);
-    EXPECT_EQ(tc.word_arity(), 2u);
-    EXPECT_EQ(tc.materialized_rows(), columnar ? 0u : tc.size());
-    const ValueSet& edge = model->Extent("edge");
-    EXPECT_EQ(edge.materialized_rows(), edge.size());  // parsed as Values
-    models[columnar ? 1 : 0] = *std::move(model);
-  }
-  EXPECT_EQ(models[0], models[1]);
-  EXPECT_EQ(models[0].ToString(), models[1].ToString());
+  auto model = EvalMinimalModel(*program, Chain(12), EvalOptions{});
+  ASSERT_TRUE(model.ok()) << model.status();
+  const ValueSet& tc = model->Extent("tc");
+  ASSERT_GT(tc.size(), 12u);
+  EXPECT_EQ(tc.word_arity(), 2u);
+  EXPECT_EQ(tc.materialized_rows(), 0u);
+  const ValueSet& edge = model->Extent("edge");
+  EXPECT_EQ(edge.materialized_rows(), edge.size());
 }
 
-TEST(VmExecutionTest, MagicSetCompositionMatchesInterpreter) {
+TEST(VmExecutionTest, MagicSetCompositionMatchesReference) {
   auto program = ParseProgram(kTc);
   ASSERT_TRUE(program.ok());
   QuerySpec q{"tc", {Value::Int(0), std::nullopt}};
@@ -393,15 +396,16 @@ TEST(VmExecutionTest, MagicSetCompositionMatchesInterpreter) {
   ASSERT_TRUE(magic.ok()) << magic.status();
   Database seeded = Chain(24);
   seeded.InsertAll(magic->seeds);
-  auto interpreted = EvalMinimalModel(magic->program, seeded, Opts(false));
-  auto compiled = EvalMinimalModel(magic->program, seeded, Opts(true));
-  ASSERT_TRUE(interpreted.ok()) << interpreted.status();
+  auto compiled = EvalMinimalModel(magic->program, seeded, EvalOptions{});
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_TRUE(*interpreted == *compiled);
-  auto a = MagicAnswers(*interpreted, *magic, q);
-  auto b = MagicAnswers(*compiled, *magic, q);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->size(), b->size());
+  auto expected = reference::MinimalModel(
+      magic->program, reference::FromInterpretation(seeded),
+      FunctionRegistry::Default());
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_TRUE(reference::FromInterpretation(*compiled) == *expected);
+  auto answers = MagicAnswers(*compiled, *magic, q);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(answers->size(), 24u);
 }
 
 // ----------------------------------------------------------------------
@@ -421,66 +425,75 @@ TEST(VmPlanTest, TcEvaluationLowersItsTwoRulesOnce) {
   const VmExecStats stats = GetVmExecStats();
   EXPECT_EQ(stats.cache_misses, 2u);
   EXPECT_EQ(stats.programs_lowered, 2u);
-  EXPECT_EQ(stats.lower_failures, 0u);
   EXPECT_GT(stats.vm_rules_fired, exec.rounds());
   EXPECT_EQ(stats.cache_hits, stats.vm_rules_fired);
 }
 
-TEST(VmPlanTest, InterpreterAndGroundingLowerNothing) {
-  // Only an evaluation that may run the VM lowers its rules: one on the
-  // interpreter lowers none, and grounding, which enumerates bindings
-  // with ForEachBodyMatch, adds none to the well-founded evaluation it
-  // starts from.
+TEST(VmPlanTest, GroundingLowersItsRules) {
+  // Grounding fires one rule per program rule on the VM, on top of the
+  // well-founded evaluation it starts from: both lower the two rules.
   auto program = ParseProgram(kTc);
   ASSERT_TRUE(program.ok());
-  EvalOptions interpreter;
-  interpreter.use_bytecode = false;
   ResetVmExecStats();
-  ASSERT_TRUE(EvalMinimalModel(*program, Chain(10), interpreter).ok());
-  ASSERT_TRUE(GroundProgramFor(*program, Chain(10), interpreter).ok());
-  VmExecStats stats = GetVmExecStats();
-  EXPECT_EQ(stats.programs_lowered, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-
+  ASSERT_TRUE(EvalWellFounded(*program, Chain(10), EvalOptions{}).ok());
+  const uint64_t wfs_fired = GetVmExecStats().vm_rules_fired;
   ResetVmExecStats();
-  ASSERT_TRUE(GroundProgramFor(*program, Chain(10), EvalOptions{}).ok());
-  stats = GetVmExecStats();
-  EXPECT_EQ(stats.programs_lowered, 2u);
-  EXPECT_EQ(stats.cache_misses, 2u);
+  auto ground = GroundProgramFor(*program, Chain(10), EvalOptions{});
+  ASSERT_TRUE(ground.ok()) << ground.status();
+  const VmExecStats stats = GetVmExecStats();
+  EXPECT_EQ(stats.programs_lowered, 4u);
+  EXPECT_EQ(stats.cache_misses, 4u);
+  EXPECT_EQ(stats.vm_rules_fired, wfs_fired + 2);
+  EXPECT_EQ(ground->rules.size(), 10u + 45u);  // one instance per match
 }
 
-TEST(VmPlanTest, DeclinedRuleGetsNoProgramAndRunsOnTheInterpreter) {
-  std::string text = "p(X) :- a(X)";
-  for (int i = 0; i < 300; ++i) text += ", a(X)";
-  text += ".";
-  auto program = ParseProgram(text);
+// Grounding charges one fact per instance right after that instance's
+// match poll, so a max_facts limit stops a rule in the middle of its
+// matches: batching the charge per rule would let one huge rule
+// allocate its whole grounding past the budget.
+TEST(VmPlanTest, GroundingChargesEachInstanceBetweenMatchPolls) {
+  auto program = ParseProgram("p(X, Y) :- e(X), e(Y).");
+  ASSERT_TRUE(program.ok());
+  Database edb;
+  for (int i = 0; i < 10; ++i) edb.AddFact("e", {Value::Int(i)});
+  ExecutionContext wfs_ctx(EvalLimits::Large());
+  EvalOptions opts;
+  opts.context = &wfs_ctx;
+  ASSERT_TRUE(EvalWellFounded(*program, edb, opts).ok());
+
+  EvalLimits limits = EvalLimits::Large();
+  limits.max_facts = wfs_ctx.facts() + 40;
+  ExecutionContext ctx(limits);
+  opts.context = &ctx;
+  auto ground = GroundProgramFor(*program, edb, opts);
+  ASSERT_TRUE(ground.status().IsResourceExhausted()) << ground.status();
+  EXPECT_NE(ground.status().message().find("grounding"), std::string::npos)
+      << ground.status();
+  // The 41st of the rule's 100 instances trips, after 41 polls and 41
+  // fact charges.
+  EXPECT_EQ(ctx.facts(), wfs_ctx.facts() + 41);
+  EXPECT_EQ(ctx.total_charges(), wfs_ctx.total_charges() + 2 * 41);
+}
+
+TEST(VmPlanTest, OversizedRuleRunsOnTheVm) {
+  auto program = ParseProgram(OversizedRule());
   ASSERT_TRUE(program.ok());
   Database edb;
   edb.AddFact("a", {Value::Int(1)});
   edb.AddFact("a", {Value::Int(2)});
   ResetVmExecStats();
-  auto planned = PlanProgram(*program, /*lower=*/true);
-  ASSERT_TRUE(planned.ok()) << planned.status();
-  EXPECT_EQ(planned->front().compiled, nullptr);
-  VmExecStats stats = GetVmExecStats();
-  EXPECT_EQ(stats.lower_failures, 1u);
-  EXPECT_EQ(stats.programs_lowered, 0u);
-
-  ResetVmExecStats();
-  auto compiled = EvalMinimalModel(*program, edb, Opts(true));
-  auto interpreted = EvalMinimalModel(*program, edb, Opts(false));
-  ASSERT_TRUE(compiled.ok()) << compiled.status();
-  ASSERT_TRUE(interpreted.ok()) << interpreted.status();
-  EXPECT_TRUE(*compiled == *interpreted);
-  EXPECT_EQ(compiled->Extent("p").size(), 2u);
-  stats = GetVmExecStats();
-  EXPECT_EQ(stats.vm_rules_fired, 0u);
+  auto model = EvalMinimalModel(*program, edb, EvalOptions{});
+  ASSERT_TRUE(model.ok()) << model.status();
+  EXPECT_EQ(model->Extent("p").size(), 2u);
+  const VmExecStats stats = GetVmExecStats();
+  EXPECT_EQ(stats.programs_lowered, 1u);
+  EXPECT_GT(stats.vm_rules_fired, 0u);
+  EXPECT_EQ(stats.vm_facts, 2u);
 }
 
-// One PlannedRule, fired under both join paths and both cursor kinds:
-// the same facts and charges, and the loop opens pinned to the figures
-// of the programs lowered separately per join path before one program
-// served both.
+// One PlannedRule, fired under both join paths: the same facts and
+// charges, and the loop opens pinned to the figures of the programs
+// lowered separately per join path before one program served both.
 TEST(VmExecutionTest, OneProgramServesBothJoinPaths) {
   std::vector<PlannedRule> rules = Planned(
       "tc(X, Z) :- edge(X, Y), tc(Y, Z).\n"
@@ -495,22 +508,18 @@ TEST(VmExecutionTest, OneProgramServesBothJoinPaths) {
   }
   struct Expected {
     bool join_index;
-    bool columnar;
     uint64_t word_opens;
     uint64_t row_opens;
   };
   const Expected kPinned[] = {
-      {true, true, 61, 0},
-      {false, true, 2, 59},
-      {true, false, 0, 61},
-      {false, false, 0, 61},
+      {true, 61, 0},
+      {false, 2, 59},
   };
-  const Firing reference = FireEach(rules, interp, true, true);
+  const Firing reference = FireEach(rules, interp, true);
   EXPECT_GT(reference.charges, 0u);
   for (const Expected& e : kPinned) {
-    SCOPED_TRACE(std::string("join_index=") + (e.join_index ? "1" : "0") +
-                 " columnar=" + (e.columnar ? "1" : "0"));
-    const Firing f = FireEach(rules, interp, e.join_index, e.columnar);
+    SCOPED_TRACE(std::string("join_index=") + (e.join_index ? "1" : "0"));
+    const Firing f = FireEach(rules, interp, e.join_index);
     EXPECT_EQ(f.facts, reference.facts);
     EXPECT_EQ(f.charges, reference.charges);
     EXPECT_EQ(f.stats.vm_rules_fired, rules.size());
