@@ -69,7 +69,7 @@ bool DispatchMicro(int n_left, int n_right, Micro* out) {
         return interp.Extent(p);
       },
       [](const std::string&, const Value&) { return true; },
-      nullptr, /*use_join_index=*/true};
+      nullptr};
   const datalog::vm::CompiledRule& compiled = *planned->front().compiled;
   constexpr int kReps = 5;
   bool ok = true;

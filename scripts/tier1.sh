@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build, then the test suite once.  No
-# environment variable selects an evaluation path: each reference path
-# (scan joins, the legacy per-instance value representation) is checked
-# against production per call, by the differential suites and by the
-# checks that rerun under every reference in-process
-# (tests/reference_configs.h: the crash-point sweep, the golden
-# snapshots, the snapshot corruption fuzz, the term and rewrite tests),
-# and every engine is checked against the naive reference evaluator
-# (tests/reference_eval.h, ReferenceEvaluatorDifferential).
+# Tier-1 verification: full build, then the test suite once.  There is
+# one evaluation path: no environment variable or option selects
+# another.  Every engine is checked against the naive reference
+# evaluator (tests/reference_eval.h) by ReferenceEvaluatorDifferential
+# and the four seed sweeps after it in tests/property_test.cc, on
+# flat-fact programs that run on the VM's word cursors and on
+# nested-value programs that run on its row cursors.
 # Then the interruption tests again under AddressSanitizer/UBSan
 # (injected-fault unwinding is checked for leaks and UB) and the
 # concurrency suite under ThreadSanitizer (concurrent evaluations
@@ -15,10 +13,9 @@
 # sessions do).
 #
 # The snapshot-format suite (corruption fuzz: truncation, bit flips,
-# checksum-patched mutations, under both value representations) and the
-# crash-point recovery sweep also run under ASan/UBSan — memory bugs in
-# the defensive parser or in interrupt-capture unwinding are exactly
-# what those sanitizers catch.  AWR_CRASH_SWEEP_STRIDE thins the
+# checksum-patched mutations) and the crash-point recovery sweep also
+# run under ASan/UBSan — memory bugs in the defensive parser or in
+# interrupt-capture unwinding are exactly what those sanitizers catch.  AWR_CRASH_SWEEP_STRIDE thins the
 # exhaustive sweep (every k-th crash charge, endpoints always included)
 # to keep the sanitizer pass inside the time budget; the default
 # (unset = 1) sweep runs in the un-sanitized ctest pass above it.
@@ -78,14 +75,13 @@ cmake --build build-asan -j"$(nproc)" \
 (cd build-asan && ctest --output-on-failure --no-tests=error -R Interruption)
 # The value layer under ASan/UBSan: a composite's record is one block
 # whose items are placement-constructed after the header and destroyed
-# by hand.  The value and render suites, the intern-vs-legacy
-# differentials (both representations), the term tests and the
-# known-fact filter build, compare and free composites on every path.
+# by hand.  The value and render suites, the term tests and the
+# known-fact filter build, compare and free flat (refcounted) and
+# nested (interned) composites on every path.
 (cd build-asan && ctest --output-on-failure --no-tests=error \
-  -R 'ValueTest|ValueSet|ValueRender|InternVsLegacy|Term|FireRuleFacts')
-# The snapshot corruption fuzz runs under both value representations:
-# the decoder re-interns through the value factories, so both must
-# survive the same mutated byte streams.
+  -R 'ValueTest|ValueSet|ValueRender|Term|FireRuleFacts')
+# The snapshot corruption fuzz: the decoder re-interns through the
+# value factories, which must survive every mutated byte stream.
 (cd build-asan && ctest --output-on-failure --no-tests=error \
   -R 'Snapshot|ValueCodec')
 (cd build-asan && AWR_CRASH_SWEEP_STRIDE=7 \
@@ -93,15 +89,14 @@ cmake --build build-asan -j"$(nproc)" \
 # Word tables + VM word cursors under ASan/UBSan: the word table's
 # dedup index, its lazily materialized Value view, demotion to rows,
 # and the word-level scan/probe/emit loops are pointer-heavy by design.
-# The seed sweeps kept under the ColumnarVsRow name run the reference
-# check on the scan path, where keyed steps open row cursors.
 (cd build-asan && ctest --output-on-failure --no-tests=error \
-  -R 'Columnar|WordTable')
+  -R 'WordTable')
 # Every engine against the naive reference evaluator under ASan/UBSan:
-# production word cursors, word emission and grounding's per-match head
-# callback on 400 random programs.
+# word cursors, word emission and grounding's per-match head callback
+# on flat-fact programs, and row scans, row buckets and Value emission
+# on nested-value ones, 2,000 random programs in all.
 (cd build-asan && ctest --output-on-failure --no-tests=error \
-  -R 'ReferenceEvaluatorDifferential')
+  -R '(ReferenceEvaluator|BytecodeVsInterpreter|ColumnarVsRow|ScanVsIndex|InternVsLegacy)Differential')
 # Service + thinned chaos under ASan/UBSan: socket lifecycle, executor
 # unwinding and the durable store under injected faults.
 (cd build-asan && AWR_CHAOS_TRACES=12 \
@@ -118,8 +113,8 @@ cmake --build build-asan -j"$(nproc)" \
 # The bytecode VM under ASan/UBSan: the verifier — the sole safety
 # boundary before the bounds-check-free dispatch loop — rejects every
 # malformed mutation of a lowered program, and the execution suites
-# drive the loop over handcrafted programs under both join paths and
-# both cursor kinds, a 301-atom rule and grounding.
+# drive the loop over handcrafted programs on word tables and row
+# extents, a 301-atom rule and grounding.
 (cd build-asan && ctest --output-on-failure --no-tests=error -R 'Vm')
 # The algebra evaluator under ASan/UBSan: the hash equi-join indexes
 # one side by pointers into its set and probes with the other, and a

@@ -228,9 +228,8 @@ class ExecutionContext {
   /// under structural interning (hash-consing; DESIGN.md §10) the
   /// reported bytes can exceed the physical footprint by orders of
   /// magnitude on deeply shared data.  That is deliberate — max_bytes
-  /// budgets bound how much state an evaluation *denotes*, and the
-  /// charge is identical whether interning is on or off, which keeps
-  /// memory-trip statuses bit-identical across the two representations.
+  /// budgets bound how much state an evaluation *denotes*, whatever
+  /// the interner shares.
   Status ChargeMemory(size_t bytes_in_use, std::string_view what) {
     AWR_RETURN_IF_ERROR(Governance(what, /*force_clock=*/false));
     if (bytes_in_use > high_water_bytes_) high_water_bytes_ = bytes_in_use;

@@ -1,25 +1,8 @@
 #include "awr/common/intern.h"
 
-#include <atomic>
 #include <cassert>
 
 namespace awr {
-
-namespace {
-
-// Constant-initialised, so it is valid before any dynamic initialiser
-// that builds values runs.
-constinit std::atomic<bool> structural_interning{true};
-
-}  // namespace
-
-bool StructuralInterningEnabled() {
-  return structural_interning.load(std::memory_order_relaxed);
-}
-
-void SetStructuralInterningForTesting(bool enabled) {
-  structural_interning.store(enabled, std::memory_order_relaxed);
-}
 
 Interner& Interner::Global() {
   static Interner* interner = new Interner();

@@ -62,23 +62,6 @@ inline uint32_t InternString(std::string_view s) {
   return Interner::Global().Intern(s);
 }
 
-/// True unless SetStructuralInterningForTesting(false) is in effect.
-/// Gates *structural* hash-consing — the global interners for composite
-/// values (Value tuples/sets) and terms — so the per-instance legacy
-/// representation stays alive as the differential-test oracle.  Inline
-/// scalar values (bool/int/atom in a tagged word) are not gated: they
-/// have no sharing semantics to verify.
-bool StructuralInterningEnabled();
-
-/// Test/bench hook: flips the structural-interning default in-process
-/// so a single binary can run both representations back to back
-/// (the intern-vs-legacy differential harness in property_test.cc and
-/// bench_value_repr).  Safe at any point: canonical and per-instance
-/// values may coexist — equality keeps its structural fallback, only
-/// the O(1) identity fast paths stop firing for values built while
-/// disabled.
-void SetStructuralInterningForTesting(bool enabled);
-
 /// Convenience: looks up `id` in the global interner.
 inline const std::string& InternedString(uint32_t id) {
   return Interner::Global().Lookup(id);

@@ -38,11 +38,6 @@ struct BodyContext {
   /// so cancellation and deadlines take effect inside a round, not just
   /// between rounds.
   ExecutionContext* context = nullptr;
-  /// When true, positive atoms with bound argument positions probe the
-  /// extent's index (a word index, or ValueSet::Probe) instead of
-  /// scanning it.  The scan path (false) computes the same matches and
-  /// is kept alive as a test reference; see EvalOptions::use_join_index.
-  bool use_join_index = true;
 };
 
 namespace vm {
@@ -50,8 +45,8 @@ struct CompiledRule;
 }  // namespace vm
 
 /// A rule paired with its precomputed evaluation plan and the bytecode
-/// program lowered from them, which serves every round and both join
-/// paths of the evaluation.
+/// program lowered from them, which serves every round of the
+/// evaluation.
 struct PlannedRule {
   Rule rule;
   RulePlan plan;

@@ -92,7 +92,7 @@ Result<GroundProgram> GroundProgramFor(const Program& program,
       [&wfs](const std::string& pred, const Value& fact) {
         return !wfs.certain.Holds(pred, fact);
       },
-      ctx, opts.use_join_index};
+      ctx};
   for (size_t r = 0; r < planned.size(); ++r) {
     const Rule& rule = program.rules[r];
     AWR_RETURN_IF_ERROR(ForEachRuleHead(

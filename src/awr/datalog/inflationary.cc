@@ -66,7 +66,7 @@ Result<Interpretation> EvalInflationaryImpl(
         [&interp](const std::string& pred, const Value& fact) {
           return !interp.Holds(pred, fact);
         },
-        ctx, opts.use_join_index};
+        ctx};
     Interpretation delta;
     size_t added = 0;
     for (const PlannedRule& pr : rules) {

@@ -79,7 +79,7 @@ Result<Interpretation> LeastModelWithFrozenNegation(
           [&interp](const std::string& pred, size_t) -> const ValueSet& {
             return interp.Extent(pred);
           },
-          neg_holds, ctx, opts.use_join_index};
+          neg_holds, ctx};
       size_t added = 0;
       for (const PlannedRule& pr : rules) {
         auto n = FireRuleInto(pr, body_ctx, interp, &delta);
@@ -126,7 +126,7 @@ Result<Interpretation> LeastModelWithFrozenNegation(
         [&interp](const std::string& pred, size_t) -> const ValueSet& {
           return interp.Extent(pred);
         },
-        neg_holds, ctx, opts.use_join_index};
+        neg_holds, ctx};
     size_t added = 0;
     for (const PlannedRule& pr : rules) {
       auto n = FireRuleInto(pr, body_ctx, interp, &delta);
@@ -166,7 +166,7 @@ Result<Interpretation> LeastModelWithFrozenNegation(
               return body_index == occ ? delta.Extent(pred)
                                        : interp.Extent(pred);
             },
-            neg_holds, ctx, opts.use_join_index};
+            neg_holds, ctx};
         auto n = FireRuleInto(pr, body_ctx, interp, &next_delta);
         if (!n.ok()) return bar.Interrupted(n.status());
         added += *n;

@@ -21,12 +21,6 @@ struct EvalOptions {
   /// computations; naive iteration otherwise.  Both compute the same
   /// model — the flag exists for benchmarking (bench_tc_scaling).
   bool seminaive = true;
-  /// Probe per-predicate indexes (word indexes, or ValueSet::Probe)
-  /// for positive atoms with bound argument positions instead of
-  /// scanning the full extent.  Both paths compute the same model with
-  /// identical governance charge points; the scan path (false) is the
-  /// differential-test oracle.
-  bool use_join_index = true;
   /// Optional resource governance (borrowed, may outlive the call but
   /// not vice versa).  When set, the evaluator charges this context —
   /// deadline, cancellation, fault injection and memory accounting all

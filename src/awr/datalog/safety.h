@@ -20,13 +20,15 @@ struct PlanStep {
   /// order, truncated at the atom's first function-application
   /// argument.  These positions form the hash-index key the step probes
   /// (ValueSet::Probe); empty means nothing usable is bound and the
-  /// step falls back to a full extent scan.  The truncation keeps the
-  /// indexed path status-identical to the scan oracle: applications may
-  /// fail at evaluation time, and the scan path evaluates arguments
-  /// left-to-right per fact, skipping an application whenever an
-  /// earlier position already mismatches — so only positions *before*
-  /// the first application may pre-filter facts.  Always empty for
-  /// negative atoms and comparisons.
+  /// step falls back to a full extent scan.  The truncation is part of
+  /// the status contract: an application may fail at evaluation time,
+  /// and the VM evaluates an atom's arguments left to right per fact,
+  /// skipping an application whenever an earlier position already
+  /// mismatches.  So the facts an application is evaluated on — and
+  /// the ones its error can surface on — are exactly those matching
+  /// the positions before it; a key position after it would filter
+  /// some of them out.  Always empty for negative atoms and
+  /// comparisons.
   std::vector<size_t> bound_positions;
 
   bool operator==(const PlanStep& other) const {

@@ -31,17 +31,21 @@ namespace awr::datalog::vm {
 /// from the extent's iteration order or its ValueSet::Probe bucket and
 /// unify argument positions left to right, stopping at the first
 /// mismatch, so a fallible rule evaluates its function applications —
-/// and fails — at the same match on every run and on both join paths,
-/// with one CheckInterrupt("body-match") per complete body match.
+/// and fails — at the same match on every run, with one
+/// CheckInterrupt("body-match") per complete body match.  A probe key
+/// holds only positions before the atom's first application (the
+/// planner truncates it there; safety.h), so probing drops no fact on
+/// which an application would be evaluated.
 /// Word-level cursors (scans/probes over raw inline words) may
 /// enumerate in a different order and are therefore only lowered for
 /// *infallible* rules — no function application anywhere in the body or
 /// head — where the poll count per firing equals the match count
 /// regardless of enumeration order.
 ///
-/// One program serves both join paths: an open chooses probe or scan
-/// when it runs, by `ctx.use_join_index` and a non-empty
-/// bound-position set.
+/// An open probes when its step has bound positions and scans
+/// otherwise; a word open falls back to the row cursor of the same
+/// kind when the extent is not a word table or a key is not an inline
+/// word.
 enum class Op : uint8_t {
   kOpenRow = 0,    ///< open loop on a row cursor: extent scan or Probe bucket
   kOpenWord,       ///< open loop on a word cursor (row fallback inside)
@@ -114,7 +118,7 @@ struct CompiledRule {
     uint32_t first_pos = 0;
   };
   /// One positive-atom plan step (one loop level).  A step with bound
-  /// positions probes under `ctx.use_join_index` and scans otherwise.
+  /// positions probes and one without scans.
   struct StepInfo {
     uint32_t literal = 0;  ///< index into rule.body
     uint32_t arity = 0;

@@ -171,8 +171,7 @@ struct Lowerer {
     // applications (no plan truncation) and the step has bound
     // positions.  A step without them scans, so it must have binds and
     // within-atom repeats only: every field that is not a bind is one of
-    // the word dups.  A keyed step run without the join index opens a
-    // row scan instead (vm.cc's HandleOpen).
+    // the word dups.
     const bool covered =
         !si.bound_positions.empty() ||
         std::count_if(si.fields.begin(), si.fields.end(),

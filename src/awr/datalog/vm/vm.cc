@@ -151,11 +151,8 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
     }
   }
   Cursor& cur = s.cursors[in.a];
-  // A keyed step run without the join index scans rows: a word scan
-  // cannot check its bound positions.
-  const bool probe = s.ctx.use_join_index && !si.bound_positions.empty();
-  const bool want_word = in.op == Op::kOpenWord;
-  if (want_word && probe) {
+  const bool keyed = !si.bound_positions.empty();
+  if (in.op == Op::kOpenWord && keyed) {
     // Gather the key words first: a register bound by an outer row
     // loop may hold a non-inline value, which word probing cannot
     // represent — fall back to the row bucket below.
@@ -188,19 +185,17 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
         return pc + 1;
       }
     }
-  } else if (want_word && si.bound_positions.empty()) {
-    if (extent.word_arity() != 0) {
-      cur.kind = Cursor::Kind::kWordScan;
-      cur.words = extent.words();
-      cur.arity = si.arity;
-      cur.rows = static_cast<int64_t>(extent.size());
-      cur.row = -1;
-      ++s.word_opens;
-      return pc + 1;
-    }
+  } else if (in.op == Op::kOpenWord && extent.word_arity() != 0) {
+    cur.kind = Cursor::Kind::kWordScan;
+    cur.words = extent.words();
+    cur.arity = si.arity;
+    cur.rows = static_cast<int64_t>(extent.size());
+    cur.row = -1;
+    ++s.word_opens;
+    return pc + 1;
   }
   ++s.row_opens;
-  if (probe) {
+  if (keyed) {
     // The key terms are constants or bound variables, so building the
     // probe key cannot fail (the planner excludes applications from
     // bound positions).

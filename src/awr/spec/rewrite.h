@@ -73,14 +73,12 @@ class RewriteSystem {
   // normalization re-normalizes identical subterms constantly (premise
   // evaluation re-derives the same normal forms; every contractum
   // re-normalizes children that are already normal); the memo
-  // collapses each distinct subterm to one computation.  With term
-  // hash-consing enabled the key lookups are pointer-speed.  The map
-  // is call-local, not a member: Normalize stays const and thread-safe
+  // collapses each distinct subterm to one computation.  Terms are
+  // hash-consed, so the key lookups are pointer-speed.  The map is
+  // call-local, not a member: Normalize stays const and thread-safe
   // with no locking, and repeated Normalize calls behave identically —
   // which keeps governed fault-injection sweeps deterministic.  Only
-  // successful normal forms are memoized (errors propagate uncached),
-  // and the memo is active in both interning modes, so the
-  // intern-vs-legacy differential oracle sees identical step counts.
+  // successful normal forms are memoized (errors propagate uncached).
   using NormalMemo = std::unordered_map<Term, Term>;
 
   Result<Term> NormalizeInner(const Term& t, size_t* fuel,

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "awr/common/hash.h"
-#include "awr/common/intern.h"
 #include "awr/common/strings.h"
 
 namespace awr::term {
@@ -32,9 +31,9 @@ bool RepStructurallyEqual(const Term::Rep& a, const Term::Rep& b) {
 // The global term interner: structural hash-consing for Term, the same
 // scheme as the composite Value interner (value.cc) — 16 shards by
 // structural hash, canonical reps immortal for the process lifetime.
-// Children of a canonical term are themselves canonical (factories
-// intern bottom-up), so the structural equality used for bucket probes
-// resolves almost entirely through pointer identity.
+// Children are interned before their parent (factories intern
+// bottom-up), so the structural equality used for bucket probes
+// compares children by pointer identity.
 class TermInterner {
  public:
   static TermInterner& Global() {
@@ -47,8 +46,7 @@ class TermInterner {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.reps.find(&probe);
     if (it != shard.reps.end()) return it->second;
-    auto rep = std::make_shared<Term::Rep>(std::move(probe));
-    rep->canonical = true;
+    auto rep = std::make_shared<const Term::Rep>(std::move(probe));
     shard.reps.emplace(rep.get(), rep);
     return rep;
   }
@@ -77,13 +75,6 @@ class TermInterner {
   Shard shards_[kShardCount];
 };
 
-std::shared_ptr<const Term::Rep> MakeRep(Term::Rep&& rep) {
-  if (StructuralInterningEnabled()) {
-    return TermInterner::Global().Intern(std::move(rep));
-  }
-  return std::make_shared<const Term::Rep>(std::move(rep));
-}
-
 }  // namespace
 
 Term Term::Var(std::string name, std::string sort) {
@@ -92,7 +83,7 @@ Term Term::Var(std::string name, std::string sort) {
   rep.name = std::move(name);
   rep.sort = std::move(sort);
   rep.hash = ComputeHash(true, rep.name, rep.children);
-  return Term(MakeRep(std::move(rep)));
+  return Term(TermInterner::Global().Intern(std::move(rep)));
 }
 
 Term Term::Op(std::string op, std::vector<Term> children) {
@@ -101,7 +92,7 @@ Term Term::Op(std::string op, std::vector<Term> children) {
   rep.name = std::move(op);
   rep.children = std::move(children);
   rep.hash = ComputeHash(false, rep.name, rep.children);
-  return Term(MakeRep(std::move(rep)));
+  return Term(TermInterner::Global().Intern(std::move(rep)));
 }
 
 bool Term::IsGround() const {
@@ -129,12 +120,8 @@ void Term::CollectVars(std::map<std::string, std::string>* out) const {
 }
 
 bool Term::operator==(const Term& other) const {
-  if (rep_ == other.rep_) return true;
-  if (hash() != other.hash()) return false;
-  // Two distinct canonical reps represent different terms by
-  // construction (hash-consing); skip the structural descent.
-  if (rep_->canonical && other.rep_->canonical) return false;
-  return Compare(*this, other) == 0;
+  // Hash-consing gives every structure one Rep.
+  return rep_ == other.rep_;
 }
 
 int Term::Compare(const Term& a, const Term& b) {

@@ -39,7 +39,8 @@ class Term {
   /// Appends (name, sort) of each variable occurrence.
   void CollectVars(std::map<std::string, std::string>* out) const;
 
-  /// Structural equality and a total order (by name, then children).
+  /// Structural equality (one Rep per structure, so O(1)) and a total
+  /// order (by name, then children).
   bool operator==(const Term& other) const;
   bool operator!=(const Term& other) const { return !(*this == other); }
   static int Compare(const Term& a, const Term& b);
@@ -54,21 +55,17 @@ class Term {
   std::string ToString() const;
 
   /// Implementation record (public only so the implementation file's
-  /// hash-consing helpers can name it; not part of the API).  With
-  /// structural interning enabled (common/intern.h) structurally equal
-  /// terms share one `canonical` Rep held immortally by a global
-  /// sharded interner, giving operator== an O(1) negative fast path
-  /// (two distinct canonical reps differ by construction) on top of
-  /// the existing positive pointer-identity path.  The rewrite
-  /// engine's normal-form memo feeds on exactly this: memo lookups on
-  /// hash-consed terms are pointer-speed.
+  /// hash-consing helpers can name it; not part of the API).  Every
+  /// Rep is canonical: structurally equal terms share one Rep, held
+  /// immortally by a global sharded interner, so operator== is pointer
+  /// identity.  The rewrite engine's normal-form memo feeds on exactly
+  /// this: memo lookups on hash-consed terms are pointer-speed.
   struct Rep {
     Kind kind;
     std::string name;
     std::string sort;  // variables only
     std::vector<Term> children;
     size_t hash = 0;
-    bool canonical = false;  // owned by the global term interner
   };
 
  private:

@@ -33,9 +33,9 @@ std::string_view ValueKindToString(ValueKind kind) {
 }
 
 /// Heap record backing tuples, sets, and out-of-range integers.  Either
-/// immortal (owned by the global interner; tag kTagInterned) or
-/// refcounted (tag kTagOwned, one record per Value chain of copies —
-/// the legacy representation kept as the differential oracle).
+/// immortal (owned by the global interner; tag kTagInterned: nested
+/// composites) or refcounted (tag kTagOwned, one record per Value chain
+/// of copies: flat composites and big ints).
 ///
 /// One allocation per record: the `size` tuple components / canonical
 /// set elements follow the header in the same block (NewRep places
@@ -94,9 +94,9 @@ size_t HashComposite(ValueKind kind, std::span<const Value> items) {
 // A fixed structural model, deliberately independent of whether a node
 // is inline, owned, or interned: scalars cost a flat constant,
 // composites a per-node constant plus a slot per component plus the
-// components themselves.  Representation-independence is what keeps
-// memory charges (and so memory-trip statuses) bit-identical between
-// the legacy per-instance representation and the interned default.
+// components themselves.  A tuple holding one interned set twice pays
+// for it twice, so the figure is an upper bound on the denoted state,
+// not an allocator reading.
 
 constexpr size_t kScalarApproxBytes = 16;
 // A literal, not sizeof(Rep), so that memory charges, and with them
@@ -264,10 +264,8 @@ void Value::ReleaseSlow() {
 }
 
 Value Value::BigInt(int64_t i) {
-  // Out-of-range integers always get a private owned rep, in both
-  // representation modes: they are scalars (no sharing semantics), and
-  // keeping them out of the interner makes the two modes byte-identical
-  // for every scalar.
+  // Out-of-range integers always get a private owned rep: they are
+  // scalars, with no structure to share.
   Rep* rep = NewRep(ValueKind::kInt, std::span<const Value>(), HashInt(i),
                     kScalarApproxBytes);
   rep->i = i;
@@ -308,14 +306,13 @@ Value Value::EmptySet() { return Set({}); }
 // a couple of word operations, while a dedup probe against a large
 // interner table costs DRAM-latency pointer chases; interning them is a
 // strict construction-path loss (~8x slower on fixpoint workloads,
-// measured in E18), so they keep the malloc-speed per-instance
-// representation in both modes.
+// measured in E18), so they keep a malloc-speed per-instance record.
 Value Value::MakeComposite(ValueKind kind, std::span<const Value> items) {
   const size_t hash = HashComposite(kind, items);
   const size_t approx_bytes = CompositeApproxBytes(items);
   const bool nested = std::any_of(items.begin(), items.end(),
                                   [](const Value& v) { return v.is_heap(); });
-  if (nested && StructuralInterningEnabled()) {
+  if (nested) {
     return FromRep(
         ValueInterner::Global().Intern(kind, items, hash, approx_bytes),
         /*interned=*/true);

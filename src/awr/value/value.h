@@ -39,25 +39,20 @@ std::string_view ValueKindToString(ValueKind kind);
 ///    of scalars never touch the heap;
 ///  * tuples, sets, and out-of-range integers point at an immutable
 ///    heap record (`Rep`): one allocation, a fixed header followed by
-///    the components.  With structural interning enabled (the
-///    default; see StructuralInterningEnabled in common/intern.h),
-///    tuples and sets are *hash-consed* through a global 16-way sharded
-///    interner, so structurally equal composites share one canonical
-///    Rep for the process lifetime and `operator==` / `Compare` get
-///    O(1) identity fast paths — positive (same word => equal) and
-///    negative (two distinct canonical Reps => unequal).  With it
-///    disabled (SetStructuralInterningForTesting(false)) each
-///    composite owns a private refcounted Rep (the legacy per-instance
-///    representation, kept as the differential-test oracle); equality
-///    then falls back to hash-rejected structural descent, exactly as
-///    before.
+///    the components.  A composite with a heap child (a nested
+///    composite or a big int) is *hash-consed* through a global 16-way
+///    sharded interner, so structurally equal nested composites share
+///    one canonical Rep for the process lifetime and `operator==` /
+///    `Compare` get O(1) identity fast paths — positive (same word =>
+///    equal) and negative (two distinct canonical Reps => unequal).  A
+///    flat composite of inline scalars (every datalog fact tuple) and a
+///    big int own a private refcounted Rep instead: their equality is a
+///    hash check and a few word compares, cheaper than the interner's
+///    dedup probe (E18).
 ///
-/// Either way the *semantics* are identical: hashes use the same
-/// recipe, sets are stored canonically (sorted by the total order,
-/// duplicates removed), and ApproxBytes follows the same structural
-/// model — so models, charge counts, and snapshot bytes are
-/// bit-identical across the two representations (the intern-vs-legacy
-/// differential oracle in property_test.cc enforces this).
+/// Sets are stored canonically (sorted by the total order, duplicates
+/// removed).  Hash and ApproxBytes follow one structural recipe for
+/// every record, so neither depends on whether a value was interned.
 class Value {
  public:
   /// Default-constructs the boolean FALSE (a valid, usable value).
@@ -160,9 +155,8 @@ class Value {
   /// magnitude (N references to one canonical set each pay the full
   /// structural cost); that over-charge is the documented contract —
   /// budgets bound the *logical* state size, not physical bytes — and
-  /// it is identical with interning on or off, which is what keeps
-  /// memory-trip statuses bit-identical across the two representations
-  /// (pinned by ValueTest.ApproxBytesIsPerReferenceUpperBound).
+  /// it does not depend on which values were interned (pinned by
+  /// ValueTest.ApproxBytesIsPerReferenceUpperBound).
   /// O(1): composites cache the figure at construction.
   size_t ApproxBytes() const;
   /// ApproxBytes() of a tuple of `arity` inline scalars, without one:
@@ -176,11 +170,11 @@ class Value {
 
   /// Introspection ---------------------------------------------------
 
-  /// Opaque representation identity.  Two equal values built while
-  /// interning is enabled report the same identity (inline scalars by
-  /// payload, composites by canonical Rep address); the concurrent
-  /// hash-consing tests assert on it.  Not meaningful across
-  /// representations — use operator== for equality.
+  /// Opaque representation identity.  Two equal inline scalars or
+  /// nested composites report the same identity (scalars by payload,
+  /// composites by canonical Rep address); the concurrent hash-consing
+  /// tests assert on it.  Equal flat composites may differ in identity —
+  /// use operator== for equality.
   const void* identity() const {
     return reinterpret_cast<const void*>(bits_);
   }

@@ -8,7 +8,6 @@
 #include "awr/algebra/join.h"
 #include "awr/algebra/positivity.h"
 #include "awr/algebra/program.h"
-#include "awr/common/intern.h"
 
 namespace awr::algebra {
 namespace {
@@ -495,22 +494,19 @@ TEST(AlgebraJoinTest, MalformedElementsMatchProductFilterStatuses) {
 }
 
 TEST(AlgebraJoinTest, CompareEqualKeysBuiltDifferently) {
-  // The left side's keys are interned tuples, the right side's are built
-  // while structural interning is off: equal under Compare, different
-  // representations.  The index must still match them.
-  const bool saved = StructuralInterningEnabled();
-  SetStructuralInterningForTesting(true);
+  // The keys are flat tuples, which are never interned: each side
+  // builds its own records, equal under Compare but distinct in
+  // identity.  The index must still match them.
   ValueSet a;
   for (int64_t i = 0; i < 4; ++i) {
     a.Insert(Value::Pair(Value::Pair(IV(i), AV("k")), IV(i)));
   }
-  SetStructuralInterningForTesting(false);
   ValueSet b;
   for (int64_t i = 0; i < 4; ++i) {
     b.Insert(Value::Pair(IV(10 * i), Value::Pair(IV(i), AV("k"))));
   }
   const Value fresh = Value::Pair(IV(2), AV("k"));
-  SetStructuralInterningForTesting(saved);
+  ASSERT_NE(fresh.identity(), Value::Pair(IV(2), AV("k")).identity());
 
   const FnExpr test = KeyEq({0}, {1});
   auto got = SelectProduct(test, EquiJoinKeys(test), a, b,
@@ -698,6 +694,42 @@ TEST(ProgramTest, IterVarShiftOnInlineUnderIfp) {
   auto inlined = InlineCalls(outer, prog);
   ASSERT_TRUE(inlined.ok()) << inlined.status();
   ASSERT_TRUE(inlined->CheckIterVars().ok());
+  auto r = EvalAlgebra(*inlined, SetDb{});
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, (ValueSet{IV(0), IV(1), IV(2), IV(3)}));
+}
+
+TEST(ProgramTest, ShiftFreeIterVarsLeavesIfpBoundVarsAlone) {
+  // #0 ∪ IFP(#0 ∪ #1): the outer #0 and the inner #1 are free (both
+  // name the same enclosing IFP); the inner #0 is bound by the IFP.
+  const E e = E::Union(E::IterVar(0),
+                       E::Ifp(E::Union(E::IterVar(0), E::IterVar(1))));
+  EXPECT_EQ(e.ShiftFreeIterVars(2).ToString(),
+            E::Union(E::IterVar(2),
+                     E::Ifp(E::Union(E::IterVar(0), E::IterVar(3))))
+                .ToString());
+  EXPECT_EQ(e.ShiftFreeIterVars(0).ToString(), e.ToString());
+}
+
+TEST(ProgramTest, IterVarShiftOnInlineOfArgumentHoldingIfp) {
+  // wrap(IFP(#1 ∪ #0)) under an outer IFP: in the argument #1 names
+  // the outer IFP and #0 the argument's own.  Spliced under wrap's IFP,
+  // the free #1 becomes #2 and the bound #0 stays.
+  AlgebraProgram prog;
+  prog.AddDef(Definition{
+      "wrap", 1, E::Ifp(E::Union(E::IterVar(0), E::Param(0)))});
+  auto outer_with = [](const E& inner) {
+    return E::Ifp(E::Select(
+        FnExpr::Le(FnExpr::Arg(), FnExpr::Cst(IV(3))),
+        E::Union(E::Singleton(IV(0)), E::Map(fn::AddConst(1), inner))));
+  };
+  const E arg = E::Ifp(E::Union(E::IterVar(1), E::IterVar(0)));
+  auto inlined = InlineCalls(outer_with(E::Call("wrap", {arg})), prog);
+  ASSERT_TRUE(inlined.ok()) << inlined.status();
+  ASSERT_TRUE(inlined->CheckIterVars().ok());
+  const E expected = outer_with(E::Ifp(E::Union(
+      E::IterVar(0), E::Ifp(E::Union(E::IterVar(2), E::IterVar(0))))));
+  EXPECT_EQ(inlined->ToString(), expected.ToString());
   auto r = EvalAlgebra(*inlined, SetDb{});
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(*r, (ValueSet{IV(0), IV(1), IV(2), IV(3)}));

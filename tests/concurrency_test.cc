@@ -87,7 +87,6 @@ TEST(ConcurrentInternerTest, SizeCountsDistinctStrings) {
 // entry count grows by exactly the number of distinct structures.
 
 TEST(ConcurrentValueInternTest, RacingIdenticalCompositesYieldOneCanonicalRep) {
-  SetStructuralInterningForTesting(true);
   constexpr size_t kThreads = 4;
   constexpr size_t kShapes = 64;
   constexpr size_t kRounds = 8;
@@ -121,7 +120,6 @@ TEST(ConcurrentValueInternTest, RacingIdenticalCompositesYieldOneCanonicalRep) {
 }
 
 TEST(ConcurrentValueInternTest, NoLostInsertsUnderContention) {
-  SetStructuralInterningForTesting(true);
   constexpr size_t kThreads = 4;
   constexpr size_t kPerThread = 128;
   // All threads build the same kPerThread distinct structures (unique

@@ -22,15 +22,26 @@ namespace {
 using namespace awr::datalog::build;  // NOLINT
 
 BodyContext PlainContext(const Interpretation& interp,
-                         const FunctionRegistry& fns,
-                         bool use_join_index = true) {
+                         const FunctionRegistry& fns) {
   return BodyContext{
       &fns,
       [&interp](const std::string& p, size_t) -> const ValueSet& {
         return interp.Extent(p);
       },
       [](const std::string&, const Value&) { return true; },
-      nullptr, use_join_index};
+      nullptr};
+}
+
+// `interp` with each of `preds` (binary) held in the row layout: one
+// extra fact <<-1>, <-2>> demotes its extent, and no rule below joins
+// on it.  The VM then opens row cursors where it would open word ones.
+Interpretation WithRowLayout(Interpretation interp,
+                             const std::vector<std::string>& preds) {
+  for (const std::string& pred : preds) {
+    interp.AddFact(pred, {Value::Tuple({Value::Int(-1)}),
+                          Value::Tuple({Value::Int(-2)})});
+  }
+  return interp;
 }
 
 PlannedRule PlanOne(const Rule& rule) {
@@ -135,30 +146,31 @@ TEST(BodyMatchTest, ArityMismatchMessageIdenticalOnBothJoinPaths) {
   // The arity check is hoisted out of the per-fact match loop (it runs
   // once per extent via the shape histogram); this guards that the
   // original per-fact InvalidArgument, message included, still
-  // surfaces on the indexed path, the scan path, and an indexed probe
-  // with a bound position.
-  Rule rule = R(H("p", V("x"), V("y")),
-                {B("b", V("x")), B("e", V("x"), V("y"))});
-  const PlannedRule planned = PlanOne(rule);
+  // surfaces on both join paths: a scan, and a probe with a bound
+  // position.
   Interpretation interp;
   interp.AddFact("b", {Value::Int(1)});
   interp.AddFact("e", {Value::Int(1), Value::Int(2)});
   interp.AddFact("e", {Value::Int(7)});  // wrong arity for e(x, y)
   FunctionRegistry fns = FunctionRegistry::Default();
-  std::string messages[2];
-  for (bool use_index : {true, false}) {
-    auto facts = CollectFacts(planned, PlainContext(interp, fns, use_index));
+  const PlannedRule scan = PlanOne(R(H("p", V("x"), V("y")),
+                                     {B("e", V("x"), V("y"))}));
+  const PlannedRule probe = PlanOne(R(H("p", V("x"), V("y")),
+                                      {B("b", V("x")), B("e", V("x"), V("y"))}));
+  ASSERT_TRUE(scan.plan.steps[0].bound_positions.empty());
+  ASSERT_FALSE(probe.plan.steps[1].bound_positions.empty());
+  for (const PlannedRule* planned : {&scan, &probe}) {
+    auto facts = CollectFacts(*planned, PlainContext(interp, fns));
     ASSERT_TRUE(facts.status().IsInvalidArgument()) << facts.status();
-    messages[use_index ? 0 : 1] = facts.status().message();
+    EXPECT_EQ(facts.status().message(),
+              "arity mismatch: atom e(x, y) vs fact <7>");
   }
-  EXPECT_EQ(messages[0], messages[1]);
-  EXPECT_EQ(messages[0], "arity mismatch: atom e(x, y) vs fact <7>");
 }
 
 // ----------------------------------------------------------------------
 // FireRuleFacts: the VM's word-level cursors against its row cursors,
-// which a keyed step opens when the join index is off.  Both must add
-// the same fact set; the VM counters prove which cursors ran.
+// which every step opens when its extent is in the row layout.  Both
+// must add the same fact set; the VM counters prove which cursors ran.
 
 TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
   auto program = ParseProgram(R"(
@@ -175,15 +187,13 @@ TEST(FireRuleFactsTest, WordAndRowCursorsAgreeOnJoinsConstantsAndDups) {
     interp.AddFact("e", {Value::Int(i), Value::Int((i + 1) % 12)});
   }
   interp.AddFact("e", {Value::Int(5), Value::Int(5)});
+  const Interpretation rows = WithRowLayout(interp, {"e"});
   FunctionRegistry fns = FunctionRegistry::Default();
   for (const PlannedRule& pr : *planned) {
     vm::ResetVmExecStats();
-    auto row = CollectFacts(pr, PlainContext(interp, fns, false));
-    const bool keyed = std::any_of(
-        pr.plan.steps.begin(), pr.plan.steps.end(),
-        [](const PlanStep& step) { return !step.bound_positions.empty(); });
-    EXPECT_EQ(vm::GetVmExecStats().row_opens > 0, keyed)
-        << pr.rule.head.predicate;
+    auto row = CollectFacts(pr, PlainContext(rows, fns));
+    EXPECT_EQ(vm::GetVmExecStats().word_opens, 0u) << pr.rule.head.predicate;
+    EXPECT_GT(vm::GetVmExecStats().row_opens, 0u) << pr.rule.head.predicate;
     vm::ResetVmExecStats();
     size_t added = 0;
     auto word = CollectFacts(pr, PlainContext(interp, fns), &added);
@@ -245,8 +255,7 @@ TEST(FireRuleFactsTest, InterruptAbortsVmEmission) {
 }
 
 // `out` is a set across firings: a fact an earlier firing of the round
-// added is not added again, on any path, and each firing's count is
-// what it added.
+// added is not added again, and each firing's count is what it added.
 TEST(FireRuleFactsTest, DedupsAcrossFiringsAndCountsAdds) {
   auto program = ParseProgram(R"(
     p(X, Y) :- e(X, Y).
@@ -267,27 +276,24 @@ TEST(FireRuleFactsTest, DedupsAcrossFiringsAndCountsAdds) {
   ValueSet known;
   known.Insert(Value::Pair(Value::Int(100), Value::Int(0)));
   FunctionRegistry fns = FunctionRegistry::Default();
-  for (bool join_index : {false, true}) {
-    SCOPED_TRACE(testing::Message() << "join_index=" << join_index);
-    ExecutionContext governed;
-    BodyContext ctx = PlainContext(interp, fns, join_index);
-    ctx.context = &governed;
-    vm::ResetVmExecStats();
-    ValueSet out;
-    Result<size_t> first = FireRuleFacts((*planned)[0], ctx, &out, &known);
-    Result<size_t> second = FireRuleFacts((*planned)[1], ctx, &out, &known);
-    ASSERT_TRUE(first.ok() && second.ok());
-    EXPECT_EQ(*first, 30u);
-    EXPECT_EQ(*second, 9u);  // 10 of its own, one of them known
-    EXPECT_EQ(out.size(), 39u);
-    EXPECT_EQ(governed.total_charges(), 30u + 20u);
-    EXPECT_EQ(vm::GetVmExecStats().vm_facts, 39u);
-    // Firing again adds nothing and still polls every match.
-    Result<size_t> again = FireRuleFacts((*planned)[1], ctx, &out, &known);
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(*again, 0u);
-    EXPECT_EQ(governed.total_charges(), 30u + 20u + 20u);
-  }
+  ExecutionContext governed;
+  BodyContext ctx = PlainContext(interp, fns);
+  ctx.context = &governed;
+  vm::ResetVmExecStats();
+  ValueSet out;
+  Result<size_t> first = FireRuleFacts((*planned)[0], ctx, &out, &known);
+  Result<size_t> second = FireRuleFacts((*planned)[1], ctx, &out, &known);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(*first, 30u);
+  EXPECT_EQ(*second, 9u);  // 10 of its own, one of them known
+  EXPECT_EQ(out.size(), 39u);
+  EXPECT_EQ(governed.total_charges(), 30u + 20u);
+  EXPECT_EQ(vm::GetVmExecStats().vm_facts, 39u);
+  // Firing again adds nothing and still polls every match.
+  Result<size_t> again = FireRuleFacts((*planned)[1], ctx, &out, &known);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, 0u);
+  EXPECT_EQ(governed.total_charges(), 30u + 20u + 20u);
 }
 
 // A word table the VM filled with words reads, through every Value
@@ -340,8 +346,8 @@ TEST(FireRuleFactsTest, WordEmittedExtentReadsLikeOneBuiltFromValues) {
 }
 
 // The `known` filter of FireRuleFacts, on a flat recursive rule: no
-// fact in `known` is added on any path, yet every raw body match still
-// polls.
+// fact in `known` is added on word or row cursors, yet every raw body
+// match still polls.
 TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
   auto program = ParseProgram("tc(X, Z) :- e(X, Y), tc(Y, Z).");
   ASSERT_TRUE(program.ok());
@@ -383,10 +389,11 @@ TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
   ASSERT_GT(unknown_matches, unknown.size());  // unknown facts repeat too
 
   FunctionRegistry fns = FunctionRegistry::Default();
-  for (bool join_index : {false, true}) {
-    SCOPED_TRACE(testing::Message() << "join_index=" << join_index);
+  Interpretation rows = WithRowLayout(interp, {"e", "tc"});
+  for (const Interpretation* layout : {&interp, &rows}) {
+    SCOPED_TRACE(layout == &rows ? "row layout" : "word tables");
     ExecutionContext governed;
-    BodyContext ctx = PlainContext(interp, fns, join_index);
+    BodyContext ctx = PlainContext(*layout, fns);
     ctx.context = &governed;
     vm::ResetVmExecStats();
     ValueSet out;
@@ -395,7 +402,7 @@ TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
     EXPECT_EQ(governed.total_charges(), raw_matches);
     EXPECT_EQ(out, unknown);
     EXPECT_EQ(*added, unknown.size());
-    // Each path adds each unknown projection once, whichever of its
+    // Each layout adds each unknown projection once, whichever of its
     // matches comes first, and emits it on words.
     EXPECT_EQ(vm::GetVmExecStats().vm_facts, unknown.size());
     EXPECT_EQ(out.materialized_rows(), 0u);

@@ -12,17 +12,11 @@
 //  P5  Prop 5.2: inflationary(P) == valid(stepindex(P));
 //  P6  magic sets: query answers equal filtered full evaluation.
 //
-// Every engine invocation in P1–P6 additionally runs twice — once with
-// the hash-join indexes (EvalOptions::use_join_index = true) and once
-// forced onto the scan path — and the two models must be identical.
-// The scan path is the oracle for the indexed planner: it predates the
-// indexes and enumerates extents exhaustively, so any divergence is an
-// index/planner bug.  The ScanVsIndexDifferential suite widens that
-// oracle to 200 random programs per semantics, and the governance
-// parity tests check that deadline/cancel/fault interruptions surface
-// the same statuses at the same charge points on both paths.
-// ReferenceEvaluatorDifferential checks every engine against the naive
-// reference evaluator of reference_eval.h on 400 more programs.
+// ReferenceEvaluatorDifferential and the four seed sweeps after it check
+// every engine against the naive reference evaluator of reference_eval.h
+// on 2,000 more programs (one per test id), and
+// ParallelVsSequentialDifferential checks that concurrent sessions
+// compute what one session alone does.
 //
 // Programs are generated safe *by construction* (head variables are
 // drawn from variables bound by positive body atoms).
@@ -44,7 +38,6 @@
 #include "awr/algebra/positivity.h"
 #include "awr/algebra/valid_eval.h"
 #include "awr/common/context.h"
-#include "awr/common/intern.h"
 #include "awr/datalog/builders.h"
 #include "awr/datalog/depgraph.h"
 #include "awr/datalog/ground.h"
@@ -60,7 +53,6 @@
 #include "awr/snapshot/state.h"
 #include "awr/translate/datalog_to_alg.h"
 #include "awr/translate/step_index.h"
-#include "reference_configs.h"
 #include "reference_eval.h"
 
 namespace awr {
@@ -91,6 +83,11 @@ struct GenOptions {
   bool stratified_only = false;
   size_t n_idb = 3;
   size_t domain_size = 5;
+  // Every odd domain value d becomes the one-tuple <d> (in facts and
+  // rule constants alike), so extents hold non-inline components: they
+  // take the row layout, and keys bound from them are not inline words.
+  // The VM then runs these programs on row cursors.
+  bool nested_values = false;
 };
 
 struct Generated {
@@ -102,17 +99,19 @@ struct Generated {
 Generated GenerateProgram(uint64_t seed, const GenOptions& opts) {
   Lcg rng(seed);
   Generated out;
+  // The domain value numbered `d`.
+  auto dom = [&opts](size_t d) {
+    const Value v = Value::Int(static_cast<int64_t>(d));
+    return opts.nested_values && d % 2 == 1 ? Value::Tuple({v}) : v;
+  };
 
   // EDB: e0/2 and e1/1 with random facts over a small domain.
   for (size_t i = 0; i < opts.domain_size + 3; ++i) {
-    out.edb.AddFact("e0",
-                    {Value::Int(static_cast<int64_t>(rng.Below(opts.domain_size))),
-                     Value::Int(static_cast<int64_t>(rng.Below(opts.domain_size)))});
+    const Value a = dom(rng.Below(opts.domain_size));
+    out.edb.AddFact("e0", {a, dom(rng.Below(opts.domain_size))});
   }
   for (size_t i = 0; i < opts.domain_size; ++i) {
-    if (rng.Chance(60)) {
-      out.edb.AddFact("e1", {Value::Int(static_cast<int64_t>(i))});
-    }
+    if (rng.Chance(60)) out.edb.AddFact("e1", {dom(i)});
   }
 
   // IDB predicates p0..p{k-1} with arities 1 or 2.
@@ -173,8 +172,7 @@ Generated GenerateProgram(uint64_t seed, const GenOptions& opts) {
         rule.body.push_back(datalog::Literal::Compare(
             rng.Chance(50) ? datalog::CmpOp::kLe : datalog::CmpOp::kNe,
             datalog::TermExpr::Variable(bound[rng.Below(bound.size())]),
-            datalog::TermExpr::Constant(
-                Value::Int(static_cast<int64_t>(rng.Below(opts.domain_size))))));
+            datalog::TermExpr::Constant(dom(rng.Below(opts.domain_size)))));
       }
 
       // Head: bound variables (or constants) to the predicate's arity.
@@ -184,8 +182,8 @@ Generated GenerateProgram(uint64_t seed, const GenOptions& opts) {
           rule.head.args.push_back(
               datalog::TermExpr::Variable(bound[rng.Below(bound.size())]));
         } else {
-          rule.head.args.push_back(datalog::TermExpr::Constant(
-              Value::Int(static_cast<int64_t>(rng.Below(opts.domain_size)))));
+          rule.head.args.push_back(
+              datalog::TermExpr::Constant(dom(rng.Below(opts.domain_size))));
         }
       }
       out.program.rules.push_back(std::move(rule));
@@ -489,77 +487,6 @@ void ExpectProp61MatchesAlgebraOracle(const Generated& g) {
 }
 
 // ----------------------------------------------------------------------
-// Scan-vs-index differential harness.  EvalBothWays runs one engine
-// under both join strategies and requires agreement; it returns the
-// indexed result so the surrounding property checks exercise the new
-// path while the scan path acts as oracle.
-
-datalog::EvalOptions IndexOpts(bool use_index) {
-  datalog::EvalOptions o;
-  o.use_join_index = use_index;
-  return o;
-}
-
-void ExpectSameResult(const datalog::Interpretation& a,
-                      const datalog::Interpretation& b,
-                      const std::string& what) {
-  EXPECT_EQ(a, b) << what;
-}
-
-// Rendered models must match byte for byte.
-void ExpectSameResult(const std::string& a, const std::string& b,
-                      const std::string& what) {
-  EXPECT_EQ(a, b) << what;
-}
-
-void ExpectSameResult(const datalog::ThreeValuedInterp& a,
-                      const datalog::ThreeValuedInterp& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.certain, b.certain) << what;
-  EXPECT_EQ(a.possible, b.possible) << what;
-}
-
-// Stable models arrive in search order, which legitimately differs
-// between the paths (ground-rule enumeration order feeds the DFS), so
-// the vectors are compared as sets.
-void ExpectSameResult(const std::vector<datalog::Interpretation>& a,
-                      const std::vector<datalog::Interpretation>& b,
-                      const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (const auto& model : a) {
-    EXPECT_TRUE(std::find(b.begin(), b.end(), model) != b.end()) << what;
-  }
-}
-
-// Ground rule instances likewise arrive in enumeration order; compare
-// the programs as sorted line sets.
-void ExpectSameResult(const datalog::GroundProgram& a,
-                      const datalog::GroundProgram& b,
-                      const std::string& what) {
-  auto lines = [](const datalog::GroundProgram& gp) {
-    std::vector<std::string> out;
-    for (const auto& f : gp.facts) out.push_back(f.ToString());
-    for (const auto& r : gp.rules) out.push_back(r.ToString());
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  EXPECT_EQ(lines(a), lines(b)) << what;
-}
-
-template <typename Fn>
-auto EvalBothWays(const Fn& eval, const std::string& what) {
-  auto indexed = eval(IndexOpts(true));
-  auto scanned = eval(IndexOpts(false));
-  EXPECT_EQ(indexed.status().code(), scanned.status().code())
-      << what << "\nindexed: " << indexed.status()
-      << "\nscan:    " << scanned.status();
-  if (indexed.ok() && scanned.ok()) {
-    ExpectSameResult(*indexed, *scanned, what);
-  }
-  return indexed;
-}
-
-// ----------------------------------------------------------------------
 
 class PositiveProgramProperty : public ::testing::TestWithParam<uint64_t> {};
 
@@ -569,33 +496,13 @@ TEST_P(PositiveProgramProperty, AllSemanticsCoincide) {
   Generated g = GenerateProgram(GetParam(), opts);
   ASSERT_TRUE(datalog::CheckProgramSafe(g.program).ok()) << g.program.ToString();
 
-  const std::string what = g.program.ToString();
-  auto m_naive = EvalBothWays(
-      [&](datalog::EvalOptions o) {
-        o.seminaive = false;
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
-      },
-      what);
-  auto m_semi = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
-      },
-      what);
-  auto m_infl = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalInflationary(g.program, g.edb, o);
-      },
-      what);
-  auto m_strat = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStratified(g.program, g.edb, o);
-      },
-      what);
-  auto m_wfs = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalWellFounded(g.program, g.edb, o);
-      },
-      what);
+  datalog::EvalOptions naive;
+  naive.seminaive = false;
+  auto m_naive = datalog::EvalMinimalModel(g.program, g.edb, naive);
+  auto m_semi = datalog::EvalMinimalModel(g.program, g.edb);
+  auto m_infl = datalog::EvalInflationary(g.program, g.edb);
+  auto m_strat = datalog::EvalStratified(g.program, g.edb);
+  auto m_wfs = datalog::EvalWellFounded(g.program, g.edb);
   ASSERT_TRUE(m_naive.ok() && m_semi.ok() && m_infl.ok() && m_strat.ok() &&
               m_wfs.ok())
       << g.program.ToString();
@@ -624,26 +531,13 @@ TEST_P(StratifiedProgramProperty, StratifiedEqualsWfsAndUniqueStable) {
   Generated g = GenerateProgram(GetParam(), opts);
   ASSERT_TRUE(datalog::Stratify(g.program).ok()) << g.program.ToString();
 
-  const std::string what = g.program.ToString();
-  auto m_strat = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStratified(g.program, g.edb, o);
-      },
-      what);
-  auto m_wfs = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalWellFounded(g.program, g.edb, o);
-      },
-      what);
+  auto m_strat = datalog::EvalStratified(g.program, g.edb);
+  auto m_wfs = datalog::EvalWellFounded(g.program, g.edb);
   ASSERT_TRUE(m_strat.ok() && m_wfs.ok()) << g.program.ToString();
   EXPECT_TRUE(m_wfs->IsTwoValued()) << g.program.ToString();
   EXPECT_EQ(*m_strat, m_wfs->certain) << g.program.ToString();
 
-  auto stable = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStableModels(g.program, g.edb, o);
-      },
-      what);
+  auto stable = datalog::EvalStableModels(g.program, g.edb);
   ASSERT_TRUE(stable.ok()) << stable.status();
   ASSERT_EQ(stable->size(), 1u) << g.program.ToString();
   EXPECT_EQ((*stable)[0], *m_strat) << g.program.ToString();
@@ -683,20 +577,11 @@ class GeneralProgramProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GeneralProgramProperty, WfsBoundsStableModels) {
   Generated g = GenerateProgram(GetParam(), GenOptions{});
-  const std::string what = g.program.ToString();
-  auto wfs = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalWellFounded(g.program, g.edb, o);
-      },
-      what);
+  auto wfs = datalog::EvalWellFounded(g.program, g.edb);
   ASSERT_TRUE(wfs.ok()) << g.program.ToString();
   EXPECT_TRUE(wfs->certain.IsSubsetOf(wfs->possible));
 
-  auto stable = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStableModels(g.program, g.edb, o);
-      },
-      what);
+  auto stable = datalog::EvalStableModels(g.program, g.edb);
   ASSERT_TRUE(stable.ok()) << stable.status() << "\n" << g.program.ToString();
   for (const auto& m : *stable) {
     EXPECT_TRUE(wfs->certain.IsSubsetOf(m)) << g.program.ToString();
@@ -710,11 +595,7 @@ TEST_P(GeneralProgramProperty, WfsBoundsStableModels) {
 
 TEST_P(GeneralProgramProperty, Prop61AlgebraRenderingAgrees) {
   Generated g = GenerateProgram(GetParam(), GenOptions{});
-  auto wfs = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalWellFounded(g.program, g.edb, o);
-      },
-      g.program.ToString());
+  auto wfs = datalog::EvalWellFounded(g.program, g.edb);
   ASSERT_TRUE(wfs.ok());
 
   auto system = translate::DatalogToAlgebra(g.program);
@@ -738,21 +619,12 @@ TEST_P(GeneralProgramProperty, Prop61AlgebraRenderingAgrees) {
 
 TEST_P(GeneralProgramProperty, Prop52StepIndexMatchesInflationary) {
   Generated g = GenerateProgram(GetParam(), GenOptions{});
-  const std::string what = g.program.ToString();
-  auto infl = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalInflationary(g.program, g.edb, o);
-      },
-      what);
+  auto infl = datalog::EvalInflationary(g.program, g.edb);
   ASSERT_TRUE(infl.ok());
 
   auto indexed = translate::StepIndexAuto(g.program, g.edb);
   ASSERT_TRUE(indexed.ok()) << indexed.status();
-  auto wfs = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalWellFounded(indexed->program, indexed->edb, o);
-      },
-      what);
+  auto wfs = datalog::EvalWellFounded(indexed->program, indexed->edb);
   ASSERT_TRUE(wfs.ok()) << wfs.status();
   EXPECT_TRUE(wfs->IsTwoValued()) << g.program.ToString();
   for (const std::string& pred : g.idb_preds) {
@@ -1051,11 +923,7 @@ TEST_P(MagicProperty, MagicAnswersEqualFilteredFull) {
   Generated g = GenerateProgram(GetParam(), opts);
   Lcg rng(GetParam() * 77 + 5);
 
-  auto full = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
-      },
-      g.program.ToString());
+  auto full = datalog::EvalMinimalModel(g.program, g.edb);
   ASSERT_TRUE(full.ok());
 
   // Random query over a random IDB predicate, binding the first arg.
@@ -1073,11 +941,7 @@ TEST_P(MagicProperty, MagicAnswersEqualFilteredFull) {
   ASSERT_TRUE(magic.ok()) << magic.status() << "\n" << g.program.ToString();
   Database seeded = g.edb;
   seeded.InsertAll(magic->seeds);
-  auto interp = EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalMinimalModel(magic->program, seeded, o);
-      },
-      g.program.ToString());
+  auto interp = datalog::EvalMinimalModel(magic->program, seeded);
   ASSERT_TRUE(interp.ok()) << interp.status();
   auto answers = datalog::MagicAnswers(*interp, *magic, q);
   ASSERT_TRUE(answers.ok());
@@ -1093,83 +957,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MagicProperty,
                          ::testing::Range<uint64_t>(1, 21));
 
 // ----------------------------------------------------------------------
-// Scan-vs-index differential oracle at scale: 200 random programs per
-// semantics, every engine run both ways, zero divergences tolerated.
-// The seeds are decorrelated from the property suites above so these
-// cover fresh programs.
-
-class ScanVsIndexDifferential : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ScanVsIndexDifferential, PositiveProgramSemantics) {
-  GenOptions opts;
-  opts.allow_negation = false;
-  Generated g = GenerateProgram(GetParam() * 7919 + 31, opts);
-  const std::string what = g.program.ToString();
-  EvalBothWays(
-      [&](datalog::EvalOptions o) {
-        o.seminaive = false;
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
-      },
-      what);
-  EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
-      },
-      what);
-}
-
-TEST_P(ScanVsIndexDifferential, GeneralProgramSemantics) {
-  Generated g = GenerateProgram(GetParam() * 104729 + 97, GenOptions{});
-  const std::string what = g.program.ToString();
-  EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalInflationary(g.program, g.edb, o);
-      },
-      what);
-  EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalWellFounded(g.program, g.edb, o);
-      },
-      what);
-  // Random general programs may be unstratifiable; EvalBothWays still
-  // requires the two paths to fail identically in that case.
-  EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStratified(g.program, g.edb, o);
-      },
-      what);
-  EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStableModels(g.program, g.edb, o);
-      },
-      what);
-  EvalBothWays(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::GroundProgramFor(g.program, g.edb, o);
-      },
-      what);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ScanVsIndexDifferential,
-                         ::testing::Range<uint64_t>(1, 201));
-
-// ----------------------------------------------------------------------
-// Governance parity: interruptions (deadline, cancellation, injected
-// faults) must surface the same statuses on the indexed and scan paths.
-// Both paths visit the same matches and charge the same governance
-// points, so a fault tripped at charge i yields the same outcome —
-// verified here by sweeping trip points through whole evaluations.
+// Governed engines: one small workload per deterministic engine, run
+// under a caller's context.  ConcurrentSessionGovernance sweeps
+// cancellation, deadlines and injected faults through each.
 
 struct GovernedEngine {
   std::string name;
   std::function<Status(ExecutionContext*, datalog::EvalOptions)> run_with;
-  // Stable-model search explores ground rules in enumeration order, so
-  // its total charge count may legitimately differ between the paths.
-  bool counts_must_match = true;
-
-  Status run(ExecutionContext* ctx, bool use_index) const {
-    return run_with(ctx, IndexOpts(use_index));
-  }
 };
 
 std::vector<GovernedEngine> GovernedEngines() {
@@ -1241,28 +1035,8 @@ std::vector<GovernedEngine> GovernedEngines() {
                  [=](ExecutionContext* ctx, datalog::EvalOptions o) {
                    o.context = ctx;
                    return datalog::EvalStableModels(game, game_db, o).status();
-                 },
-                 /*counts_must_match=*/false});
+                 }});
   return out;
-}
-
-TEST(ScanVsIndexGovernance, PreCancelledAndExpiredDeadlineParity) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    for (bool use_index : {true, false}) {
-      CancelSource source;
-      source.RequestCancel();
-      ExecutionContext cancelled;
-      cancelled.set_cancel_token(source.token());
-      EXPECT_TRUE(engine.run(&cancelled, use_index).IsCancelled())
-          << engine.name << " use_index=" << use_index;
-
-      ExecutionContext expired;
-      expired.set_deadline(ExecutionContext::Clock::now() -
-                           std::chrono::milliseconds(1));
-      EXPECT_TRUE(engine.run(&expired, use_index).IsDeadlineExceeded())
-          << engine.name << " use_index=" << use_index;
-    }
-  }
 }
 
 // ----------------------------------------------------------------------
@@ -1273,7 +1047,9 @@ TEST(ScanVsIndexGovernance, PreCancelledAndExpiredDeadlineParity) {
 // Here kSessions threads each evaluate the same program on their own
 // copy of it and of the database, under their own options and context,
 // and every result must equal the single-threaded run — over 100
-// random programs per semantics family.
+// random programs per semantics family.  The suite keeps its test ids,
+// ParallelVsSequentialDifferential: "parallel" is the concurrent
+// sessions, "sequential" the run alone.
 
 constexpr size_t kSessions = 4;
 
@@ -1285,6 +1061,36 @@ void RunSessions(const Fn& body) {
     threads.emplace_back([&body, s] { body(s); });
   }
   for (std::thread& t : threads) t.join();
+}
+
+void ExpectSameResult(const datalog::Interpretation& a,
+                      const datalog::Interpretation& b,
+                      const std::string& what) {
+  EXPECT_EQ(a, b) << what;
+}
+
+// Rendered models must match byte for byte.
+void ExpectSameResult(const std::string& a, const std::string& b,
+                      const std::string& what) {
+  EXPECT_EQ(a, b) << what;
+}
+
+void ExpectSameResult(const datalog::ThreeValuedInterp& a,
+                      const datalog::ThreeValuedInterp& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.certain, b.certain) << what;
+  EXPECT_EQ(a.possible, b.possible) << what;
+}
+
+// Stable models are compared as sets: their search order is not part
+// of the contract.
+void ExpectSameResult(const std::vector<datalog::Interpretation>& a,
+                      const std::vector<datalog::Interpretation>& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (const auto& model : a) {
+    EXPECT_TRUE(std::find(b.begin(), b.end(), model) != b.end()) << what;
+  }
 }
 
 // `eval(g)` evaluates one generated program; the oracle runs it alone,
@@ -1497,59 +1303,6 @@ TEST(ConcurrentSessionGovernance, FaultSweepStatusesIdenticalAcrossThreadCounts)
   }
 }
 
-TEST(ScanVsIndexGovernance, FaultSweepStatusesIdenticalAcrossPaths) {
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    // Disarmed runs: learn each path's charge-point count.
-    size_t n_by_path[2];
-    for (bool use_index : {true, false}) {
-      FaultInjector injector;
-      injector.Disarm();
-      ExecutionContext ctx(EvalLimits::Default());
-      ctx.set_fault_injector(&injector);
-      Status st = engine.run(&ctx, use_index);
-      ASSERT_TRUE(st.ok()) << engine.name << " disarmed use_index="
-                           << use_index << ": " << st;
-      n_by_path[use_index ? 0 : 1] = injector.charges_seen();
-    }
-    if (engine.counts_must_match) {
-      EXPECT_EQ(n_by_path[0], n_by_path[1])
-          << engine.name << ": indexed and scan paths disagree on the "
-          << "number of governance charge points";
-    }
-    const size_t n = std::min(n_by_path[0], n_by_path[1]);
-    ASSERT_GT(n, 0u) << engine.name;
-
-    // Trip a dense prefix, a sampled middle, and the final shared
-    // charge on both paths; the injected status must surface verbatim
-    // from each.
-    std::set<size_t> trip_points;
-    for (size_t i = 1; i <= std::min<size_t>(n, 16); ++i) trip_points.insert(i);
-    for (size_t i = 17; i < n; i += std::max<size_t>(1, n / 32)) {
-      trip_points.insert(i);
-    }
-    trip_points.insert(n);
-    for (size_t i : trip_points) {
-      Status statuses[2];
-      for (bool use_index : {true, false}) {
-        FaultInjector injector;
-        injector.TripAt(i, Status::Internal("injected fault"));
-        ExecutionContext ctx(EvalLimits::Default());
-        ctx.set_fault_injector(&injector);
-        statuses[use_index ? 0 : 1] = engine.run(&ctx, use_index);
-      }
-      EXPECT_EQ(statuses[0].code(), statuses[1].code())
-          << engine.name << " trip point " << i << "/" << n
-          << "\nindexed: " << statuses[0] << "\nscan:    " << statuses[1];
-      for (const Status& st : statuses) {
-        EXPECT_EQ(st.code(), StatusCode::kInternal)
-            << engine.name << " trip point " << i << ": " << st;
-        EXPECT_NE(st.message().find("injected fault"), std::string::npos)
-            << engine.name << " trip point " << i << ": " << st;
-      }
-    }
-  }
-}
-
 // ----------------------------------------------------------------------
 // Crash-point recovery oracle (DESIGN.md §9).  For each engine: an
 // uninterrupted run learns the total number of governance charges N
@@ -1713,11 +1466,9 @@ size_t CrashSweepStride() {
 // Crashes `engine` at each charge in `trip_points`, round-trips the
 // on-interrupt snapshot through the byte format, resumes under a fresh
 // context, and checks the model and charge parity against the
-// uninterrupted run (`oracle`, `n` charges).  Every run starts from
-// `base`'s evaluation paths.
+// uninterrupted run (`oracle`, `n` charges).
 void CrashAndResume(const CpEngine& engine, const std::string& oracle,
-                    size_t n, const std::set<size_t>& trip_points,
-                    const datalog::EvalOptions& base) {
+                    size_t n, const std::set<size_t>& trip_points) {
   for (size_t k : trip_points) {
     SCOPED_TRACE(engine.name + " crash at charge " + std::to_string(k) + "/" +
                  std::to_string(n));
@@ -1727,7 +1478,7 @@ void CrashAndResume(const CpEngine& engine, const std::string& oracle,
     ExecutionContext ctx(EvalLimits::Default());
     ctx.set_fault_injector(&injector);
     snapshot::CheckpointSink sink;
-    datalog::EvalOptions opts = base;
+    datalog::EvalOptions opts;
     opts.checkpoint.sink = &sink;
     opts.checkpoint.on_interrupt = true;
     opts.checkpoint.every_n_rounds = 0;
@@ -1745,7 +1496,7 @@ void CrashAndResume(const CpEngine& engine, const std::string& oracle,
 
     // Resume under a fresh context, which counts the resumed charges.
     ExecutionContext resumed_ctx(EvalLimits::Default());
-    datalog::EvalOptions resume_opts = base;
+    datalog::EvalOptions resume_opts;
     resume_opts.context = &resumed_ctx;
     auto resumed = engine.resume(*loaded, resume_opts);
     ASSERT_TRUE(resumed.ok()) << resumed.status();
@@ -1759,10 +1510,8 @@ void CrashAndResume(const CpEngine& engine, const std::string& oracle,
 // Runs the sweep on the calling thread or, when `concurrent`, with its
 // trip points dealt round-robin over kSessions threads, each crashing
 // and resuming its own copy of the engines — the way concurrent awrd
-// sessions checkpoint and resume side by side.  `base` selects the
-// evaluation paths of every run.
-void RunCrashPointSweep(bool concurrent,
-                        const datalog::EvalOptions& base = {}) {
+// sessions checkpoint and resume side by side.
+void RunCrashPointSweep(bool concurrent) {
   const size_t stride = CrashSweepStride();
   const std::vector<CpEngine> engines = CrashPointEngines();
   std::vector<std::vector<CpEngine>> copies(concurrent ? kSessions : 0);
@@ -1771,7 +1520,7 @@ void RunCrashPointSweep(bool concurrent,
     const CpEngine& engine = engines[e];
     // Uninterrupted oracle: learn N and the reference rendering.
     ExecutionContext oracle_ctx(EvalLimits::Default());
-    auto oracle = engine.run(&oracle_ctx, base);
+    auto oracle = engine.run(&oracle_ctx, datalog::EvalOptions());
     ASSERT_TRUE(oracle.ok()) << engine.name << ": " << oracle.status();
     const size_t n = oracle_ctx.total_charges();
     ASSERT_GT(n, 0u) << engine.name;
@@ -1784,14 +1533,14 @@ void RunCrashPointSweep(bool concurrent,
     trip_points.insert(n);
 
     if (!concurrent) {
-      CrashAndResume(engine, *oracle, n, trip_points, base);
+      CrashAndResume(engine, *oracle, n, trip_points);
       continue;
     }
     std::vector<std::set<size_t>> shares(kSessions);
     size_t next = 0;
     for (size_t k : trip_points) shares[next++ % kSessions].insert(k);
     RunSessions([&](size_t s) {
-      CrashAndResume(copies[s][e], *oracle, n, shares[s], base);
+      CrashAndResume(copies[s][e], *oracle, n, shares[s]);
     });
   }
 }
@@ -1835,241 +1584,9 @@ TEST(CrashPointRecovery, ComponentWalkCapturesEveryStep) {
   }
 }
 
-// Once per reference configuration: crash-point resume holds on every
-// alternative evaluation path, not only in production.
-TEST(CrashPointRecovery, SweepSequential) {
-  for (const ReferenceConfig& config : ReferenceConfigs()) {
-    SCOPED_TRACE(config.name);
-    ScopedInterning repr(config.structural_interning);
-    RunCrashPointSweep(false, config.Apply({}));
-  }
-}
+TEST(CrashPointRecovery, SweepSequential) { RunCrashPointSweep(false); }
 
 TEST(CrashPointRecovery, SweepConcurrentSessions) { RunCrashPointSweep(true); }
-
-// ----------------------------------------------------------------------
-// Interned-vs-legacy value representation differential oracle
-// (DESIGN.md §10).  Structural interning (hash-consing) of composite
-// Values and Terms is a pure representation change: the legacy
-// per-instance representation (SetStructuralInterningForTesting(false))
-// is the oracle, and every observable — models, status codes,
-// governance charge counts, and on-interrupt snapshot bytes — must be
-// bit-identical with interning on and off, across all semantics.
-
-// Runs one engine with the legacy representation (oracle) and then the
-// hash-consed representation, requiring identical status codes and —
-// on success — identical results.  Returns the interned-run result.
-template <typename Fn>
-auto EvalBothReprs(const Fn& eval, datalog::EvalOptions opts,
-                   const std::string& what) {
-  SetStructuralInterningForTesting(false);
-  auto legacy = eval(opts);
-  SetStructuralInterningForTesting(true);
-  auto interned = eval(opts);
-  EXPECT_EQ(legacy.status().code(), interned.status().code())
-      << what << "\nlegacy:   " << legacy.status()
-      << "\ninterned: " << interned.status();
-  if (legacy.ok() && interned.ok()) {
-    ExpectSameResult(*interned, *legacy, what);
-  }
-  return interned;
-}
-
-class InternVsLegacyDifferential : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(InternVsLegacyDifferential, PositiveSemanticsAgreeAcrossReprs) {
-  ScopedInterning guard(true);
-  GenOptions gen;
-  gen.allow_negation = false;
-  Generated g = GenerateProgram(GetParam() * 48271 + 13, gen);
-  const std::string what = g.program.ToString();
-  EvalBothReprs(
-      [&](datalog::EvalOptions o) {
-        o.seminaive = false;
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
-      },
-      datalog::EvalOptions(), what);
-  EvalBothReprs(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalMinimalModel(g.program, g.edb, o);
-      },
-      datalog::EvalOptions(), what);
-}
-
-TEST_P(InternVsLegacyDifferential, GeneralSemanticsAgreeAcrossReprs) {
-  ScopedInterning guard(true);
-  // Random general programs may be unstratifiable or have no stable
-  // model; EvalBothReprs still checks that both representations fail
-  // (or succeed) identically.
-  Generated g = GenerateProgram(GetParam() * 69621 + 29, GenOptions{});
-  const std::string what = g.program.ToString();
-  EvalBothReprs(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalInflationary(g.program, g.edb, o);
-      },
-      datalog::EvalOptions(), what);
-  EvalBothReprs(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalWellFounded(g.program, g.edb, o);
-      },
-      datalog::EvalOptions(), what);
-  EvalBothReprs(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStratified(g.program, g.edb, o);
-      },
-      datalog::EvalOptions(), what);
-  EvalBothReprs(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::EvalStableModels(g.program, g.edb, o);
-      },
-      datalog::EvalOptions(), what);
-  EvalBothReprs(
-      [&](const datalog::EvalOptions& o) {
-        return datalog::GroundProgramFor(g.program, g.edb, o);
-      },
-      datalog::EvalOptions(), what);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, InternVsLegacyDifferential,
-                         ::testing::Range<uint64_t>(1, 201));
-
-// The rendered model text (the REPL / snapshot-surface byte form) must
-// also be identical: canonical set ordering and ToString go through
-// Value::Compare, which gains pointer fast paths under interning.
-TEST(InternVsLegacyDifferential, RenderedModelsAreByteIdentical) {
-  ScopedInterning guard(true);
-  for (const CpEngine& engine : CrashPointEngines()) {
-    SetStructuralInterningForTesting(false);
-    ExecutionContext legacy_ctx(EvalLimits::Default());
-    auto legacy = engine.run(&legacy_ctx, datalog::EvalOptions());
-    SetStructuralInterningForTesting(true);
-    ExecutionContext interned_ctx(EvalLimits::Default());
-    auto interned = engine.run(&interned_ctx, datalog::EvalOptions());
-    ASSERT_TRUE(legacy.ok() && interned.ok())
-        << engine.name << "\nlegacy:   " << legacy.status()
-        << "\ninterned: " << interned.status();
-    EXPECT_EQ(*legacy, *interned) << engine.name;
-  }
-}
-
-// Governance charge sequences are representation-independent: both
-// modes enumerate the same matches in the same order (the hash recipe
-// is identical, so unordered-container iteration order is too), hence
-// disarmed charge counts match exactly — for every engine, including
-// stable-model search.
-TEST(InternVsLegacyGovernance, ChargeCountsIdenticalBothReprs) {
-  ScopedInterning guard(true);
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    size_t counts[2] = {0, 0};
-    int slot = 0;
-    for (bool interning : {false, true}) {
-      SetStructuralInterningForTesting(interning);
-      FaultInjector injector;
-      injector.Disarm();
-      ExecutionContext ctx(EvalLimits::Default());
-      ctx.set_fault_injector(&injector);
-      ASSERT_TRUE(engine.run_with(&ctx, datalog::EvalOptions()).ok())
-          << engine.name;
-      counts[slot++] = injector.charges_seen();
-    }
-    EXPECT_EQ(counts[0], counts[1])
-        << engine.name << ": legacy charges=" << counts[0]
-        << " interned charges=" << counts[1];
-  }
-}
-
-// A fault tripped at charge i surfaces the identical status (code and
-// message, which embeds the trip coordinates) in both representations.
-TEST(InternVsLegacyGovernance, FaultTripStatusesIdenticalBothReprs) {
-  ScopedInterning guard(true);
-  for (const GovernedEngine& engine : GovernedEngines()) {
-    // Learn the charge count with interning on; the previous test
-    // proves it is the same number in legacy mode.
-    SetStructuralInterningForTesting(true);
-    FaultInjector probe;
-    probe.Disarm();
-    ExecutionContext probe_ctx(EvalLimits::Default());
-    probe_ctx.set_fault_injector(&probe);
-    ASSERT_TRUE(engine.run_with(&probe_ctx, datalog::EvalOptions()).ok())
-        << engine.name;
-    const size_t n = probe.charges_seen();
-    ASSERT_GT(n, 0u) << engine.name;
-
-    for (size_t k : {size_t{1}, (n + 1) / 2, n}) {
-      Status statuses[2];
-      int slot = 0;
-      for (bool interning : {false, true}) {
-        SetStructuralInterningForTesting(interning);
-        FaultInjector injector;
-        injector.TripAt(k, Status::Internal("injected fault"));
-        ExecutionContext ctx(EvalLimits::Default());
-        ctx.set_fault_injector(&injector);
-        statuses[slot++] = engine.run_with(&ctx, datalog::EvalOptions());
-      }
-      EXPECT_EQ(statuses[0].code(), statuses[1].code())
-          << engine.name << " trip at " << k << "/" << n;
-      EXPECT_EQ(statuses[0].ToString(), statuses[1].ToString())
-          << engine.name << " trip at " << k << "/" << n;
-    }
-  }
-}
-
-// On-interrupt snapshots serialize to the exact same bytes in both
-// representations (the format stores structure, never pointers), and a
-// snapshot captured under one representation resumes under the other —
-// crash under legacy, resume interned, and vice versa.
-TEST(InternVsLegacySnapshot, SnapshotBytesIdenticalAndCrossResumable) {
-  ScopedInterning guard(true);
-  for (const CpEngine& engine : CrashPointEngines()) {
-    // Oracle rendering + charge count, interned mode.
-    SetStructuralInterningForTesting(true);
-    FaultInjector probe;
-    probe.Disarm();
-    ExecutionContext probe_ctx(EvalLimits::Default());
-    probe_ctx.set_fault_injector(&probe);
-    auto oracle = engine.run(&probe_ctx, datalog::EvalOptions());
-    ASSERT_TRUE(oracle.ok()) << engine.name << ": " << oracle.status();
-    const size_t n = probe.charges_seen();
-    ASSERT_GT(n, 1u) << engine.name;
-    const size_t k = (n + 1) / 2;
-
-    std::vector<uint8_t> captured_bytes[2];
-    int slot = 0;
-    for (bool interning : {false, true}) {
-      SCOPED_TRACE(engine.name + (interning ? " interned" : " legacy") +
-                   " crash at charge " + std::to_string(k) + "/" +
-                   std::to_string(n));
-      SetStructuralInterningForTesting(interning);
-      FaultInjector injector;
-      injector.TripAt(k, Status::Internal("injected fault"));
-      ExecutionContext ctx(EvalLimits::Default());
-      ctx.set_fault_injector(&injector);
-      snapshot::CheckpointSink sink;
-      datalog::EvalOptions opts;
-      opts.checkpoint.sink = &sink;
-      opts.checkpoint.on_interrupt = true;
-      opts.checkpoint.every_n_rounds = 0;
-      auto crashed = engine.run(&ctx, opts);
-      ASSERT_FALSE(crashed.ok());
-      ASSERT_TRUE(sink.latest.has_value());
-      auto bytes = snapshot::Serialize(*sink.latest);
-      ASSERT_TRUE(bytes.ok()) << bytes.status();
-      captured_bytes[slot++] = *bytes;
-
-      // Cross-representation resume: decode and finish the run under
-      // the OPPOSITE representation; the final model must match the
-      // oracle rendering byte for byte.
-      SetStructuralInterningForTesting(!interning);
-      auto loaded = snapshot::Deserialize(*bytes);
-      ASSERT_TRUE(loaded.ok()) << loaded.status();
-      auto resumed = engine.resume(*loaded, datalog::EvalOptions());
-      ASSERT_TRUE(resumed.ok()) << resumed.status();
-      EXPECT_EQ(*resumed, *oracle);
-    }
-    EXPECT_EQ(captured_bytes[0], captured_bytes[1])
-        << engine.name << ": snapshot bytes differ between representations";
-  }
-}
 
 // ----------------------------------------------------------------------
 // Reference-evaluator differential.  tests/reference_eval.h computes
@@ -2105,8 +1622,8 @@ void ExpectMatchesReference(const Result<datalog::Interpretation>& engine,
   ExpectSameFacts(*engine, *ref, what);
 }
 
-void CheckAgainstReference(const Generated& g,
-                           const datalog::EvalOptions& opts) {
+void CheckAgainstReference(const Generated& g) {
+  const datalog::EvalOptions opts;
   const std::string what = g.program.ToString();
   const datalog::FunctionRegistry& fns = opts.functions;
   const reference::Model edb = reference::FromInterpretation(g.edb);
@@ -2178,67 +1695,94 @@ void CheckAgainstReference(const Generated& g,
 class ReferenceEvaluatorDifferential
     : public ::testing::TestWithParam<uint64_t> {};
 
-// Each seed draws one program per seed formula of the executor
-// differentials this suite replaced.
+// Programs over nested values: their extents take the row layout, so
+// they run on the VM's row cursors (kRowScan, kRowBucket), which the
+// flat programs of the sweeps below never open.
 TEST_P(ReferenceEvaluatorDifferential, PositivePrograms) {
   GenOptions gen;
   gen.allow_negation = false;
-  for (uint64_t seed : {GetParam() * 48271 + 19, GetParam() * 16807 + 37}) {
-    SCOPED_TRACE(seed);
-    CheckAgainstReference(GenerateProgram(seed, gen), {});
-  }
+  gen.nested_values = true;
+  CheckAgainstReference(GenerateProgram(GetParam() * 2147483629 + 3, gen));
 }
 
 TEST_P(ReferenceEvaluatorDifferential, GeneralPrograms) {
-  for (uint64_t seed : {GetParam() * 69621 + 59, GetParam() * 22695477 + 41}) {
-    SCOPED_TRACE(seed);
-    CheckAgainstReference(GenerateProgram(seed, GenOptions{}), {});
-  }
+  GenOptions gen;
+  gen.nested_values = true;
+  CheckAgainstReference(GenerateProgram(GetParam() * 2147483587 + 6, gen));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceEvaluatorDifferential,
                          ::testing::Range<uint64_t>(1, 201));
 
-// The seed sweeps of the two executor differentials the reference
-// evaluator replaced keep their test ids.  They run the same reference
-// check, each on its own seed formula, with the join index off: every
-// keyed step then opens a row cursor, so the scan path and the VM's row
-// cursors are checked against the reference on every seed.
+// The sweeps below keep the test ids of the differentials whose second
+// side is gone: the tree-walking interpreter, row-only storage, the
+// scan join path and the per-instance value representation.  Each runs
+// the reference check above on flat programs of its own seed formula,
+// so every formula those differentials drew is still checked once.
 
-class ColumnarVsRowDifferential : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ColumnarVsRowDifferential, PositiveSemanticsAgreeAcrossStorage) {
+void CheckPositiveSeed(uint64_t seed) {
+  SCOPED_TRACE(seed);
   GenOptions gen;
   gen.allow_negation = false;
-  CheckAgainstReference(GenerateProgram(GetParam() * 16807 + 37, gen),
-                        IndexOpts(false));
+  CheckAgainstReference(GenerateProgram(seed, gen));
 }
 
-TEST_P(ColumnarVsRowDifferential, GeneralSemanticsAgreeAcrossStorage) {
-  CheckAgainstReference(
-      GenerateProgram(GetParam() * 22695477 + 41, GenOptions{}),
-      IndexOpts(false));
+void CheckGeneralSeed(uint64_t seed) {
+  SCOPED_TRACE(seed);
+  CheckAgainstReference(GenerateProgram(seed, GenOptions{}));
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarVsRowDifferential,
-                         ::testing::Range<uint64_t>(1, 201));
 
 class BytecodeVsInterpreterDifferential
     : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BytecodeVsInterpreterDifferential, PositiveSemanticsAgree) {
-  GenOptions gen;
-  gen.allow_negation = false;
-  CheckAgainstReference(GenerateProgram(GetParam() * 48271 + 19, gen),
-                        IndexOpts(false));
+  CheckPositiveSeed(GetParam() * 48271 + 19);
 }
 
 TEST_P(BytecodeVsInterpreterDifferential, GeneralSemanticsAgree) {
-  CheckAgainstReference(
-      GenerateProgram(GetParam() * 69621 + 59, GenOptions{}), IndexOpts(false));
+  CheckGeneralSeed(GetParam() * 69621 + 59);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BytecodeVsInterpreterDifferential,
+                         ::testing::Range<uint64_t>(1, 201));
+
+class ColumnarVsRowDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ColumnarVsRowDifferential, PositiveSemanticsAgreeAcrossStorage) {
+  CheckPositiveSeed(GetParam() * 16807 + 37);
+}
+
+TEST_P(ColumnarVsRowDifferential, GeneralSemanticsAgreeAcrossStorage) {
+  CheckGeneralSeed(GetParam() * 22695477 + 41);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarVsRowDifferential,
+                         ::testing::Range<uint64_t>(1, 201));
+
+class ScanVsIndexDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ScanVsIndexDifferential, PositiveProgramSemantics) {
+  CheckPositiveSeed(GetParam() * 7919 + 31);
+}
+
+TEST_P(ScanVsIndexDifferential, GeneralProgramSemantics) {
+  CheckGeneralSeed(GetParam() * 104729 + 97);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScanVsIndexDifferential,
+                         ::testing::Range<uint64_t>(1, 201));
+
+class InternVsLegacyDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(InternVsLegacyDifferential, PositiveSemanticsAgreeAcrossReprs) {
+  CheckPositiveSeed(GetParam() * 48271 + 13);
+}
+
+TEST_P(InternVsLegacyDifferential, GeneralSemanticsAgreeAcrossReprs) {
+  CheckGeneralSeed(GetParam() * 69621 + 29);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InternVsLegacyDifferential,
                          ::testing::Range<uint64_t>(1, 201));
 
 }  // namespace

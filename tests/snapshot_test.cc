@@ -7,9 +7,6 @@
 //   * adversarial mutations with a *recomputed* checksum (past the
 //     integrity layer, into the defensive parser) never crash — they
 //     either decode to some snapshot or fail cleanly.
-// The codec, format, corruption and resume tests run under both value
-// representations: the decoder re-interns through the value factories,
-// so the legacy representation must survive the same byte streams.
 // Golden files in tests/data/ pin the byte format: a format change that
 // bumps kFormatVersion must keep rejecting old-version bytes with a
 // version-specific error, and an unintentional encoding change breaks
@@ -34,7 +31,6 @@
 #include "awr/snapshot/state.h"
 #include "awr/storage/fs.h"
 #include "awr/value/value_codec.h"
-#include "reference_configs.h"
 
 #ifndef AWR_TEST_DATA_DIR
 #define AWR_TEST_DATA_DIR "tests/data"
@@ -66,7 +62,7 @@ Value RoundTrip(const Value& v) {
   return decoded.ok() ? *decoded : Value::EmptySet();
 }
 
-AWR_TEST_BOTH_REPRS(ValueCodecTest, RoundTripsEveryKind) {
+TEST(ValueCodecTest, RoundTripsEveryKind) {
   const Value cases[] = {
       Value::Boolean(true),
       Value::Boolean(false),
@@ -87,7 +83,7 @@ AWR_TEST_BOTH_REPRS(ValueCodecTest, RoundTripsEveryKind) {
   }
 }
 
-AWR_TEST_BOTH_REPRS(ValueCodecTest, RoundTripsDeepNesting) {
+TEST(ValueCodecTest, RoundTripsDeepNesting) {
   Value v = Value::Int(7);
   for (int i = 0; i < 40; ++i) {
     v = Value::Tuple({Value::Atom("wrap"), Value::Set({v})});
@@ -95,7 +91,7 @@ AWR_TEST_BOTH_REPRS(ValueCodecTest, RoundTripsDeepNesting) {
   EXPECT_EQ(RoundTrip(v), v);
 }
 
-AWR_TEST_BOTH_REPRS(ValueCodecTest, SharedAtomsUseOneTableEntry) {
+TEST(ValueCodecTest, SharedAtomsUseOneTableEntry) {
   ByteWriter body;
   ValueEncoder enc(&body);
   enc.Encode(Value::Tuple({Value::Atom("a"), Value::Atom("a"),
@@ -103,7 +99,7 @@ AWR_TEST_BOTH_REPRS(ValueCodecTest, SharedAtomsUseOneTableEntry) {
   EXPECT_EQ(enc.table().size(), 2u);
 }
 
-AWR_TEST_BOTH_REPRS(ValueCodecTest, GarbageNeverCrashesDecoder) {
+TEST(ValueCodecTest, GarbageNeverCrashesDecoder) {
   // Every short byte string, plus targeted bad tags / bad refs.
   std::vector<std::string> table{"a"};
   for (int b0 = 0; b0 < 256; ++b0) {
@@ -124,7 +120,7 @@ AWR_TEST_BOTH_REPRS(ValueCodecTest, GarbageNeverCrashesDecoder) {
   EXPECT_FALSE(dec.Decode().ok());
 }
 
-AWR_TEST_BOTH_REPRS(ValueCodecTest, NestingDepthIsCapped) {
+TEST(ValueCodecTest, NestingDepthIsCapped) {
   // 200 nested single-element tuples: deeper than kMaxDepth, shallow
   // enough to build the input by hand.
   ByteWriter w;
@@ -202,7 +198,7 @@ void ExpectSnapshotsEqual(const EvalSnapshot& a, const EvalSnapshot& b) {
   EXPECT_EQ(a.inner.delta.ToString(), b.inner.delta.ToString());
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotFormatTest, RoundTripsAllFields) {
+TEST(SnapshotFormatTest, RoundTripsAllFields) {
   EvalSnapshot s = FullSnapshot();
   auto bytes = snapshot::Serialize(s);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
@@ -211,7 +207,7 @@ AWR_TEST_BOTH_REPRS(SnapshotFormatTest, RoundTripsAllFields) {
   ExpectSnapshotsEqual(s, *back);
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotFormatTest, SerializationIsDeterministic) {
+TEST(SnapshotFormatTest, SerializationIsDeterministic) {
   EvalSnapshot s = FullSnapshot();
   auto a = snapshot::Serialize(s);
   auto b = snapshot::Serialize(s);
@@ -226,8 +222,7 @@ AWR_TEST_BOTH_REPRS(SnapshotFormatTest, SerializationIsDeterministic) {
   EXPECT_EQ(*a, *c);
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotFormatTest,
-                    ColumnarAndRowStorageSerializeIdentically) {
+TEST(SnapshotFormatTest, ColumnarAndRowStorageSerializeIdentically) {
   // The same model held two ways must produce the exact same snapshot
   // bytes: as the VM emitted it, its derived facts words only, and
   // rebuilt by inserting each fact as a Value.  The encoder goes through
@@ -273,7 +268,7 @@ AWR_TEST_BOTH_REPRS(SnapshotFormatTest,
   EXPECT_EQ(back->inner.interp.ToString(), row_model.ToString());
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotFormatTest, FileRoundTrip) {
+TEST(SnapshotFormatTest, FileRoundTrip) {
   EvalSnapshot s = FullSnapshot();
   std::string path = ::testing::TempDir() + "/awr_snapshot_roundtrip.snap";
   ASSERT_TRUE(snapshot::WriteSnapshotFile(s, path).ok());
@@ -293,7 +288,7 @@ std::vector<uint8_t> SerializedFull() {
   return *bytes;
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, EveryTruncationFailsCleanly) {
+TEST(SnapshotCorruptionTest, EveryTruncationFailsCleanly) {
   std::vector<uint8_t> bytes = SerializedFull();
   for (size_t len = 0; len < bytes.size(); ++len) {
     auto r = snapshot::Deserialize(bytes.data(), len);
@@ -301,8 +296,7 @@ AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, EveryTruncationFailsCleanly) {
   }
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest,
-                    EverySingleBitFlipFailsTheChecksum) {
+TEST(SnapshotCorruptionTest, EverySingleBitFlipFailsTheChecksum) {
   std::vector<uint8_t> bytes = SerializedFull();
   for (size_t i = 0; i < bytes.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -324,8 +318,7 @@ void PatchChecksum(std::vector<uint8_t>* bytes) {
   }
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest,
-                    ChecksumPatchedMutationsNeverCrash) {
+TEST(SnapshotCorruptionTest, ChecksumPatchedMutationsNeverCrash) {
   const std::vector<uint8_t> bytes = SerializedFull();
   // Deterministic LCG; no std::random so failures replay exactly.
   uint64_t state = 0x2545f4914f6cdd1dull;
@@ -365,7 +358,7 @@ constexpr size_t kVersionOffset = 8;
 constexpr size_t kEngineOffset = 12;
 constexpr size_t kFlagsOffset = 13;
 
-AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, BadMagicIsRejected) {
+TEST(SnapshotCorruptionTest, BadMagicIsRejected) {
   std::vector<uint8_t> bytes = SerializedFull();
   bytes[0] = 'X';
   PatchChecksum(&bytes);
@@ -374,7 +367,7 @@ AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, BadMagicIsRejected) {
   EXPECT_NE(st.message().find("magic"), std::string::npos) << st;
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, FutureFormatVersionIsRejected) {
+TEST(SnapshotCorruptionTest, FutureFormatVersionIsRejected) {
   std::vector<uint8_t> bytes = SerializedFull();
   bytes[kVersionOffset] = snapshot::kFormatVersion + 1;
   PatchChecksum(&bytes);
@@ -383,7 +376,7 @@ AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, FutureFormatVersionIsRejected) {
   EXPECT_NE(st.message().find("version"), std::string::npos) << st;
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, UnknownEngineIsRejected) {
+TEST(SnapshotCorruptionTest, UnknownEngineIsRejected) {
   std::vector<uint8_t> bytes = SerializedFull();
   bytes[kEngineOffset] = 9;
   PatchChecksum(&bytes);
@@ -392,7 +385,7 @@ AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, UnknownEngineIsRejected) {
   EXPECT_NE(st.message().find("engine"), std::string::npos) << st;
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, UnknownFlagBitsAreRejected) {
+TEST(SnapshotCorruptionTest, UnknownFlagBitsAreRejected) {
   std::vector<uint8_t> bytes = SerializedFull();
   bytes[kFlagsOffset] |= 0x80;
   PatchChecksum(&bytes);
@@ -400,7 +393,7 @@ AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, UnknownFlagBitsAreRejected) {
   EXPECT_TRUE(st.IsInvalidArgument()) << st;
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotCorruptionTest, TrailingBytesAreRejected) {
+TEST(SnapshotCorruptionTest, TrailingBytesAreRejected) {
   std::vector<uint8_t> bytes = SerializedFull();
   // Splice two junk bytes before the checksum, then re-patch: the body
   // parses but does not consume everything.
@@ -428,7 +421,7 @@ EvalSnapshot CapturedTcSnapshot() {
   return *sink.latest;
 }
 
-AWR_TEST_BOTH_REPRS(SnapshotResumeTest, RejectsMismatchedProgramAndDatabase) {
+TEST(SnapshotResumeTest, RejectsMismatchedProgramAndDatabase) {
   EvalSnapshot snap = CapturedTcSnapshot();
   auto other_program = *datalog::ParseProgram("tc(X, Y) :- edge(X, Y).");
   Status st =
@@ -454,27 +447,25 @@ AWR_TEST_BOTH_REPRS(SnapshotResumeTest, RejectsMismatchedProgramAndDatabase) {
 // so the capture — and therefore the bytes — is deterministic across
 // platforms and processes.
 
-// Capture and resume run on the evaluation paths their options select.
 struct GoldenCase {
   std::string file;
   EngineKind engine;
   // Captures the snapshot this golden pins.
-  std::function<EvalSnapshot(const EvalOptions&)> capture;
+  std::function<EvalSnapshot()> capture;
   // Resumes from the golden and renders; empty string on error.
-  std::function<std::string(const EvalSnapshot&, const EvalOptions&)> resume;
+  std::function<std::string(const EvalSnapshot&)> resume;
   // Renders the uninterrupted model for the resume check.
   std::function<std::string()> oracle;
 };
 
 template <typename EvalFn>
-EvalSnapshot CaptureAtCharge(const EvalFn& eval, size_t k,
-                             const EvalOptions& base) {
+EvalSnapshot CaptureAtCharge(const EvalFn& eval, size_t k) {
   FaultInjector injector;
   injector.TripAt(k, Status::Internal("injected fault"));
   ExecutionContext ctx(EvalLimits::Default());
   ctx.set_fault_injector(&injector);
   snapshot::CheckpointSink sink;
-  EvalOptions opts = base;
+  EvalOptions opts;
   opts.context = &ctx;
   opts.checkpoint.sink = &sink;
   opts.checkpoint.every_n_rounds = 0;
@@ -504,43 +495,43 @@ std::vector<GoldenCase> GoldenCases() {
   std::vector<GoldenCase> out;
   out.push_back(
       {"golden_leastmodel.snap", EngineKind::kLeastModel,
-       [=](const EvalOptions& base) {
+       [=] {
          return CaptureAtCharge(
              [&](const EvalOptions& o) {
                return datalog::EvalMinimalModel(tc, edges, o).status();
              },
-             9, base);
+             9);
        },
-       [=](const EvalSnapshot& s, const EvalOptions& base) {
-         auto r = snapshot::ResumeMinimalModel(tc, edges, s, base);
+       [=](const EvalSnapshot& s) {
+         auto r = snapshot::ResumeMinimalModel(tc, edges, s);
          return r.ok() ? r->ToString() : std::string();
        },
        [=] { return datalog::EvalMinimalModel(tc, edges)->ToString(); }});
   out.push_back(
       {"golden_stratified.snap", EngineKind::kStratified,
-       [=](const EvalOptions& base) {
+       [=] {
          return CaptureAtCharge(
              [&](const EvalOptions& o) {
                return datalog::EvalStratified(reach, reach_db, o).status();
              },
-             11, base);
+             11);
        },
-       [=](const EvalSnapshot& s, const EvalOptions& base) {
-         auto r = snapshot::ResumeStratified(reach, reach_db, s, base);
+       [=](const EvalSnapshot& s) {
+         auto r = snapshot::ResumeStratified(reach, reach_db, s);
          return r.ok() ? r->ToString() : std::string();
        },
        [=] { return datalog::EvalStratified(reach, reach_db)->ToString(); }});
   out.push_back(
       {"golden_inflationary.snap", EngineKind::kInflationary,
-       [=](const EvalOptions& base) {
+       [=] {
          return CaptureAtCharge(
              [&](const EvalOptions& o) {
                return datalog::EvalInflationary(game, game_db, o).status();
              },
-             5, base);
+             5);
        },
-       [=](const EvalSnapshot& s, const EvalOptions& base) {
-         auto r = snapshot::ResumeInflationary(game, game_db, s, base);
+       [=](const EvalSnapshot& s) {
+         auto r = snapshot::ResumeInflationary(game, game_db, s);
          return r.ok() ? r->ToString() : std::string();
        },
        [=] {
@@ -548,15 +539,15 @@ std::vector<GoldenCase> GoldenCases() {
        }});
   out.push_back(
       {"golden_wellfounded.snap", EngineKind::kWellFounded,
-       [=](const EvalOptions& base) {
+       [=] {
          return CaptureAtCharge(
              [&](const EvalOptions& o) {
                return datalog::EvalWellFounded(game, game_db, o).status();
              },
-             13, base);
+             13);
        },
-       [=](const EvalSnapshot& s, const EvalOptions& base) {
-         auto r = snapshot::ResumeWellFounded(game, game_db, s, base);
+       [=](const EvalSnapshot& s) {
+         auto r = snapshot::ResumeWellFounded(game, game_db, s);
          return r.ok() ? r->certain.ToString() + r->possible.ToString()
                        : std::string();
        },
@@ -571,9 +562,8 @@ std::string GoldenPath(const GoldenCase& gc) {
   return std::string(AWR_TEST_DATA_DIR) + "/" + gc.file;
 }
 
-// Every reference configuration captures the committed bytes and
-// resumes from them to the production model; only production captures
-// regenerate the goldens.
+// A fresh capture reproduces the committed bytes and resumes from them
+// to the uninterrupted model.
 TEST(SnapshotGoldenTest, CommittedBytesStayValidAndResumable) {
   const bool regen = [] {
     const char* env = std::getenv("AWR_REGEN_GOLDEN");
@@ -581,36 +571,31 @@ TEST(SnapshotGoldenTest, CommittedBytesStayValidAndResumable) {
   }();
   if (regen) {
     for (const GoldenCase& gc : GoldenCases()) {
-      ASSERT_TRUE(snapshot::WriteSnapshotFile(gc.capture(EvalOptions()),
+      ASSERT_TRUE(snapshot::WriteSnapshotFile(gc.capture(),
                                               GoldenPath(gc))
                       .ok())
           << GoldenPath(gc);
     }
   }
-  for (const ReferenceConfig& config : ReferenceConfigs()) {
-    SCOPED_TRACE(config.name);
-    ScopedInterning repr(config.structural_interning);
-    const EvalOptions opts = config.Apply({});
-    for (const GoldenCase& gc : GoldenCases()) {
-      SCOPED_TRACE(gc.file);
-      const std::string path = GoldenPath(gc);
-      auto loaded = snapshot::ReadSnapshotFile(path);
-      ASSERT_TRUE(loaded.ok()) << loaded.status() << "\n(path: " << path
-                               << "; regenerate with AWR_REGEN_GOLDEN=1)";
-      EXPECT_EQ(loaded->engine, gc.engine);
+  for (const GoldenCase& gc : GoldenCases()) {
+    SCOPED_TRACE(gc.file);
+    const std::string path = GoldenPath(gc);
+    auto loaded = snapshot::ReadSnapshotFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status() << "\n(path: " << path
+                             << "; regenerate with AWR_REGEN_GOLDEN=1)";
+    EXPECT_EQ(loaded->engine, gc.engine);
 
-      // Today's serializer reproduces the committed bytes exactly: the
-      // fresh capture and the golden agree byte for byte.
-      auto golden_bytes = snapshot::Serialize(*loaded);
-      auto fresh_bytes = snapshot::Serialize(gc.capture(opts));
-      ASSERT_TRUE(golden_bytes.ok() && fresh_bytes.ok());
-      EXPECT_EQ(*golden_bytes, *fresh_bytes)
-          << "serializer output changed for committed golden " << gc.file
-          << "; if intentional, bump kFormatVersion and regenerate";
+    // Today's serializer reproduces the committed bytes exactly: the
+    // fresh capture and the golden agree byte for byte.
+    auto golden_bytes = snapshot::Serialize(*loaded);
+    auto fresh_bytes = snapshot::Serialize(gc.capture());
+    ASSERT_TRUE(golden_bytes.ok() && fresh_bytes.ok());
+    EXPECT_EQ(*golden_bytes, *fresh_bytes)
+        << "serializer output changed for committed golden " << gc.file
+        << "; if intentional, bump kFormatVersion and regenerate";
 
-      // And the golden still resumes to the uninterrupted model.
-      EXPECT_EQ(gc.resume(*loaded, opts), gc.oracle());
-    }
+    // And the golden still resumes to the uninterrupted model.
+    EXPECT_EQ(gc.resume(*loaded), gc.oracle());
   }
 }
 

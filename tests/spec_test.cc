@@ -1,7 +1,6 @@
 // Tests for the specification substrate: the §2.1 SET(nat) example via
 // rewriting, congruence closure, the §2.2 valid interpretation, and the
-// Proposition 2.3(2) decision procedure on Example 2.  Every test runs
-// under both term representations: hash-consed and legacy per-instance.
+// Proposition 2.3(2) decision procedure on Example 2.
 #include <gtest/gtest.h>
 
 #include "awr/spec/builtin_specs.h"
@@ -9,12 +8,11 @@
 #include "awr/spec/ivm_decision.h"
 #include "awr/spec/rewrite.h"
 #include "awr/spec/valid_interp.h"
-#include "reference_configs.h"
 
 namespace awr::spec {
 namespace {
 
-AWR_TEST_BOTH_REPRS(SpecTest, BuiltinSpecsValidate) {
+TEST(SpecTest, BuiltinSpecsValidate) {
   EXPECT_TRUE(BoolSpec().Validate().ok());
   EXPECT_TRUE(NatSpec().Validate().ok());
   EXPECT_TRUE(SetNatSpec().Validate().ok());
@@ -25,7 +23,7 @@ AWR_TEST_BOTH_REPRS(SpecTest, BuiltinSpecsValidate) {
   EXPECT_FALSE(SetNatSpec().IsConstantsOnly());
 }
 
-AWR_TEST_BOTH_REPRS(SpecTest, ValidateCatchesIllSortedEquation) {
+TEST(SpecTest, ValidateCatchesIllSortedEquation) {
   Specification spec = BoolSpec();
   // T = ZERO is ill-sorted once nat exists.
   spec.signature.AddSort("nat");
@@ -44,13 +42,13 @@ RewriteSystem SetNatRewrites() {
   return std::move(*rs);
 }
 
-AWR_TEST_BOTH_REPRS(SetRewriteTest, NatEqualityEvaluates) {
+TEST(SetRewriteTest, NatEqualityEvaluates) {
   const RewriteSystem rs = SetNatRewrites();
   EXPECT_TRUE(*rs.Equal(Term::Op("EQ", {NatTerm(3), NatTerm(3)}), TrueTerm()));
   EXPECT_TRUE(*rs.Equal(Term::Op("EQ", {NatTerm(3), NatTerm(4)}), FalseTerm()));
 }
 
-AWR_TEST_BOTH_REPRS(SetRewriteTest, MembershipOnFiniteSets) {
+TEST(SetRewriteTest, MembershipOnFiniteSets) {
   const RewriteSystem rs = SetNatRewrites();
   Term s = SetTerm({1, 3, 5});
   EXPECT_TRUE(*rs.Equal(MemTerm(3, s), TrueTerm()));
@@ -61,7 +59,7 @@ AWR_TEST_BOTH_REPRS(SetRewriteTest, MembershipOnFiniteSets) {
   EXPECT_TRUE(*rs.Equal(MemTerm(0, SetTerm({})), FalseTerm()));
 }
 
-AWR_TEST_BOTH_REPRS(SetRewriteTest, InsertionOrderIrrelevant) {
+TEST(SetRewriteTest, InsertionOrderIrrelevant) {
   const RewriteSystem rs = SetNatRewrites();
   // INS commutation + absorption give a canonical form: sets built in
   // any insertion order (with duplicates) normalize identically.
@@ -75,7 +73,7 @@ AWR_TEST_BOTH_REPRS(SetRewriteTest, InsertionOrderIrrelevant) {
   EXPECT_EQ(*rs.Normalize(a), *rs.Normalize(c));
 }
 
-AWR_TEST_BOTH_REPRS(SetRewriteTest, NormalFormIsStable) {
+TEST(SetRewriteTest, NormalFormIsStable) {
   const RewriteSystem rs = SetNatRewrites();
   Term s = SetTerm({4, 1, 4, 2});
   Term n1 = *rs.Normalize(s);
@@ -83,12 +81,12 @@ AWR_TEST_BOTH_REPRS(SetRewriteTest, NormalFormIsStable) {
   EXPECT_EQ(n1, n2);
 }
 
-AWR_TEST_BOTH_REPRS(SetRewriteTest, NonGroundTermRejected) {
+TEST(SetRewriteTest, NonGroundTermRejected) {
   const RewriteSystem rs = SetNatRewrites();
   EXPECT_TRUE(rs.Normalize(Term::Var("x", "nat")).status().IsInvalidArgument());
 }
 
-AWR_TEST_BOTH_REPRS(RewriteTest, UnorientableEquationRejected) {
+TEST(RewriteTest, UnorientableEquationRejected) {
   Specification spec = BoolSpec();
   // T = IF(x, T, T) has an extra variable on the right.
   spec.equations.push_back(
@@ -98,7 +96,7 @@ AWR_TEST_BOTH_REPRS(RewriteTest, UnorientableEquationRejected) {
   EXPECT_TRUE(RewriteSystem::FromSpec(spec).status().IsInvalidArgument());
 }
 
-AWR_TEST_BOTH_REPRS(RewriteTest, ConditionalRuleWithDisequation) {
+TEST(RewriteTest, ConditionalRuleWithDisequation) {
   // f(x): c → d if x ≠ T.  Tests negative premises operationally.
   Specification spec = BoolSpec();
   spec.signature.AddSort("s");
@@ -120,7 +118,7 @@ AWR_TEST_BOTH_REPRS(RewriteTest, ConditionalRuleWithDisequation) {
             Term::Op("d"));
 }
 
-AWR_TEST_BOTH_REPRS(RewriteTest, FuelExhaustionReported) {
+TEST(RewriteTest, FuelExhaustionReported) {
   // A looping rule: f(x) = f(x) is permutative (same multiset) so it is
   // never applied — use g(x) = g(g(x))... that grows; budget must trip.
   Specification spec;
@@ -142,7 +140,7 @@ AWR_TEST_BOTH_REPRS(RewriteTest, FuelExhaustionReported) {
 // ---------------------------------------------------------------------
 // Congruence closure.
 
-AWR_TEST_BOTH_REPRS(CongruenceTest, BasicUnionAndCongruence) {
+TEST(CongruenceTest, BasicUnionAndCongruence) {
   CongruenceClosure cc;
   Term a = Term::Op("a"), b = Term::Op("b"), c = Term::Op("c");
   ASSERT_TRUE(cc.AddEquation(a, b).ok());
@@ -153,7 +151,7 @@ AWR_TEST_BOTH_REPRS(CongruenceTest, BasicUnionAndCongruence) {
   EXPECT_FALSE(*cc.AreEqual(Term::Op("f", {a}), Term::Op("g", {b})));
 }
 
-AWR_TEST_BOTH_REPRS(CongruenceTest, TransitivityThroughCongruence) {
+TEST(CongruenceTest, TransitivityThroughCongruence) {
   // a = b and f(b) = c imply f(a) = c.
   CongruenceClosure cc;
   Term a = Term::Op("a"), b = Term::Op("b"), c = Term::Op("c");
@@ -162,7 +160,7 @@ AWR_TEST_BOTH_REPRS(CongruenceTest, TransitivityThroughCongruence) {
   EXPECT_TRUE(*cc.AreEqual(Term::Op("f", {a}), c));
 }
 
-AWR_TEST_BOTH_REPRS(CongruenceTest, NestedCongruencePropagates) {
+TEST(CongruenceTest, NestedCongruencePropagates) {
   // a = b ⟹ g(f(a), a) = g(f(b), b).
   CongruenceClosure cc;
   Term a = Term::Op("a"), b = Term::Op("b");
@@ -171,7 +169,7 @@ AWR_TEST_BOTH_REPRS(CongruenceTest, NestedCongruencePropagates) {
                            Term::Op("g", {Term::Op("f", {b}), b})));
 }
 
-AWR_TEST_BOTH_REPRS(CongruenceTest, ClassicAckermannExample) {
+TEST(CongruenceTest, ClassicAckermannExample) {
   // f(f(f(a))) = a and f(f(f(f(f(a))))) = a imply f(a) = a.
   CongruenceClosure cc;
   Term a = Term::Op("a");
@@ -181,7 +179,7 @@ AWR_TEST_BOTH_REPRS(CongruenceTest, ClassicAckermannExample) {
   EXPECT_TRUE(*cc.AreEqual(f(a), a));
 }
 
-AWR_TEST_BOTH_REPRS(CongruenceTest, RejectsNonGround) {
+TEST(CongruenceTest, RejectsNonGround) {
   CongruenceClosure cc;
   EXPECT_TRUE(
       cc.AddEquation(Term::Var("x", "s"), Term::Op("a")).IsInvalidArgument());
@@ -190,7 +188,7 @@ AWR_TEST_BOTH_REPRS(CongruenceTest, RejectsNonGround) {
 // ---------------------------------------------------------------------
 // Valid interpretation (§2.2) over a bounded universe.
 
-AWR_TEST_BOTH_REPRS(ValidInterpTest, PositiveSpecEqualities) {
+TEST(ValidInterpTest, PositiveSpecEqualities) {
   // A minimal successor algebra with a redundant constant
   // D = SUCC(ZERO).  (The full NAT spec imports BOOL whose ternary IF
   // makes the bounded universe explode combinatorially; the valid
@@ -214,7 +212,7 @@ AWR_TEST_BOTH_REPRS(ValidInterpTest, PositiveSpecEqualities) {
             Truth::kTrue);
 }
 
-AWR_TEST_BOTH_REPRS(ValidInterpTest, Example2AllUndefinedBetweenConstants) {
+TEST(ValidInterpTest, Example2AllUndefinedBetweenConstants) {
   // Example 2: no equality is derivable in a valid manner, and the
   // conditional equations make a=b / a=c undefined rather than false.
   auto interp = SpecValidInterp::Compute(Example2Spec());
@@ -227,7 +225,7 @@ AWR_TEST_BOTH_REPRS(ValidInterpTest, Example2AllUndefinedBetweenConstants) {
   EXPECT_TRUE(interp->CertainEqualities().empty());
 }
 
-AWR_TEST_BOTH_REPRS(ValidInterpTest, UniverseBudgetEnforced) {
+TEST(ValidInterpTest, UniverseBudgetEnforced) {
   ValidInterpOptions opts;
   opts.max_depth = 50;
   opts.max_universe = 20;
@@ -235,7 +233,7 @@ AWR_TEST_BOTH_REPRS(ValidInterpTest, UniverseBudgetEnforced) {
   EXPECT_TRUE(interp.status().IsResourceExhausted());
 }
 
-AWR_TEST_BOTH_REPRS(ValidInterpTest, NegativePremiseDerivesDefault) {
+TEST(ValidInterpTest, NegativePremiseDerivesDefault) {
   // A miniature of the §2.2 MEM-totalization: sort s with constants
   // ok, bad, out; out = bad  if  ok ≠ bad.  ok ≠ bad is certainly
   // underivable (no equation equates them), so out = bad is derived.
@@ -257,7 +255,7 @@ AWR_TEST_BOTH_REPRS(ValidInterpTest, NegativePremiseDerivesDefault) {
 // ---------------------------------------------------------------------
 // Proposition 2.3(2): the constants-only decision procedure.
 
-AWR_TEST_BOTH_REPRS(IvmDecisionTest, Example2HasNoInitialValidModel) {
+TEST(IvmDecisionTest, Example2HasNoInitialValidModel) {
   auto decision = DecideInitialValidModel(Example2Spec());
   ASSERT_TRUE(decision.ok()) << decision.status();
   // "SPEC has three such models: a=b=c, a=b≠c, and a=c≠b.  However,
@@ -267,7 +265,7 @@ AWR_TEST_BOTH_REPRS(IvmDecisionTest, Example2HasNoInitialValidModel) {
   EXPECT_FALSE(decision->has_initial_valid_model);
 }
 
-AWR_TEST_BOTH_REPRS(IvmDecisionTest, PositiveSpecHasInitialModel) {
+TEST(IvmDecisionTest, PositiveSpecHasInitialModel) {
   // a = b, c free: initial valid model is {a, b} | {c}.
   Specification spec;
   spec.signature.AddSort("s");
@@ -283,7 +281,7 @@ AWR_TEST_BOTH_REPRS(IvmDecisionTest, PositiveSpecHasInitialModel) {
   EXPECT_FALSE(decision->initial->SameBlock("a", "c"));
 }
 
-AWR_TEST_BOTH_REPRS(IvmDecisionTest, NegationWithUniqueMinimalModel) {
+TEST(IvmDecisionTest, NegationWithUniqueMinimalModel) {
   // a ≠ b → c = a: the valid computation cannot derive a = b, so a ≠ b
   // becomes certain and c = a is forced: initial valid model {a,c}|{b}.
   Specification spec;
@@ -303,7 +301,7 @@ AWR_TEST_BOTH_REPRS(IvmDecisionTest, NegationWithUniqueMinimalModel) {
   EXPECT_FALSE(decision->initial->SameBlock("a", "b"));
 }
 
-AWR_TEST_BOTH_REPRS(IvmDecisionTest, FreeSpecInitialIsDiscrete) {
+TEST(IvmDecisionTest, FreeSpecInitialIsDiscrete) {
   Specification spec;
   spec.signature.AddSort("s");
   ASSERT_TRUE(spec.signature.AddOp({"a", {}, "s"}).ok());
@@ -315,7 +313,7 @@ AWR_TEST_BOTH_REPRS(IvmDecisionTest, FreeSpecInitialIsDiscrete) {
   EXPECT_EQ(decision->model_count, 2u);  // {a}{b} and {a,b}
 }
 
-AWR_TEST_BOTH_REPRS(IvmDecisionTest, SortsPartitionIndependently) {
+TEST(IvmDecisionTest, SortsPartitionIndependently) {
   Specification spec;
   spec.signature.AddSort("s");
   spec.signature.AddSort("t");
@@ -329,12 +327,12 @@ AWR_TEST_BOTH_REPRS(IvmDecisionTest, SortsPartitionIndependently) {
   EXPECT_TRUE(decision->has_initial_valid_model);
 }
 
-AWR_TEST_BOTH_REPRS(IvmDecisionTest, RejectsNonConstantSpec) {
+TEST(IvmDecisionTest, RejectsNonConstantSpec) {
   auto decision = DecideInitialValidModel(NatSpec());
   EXPECT_TRUE(decision.status().IsFailedPrecondition());
 }
 
-AWR_TEST_BOTH_REPRS(IvmDecisionTest, ConstantBudgetEnforced) {
+TEST(IvmDecisionTest, ConstantBudgetEnforced) {
   Specification spec;
   spec.signature.AddSort("s");
   for (int i = 0; i < 12; ++i) {
@@ -376,7 +374,7 @@ Specification ColorSpec() {
   return spec;
 }
 
-AWR_TEST_BOTH_REPRS(ParameterizedSetTest, InstantiationAtColors) {
+TEST(ParameterizedSetTest, InstantiationAtColors) {
   auto set_spec = SetSpecFor(ColorSpec(), "color", "ceq");
   ASSERT_TRUE(set_spec.ok()) << set_spec.status();
   ASSERT_TRUE(set_spec->Validate().ok());
@@ -398,14 +396,14 @@ AWR_TEST_BOTH_REPRS(ParameterizedSetTest, InstantiationAtColors) {
   EXPECT_TRUE(*rs->Equal(s, t));
 }
 
-AWR_TEST_BOTH_REPRS(ParameterizedSetTest, SetNatIsAnInstance) {
+TEST(ParameterizedSetTest, SetNatIsAnInstance) {
   auto from_param = SetSpecFor(NatSpec(), "nat", "EQ");
   ASSERT_TRUE(from_param.ok());
   EXPECT_EQ(from_param->equations.size(), SetNatSpec().equations.size());
   EXPECT_EQ(from_param->name, "SET(nat)");
 }
 
-AWR_TEST_BOTH_REPRS(ParameterizedSetTest, RequiresDeclaredEquality) {
+TEST(ParameterizedSetTest, RequiresDeclaredEquality) {
   Specification no_eq = BoolSpec();
   no_eq.signature.AddSort("thing");
   EXPECT_TRUE(
@@ -418,14 +416,14 @@ AWR_TEST_BOTH_REPRS(ParameterizedSetTest, RequiresDeclaredEquality) {
   EXPECT_TRUE(SetSpecFor(bad, "thing", "teq").status().IsInvalidArgument());
 }
 
-AWR_TEST_BOTH_REPRS(ParameterizedSetTest, RequiresBoolSubstrate) {
+TEST(ParameterizedSetTest, RequiresBoolSubstrate) {
   Specification spec;  // no bool at all
   spec.signature.AddSort("thing");
   EXPECT_TRUE(
       SetSpecFor(spec, "thing", "teq").status().IsInvalidArgument());
 }
 
-AWR_TEST_BOTH_REPRS(ParameterizedSetTest, UnknownSortRejected) {
+TEST(ParameterizedSetTest, UnknownSortRejected) {
   EXPECT_TRUE(
       SetSpecFor(BoolSpec(), "ghost", "geq").status().IsInvalidArgument());
 }

@@ -1,11 +1,8 @@
 // Tests for the many-sorted term substrate: signatures, terms, sort
-// checking, substitution and matching.  The term tests run under both
-// representations: hash-consed terms and the legacy per-instance ones.
+// checking, substitution and matching.
 #include "awr/term/term.h"
 
 #include <gtest/gtest.h>
-
-#include "reference_configs.h"
 
 namespace awr::term {
 namespace {
@@ -53,7 +50,7 @@ TEST(SignatureTest, ImportMergesDisjointSignatures) {
   EXPECT_NE(a.FindOp("nil"), nullptr);
 }
 
-AWR_TEST_BOTH_REPRS(TermTest, ConstructionAndStringification) {
+TEST(TermTest, ConstructionAndStringification) {
   Term two = Term::Op("succ", {Term::Op("succ", {Term::Op("zero")})});
   EXPECT_EQ(two.ToString(), "succ(succ(zero))");
   EXPECT_TRUE(two.IsGround());
@@ -66,7 +63,7 @@ AWR_TEST_BOTH_REPRS(TermTest, ConstructionAndStringification) {
   EXPECT_EQ(vars.at("x"), "nat");
 }
 
-AWR_TEST_BOTH_REPRS(TermTest, EqualityAndOrdering) {
+TEST(TermTest, EqualityAndOrdering) {
   Term a = Term::Op("succ", {Term::Op("zero")});
   Term b = Term::Op("succ", {Term::Op("zero")});
   Term c = Term::Op("zero");
@@ -77,7 +74,7 @@ AWR_TEST_BOTH_REPRS(TermTest, EqualityAndOrdering) {
   EXPECT_EQ(Term::Compare(a, c), -Term::Compare(c, a));
 }
 
-AWR_TEST_BOTH_REPRS(TermTest, SortChecking) {
+TEST(TermTest, SortChecking) {
   Signature sig = NatSig();
   Term ok = Term::Op("is_zero", {Term::Op("succ", {Term::Op("zero")})});
   auto sort = ok.SortOf(sig);
@@ -94,7 +91,7 @@ AWR_TEST_BOTH_REPRS(TermTest, SortChecking) {
   EXPECT_TRUE(unknown.SortOf(sig).status().IsNotFound());
 }
 
-AWR_TEST_BOTH_REPRS(TermTest, SubstitutionAndMatching) {
+TEST(TermTest, SubstitutionAndMatching) {
   Term pattern = Term::Op("succ", {Term::Var("x", "nat")});
   Term subject = Term::Op("succ", {Term::Op("zero")});
   Subst subst;
@@ -103,7 +100,7 @@ AWR_TEST_BOTH_REPRS(TermTest, SubstitutionAndMatching) {
   EXPECT_EQ(ApplySubst(pattern, subst), subject);
 }
 
-AWR_TEST_BOTH_REPRS(TermTest, NonLinearPatternMatching) {
+TEST(TermTest, NonLinearPatternMatching) {
   Term pattern = Term::Op("pair", {Term::Var("x", "nat"), Term::Var("x", "nat")});
   Term same = Term::Op("pair", {Term::Op("zero"), Term::Op("zero")});
   Term diff =
@@ -113,7 +110,7 @@ AWR_TEST_BOTH_REPRS(TermTest, NonLinearPatternMatching) {
   EXPECT_FALSE(MatchTerm(pattern, diff, &s2));
 }
 
-AWR_TEST_BOTH_REPRS(TermTest, MatchFailsOnDifferentShape) {
+TEST(TermTest, MatchFailsOnDifferentShape) {
   Subst s;
   EXPECT_FALSE(MatchTerm(Term::Op("f", {Term::Var("x", "nat")}),
                          Term::Op("g", {Term::Op("zero")}), &s));

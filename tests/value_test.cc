@@ -9,10 +9,8 @@
 #include <vector>
 
 #include "awr/algebra/valid_eval.h"
-#include "awr/common/intern.h"
 #include "awr/datalog/database.h"
 #include "awr/value/value_set.h"
-#include "reference_configs.h"
 
 namespace awr {
 namespace {
@@ -127,7 +125,6 @@ TEST(ValueTest, IntBoundariesRoundTrip) {
 }
 
 TEST(ValueTest, InternedNestedCompositesShareOneRep) {
-  ScopedInterning on(true);
   // Nested composites (any heap child) are hash-consed: structurally
   // equal trees collapse to one canonical rep.
   Value a = Value::Tuple({Value::Set({Value::Int(1)}), Value::Atom("x")});
@@ -141,11 +138,10 @@ TEST(ValueTest, InternedNestedCompositesShareOneRep) {
 }
 
 TEST(ValueTest, FlatScalarCompositesStayPerInstance) {
-  ScopedInterning on(true);
   // Adaptive policy (DESIGN.md §10): composites whose children are all
-  // inline scalars — fact-tuple shape — skip the interner even when it
-  // is enabled; their structural ops are already a couple of word
-  // compares, so the dedup probe would be a pure construction tax.
+  // inline scalars — fact-tuple shape — skip the interner; their
+  // structural ops are already a couple of word compares, so the dedup
+  // probe would be a pure construction tax.
   Value a = Value::Tuple({Value::Int(1), Value::Atom("x")});
   Value b = Value::Tuple({Value::Int(1), Value::Atom("x")});
   EXPECT_EQ(a, b);
@@ -161,21 +157,26 @@ TEST(ValueTest, FlatScalarCompositesStayPerInstance) {
 }
 
 TEST(ValueTest, LegacyModeKeepsPerInstanceRepsButEqualSemantics) {
-  ScopedInterning off(false);
+  // Flat composites keep the per-instance representation that every
+  // composite had in the retired legacy mode: equal values are distinct
+  // records, yet equality, order and hash are structural, copies share
+  // the record, and the per-instance child of an interned wrapper still
+  // equals a fresh build of it.
   Value a = Value::Tuple({Value::Int(1), Value::Atom("x")});
   Value b = Value::Tuple({Value::Int(1), Value::Atom("x")});
   EXPECT_EQ(a, b);
   EXPECT_NE(a.identity(), b.identity());
   EXPECT_FALSE(a.is_canonical());
-  // Copies still share (refcounted), and mixing representations built
-  // under different modes keeps structural equality working.
   Value c = a;
   EXPECT_EQ(c.identity(), a.identity());
-  ScopedInterning on(true);
-  Value d = Value::Tuple({Value::Int(1), Value::Atom("x")});
-  EXPECT_EQ(d, a);
-  EXPECT_EQ(a, d);
-  EXPECT_EQ(Value::Compare(d, a), 0);
+  Value wrapper = Value::Tuple({a, Value::Set({Value::Int(2)})});
+  ASSERT_TRUE(wrapper.is_canonical());
+  const Value& d = wrapper.items()[0];
+  EXPECT_FALSE(d.is_canonical());
+  EXPECT_EQ(d, b);
+  EXPECT_EQ(b, d);
+  EXPECT_EQ(Value::Compare(d, b), 0);
+  EXPECT_EQ(d.hash(), b.hash());
 }
 
 TEST(ValueTest, ApproxBytesIsPerReferenceUpperBound) {
@@ -188,20 +189,6 @@ TEST(ValueTest, ApproxBytesIsPerReferenceUpperBound) {
   Value twice = Value::Tuple({inner, inner});
   EXPECT_GT(twice.ApproxBytes(), once.ApproxBytes());
   EXPECT_GE(twice.ApproxBytes(), once.ApproxBytes() + inner.ApproxBytes());
-  // And the figure is representation-independent: identical with
-  // interning on and off (what keeps memory-trip statuses identical
-  // across the differential oracle's two runs).
-  size_t interned_bytes, legacy_bytes;
-  {
-    ScopedInterning on(true);
-    interned_bytes =
-        Value::Tuple({inner, inner, Value::Int(7)}).ApproxBytes();
-  }
-  {
-    ScopedInterning off(false);
-    legacy_bytes = Value::Tuple({inner, inner, Value::Int(7)}).ApproxBytes();
-  }
-  EXPECT_EQ(interned_bytes, legacy_bytes);
   // Scalars are flat.
   EXPECT_EQ(Value::Int(1).ApproxBytes(), Value::Atom("zzz").ApproxBytes());
   EXPECT_GT(Value::Int(1).ApproxBytes(), 0u);
@@ -216,8 +203,11 @@ TEST(ValueTest, ApproxBytesIsPerReferenceUpperBound) {
 }
 
 TEST(ValueTest, CompareOrderAndCanonicalizationAgreeAcrossModes) {
-  // Byte-for-byte parity of the total order and set canonicalization
-  // between the hash-consed and legacy representations.
+  // Two independent builds of values listed in ascending total order:
+  // equal pairs agree on equality, hash, text and ApproxBytes in both
+  // representation modes, a shared canonical record (nested) or one
+  // record per instance (flat, big int), and the order is strict
+  // across kinds.
   auto build = [] {
     std::vector<Value> vals = {
         Value::Boolean(false),
@@ -237,35 +227,23 @@ TEST(ValueTest, CompareOrderAndCanonicalizationAgreeAcrossModes) {
     };
     return vals;
   };
-  std::vector<Value> interned, legacy;
-  {
-    ScopedInterning on(true);
-    interned = build();
-  }
-  {
-    ScopedInterning off(false);
-    legacy = build();
-  }
-  ASSERT_EQ(interned.size(), legacy.size());
-  for (size_t i = 0; i < interned.size(); ++i) {
-    EXPECT_EQ(interned[i], legacy[i]) << i;
-    EXPECT_EQ(interned[i].hash(), legacy[i].hash()) << i;
-    EXPECT_EQ(interned[i].ToString(), legacy[i].ToString()) << i;
-    EXPECT_EQ(interned[i].ApproxBytes(), legacy[i].ApproxBytes()) << i;
-    for (size_t j = 0; j < interned.size(); ++j) {
-      EXPECT_EQ(Value::Compare(interned[i], interned[j]),
-                Value::Compare(legacy[i], legacy[j]))
-          << i << " vs " << j;
-      // Mixed-representation comparisons agree too.
-      EXPECT_EQ(Value::Compare(interned[i], legacy[j]),
-                Value::Compare(interned[i], interned[j]))
+  const std::vector<Value> first = build();
+  const std::vector<Value> second = build();
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i], second[i]) << i;
+    EXPECT_EQ(first[i].hash(), second[i].hash()) << i;
+    EXPECT_EQ(first[i].ToString(), second[i].ToString()) << i;
+    EXPECT_EQ(first[i].ApproxBytes(), second[i].ApproxBytes()) << i;
+    for (size_t j = 0; j < first.size(); ++j) {
+      const int expected = i < j ? -1 : (i > j ? 1 : 0);
+      EXPECT_EQ(Value::Compare(first[i], second[j]), expected)
           << i << " vs " << j;
     }
   }
 }
 
 TEST(ValueTest, InternerStatsCountTraffic) {
-  ScopedInterning on(true);
   const Value::InternerStats before = Value::interner_stats();
   // A fresh structure (unique spelling per run of the binary is not
   // needed — re-running just turns the first miss into a hit, and the
@@ -647,16 +625,13 @@ TEST(ValueRenderTest, MixedExtentRendersLikeItsSetValue) {
   parts.push_back(Value::Tuple(
       {Value::Pair(Value::Int(kBig), Value::Atom("render_mike")),
        Value::Set({Value::EmptySet(), Value::Boolean(true)})}));
-  for (bool interning : {true, false}) {
-    ScopedInterning scope(interning);
-    ValueSet extent;
-    for (const Value& a : parts) {
-      extent.Insert(a);
-      for (const Value& b : parts) extent.Insert(Value::Pair(a, b));
-    }
-    EXPECT_EQ(extent.word_arity(), 0u);  // not flat: rows only
-    EXPECT_EQ(extent.ToString(), extent.ToValue().ToString());
+  ValueSet extent;
+  for (const Value& a : parts) {
+    extent.Insert(a);
+    for (const Value& b : parts) extent.Insert(Value::Pair(a, b));
   }
+  EXPECT_EQ(extent.word_arity(), 0u);  // not flat: rows only
+  EXPECT_EQ(extent.ToString(), extent.ToValue().ToString());
   EXPECT_EQ(ValueSet().ToString(), "{}");
   EXPECT_EQ(ValueSet().ToString(), Value::EmptySet().ToString());
 }

@@ -43,7 +43,7 @@ size_t CountOp(const CompiledRule& cr, Op op) {
 }
 
 /// The transitive-closure program whose recursive rule joins through a
-/// bound position — the canonical probe-vs-scan subject.
+/// bound position.
 const char kTc[] =
     "tc(X, Y) :- edge(X, Y).\n"
     "tc(X, Z) :- edge(X, Y), tc(Y, Z).\n";
@@ -57,7 +57,7 @@ TEST(VmLoweringTest, RecursiveRuleBakesProbeUnderJoinIndex) {
   auto cr = Lower(rules[1]);
   ASSERT_EQ(cr->steps.size(), 2u);
   // First atom: nothing bound yet.  Second: joins through Y, with the
-  // probe key it reads when the join index is on.
+  // probe key it reads from the extent's join index.
   EXPECT_TRUE(cr->steps[0].bound_positions.empty());
   ASSERT_EQ(cr->steps[1].bound_positions.size(), 1u);
   EXPECT_EQ(cr->steps[1].keys.size(), 1u);
@@ -80,7 +80,7 @@ struct Firing {
 };
 
 Firing FireEach(const std::vector<PlannedRule>& rules,
-                const Interpretation& interp, bool use_join_index) {
+                const Interpretation& interp) {
   FunctionRegistry fns = FunctionRegistry::Default();
   ExecutionContext exec(EvalLimits::Large());
   BodyContext ctx{
@@ -89,7 +89,7 @@ Firing FireEach(const std::vector<PlannedRule>& rules,
         return interp.Extent(p);
       },
       [](const std::string&, const Value&) { return true; },
-      &exec, use_join_index};
+      &exec};
   Firing out;
   ResetVmExecStats();
   for (const PlannedRule& pr : rules) {
@@ -103,10 +103,47 @@ Firing FireEach(const std::vector<PlannedRule>& rules,
   return out;
 }
 
+/// `interp` with each of `preds` (binary) held in the row layout: one
+/// extra fact <<-1>, <-2>> demotes its extent, and no rule here joins
+/// on it.
+Interpretation WithRowLayout(Interpretation interp,
+                             const std::vector<std::string>& preds) {
+  for (const std::string& pred : preds) {
+    interp.AddFact(pred, {Value::Tuple({Value::Int(-1)}),
+                          Value::Tuple({Value::Int(-2)})});
+  }
+  return interp;
+}
+
 TEST(VmLoweringTest, ScanShapeUnderNoJoinIndex) {
-  // Without the join index the keyed step scans rows, once per outer
-  // match: a word scan cannot check its bound position.  The unkeyed
-  // outer step scans words on both paths.
+  // A step with no bound position has no key to probe a join index
+  // with: it lowers to a scan, and an inner one opens once per outer
+  // match.
+  std::vector<PlannedRule> rules = Planned("p(X, Y) :- a(X), b(Y).");
+  auto cr = Lower(rules[0]);
+  ASSERT_EQ(cr->steps.size(), 2u);
+  for (const auto& step : cr->steps) {
+    EXPECT_TRUE(step.bound_positions.empty());
+    EXPECT_TRUE(step.keys.empty());
+  }
+  EXPECT_EQ(CountOp(*cr, Op::kOpenWord), 2u);
+  EXPECT_EQ(CountOp(*cr, Op::kOpenRow), 0u);
+  Interpretation interp;
+  for (int i = 0; i < 3; ++i) interp.AddFact("a", {Value::Int(i)});
+  for (int i = 0; i < 4; ++i) interp.AddFact("b", {Value::Int(i)});
+  const Firing f = FireEach(rules, interp);
+  EXPECT_EQ(f.stats.word_opens, 1u + 3u);
+  EXPECT_EQ(f.stats.row_opens, 0u);
+  ASSERT_EQ(f.facts.size(), 1u);
+  EXPECT_EQ(f.facts[0].size(), 12u);
+  EXPECT_EQ(f.charges, 12u);
+}
+
+TEST(VmLoweringTest, RowExtentAndNonInlineKeyOpenRowCursors) {
+  // With `edge` in the row layout the unkeyed outer step scans rows.
+  // The keyed step probes `tc`'s word index on each inline key; the
+  // non-inline key bound by the extra edge fact falls back to the row
+  // bucket, since a word probe cannot represent it.
   std::vector<PlannedRule> rules = Planned(kTc);
   const std::vector<PlannedRule> recursive = {rules[1]};
   Interpretation interp;
@@ -114,13 +151,14 @@ TEST(VmLoweringTest, ScanShapeUnderNoJoinIndex) {
     interp.AddFact("edge", {Value::Int(i), Value::Int(i + 1)});
     interp.AddFact("tc", {Value::Int(i), Value::Int(i + 1)});
   }
-  const Firing scan = FireEach(recursive, interp, false);
-  EXPECT_EQ(scan.stats.word_opens, 1u);
-  EXPECT_EQ(scan.stats.row_opens, 6u);
-  const Firing probe = FireEach(recursive, interp, true);
-  EXPECT_EQ(probe.stats.word_opens, 7u);
-  EXPECT_EQ(probe.stats.row_opens, 0u);
-  EXPECT_EQ(scan.facts, probe.facts);
+  const Firing rows = FireEach(recursive, WithRowLayout(interp, {"edge"}));
+  EXPECT_EQ(rows.stats.word_opens, 6u);
+  EXPECT_EQ(rows.stats.row_opens, 2u);
+  const Firing words = FireEach(recursive, interp);
+  EXPECT_EQ(words.stats.word_opens, 7u);
+  EXPECT_EQ(words.stats.row_opens, 0u);
+  EXPECT_EQ(rows.facts, words.facts);
+  EXPECT_EQ(rows.charges, words.charges);
 }
 
 TEST(VmLoweringTest, WithinAtomRepeatScansOnWords) {
@@ -305,16 +343,11 @@ void ExpectReferenceModel(const std::string& program_text,
   auto expected = reference::MinimalModel(
       *program, reference::FromInterpretation(edb), fns);
   ASSERT_TRUE(expected.ok()) << expected.status();
-  for (bool join_index : {true, false}) {
-    EvalOptions opts;
-    opts.use_join_index = join_index;
-    auto model = EvalMinimalModel(*program, edb, opts);
-    ASSERT_TRUE(model.ok()) << program_text << ": " << model.status();
-    EXPECT_TRUE(reference::FromInterpretation(*model) == *expected)
-        << program_text << " join_index=" << join_index
-        << "\nvm:        " << model->ToString()
-        << "\nreference: " << reference::Render(*expected);
-  }
+  auto model = EvalMinimalModel(*program, edb);
+  ASSERT_TRUE(model.ok()) << program_text << ": " << model.status();
+  EXPECT_TRUE(reference::FromInterpretation(*model) == *expected)
+      << program_text << "\nvm:        " << model->ToString()
+      << "\nreference: " << reference::Render(*expected);
 }
 
 TEST(VmExecutionTest, HandcraftedRulesMatchReference) {
@@ -348,15 +381,11 @@ TEST(VmExecutionTest, ArityMismatchErrorsAreIdentical) {
   db.AddFact("edge", {Value::Int(1)});  // unary fact, binary atom
   auto program = ParseProgram("p(X) :- edge(X, Y).");
   ASSERT_TRUE(program.ok());
-  for (bool join_index : {true, false}) {
-    EvalOptions opts;
-    opts.use_join_index = join_index;
-    auto model = EvalMinimalModel(*program, db, opts);
-    ASSERT_FALSE(model.ok());
-    EXPECT_TRUE(model.status().IsInvalidArgument()) << model.status();
-    EXPECT_EQ(model.status().message(),
-              "arity mismatch: atom edge(X, Y) vs fact <1>");
-  }
+  auto model = EvalMinimalModel(*program, db);
+  ASSERT_FALSE(model.ok());
+  EXPECT_TRUE(model.status().IsInvalidArgument()) << model.status();
+  EXPECT_EQ(model.status().message(),
+            "arity mismatch: atom edge(X, Y) vs fact <1>");
 }
 
 TEST(VmExecutionTest, StatsCountCompiledWork) {
@@ -491,9 +520,9 @@ TEST(VmPlanTest, OversizedRuleRunsOnTheVm) {
   EXPECT_EQ(stats.vm_facts, 2u);
 }
 
-// One PlannedRule, fired under both join paths: the same facts and
-// charges, and the loop opens pinned to the figures of the programs
-// lowered separately per join path before one program served both.
+// One program per rule serves both join paths, word cursors over word
+// tables and row cursors over row extents: the same facts and charges,
+// with the loop opens pinned per layout.
 TEST(VmExecutionTest, OneProgramServesBothJoinPaths) {
   std::vector<PlannedRule> rules = Planned(
       "tc(X, Z) :- edge(X, Y), tc(Y, Z).\n"
@@ -506,26 +535,17 @@ TEST(VmExecutionTest, OneProgramServesBothJoinPaths) {
     interp.AddFact("edge", {Value::Int(i), Value::Int((3 * i + 1) % 30)});
     interp.AddFact("tc", {Value::Int(i), Value::Int((7 * i) % 30)});
   }
-  struct Expected {
-    bool join_index;
-    uint64_t word_opens;
-    uint64_t row_opens;
-  };
-  const Expected kPinned[] = {
-      {true, 61, 0},
-      {false, 2, 59},
-  };
-  const Firing reference = FireEach(rules, interp, true);
-  EXPECT_GT(reference.charges, 0u);
-  for (const Expected& e : kPinned) {
-    SCOPED_TRACE(std::string("join_index=") + (e.join_index ? "1" : "0"));
-    const Firing f = FireEach(rules, interp, e.join_index);
-    EXPECT_EQ(f.facts, reference.facts);
-    EXPECT_EQ(f.charges, reference.charges);
-    EXPECT_EQ(f.stats.vm_rules_fired, rules.size());
-    EXPECT_EQ(f.stats.word_opens, e.word_opens);
-    EXPECT_EQ(f.stats.row_opens, e.row_opens);
-  }
+  const Firing words = FireEach(rules, interp);
+  EXPECT_GT(words.charges, 0u);
+  EXPECT_EQ(words.stats.vm_rules_fired, rules.size());
+  EXPECT_EQ(words.stats.word_opens, 61u);
+  EXPECT_EQ(words.stats.row_opens, 0u);
+  const Firing rows = FireEach(rules, WithRowLayout(interp, {"edge", "tc"}));
+  EXPECT_EQ(rows.facts, words.facts);
+  EXPECT_EQ(rows.charges, words.charges);
+  EXPECT_EQ(rows.stats.vm_rules_fired, rules.size());
+  EXPECT_EQ(rows.stats.word_opens, 0u);
+  EXPECT_EQ(rows.stats.row_opens, 62u);
 }
 
 }  // namespace
