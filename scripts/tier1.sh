@@ -65,7 +65,8 @@ cmake -B build-asan -S . -DAWR_SANITIZE=address,undefined
 cmake --build build-asan -j"$(nproc)" \
   --target awr_interruption_test --target awr_snapshot_test \
   --target awr_property_test --target awr_value_test \
-  --target awr_eval_core_test --target awr_service_test \
+  --target awr_eval_core_test --target awr_round_range_test \
+  --target awr_service_test \
   --target awr_service_chaos_test --target awr_storage_test \
   --target awr_powercut_test --target awr_vm_test \
   --target awr_algebra_test --target awr_algebra_valid_test \
@@ -89,8 +90,12 @@ cmake --build build-asan -j"$(nproc)" \
 # Word tables + VM word cursors under ASan/UBSan: the word table's
 # dedup index, its lazily materialized Value view, demotion to rows,
 # and the word-level scan/probe/emit loops are pointer-heavy by design.
+# A round fires into the relations its cursors read (DESIGN.md §12),
+# so the words, the view and the Probe buckets grow under open cursors:
+# the RoundRange suite drives every cursor kind over a relation it
+# appends to.
 (cd build-asan && ctest --output-on-failure --no-tests=error \
-  -R 'WordTable')
+  -R 'WordTable|RoundRange')
 # Every engine against the naive reference evaluator under ASan/UBSan:
 # word cursors, word emission and grounding's per-match head callback
 # on flat-fact programs, and row scans, row buckets and Value emission

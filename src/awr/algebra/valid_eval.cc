@@ -25,11 +25,18 @@ namespace {
 // One bound of every recursive constant.
 using SetAssignment = std::map<std::string, ValueSet>;
 
+size_t ApproxBytes(const SetAssignment& sets) {
+  size_t n = 0;
+  for (const auto& [name, set] : sets) n += set.approx_bytes();
+  return n;
+}
+
 // Iterates the `bound` of every constant from ∅ to its least fixpoint,
 // each body evaluated for that bound alone.  Points the evaluator's
 // constants at the sets it iterates and, for the other bound, at
 // `frozen`; a positive system passes none, since its constants occur
 // only positively and so are only read at the bound being iterated.
+// Each round's charge reports the iterated and frozen sets' footprint.
 Result<SetAssignment> LeastBound(const AlgebraProgram& normalized,
                                  Bounds bound, const SetAssignment* frozen,
                                  std::string_view site, Evaluator* evaluator,
@@ -42,8 +49,10 @@ Result<SetAssignment> LeastBound(const AlgebraProgram& normalized,
                                          ? BoundSets{other, mine}
                                          : BoundSets{mine, other};
   }
+  const size_t frozen_bytes = frozen != nullptr ? ApproxBytes(*frozen) : 0;
   for (;;) {
-    AWR_RETURN_IF_ERROR(ctx->ChargeRound(site));
+    AWR_RETURN_IF_ERROR(
+        ctx->ChargeRoundWithMemory(site, ApproxBytes(iter) + frozen_bytes));
     size_t added = 0;
     for (const Definition& d : normalized.defs()) {
       AWR_ASSIGN_OR_RETURN(BoundRefs result,

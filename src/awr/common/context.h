@@ -232,16 +232,15 @@ class ExecutionContext {
   /// the interner shares.
   Status ChargeMemory(size_t bytes_in_use, std::string_view what) {
     AWR_RETURN_IF_ERROR(Governance(what, /*force_clock=*/false));
-    if (bytes_in_use > high_water_bytes_) high_water_bytes_ = bytes_in_use;
-    if (bytes_in_use > budget_.limits().max_bytes) {
-      return Annotate(
-          Status::ResourceExhausted(
-              "live state ~" + std::to_string(bytes_in_use) +
-              " bytes exceeds max_bytes=" +
-              std::to_string(budget_.limits().max_bytes)),
-          what);
-    }
-    return Status::OK();
+    return RecordMemory(bytes_in_use, what);
+  }
+
+  /// ChargeRound, then ChargeMemory's footprint check, as one charge:
+  /// for a loop whose charge points are fixed but which should still
+  /// report its footprint each round.
+  Status ChargeRoundWithMemory(std::string_view what, size_t bytes_in_use) {
+    AWR_RETURN_IF_ERROR(ChargeRound(what));
+    return RecordMemory(bytes_in_use, what);
   }
 
   /// A pure interruption poll (cancellation, deadline, injected fault)
@@ -265,6 +264,19 @@ class ExecutionContext {
   const EvalLimits& limits() const { return budget_.limits(); }
 
  private:
+  Status RecordMemory(size_t bytes_in_use, std::string_view what) {
+    if (bytes_in_use > high_water_bytes_) high_water_bytes_ = bytes_in_use;
+    if (bytes_in_use > budget_.limits().max_bytes) {
+      return Annotate(
+          Status::ResourceExhausted(
+              "live state ~" + std::to_string(bytes_in_use) +
+              " bytes exceeds max_bytes=" +
+              std::to_string(budget_.limits().max_bytes)),
+          what);
+    }
+    return Status::OK();
+  }
+
   /// Clock polls are amortized: non-round charges look at the wall clock
   /// once every kClockStride charges.
   static constexpr uint32_t kClockStride = 64;

@@ -7,9 +7,8 @@
 namespace awr::datalog {
 
 Result<size_t> FireRuleFacts(const PlannedRule& planned,
-                             const BodyContext& ctx, ValueSet* out,
-                             const ValueSet* known) {
-  return vm::ExecuteCompiledRule(*planned.compiled, ctx, out, known);
+                             const BodyContext& ctx, FactSink out) {
+  return vm::ExecuteCompiledRule(*planned.compiled, ctx, out);
 }
 
 Status ForEachRuleHead(const PlannedRule& planned, const BodyContext& ctx,
@@ -18,14 +17,9 @@ Status ForEachRuleHead(const PlannedRule& planned, const BodyContext& ctx,
 }
 
 Result<size_t> FireRuleInto(const PlannedRule& planned,
-                            const BodyContext& ctx,
-                            const Interpretation& existing,
-                            Interpretation* delta) {
-  const std::string& head = planned.rule.head.predicate;
-  Result<size_t> added = FireRuleFacts(
-      planned, ctx, &delta->MutableExtent(head), &existing.Extent(head));
-  delta->EraseIfEmpty(head);
-  return added;
+                            const BodyContext& ctx, Rounds* rounds) {
+  return FireRuleFacts(planned, ctx,
+                       rounds->Sink(planned.rule.head.predicate));
 }
 
 Result<std::vector<PlannedRule>> PlanProgram(const Program& program) {

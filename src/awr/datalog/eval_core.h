@@ -20,16 +20,18 @@ namespace awr::datalog {
 /// so the same join machinery serves naive, semi-naive, inflationary and
 /// alternating-fixpoint evaluation:
 ///
-///  * `positive_extent(pred, body_index)` — the extent a positive atom
-///    at that body position scans (semi-naive substitutes the delta for
-///    one occurrence at a time);
+///  * `positive_extent(pred, body_index)` — the extent, or row range of
+///    one, that a positive atom at that body position scans: in a round,
+///    the rows below the mark (Rounds::Before), or for one occurrence at
+///    a time the last round's rows (Rounds::Delta).  The VM resolves it
+///    once per literal per firing;
 ///  * `negation_holds(pred, fact)` — whether `not pred(fact)` is
 ///    satisfied.  The choice of this test is exactly the semantic knob
 ///    the paper turns: "was not derived so far" (inflationary) versus
 ///    "cannot be derived at all" (valid / well-founded).
 struct BodyContext {
   const FunctionRegistry* fns;
-  std::function<const ValueSet&(const std::string& pred, size_t body_index)>
+  std::function<ExtentRange(const std::string& pred, size_t body_index)>
       positive_extent;
   std::function<bool(const std::string& pred, const Value& fact)>
       negation_holds;
@@ -60,23 +62,22 @@ Result<std::vector<PlannedRule>> PlanProgram(const Program& program);
 
 /// Fires `rule` once on its compiled program (vm::ExecuteCompiledRule):
 /// enumerates its body matches, polling the context's interrupt hook
-/// once per match, and adds each derived head fact that is not in
-/// `known` to `out`; returns the number of facts added.
+/// once per match, and adds each derived head fact that `out` does not
+/// hold yet; returns the number of facts added.
 ///
-/// `out` is a set: a fact already in it (derived by an earlier firing
-/// of this round, say) is not added again, and the count excludes it.
-/// `known` is an optional filter of facts the caller already holds: no
-/// fact in it is added.  Neither may change while the rule fires other
-/// than through this call, and the rule's body must not read `out`.
-/// An infallible rule hashes a flat head once, probes `known`'s dedup
-/// index and appends to `out`'s word table (ValueSet::InsertWords);
-/// any other head is built as a tuple, checked with known->Contains
-/// and inserted.  A skipped fact still polled its match, so charge
-/// counts depend neither on `known` nor on what `out` already holds.
-/// On an error `out` keeps the facts added before it.
+/// `out` is a set: a fact already in it (held before the round, or
+/// derived by an earlier match or firing of it) is not added again,
+/// and the count excludes it.  The body may read `out`'s relation only
+/// through row ranges below the rows held when the firing began (a
+/// round's marks), which appends never reach; otherwise nothing may
+/// change `out` or a read extent while the rule fires.  An infallible
+/// rule hashes a flat head once and claims it in the relation's dedup
+/// index (FactSink::AddWords); any other head is built as a tuple and
+/// added (FactSink::Add).  A skipped fact still polled its match, so
+/// charge counts do not depend on what `out` already holds.  On an
+/// error `out` keeps the facts added before it.
 Result<size_t> FireRuleFacts(const PlannedRule& planned,
-                             const BodyContext& ctx, ValueSet* out,
-                             const ValueSet* known = nullptr);
+                             const BodyContext& ctx, FactSink out);
 
 /// Fires `rule` once and hands `on_head` the head tuple of every body
 /// match, unfiltered and undeduplicated, each right after its match's
@@ -86,13 +87,11 @@ Result<size_t> FireRuleFacts(const PlannedRule& planned,
 Status ForEachRuleHead(const PlannedRule& planned, const BodyContext& ctx,
                        const std::function<Status(Value)>& on_head);
 
-/// One rule's share of a fixpoint round: FireRuleFacts into `delta`'s
-/// extent of the head predicate, filtered by `existing`'s.  A predicate
-/// that gains no fact gets no entry in `delta`.
+/// One rule's share of a fixpoint round: FireRuleFacts into the head
+/// predicate's relation, through rounds->Sink.  The body reads row
+/// ranges of `rounds` (Rounds::Before / Rounds::Delta).
 Result<size_t> FireRuleInto(const PlannedRule& planned,
-                            const BodyContext& ctx,
-                            const Interpretation& existing,
-                            Interpretation* delta);
+                            const BodyContext& ctx, Rounds* rounds);
 
 }  // namespace awr::datalog
 

@@ -20,76 +20,64 @@ Result<Interpretation> EvalInflationaryImpl(
     edb_fp = snapshot::DatabaseFingerprint(edb);
   }
 
-  Interpretation interp = edb;
-  size_t rounds = 0;
-  if (resume != nullptr) {
-    interp = resume->inner.interp;
-    rounds = resume->inner.rounds_done;
-  }
+  Rounds facts(resume != nullptr ? resume->inner.interp : edb);
+  size_t rounds = resume != nullptr ? resume->inner.rounds_done : 0;
   uint64_t barrier_charges = ctx->total_charges();
   // A snapshot of the inflationary fixpoint is just the accumulated
   // interpretation plus the completed-round count: the operator is
   // memoryless round to round (Thm 3.1's stages).
-  auto build = [&](const Interpretation& barrier_interp,
-                   size_t rounds_done) {
+  // Captured mid-round too, the barrier is the rows below the marks.
+  auto build = [&] {
     snapshot::EvalSnapshot s;
     s.engine = snapshot::EngineKind::kInflationary;
     s.program_fingerprint = program_fp;
     s.edb_fingerprint = edb_fp;
     s.charges_at_barrier = barrier_charges;
     s.inner.seminaive = false;
-    s.inner.rounds_done = rounds_done;
-    s.inner.interp = barrier_interp;
+    s.inner.rounds_done = rounds;
+    s.inner.interp = facts.BarrierFacts();
     return s;
   };
+  auto interrupted = [&](Status st) {
+    driver.OnInterrupt(build);
+    return st;
+  };
 
+  // All rules fire simultaneously against the pre-round state: both
+  // positive and negative literals read the facts derived so far, the
+  // rows below the round's marks, while the round appends above them.
+  BodyContext body_ctx{
+      &opts.functions,
+      [&facts](const std::string& pred, size_t) { return facts.Before(pred); },
+      [&facts](const std::string& pred, const Value& fact) {
+        return !facts.HeldBefore(pred, fact);
+      },
+      ctx};
   for (;;) {
     Status st = ctx->ChargeRound("inflationary");
-    if (!st.ok()) {
-      driver.OnInterrupt([&] { return build(interp, rounds); });
-      return st;
-    }
-    st = ctx->ChargeMemory(interp.ApproxBytes(), "inflationary");
-    if (!st.ok()) {
-      driver.OnInterrupt([&] { return build(interp, rounds); });
-      return st;
-    }
-    // All rules fire simultaneously against the pre-round state: both
-    // positive and negative literals read the facts derived so far, and
-    // the round's new facts go to `delta`, so `interp` stays the barrier
-    // state for interrupt capture until the round is merged.
-    BodyContext body_ctx{
-        &opts.functions,
-        [&interp](const std::string& pred, size_t) -> const ValueSet& {
-          return interp.Extent(pred);
-        },
-        [&interp](const std::string& pred, const Value& fact) {
-          return !interp.Holds(pred, fact);
-        },
-        ctx};
-    Interpretation delta;
+    if (!st.ok()) return interrupted(std::move(st));
+    st = ctx->ChargeMemory(facts.ApproxBytes(), "inflationary");
+    if (!st.ok()) return interrupted(std::move(st));
+    facts.BeginRound();
     size_t added = 0;
     for (const PlannedRule& pr : rules) {
-      Result<size_t> fired = FireRuleInto(pr, body_ctx, interp, &delta);
-      if (!fired.ok()) {
-        driver.OnInterrupt([&] { return build(interp, rounds); });
-        return fired.status();
-      }
+      Result<size_t> fired = FireRuleInto(pr, body_ctx, &facts);
+      if (!fired.ok()) return interrupted(fired.status());
       added += *fired;
     }
-    if (added == 0) break;
-    st = ctx->ChargeFacts(added, "inflationary");
-    if (!st.ok()) {
-      driver.OnInterrupt([&] { return build(interp, rounds); });
-      return st;
+    if (added == 0) {
+      facts.EndRound();
+      break;
     }
-    interp.InsertAll(delta);
+    st = ctx->ChargeFacts(added, "inflationary");
+    if (!st.ok()) return interrupted(std::move(st));
+    facts.EndRound();
     ++rounds;
     barrier_charges = ctx->total_charges();
-    driver.AtBarrier([&] { return build(interp, rounds); });
+    driver.AtBarrier(build);
   }
   if (rounds_out != nullptr) *rounds_out = rounds;
-  return interp;
+  return std::move(facts).Take();
 }
 
 }  // namespace

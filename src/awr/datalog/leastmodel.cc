@@ -1,21 +1,18 @@
 #include "awr/datalog/leastmodel.h"
 
-#include <cassert>
-#include <optional>
-
 namespace awr::datalog {
 
 namespace {
 
-// Checkpoint plumbing shared by the naive and semi-naive loops: the
-// frame view aliases the loop's live state, `interrupted` reports the
-// last completed barrier to the owner just before a non-OK return, and
-// `arrived` advances the barrier bookkeeping after a completed round.
-// The invariant both maintain: a reported frame is always "the state
-// after rounds_done complete rounds, before anything of the next one",
-// and barrier_charges is total_charges() at that same point — so a
-// resumed run re-executes exactly the charges the interrupted run had
-// not yet completed.
+// Checkpoint plumbing for the fixpoint loop: the frame view reads the
+// loop's Rounds, `interrupted` reports the last completed barrier to
+// the owner just before a non-OK return, and `arrived` advances the
+// barrier bookkeeping after a completed round.  The invariant both
+// maintain: a reported frame is always "the state after rounds_done
+// complete rounds, before anything of the next one" — mid-round that is
+// the rows below the round's marks — and barrier_charges is
+// total_charges() at that same point, so a resumed run re-executes
+// exactly the charges the interrupted run had not yet completed.
 struct BarrierTracker {
   const snapshot::CheckpointHooks* hooks;
   snapshot::LeastModelFrameView view;
@@ -23,12 +20,13 @@ struct BarrierTracker {
   bool capture_at_barrier;
 
   BarrierTracker(const snapshot::CheckpointHooks* h, bool seminaive,
-                 ExecutionContext* ctx)
+                 ExecutionContext* ctx, const Rounds* rounds)
       : hooks(h),
         capture_on_interrupt(h != nullptr &&
                              static_cast<bool>(h->on_interrupt)),
         capture_at_barrier(h != nullptr && static_cast<bool>(h->at_barrier)) {
     view.seminaive = seminaive;
+    view.rounds = rounds;
     view.barrier_charges = ctx->total_charges();
   }
 
@@ -44,141 +42,101 @@ struct BarrierTracker {
   }
 };
 
+// The loop state to start from: `base`, or a checkpoint frame — with
+// its delta when it is a semi-naive frame past round 0.
+Rounds StartRounds(const Interpretation& base, bool seminaive,
+                   const snapshot::LeastModelFrame* resume) {
+  if (resume == nullptr) return Rounds(base);
+  if (seminaive && resume->rounds_done > 0) {
+    return Rounds(resume->interp, resume->delta);
+  }
+  return Rounds(resume->interp);
+}
+
+constexpr size_t kNoDelta = static_cast<size_t>(-1);
+
 }  // namespace
 
 Result<Interpretation> LeastModelWithFrozenNegation(
     const std::vector<PlannedRule>& rules, const Interpretation& base,
     const Interpretation& neg_context, const EvalOptions& opts,
     ExecutionContext* ctx, const LeastModelControl& control) {
-  Interpretation interp = base;
-  BarrierTracker bar(control.hooks, opts.seminaive, ctx);
+  Rounds rounds = StartRounds(base, opts.seminaive, control.resume);
+  BarrierTracker bar(control.hooks, opts.seminaive, ctx, &rounds);
+  if (control.resume != nullptr) {
+    bar.view.rounds_done = control.resume->rounds_done;
+  }
+  const char* site =
+      opts.seminaive ? "least-model(seminaive)" : "least-model(naive)";
 
   auto neg_holds = [&neg_context](const std::string& pred, const Value& fact) {
     return !neg_context.Holds(pred, fact);
   };
-
-  if (!opts.seminaive) {
-    // Naive iteration: every round fires every rule against the full
-    // interpretation.
-    if (control.resume != nullptr) {
-      interp = control.resume->interp;
-      bar.view.rounds_done = control.resume->rounds_done;
-    }
-    // The naive loop charges memory after merging the round's delta, so
-    // at that charge point the live interpretation is one round ahead of
-    // the last barrier; keep a barrier copy for interrupt capture.
-    Interpretation barrier_interp;
-    if (bar.capture_on_interrupt) barrier_interp = interp;
-    bar.view.interp = bar.capture_on_interrupt ? &barrier_interp : &interp;
-    for (;;) {
-      Status st = ctx->ChargeRound("least-model(naive)");
-      if (!st.ok()) return bar.Interrupted(std::move(st));
-      Interpretation delta;
-      BodyContext body_ctx{
-          &opts.functions,
-          [&interp](const std::string& pred, size_t) -> const ValueSet& {
-            return interp.Extent(pred);
-          },
-          neg_holds, ctx};
-      size_t added = 0;
-      for (const PlannedRule& pr : rules) {
-        auto n = FireRuleInto(pr, body_ctx, interp, &delta);
-        if (!n.ok()) return bar.Interrupted(n.status());
-        added += *n;
-      }
-      if (added == 0) break;
-      st = ctx->ChargeFacts(added, "least-model(naive)");
-      if (!st.ok()) return bar.Interrupted(std::move(st));
-      interp.InsertAll(delta);
-      st = ctx->ChargeMemory(interp.ApproxBytes(), "least-model(naive)");
-      if (!st.ok()) return bar.Interrupted(std::move(st));
-      if (bar.capture_on_interrupt) barrier_interp = interp;
-      bar.Arrived(ctx);
-    }
-    return interp;
-  }
-
-  // Semi-naive iteration.  Round 0 fires every rule against `base`;
-  // subsequent rounds fire only rules with a positive occurrence of a
-  // predicate that changed, substituting the delta for one occurrence
-  // at a time.  Within a round every fallible charge precedes the
-  // mutations, so on an interrupt (interp, delta) is exactly the last
-  // barrier's state.
-  bar.view.interp = &interp;
-  Interpretation delta;
-  bool run_round0 = true;
-  if (control.resume != nullptr) {
-    interp = control.resume->interp;
-    bar.view.rounds_done = control.resume->rounds_done;
-    if (control.resume->rounds_done > 0) {
-      delta = control.resume->delta;
-      run_round0 = false;
-      bar.view.delta = &delta;
-    }
-  }
-  if (run_round0) {
-    // view.delta stays null through round 0: the delta under
-    // construction is not part of the 0-round barrier state.
-    Status st = ctx->ChargeRound("least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
+  // One firing of `pr` into its head relation: the body reads the last
+  // round's rows at body position `delta_at` and, everywhere else, the
+  // rows held when the round began.
+  auto fire = [&](const PlannedRule& pr, size_t delta_at) {
     BodyContext body_ctx{
         &opts.functions,
-        [&interp](const std::string& pred, size_t) -> const ValueSet& {
-          return interp.Extent(pred);
+        [&rounds, delta_at](const std::string& pred, size_t body_index) {
+          return body_index == delta_at ? rounds.Delta(pred)
+                                        : rounds.Before(pred);
         },
         neg_holds, ctx};
-    size_t added = 0;
-    for (const PlannedRule& pr : rules) {
-      auto n = FireRuleInto(pr, body_ctx, interp, &delta);
-      if (!n.ok()) return bar.Interrupted(n.status());
-      added += *n;
-    }
-    st = ctx->ChargeFacts(added, "least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    interp.InsertAll(delta);
-    bar.view.delta = &delta;
-    bar.Arrived(ctx);
-  }
+    return FireRuleInto(pr, body_ctx, &rounds);
+  };
 
-  while (delta.TotalFacts() > 0) {
-    Status st = ctx->ChargeRound("least-model(seminaive)");
+  // Naive rounds fire every rule against everything held, until one
+  // adds nothing.  Semi-naive round 0 does the same; every later round
+  // fires only rules with a positive occurrence of a predicate the last
+  // round changed, reading its delta at one occurrence at a time, until
+  // a round adds nothing.  Within a round every fallible charge precedes
+  // EndRound, so an interrupt reports the barrier the marks record.
+  for (;;) {
+    const bool differential = opts.seminaive && bar.view.rounds_done > 0;
+    if (differential && rounds.delta_size() == 0) break;
+    Status st = ctx->ChargeRound(site);
     if (!st.ok()) return bar.Interrupted(std::move(st));
-    st = ctx->ChargeMemory(interp.ApproxBytes() + delta.ApproxBytes(),
-                           "least-model(seminaive)");
-    if (!st.ok()) return bar.Interrupted(std::move(st));
-    Interpretation next_delta;
+    if (differential) {
+      st = ctx->ChargeMemory(rounds.ApproxBytes() + rounds.DeltaApproxBytes(),
+                             site);
+      if (!st.ok()) return bar.Interrupted(std::move(st));
+    }
+    rounds.BeginRound();
     size_t added = 0;
     for (const PlannedRule& pr : rules) {
-      // Occurrences of changed predicates in this rule's body.
-      std::vector<size_t> delta_occurrences;
+      if (!differential) {
+        Result<size_t> n = fire(pr, kNoDelta);
+        if (!n.ok()) return bar.Interrupted(n.status());
+        added += *n;
+        continue;
+      }
       for (size_t i = 0; i < pr.rule.body.size(); ++i) {
         const Literal& lit = pr.rule.body[i];
-        if (lit.is_atom() && lit.positive &&
-            delta.Extent(lit.atom.predicate).size() > 0) {
-          delta_occurrences.push_back(i);
+        if (!lit.is_atom() || !lit.positive ||
+            rounds.Delta(lit.atom.predicate).empty()) {
+          continue;
         }
-      }
-      for (size_t occ : delta_occurrences) {
-        BodyContext body_ctx{
-            &opts.functions,
-            [&interp, &delta, occ](const std::string& pred,
-                                   size_t body_index) -> const ValueSet& {
-              return body_index == occ ? delta.Extent(pred)
-                                       : interp.Extent(pred);
-            },
-            neg_holds, ctx};
-        auto n = FireRuleInto(pr, body_ctx, interp, &next_delta);
+        Result<size_t> n = fire(pr, i);
         if (!n.ok()) return bar.Interrupted(n.status());
         added += *n;
       }
     }
-    st = ctx->ChargeFacts(added, "least-model(seminaive)");
+    if (!opts.seminaive && added == 0) {
+      rounds.EndRound();
+      break;
+    }
+    st = ctx->ChargeFacts(added, site);
     if (!st.ok()) return bar.Interrupted(std::move(st));
-    interp.InsertAll(next_delta);
-    delta = std::move(next_delta);
+    if (!opts.seminaive) {
+      // The naive loop charges the state with the round's facts in.
+      st = ctx->ChargeMemory(rounds.ApproxBytes(), site);
+      if (!st.ok()) return bar.Interrupted(std::move(st));
+    }
+    rounds.EndRound();
     bar.Arrived(ctx);
   }
-  return interp;
+  return std::move(rounds).Take();
 }
 
 namespace {

@@ -1,5 +1,6 @@
 #include "awr/datalog/vm/vm.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 #include <vector>
@@ -33,24 +34,31 @@ using RowIter = decltype(std::declval<const ValueSet&>().begin());
 /// Per-loop enumeration state.  Row-level kinds draw candidates from
 /// extent iteration or a Probe bucket; word-level kinds walk the
 /// extent's word table and exist only in infallible programs (see
-/// bytecode.h).
+/// bytecode.h).  On a word table every kind reads only rows [lo, hi)
+/// of its ExtentRange, by row number: the firing may append to the
+/// table it reads (above hi), which moves its words and its Value view
+/// but leaves row numbers, held chains and bucket prefixes in place.
 struct Cursor {
   enum class Kind : uint8_t {
-    kRowScan,    ///< full extent iteration
+    kRowScan,    ///< extent iteration (row walk on a word table)
     kRowBucket,  ///< ValueSet::Probe bucket
     kWordScan,   ///< word-table row walk
     kWordChain,  ///< word-index bucket chain walk
   };
   Kind kind = Kind::kRowScan;
+  const ValueSet* set = nullptr;
+  int64_t lo = 0;
+  int64_t hi = 0;
+  bool by_row = false;  ///< row scan over a word table
   RowIter it{};
   RowIter end{};
   const std::vector<Value>* bucket = nullptr;
   size_t idx = 0;
-  const uintptr_t* words = nullptr;  ///< word table, row-major
+  size_t bucket_end = 0;
   size_t arity = 0;
-  int64_t rows = 0;
   const ValueSet::WordIndex* index = nullptr;
-  int64_t row = -1;     ///< word scan: last row examined; chain: next link
+  /// Word scan: last row examined; row walk: next row; chain: next link.
+  int64_t row = -1;
   uintptr_t kw[8] = {};  ///< gathered probe-key words (chain)
   size_t nk = 0;
 };
@@ -58,12 +66,12 @@ struct Cursor {
 struct ExecState {
   const CompiledRule& cr;
   const BodyContext& ctx;
-  // Exactly one of `out` and `on_head` is set: emission either adds the
-  // head fact to `out` or hands the head tuple to `on_head`.
-  ValueSet* out = nullptr;
+  // Emission adds the head fact to `out`, or hands the head tuple to
+  // `on_head` when that is set.
+  FactSink out;
   const std::function<Status(Value)>* on_head = nullptr;
-  // The caller's `known` extent: no fact in it is added to `out`.
-  const ValueSet* known = nullptr;
+  // Each step's extent range, resolved once per firing.
+  std::vector<ExtentRange> extents = {};
   std::vector<Value> regs = {};
   std::vector<Cursor> cursors = {};
   uint64_t ops = 0;
@@ -133,24 +141,35 @@ bool MatchRowFact(ExecState& s, const CompiledRule::StepInfo& si,
 
 size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
   const CompiledRule::StepInfo& si = s.cr.steps[in.a];
-  const Literal& lit = s.cr.rule.body[si.literal];
-  const ValueSet& extent =
-      s.ctx.positive_extent(lit.atom.predicate, si.literal);
-  if (extent.empty()) return in.fail;
+  const ExtentRange& range = s.extents[in.a];
+  if (range.empty()) return in.fail;
+  const ValueSet& extent = *range.set;
+  const bool words = extent.word_arity() != 0;
   // Arity validation, hoisted out of the per-fact loop: the extent's
   // shape answers the uniform case in O(1); only a malformed extent is
-  // scanned for the offending fact.
+  // searched for the offending fact (on a word table, whose rows share
+  // one arity, the range's first row).
   if (!extent.UniformTupleArity(si.arity)) {
-    for (const Value& fact : extent) {
-      if (!fact.is_tuple() || fact.size() != si.arity) {
-        *st = Status::InvalidArgument("arity mismatch: atom " +
-                                      lit.atom.ToString() + " vs fact " +
-                                      fact.ToString());
-        return kPcError;
+    const Value* bad = nullptr;
+    if (words) {
+      bad = &extent.FactAt(range.begin);
+    } else {
+      for (const Value& fact : extent) {
+        if (!fact.is_tuple() || fact.size() != si.arity) {
+          bad = &fact;
+          break;
+        }
       }
     }
+    *st = Status::InvalidArgument(
+        "arity mismatch: atom " + s.cr.rule.body[si.literal].atom.ToString() +
+        " vs fact " + bad->ToString());
+    return kPcError;
   }
   Cursor& cur = s.cursors[in.a];
+  cur.set = &extent;
+  cur.lo = static_cast<int64_t>(range.begin);
+  cur.hi = static_cast<int64_t>(range.end);
   const bool keyed = !si.bound_positions.empty();
   if (in.op == Op::kOpenWord && keyed) {
     // Gather the key words first: a register bound by an outer row
@@ -175,7 +194,6 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
       const ValueSet::WordIndex* index = extent.WordIndexOn(si.bound_positions);
       if (index != nullptr) {
         cur.kind = Cursor::Kind::kWordChain;
-        cur.words = extent.words();
         cur.arity = si.arity;
         cur.index = index;
         cur.nk = nk;
@@ -185,12 +203,10 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
         return pc + 1;
       }
     }
-  } else if (in.op == Op::kOpenWord && extent.word_arity() != 0) {
+  } else if (in.op == Op::kOpenWord && words) {
     cur.kind = Cursor::Kind::kWordScan;
-    cur.words = extent.words();
     cur.arity = si.arity;
-    cur.rows = static_cast<int64_t>(extent.size());
-    cur.row = -1;
+    cur.row = cur.lo - 1;
     ++s.word_opens;
     return pc + 1;
   }
@@ -205,15 +221,31 @@ size_t HandleOpen(ExecState& s, const Instr& in, size_t pc, Status* st) {
       key_parts.push_back(key.reg >= 0 ? s.regs[key.reg]
                                        : s.cr.consts[key.const_idx]);
     }
+    const ValueSet::Bucket& bucket = extent.ProbeBucket(
+        si.bound_positions, Value::Tuple(std::move(key_parts)));
     cur.kind = Cursor::Kind::kRowBucket;
-    cur.bucket =
-        &extent.Probe(si.bound_positions, Value::Tuple(std::move(key_parts)));
+    cur.bucket = &bucket.facts;
     cur.idx = 0;
+    cur.bucket_end = bucket.facts.size();
+    if (words) {
+      // The bucket's rows ascend; keep the facts of rows in range.
+      const auto rows_begin = bucket.rows.begin();
+      cur.idx = std::lower_bound(rows_begin, bucket.rows.end(), range.begin) -
+                rows_begin;
+      cur.bucket_end =
+          std::lower_bound(rows_begin, bucket.rows.end(), range.end) -
+          rows_begin;
+    }
     return pc + 1;
   }
   cur.kind = Cursor::Kind::kRowScan;
-  cur.it = extent.begin();
-  cur.end = extent.end();
+  cur.by_row = words;
+  if (words) {
+    cur.row = cur.lo;
+  } else {
+    cur.it = extent.begin();
+    cur.end = extent.end();
+  }
   return pc + 1;
 }
 
@@ -222,6 +254,14 @@ size_t HandleNext(ExecState& s, const Instr& in, size_t pc, Status* st) {
   const CompiledRule::StepInfo& si = s.cr.steps[in.a];
   switch (cur.kind) {
     case Cursor::Kind::kRowScan:
+      if (cur.by_row) {
+        while (cur.row < cur.hi) {
+          const Value& fact = cur.set->FactAt(cur.row++);
+          if (MatchRowFact(s, si, fact, st)) return pc + 1;
+          if (!st->ok()) return kPcError;
+        }
+        return in.fail;
+      }
       while (cur.it != cur.end) {
         const Value& fact = *cur.it;
         ++cur.it;
@@ -230,15 +270,16 @@ size_t HandleNext(ExecState& s, const Instr& in, size_t pc, Status* st) {
       }
       return in.fail;
     case Cursor::Kind::kRowBucket:
-      while (cur.idx < cur.bucket->size()) {
+      while (cur.idx < cur.bucket_end) {
         const Value& fact = (*cur.bucket)[cur.idx++];
         if (MatchRowFact(s, si, fact, st)) return pc + 1;
         if (!st->ok()) return kPcError;
       }
       return in.fail;
     case Cursor::Kind::kWordScan: {
-      for (int64_t r = cur.row + 1; r < cur.rows; ++r) {
-        const uintptr_t* row = cur.words + r * cur.arity;
+      const uintptr_t* words = cur.set->words();
+      for (int64_t r = cur.row + 1; r < cur.hi; ++r) {
+        const uintptr_t* row = words + r * cur.arity;
         bool match = true;
         for (const CompiledRule::WordDup& wd : si.word_dups) {
           if (row[wd.pos] != row[wd.first_pos]) {
@@ -253,14 +294,19 @@ size_t HandleNext(ExecState& s, const Instr& in, size_t pc, Status* st) {
         }
         return pc + 1;
       }
-      cur.row = cur.rows;
+      cur.row = cur.hi;
       return in.fail;
     }
     case Cursor::Kind::kWordChain: {
+      // Chains run in descending row order: skip rows at or above hi,
+      // stop below lo.
+      const uintptr_t* words = cur.set->words();
       const std::vector<int32_t>& next = cur.index->next;
-      while (cur.row >= 0) {
-        const uintptr_t* row = cur.words + cur.row * cur.arity;
-        cur.row = next[cur.row];
+      while (cur.row >= cur.lo) {
+        const int64_t r = cur.row;
+        cur.row = next[r];
+        if (r >= cur.hi) continue;
+        const uintptr_t* row = words + r * cur.arity;
         bool match = true;
         for (size_t j = 0; j < cur.nk; ++j) {
           if (row[si.bound_positions[j]] != cur.kw[j]) {
@@ -357,13 +403,13 @@ size_t HandleCharge(ExecState& s, size_t pc, Status* st) {
 }
 
 /// The word-level emit path: gathers the head's words, hashes them
-/// once, and with that hash probes `known`'s dedup index and then
-/// appends to `out` (ValueSet::InsertWords), which dedups against the
-/// facts already there — including those of earlier firings this
-/// round.  No Value is built.  Returns false, having done nothing, when
-/// a component is not an inline scalar: the caller then emits the
-/// tuple.  Only wired for infallible rules, where the head has no
-/// application and so cannot fail.
+/// once, and with that hash claims them in `out` (FactSink::AddWords),
+/// one dedup probe against everything the relation holds — the facts
+/// from before the round and those of earlier matches and firings in
+/// it.  No Value is built.  Returns false, having done nothing, when a
+/// component is not an inline scalar: the caller then emits the tuple.
+/// Only wired for infallible rules, where the head has no application
+/// and so cannot fail.
 bool EmitWords(ExecState& s) {
   const size_t arity = s.cr.head.size();
   for (size_t j = 0; j < arity; ++j) {
@@ -375,11 +421,9 @@ bool EmitWords(ExecState& s) {
     s.head_words[j] = v.inline_bits();
   }
   const uintptr_t* words = s.head_words.data();
-  const size_t hash = ValueSet::HashWords(words, arity);
-  if (s.known != nullptr && s.known->ContainsWords(words, arity, hash)) {
-    return true;
+  if (s.out.AddWords(words, arity, ValueSet::HashWords(words, arity))) {
+    ++s.facts;
   }
-  if (s.out->InsertWords(words, arity, hash)) ++s.facts;
   return true;
 }
 
@@ -415,8 +459,7 @@ size_t HandleEmit(ExecState& s, const Instr& in, Status* st) {
     }
     return in.fail;
   }
-  if (s.known != nullptr && s.known->Contains(fact)) return in.fail;
-  if (s.out->Insert(std::move(fact))) ++s.facts;
+  if (s.out.Add(std::move(fact))) ++s.facts;
   return in.fail;  // resume the innermost loop (or halt)
 }
 
@@ -457,10 +500,16 @@ Status RunSwitch(ExecState& s) {
   }
 }
 
-/// Runs `s` to completion and adds its work to the process counters.
+/// Resolves each step's extent range, runs `s` to completion and adds
+/// its work to the process counters.
 Status Execute(ExecState& s) {
   s.regs.resize(s.cr.num_regs);
   s.cursors.resize(s.cr.steps.size());
+  s.extents.reserve(s.cr.steps.size());
+  for (const CompiledRule::StepInfo& si : s.cr.steps) {
+    s.extents.push_back(s.ctx.positive_extent(
+        s.cr.rule.body[si.literal].atom.predicate, si.literal));
+  }
   Status st = RunSwitch(s);
   VmStatCounters& counters = VmCounters();
   counters.rules.fetch_add(1, std::memory_order_relaxed);
@@ -474,9 +523,8 @@ Status Execute(ExecState& s) {
 }  // namespace
 
 Result<size_t> ExecuteCompiledRule(const CompiledRule& cr,
-                                   const BodyContext& ctx, ValueSet* out,
-                                   const ValueSet* known) {
-  ExecState s{cr, ctx, out, nullptr, known};
+                                   const BodyContext& ctx, FactSink out) {
+  ExecState s{cr, ctx, out};
   const size_t head_arity = cr.head.size();
   if (cr.infallible && head_arity > 0 &&
       head_arity <= ValueSet::kMaxFlatArity) {
@@ -489,7 +537,7 @@ Result<size_t> ExecuteCompiledRule(const CompiledRule& cr,
 
 Status ExecuteCompiledRuleHeads(const CompiledRule& cr, const BodyContext& ctx,
                                 const std::function<Status(Value)>& on_head) {
-  ExecState s{cr, ctx, nullptr, &on_head};
+  ExecState s{cr, ctx, FactSink(nullptr), &on_head};
   return Execute(s);
 }
 

@@ -9,25 +9,25 @@
 
 namespace awr::datalog::vm {
 
-/// Executes one firing of a compiled rule under `ctx`: enumerates every
-/// body match, polling CheckInterrupt("body-match") once per match, and
-/// adds each derived head fact that is not in `known` to `out`.
-/// Returns the number of facts added.  This is the executor behind
-/// FireRuleFacts (see its contract for `out` and `known`).  The VM
-/// picks each loop's cursor from what it observes (bytecode.h): an
-/// infallible rule opens word-level cursors over word tables when its
-/// probe keys are inline words, which can reorder matches — with no
-/// function application, the poll count per firing equals the match
-/// count in any order, and the set semantics of `out` absorb the rest —
-/// and emits on words: the head's words are hashed once, probed against
-/// `known` and appended to `out` (ValueSet::InsertWords) without
-/// building a Value.  Everything else runs on row cursors.
+/// Executes one firing of a compiled rule under `ctx`: resolves each
+/// positive literal's extent range once, enumerates every body match,
+/// polling CheckInterrupt("body-match") once per match, and adds each
+/// derived head fact that `out` does not hold to it.  Returns the
+/// number of facts added.  This is the executor behind FireRuleFacts
+/// (see its contract for `out` and the ranges).  The VM picks each
+/// loop's cursor from what it observes (bytecode.h): an infallible
+/// rule opens word-level cursors over word tables when its probe keys
+/// are inline words, which can reorder matches — with no function
+/// application, the poll count per firing equals the match count in
+/// any order, and the set semantics of `out` absorb the rest — and
+/// emits on words: the head's words are hashed once and claimed in
+/// `out` (FactSink::AddWords) without building a Value.  Everything
+/// else runs on row cursors.
 ///
 /// `cr` must have passed VerifyCompiledRule (LowerRule guarantees it):
 /// the dispatch loop performs no bounds checks of its own.
 Result<size_t> ExecuteCompiledRule(const CompiledRule& cr,
-                                   const BodyContext& ctx, ValueSet* out,
-                                   const ValueSet* known = nullptr);
+                                   const BodyContext& ctx, FactSink out);
 
 /// The same firing, handing each match's head tuple to `on_head`
 /// instead of collecting it (ForEachRuleHead).

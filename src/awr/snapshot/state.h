@@ -141,24 +141,27 @@ struct CheckpointPolicy {
 };
 
 /// A borrowed view of a least-model loop's barrier state, passed to
-/// checkpoint hooks.  The pointers alias live engine state and are only
+/// checkpoint hooks.  `rounds` aliases the live loop state and is only
 /// valid for the duration of the hook call — materialize to copy.
+/// Mid-round the live relations already hold some of the round's facts;
+/// the barrier is read off the round's marks.
 struct LeastModelFrameView {
   bool seminaive = true;
   uint64_t rounds_done = 0;
-  const datalog::Interpretation* interp = nullptr;
-  /// Null in naive mode.
-  const datalog::Interpretation* delta = nullptr;
+  const datalog::Rounds* rounds = nullptr;
   /// total_charges() when this barrier was reached.
   uint64_t barrier_charges = 0;
 };
 
+/// The frame of the last barrier: its interp is the rows below the
+/// marks, and (semi-naive, after round 0) its delta the last completed
+/// round's rows.
 inline LeastModelFrame MaterializeFrame(const LeastModelFrameView& v) {
   LeastModelFrame f;
   f.seminaive = v.seminaive;
   f.rounds_done = v.rounds_done;
-  if (v.interp != nullptr) f.interp = *v.interp;
-  if (v.delta != nullptr) f.delta = *v.delta;
+  f.interp = v.rounds->BarrierFacts();
+  if (v.seminaive && v.rounds_done > 0) f.delta = v.rounds->DeltaFacts();
   return f;
 }
 

@@ -86,7 +86,8 @@ ValueSet::ValueSet(ValueSet&& other) noexcept
       tuple_arity_counts_(std::move(other.tuple_arity_counts_)),
       bytes_(std::exchange(other.bytes_, 0)),
       indexes_(std::move(other.indexes_)),
-      word_indexes_(std::move(other.word_indexes_)) {}
+      word_indexes_(std::move(other.word_indexes_)),
+      indexes_held_(std::exchange(other.indexes_held_, false)) {}
 
 ValueSet& ValueSet::operator=(ValueSet&& other) noexcept {
   if (this != &other) {
@@ -103,6 +104,7 @@ ValueSet& ValueSet::operator=(ValueSet&& other) noexcept {
     bytes_ = std::exchange(other.bytes_, 0);
     indexes_ = std::move(other.indexes_);
     word_indexes_ = std::move(other.word_indexes_);
+    indexes_held_ = std::exchange(other.indexes_held_, false);
   }
   return *this;
 }
@@ -121,6 +123,7 @@ void ValueSet::Clear() {
   bytes_ = 0;
   indexes_.clear();
   word_indexes_.clear();
+  indexes_held_ = false;
 }
 
 // ----------------------------------------------------------------------
@@ -137,6 +140,16 @@ size_t ValueSet::HashWords(const uintptr_t* words, size_t n) {
   h *= 0x94d049bb133111ebULL;
   h ^= h >> 31;
   return h;
+}
+
+size_t ValueSet::FlatArity(const Value& v) {
+  if (!v.is_tuple()) return 0;
+  const std::span<const Value> items = v.items();
+  if (items.empty() || items.size() > kMaxFlatArity) return 0;
+  for (const Value& item : items) {
+    if (!item.is_inline()) return 0;
+  }
+  return items.size();
 }
 
 size_t ValueSet::FlatWords(const Value& v, uintptr_t* out) {
@@ -180,16 +193,16 @@ void ValueSet::MaterializeView() const {
   unviewed_ = 0;
 }
 
-bool ValueSet::FindRow(const uintptr_t* row, size_t hash) const {
-  if (slots_.empty()) return false;
+int64_t ValueSet::RowOf(const uintptr_t* row, size_t hash) const {
+  if (slots_.empty()) return -1;
   const uint64_t tag = static_cast<uint32_t>(hash);
   const size_t mask = slots_.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
     const uint64_t slot = slots_[i];
-    if (slot == 0) return false;
-    if ((slot >> 32) == tag &&
-        std::equal(row, row + arity_, Row((slot & kRowMask) - 1))) {
-      return true;
+    if (slot == 0) return -1;
+    const size_t r = (slot & kRowMask) - 1;
+    if ((slot >> 32) == tag && std::equal(row, row + arity_, Row(r))) {
+      return static_cast<int64_t>(r);
     }
   }
 }
@@ -234,26 +247,35 @@ void ValueSet::AppendRow(const uintptr_t* row, Value value) {
     if (view_.size() < r) view_.resize(r);  // rows appended as words
     view_.push_back(std::move(value));
   }
+  if (!indexes_held_) ChainNewRows();
+  if (!indexes_.empty()) {
+    const Value& fact = ViewRow(r);
+    for (PositionIndex& index : indexes_) IndexInsert(index, fact, r);
+  }
+}
+
+void ValueSet::ChainNewRows() {
   for (const std::unique_ptr<WordIndex>& owned : word_indexes_) {
     WordIndex& index = *owned;
-    if ((r + 1) * 4 > index.heads.size() * 3) {
+    size_t from = index.next.size();
+    if (from == rows_) continue;
+    if (rows_ * 4 > index.heads.size() * 3) {
       // Grow and rehash: chains stay short below 3/4 load.
-      const size_t buckets = NextPow2((r + 1) * 2);
+      const size_t buckets = NextPow2(rows_ * 2);
       index.heads.assign(buckets, -1);
       index.mask = buckets - 1;
-      index.next.resize(r + 1);
-      for (size_t row_i = 0; row_i <= r; ++row_i) {
-        Chain(index, HashKey(index.positions, Row(row_i)), row_i);
-      }
-    } else {
-      index.next.push_back(-1);
+      from = 0;
+    }
+    index.next.resize(rows_);
+    for (size_t r = from; r < rows_; ++r) {
       Chain(index, HashKey(index.positions, Row(r)), r);
     }
   }
-  if (!indexes_.empty()) {
-    const Value& fact = ViewRow(r);
-    for (PositionIndex& index : indexes_) IndexInsert(index, fact);
-  }
+}
+
+void ValueSet::ReleaseIndexes() {
+  indexes_held_ = false;
+  ChainNewRows();
 }
 
 void ValueSet::Demote() {
@@ -267,6 +289,9 @@ void ValueSet::Demote() {
   view_ = {};
   unviewed_ = 0;
   word_indexes_.clear();
+  for (PositionIndex& index : indexes_) {
+    for (auto& [key, bucket] : index.buckets) bucket.rows = {};
+  }
 }
 
 // ----------------------------------------------------------------------
@@ -301,7 +326,7 @@ bool ValueSet::InsertRow(Value v) {
   } else {
     ++non_tuple_count_;
   }
-  for (PositionIndex& index : indexes_) IndexInsert(index, fact);
+  for (PositionIndex& index : indexes_) IndexInsert(index, fact, 0);
   return true;
 }
 
@@ -330,6 +355,15 @@ bool ValueSet::Contains(const Value& v) const {
       break;
   }
   return items_.count(v) > 0;
+}
+
+bool ValueSet::ContainsBelow(const Value& v, size_t end) const {
+  if (layout_ != Layout::kWords) return Contains(v);
+  uintptr_t row[kMaxFlatArity];
+  const size_t n = FlatWords(v, row);
+  if (n != arity_) return false;
+  const int64_t r = RowOf(row, HashWords(row, n));
+  return r >= 0 && static_cast<size_t>(r) < end;
 }
 
 bool ValueSet::ContainsWords(const uintptr_t* row, size_t n,
@@ -371,6 +405,26 @@ size_t ValueSet::InsertAll(const ValueSet& other) {
   return added;
 }
 
+ValueSet ValueSet::CopyRows(size_t begin, size_t end) const {
+  if (layout_ != Layout::kWords || (begin == 0 && end == rows_)) return *this;
+  ValueSet out;
+  if (begin >= end) return out;
+  out.StartWords(arity_);
+  for (size_t r = begin; r < end; ++r) {
+    const uintptr_t* row = Row(r);
+    out.ClaimSlot(row, HashWords(row, arity_));
+    out.AppendRow(row, r < view_.size() ? view_[r] : Value());
+  }
+  return out;
+}
+
+size_t ValueSet::RangeApproxBytes(size_t begin, size_t end) const {
+  if (layout_ != Layout::kWords) return bytes_;
+  return begin >= end ? 0
+                      : (end - begin) * (Value::FlatTupleApproxBytes(arity_) +
+                                         kSlotOverhead);
+}
+
 bool ValueSet::IsSubsetOf(const ValueSet& other) const {
   if (size() > other.size()) return false;
   if (layout_ == Layout::kWords) {
@@ -410,22 +464,36 @@ const ValueSet::PositionIndex& ValueSet::EnsureIndex(
   }
   indexes_.push_back(PositionIndex{positions, {}});
   PositionIndex& index = indexes_.back();
-  for (const Value& fact : *this) IndexInsert(index, fact);
+  if (layout_ == Layout::kWords) {
+    for (size_t r = 0; r < rows_; ++r) IndexInsert(index, ViewRow(r), r);
+  } else {
+    for (const Value& fact : items_) IndexInsert(index, fact, 0);
+  }
   return index;
 }
 
-const std::vector<Value>& ValueSet::Probe(const std::vector<size_t>& positions,
-                                          const Value& key) const {
-  static const std::vector<Value> kEmptyBucket;
+const ValueSet::Bucket& ValueSet::ProbeBucket(
+    const std::vector<size_t>& positions, const Value& key) const {
+  static const Bucket kEmptyBucket;
   const PositionIndex& index = EnsureIndex(positions);
   auto it = index.buckets.find(key);
   return it == index.buckets.end() ? kEmptyBucket : it->second;
 }
 
-void ValueSet::IndexInsert(PositionIndex& index, const Value& fact) {
+const std::vector<Value>& ValueSet::Probe(const std::vector<size_t>& positions,
+                                          const Value& key) const {
+  return ProbeBucket(positions, key).facts;
+}
+
+void ValueSet::IndexInsert(PositionIndex& index, const Value& fact,
+                           size_t row) const {
   Value key;
   if (ExtractKey(fact, index.positions, &key)) {
-    index.buckets[std::move(key)].push_back(fact);
+    Bucket& bucket = index.buckets[std::move(key)];
+    bucket.facts.push_back(fact);
+    if (layout_ == Layout::kWords) {
+      bucket.rows.push_back(static_cast<uint32_t>(row));
+    }
   }
 }
 

@@ -48,6 +48,12 @@ namespace awr {
 /// charges do not depend on the layout or on which indexes an
 /// evaluation built.  The lazy builds mutate derived state, so even
 /// const reads of one ValueSet must not run concurrently.
+///
+/// Row ranges (DESIGN.md §12): because a word table only appends, a
+/// fixpoint round reads a relation as the rows below a mark while it
+/// appends the round's facts above it.  The readers take rows by
+/// number (FactAt, CopyRows, ContainsBelow, a Probe bucket's rows) and
+/// HoldIndexes keeps the word indexes' chains fixed under a walk.
 class ValueSet {
  public:
   /// Longest tuple the word table holds.
@@ -170,6 +176,18 @@ class ValueSet {
   const std::vector<Value>& Probe(const std::vector<size_t>& positions,
                                   const Value& key) const;
 
+  /// A Probe bucket with, on a word table, the row of each fact
+  /// (ascending: buckets fill in row order); `rows` is empty in the row
+  /// layout.
+  struct Bucket {
+    std::vector<Value> facts;
+    std::vector<uint32_t> rows;
+  };
+  /// Probe's bucket with its rows.  Inserts extend a bucket in place,
+  /// so a reader holds the bucket, not its elements.
+  const Bucket& ProbeBucket(const std::vector<size_t>& positions,
+                            const Value& key) const;
+
   /// Number of Probe indexes currently built (introspection for tests
   /// and the REPL).
   size_t index_count() const { return indexes_.size(); }
@@ -183,8 +201,43 @@ class ValueSet {
   }
 
   /// The table: row r is the word_arity() words at
-  /// words() + r * word_arity(), in insertion order.
+  /// words() + r * word_arity(), in insertion order.  An insert may
+  /// move the table, so a reader re-reads words() after one.
   const uintptr_t* words() const { return words_.data(); }
+
+  /// True iff a flat tuple of `arity` components would be appended as
+  /// a row: the extent is a word table of that arity, or empty.
+  bool TakesRowsOf(size_t arity) const {
+    return layout_ == Layout::kWords
+               ? arity == arity_
+               : layout_ == Layout::kEmpty && arity >= 1 &&
+                     arity <= kMaxFlatArity;
+  }
+  /// The arity of `v` if it is a tuple the word table can hold, else 0.
+  static size_t FlatArity(const Value& v);
+
+  /// Row r of the word table as a Value: its view entry, materialized
+  /// on first demand.  The reference lives until the next insert.
+  const Value& FactAt(size_t r) const { return ViewRow(r); }
+
+  /// True iff `v` is a fact of row below `end` (word table) or a fact
+  /// at all (row layout).
+  bool ContainsBelow(const Value& v, size_t end) const;
+
+  /// A new extent of rows [begin, end) of the word table, in order,
+  /// with their view entries; a copy of the whole extent in the row
+  /// layout.
+  ValueSet CopyRows(size_t begin, size_t end) const;
+
+  /// approx_bytes of CopyRows(begin, end), without the copy.
+  size_t RangeApproxBytes(size_t begin, size_t end) const;
+
+  /// Stops inserts from chaining new rows into the word indexes until
+  /// ReleaseIndexes, which chains them.  While held, a chain holds no
+  /// row appended since, and a chain walk in progress never sees its
+  /// index grow and rehash under it.  Both are idempotent.
+  void HoldIndexes() { indexes_held_ = true; }
+  void ReleaseIndexes();
 
   /// Hash of `n` words: the dedup index's hash of a whole row, and the
   /// word indexes' hash of gathered key words.
@@ -214,9 +267,10 @@ class ValueSet {
   };
 
   /// The word index over `positions`, built on first demand and
-  /// extended on insert; nullptr unless the extent is a word table.
-  /// Indexes never move once built (the VM's cursors hold them across
-  /// a firing).
+  /// extended on insert (see HoldIndexes); nullptr unless the extent
+  /// is a word table.  Its chains run in descending row order.  Indexes
+  /// never move once built (the VM's cursors hold them across a
+  /// firing).
   const WordIndex* WordIndexOn(const std::vector<size_t>& positions) const;
 
   /// Facts currently held as Values: every fact in the row layout; in
@@ -258,10 +312,12 @@ class ValueSet {
   /// `positions` (the key is packed as a tuple Value).
   struct PositionIndex {
     std::vector<size_t> positions;
-    std::unordered_map<Value, std::vector<Value>> buckets;
+    std::unordered_map<Value, Bucket> buckets;
   };
 
-  static void IndexInsert(PositionIndex& index, const Value& fact);
+  /// Files `fact` in its bucket, with its row on a word table (`row`
+  /// is ignored in the row layout).
+  void IndexInsert(PositionIndex& index, const Value& fact, size_t row) const;
 
   /// Writes the words of `v` to `out` and returns its arity if `v` is a
   /// tuple the word table can hold; returns 0 otherwise.
@@ -279,16 +335,22 @@ class ValueSet {
 
   /// Dedup index.  Slots hold (low 32 hash bits << 32) | (row + 1), 0
   /// empty; the slot position is the hash masked, so growing needs no
-  /// rehash of the words.
-  bool FindRow(const uintptr_t* row, size_t hash) const;
+  /// rehash of the words.  RowOf returns the row number of an equal
+  /// row, or -1.
+  int64_t RowOf(const uintptr_t* row, size_t hash) const;
+  bool FindRow(const uintptr_t* row, size_t hash) const {
+    return RowOf(row, hash) >= 0;
+  }
   /// Records row `rows_` under `hash` unless an equal row is present;
   /// returns false on a duplicate.
   bool ClaimSlot(const uintptr_t* row, size_t hash);
   void GrowSlots();
   /// Appends a row whose slot ClaimSlot just claimed, keeping `value`
   /// as its view entry unless it is an inline placeholder, and extends
-  /// the derived indexes.
+  /// the derived indexes (the word indexes unless held).
   void AppendRow(const uintptr_t* row, Value value);
+  /// Chains the rows each word index does not hold yet.
+  void ChainNewRows();
 
   /// The first fact of a fresh extent chooses the layout.
   void StartWords(size_t arity) {
@@ -321,6 +383,7 @@ class ValueSet {
   // pointer, so a new one does not move the others.
   mutable std::vector<PositionIndex> indexes_;
   mutable std::vector<std::unique_ptr<WordIndex>> word_indexes_;
+  bool indexes_held_ = false;
 };
 
 /// Set-algebra primitives, the semantics of the paper's operators.

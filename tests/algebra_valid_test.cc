@@ -234,6 +234,39 @@ TEST(ValidEvalTest, WinMoveWorkIsThatOfTheMaterialisingEvaluator) {
   EXPECT_EQ(work.charges, 33u);
 }
 
+TEST(ValidEvalTest, MaxBytesStopsWinMove) {
+  // Each round of the alternation's least fixpoints reports the bytes
+  // of the bound it iterates and of the frozen one, inside its round
+  // charge: the charge counts stay those above, and a byte budget one
+  // short of the high-water mark stops the evaluation.
+  const SetDb db =
+      MoveDb({{"a", "b"}, {"b", "c"}, {"c", "d"}, {"e", "f"}, {"f", "e"},
+              {"f", "a"}});
+  ExecutionContext full(EvalLimits::Default());
+  AlgebraEvalOptions opts;
+  opts.context = &full;
+  ASSERT_TRUE(EvalAlgebraValid(WinMoveProgram(), db, opts).ok());
+  const size_t high_water = full.high_water_bytes();
+  ASSERT_GT(high_water, 0u);
+  EXPECT_EQ(full.total_charges(), 33u);
+
+  EvalLimits limits = EvalLimits::Default();
+  limits.max_bytes = high_water;
+  ExecutionContext at_limit(limits);
+  opts.context = &at_limit;
+  EXPECT_TRUE(EvalAlgebraValid(WinMoveProgram(), db, opts).ok());
+
+  limits.max_bytes = high_water - 1;
+  ExecutionContext short_budget(limits);
+  opts.context = &short_budget;
+  auto model = EvalAlgebraValid(WinMoveProgram(), db, opts);
+  ASSERT_TRUE(model.status().IsResourceExhausted()) << model.status();
+  EXPECT_NE(model.status().message().find("max_bytes=" +
+                                          std::to_string(high_water - 1)),
+            std::string::npos)
+      << model.status();
+}
+
 TEST(ValidEvalTest, PositiveTcRunsOneLeastFixpoint) {
   // TC = E ∪ MAP_{<x.0.0, x.1.1>}(σ_{x.0.1 = x.1.0}(E × TC)) over the
   // path 0 → 1 → 2 → 3 → 4 is positive, so it is one least fixpoint.

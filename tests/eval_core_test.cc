@@ -254,8 +254,9 @@ TEST(FireRuleFactsTest, InterruptAbortsVmEmission) {
   for (const Value& fact : out) EXPECT_TRUE(interp.Holds("e", fact));
 }
 
-// `out` is a set across firings: a fact an earlier firing of the round
-// added is not added again, and each firing's count is what it added.
+// `out` is a set across firings: a fact it held before (here one
+// known fact) or that an earlier firing of the round added is not added
+// again, and each firing's count is what it added.
 TEST(FireRuleFactsTest, DedupsAcrossFiringsAndCountsAdds) {
   auto program = ParseProgram(R"(
     p(X, Y) :- e(X, Y).
@@ -273,24 +274,23 @@ TEST(FireRuleFactsTest, DedupsAcrossFiringsAndCountsAdds) {
   for (int i = 0; i < 10; ++i) {
     interp.AddFact("f", {Value::Int(100 + i), Value::Int(i)});
   }
-  ValueSet known;
-  known.Insert(Value::Pair(Value::Int(100), Value::Int(0)));
+  ValueSet out;
+  out.Insert(Value::Pair(Value::Int(100), Value::Int(0)));
   FunctionRegistry fns = FunctionRegistry::Default();
   ExecutionContext governed;
   BodyContext ctx = PlainContext(interp, fns);
   ctx.context = &governed;
   vm::ResetVmExecStats();
-  ValueSet out;
-  Result<size_t> first = FireRuleFacts((*planned)[0], ctx, &out, &known);
-  Result<size_t> second = FireRuleFacts((*planned)[1], ctx, &out, &known);
+  Result<size_t> first = FireRuleFacts((*planned)[0], ctx, &out);
+  Result<size_t> second = FireRuleFacts((*planned)[1], ctx, &out);
   ASSERT_TRUE(first.ok() && second.ok());
   EXPECT_EQ(*first, 30u);
   EXPECT_EQ(*second, 9u);  // 10 of its own, one of them known
-  EXPECT_EQ(out.size(), 39u);
+  EXPECT_EQ(out.size(), 40u);
   EXPECT_EQ(governed.total_charges(), 30u + 20u);
   EXPECT_EQ(vm::GetVmExecStats().vm_facts, 39u);
   // Firing again adds nothing and still polls every match.
-  Result<size_t> again = FireRuleFacts((*planned)[1], ctx, &out, &known);
+  Result<size_t> again = FireRuleFacts((*planned)[1], ctx, &out);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, 0u);
   EXPECT_EQ(governed.total_charges(), 30u + 20u + 20u);
@@ -345,9 +345,9 @@ TEST(FireRuleFactsTest, WordEmittedExtentReadsLikeOneBuiltFromValues) {
   EXPECT_EQ(words.materialized_rows(), words.size());
 }
 
-// The `known` filter of FireRuleFacts, on a flat recursive rule: no
-// fact in `known` is added on word or row cursors, yet every raw body
-// match still polls.
+// The facts `out` already holds filter FireRuleFacts, on a flat
+// recursive rule: no fact `out` held before the firing (`known`) is
+// added on word or row cursors, yet every raw body match still polls.
 TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
   auto program = ParseProgram("tc(X, Z) :- e(X, Y), tc(Y, Z).");
   ASSERT_TRUE(program.ok());
@@ -396,16 +396,17 @@ TEST(FireRuleFactsTest, KnownFilterSkipsDerivedFactsButPollsEveryMatch) {
     BodyContext ctx = PlainContext(*layout, fns);
     ctx.context = &governed;
     vm::ResetVmExecStats();
-    ValueSet out;
-    Result<size_t> added = FireRuleFacts(planned->front(), ctx, &out, &known);
+    ValueSet out = known;
+    Result<size_t> added = FireRuleFacts(planned->front(), ctx, &out);
     ASSERT_TRUE(added.ok()) << added.status();
     EXPECT_EQ(governed.total_charges(), raw_matches);
-    EXPECT_EQ(out, unknown);
+    EXPECT_EQ(out, SetUnion(known, unknown));
     EXPECT_EQ(*added, unknown.size());
     // Each layout adds each unknown projection once, whichever of its
-    // matches comes first, and emits it on words.
+    // matches comes first, and emits it on words: only the known facts,
+    // inserted as Values, are held as Values.
     EXPECT_EQ(vm::GetVmExecStats().vm_facts, unknown.size());
-    EXPECT_EQ(out.materialized_rows(), 0u);
+    EXPECT_EQ(out.materialized_rows(), known.size());
   }
 }
 
